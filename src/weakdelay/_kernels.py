@@ -1,123 +1,120 @@
-"""Dense likelihood-profile evaluation.
+"""Likelihood core: zeta terms, counted-bin preparation, dense profile.
 
-The profile evaluates the source-free log-likelihood
+Every reshaping factor zeta = |cos(g w) - i sin(g w) A|^2 in the package is
+evaluated from the terms :func:`zeta_terms` derives from the weak value A.
+With a = (1 + |A|^2)/2, b = (1 - |A|^2)/2, r = hypot(b, Im A) and
+delta = atan2(Im A, b),
+
+    zeta = a + r cos(2 g w - delta)
+         = (Re A)^2 / (a + r) + 2 r cos^2(g w - delta/2)
+         = floor + (u cos(g w) + v sin(g w))^2,
+
+with floor = (Re A)^2 / (a + r), u = sqrt(2 r) cos(delta/2) and
+v = sqrt(2 r) sin(delta/2).  It is a sum of two nonnegative terms, so next
+to the null of a strongly amplified port no digits are lost to cancelling
+terms of size |A|^2.  u^2 = r + b and v^2 = r - b are formed without
+cancellation (their product is (Im A)^2) and without delta itself, so
+the phase sum is exact to a few ulps of sqrt(u^2 + v^2) = sqrt(2 r).
+The terms are computed on the weak value before it meets the frequency
+grid, so they stay scalars for frequency-independent analyzers.
+
+Null rule: a counted bin whose zeta is at or below ``null`` =
+(32 eps)^2 (u^2 + v^2), the square of a generous bound on the roundoff of
+the phase sum u cos(g w) + v sin(g w), is a model zero: the likelihood
+reads -inf there and the score is undefined.
+
+The dense profile evaluates the source-free log-likelihood
 
     l(g_k) = sum_j sum_i Q_ji * log zeta_j(g_k w_i)
 
-on a uniform g grid.  Along the grid, g_k w_i is an arithmetic progression
-per bin, so cos/sin are advanced by angle addition instead of libm calls
-per element.  Two implementations share that idea:
-
-* the numba kernel (used when numba is importable) runs a rotation
-  recurrence per bin over the whole grid; its drift over 1e5 steps is
-  ~1e-11 rad, far below the profile's resolution;
-* the NumPy path (the supported fallback) keeps only bins with Q > 0 (the
-  others contribute exactly nothing) and stacks both ports into one set of
-  columns.  With a = (1 + |A|^2)/2, r = hypot((1 - |A|^2)/2, Im A) and
-  delta = atan2(Im A, (1 - |A|^2)/2) it writes
-
-      zeta = a + r cos(2 g w - delta)
-           = (Re A)^2 / (a + r) + 2 r cos^2(g w - delta/2),
-
-  a sum of two nonnegative terms, so next to the null of a strongly
-  amplified port no digits are lost to cancelling terms of size |A|^2.  Grid points are taken in blocks of ``_BLOCK``: a per-block table
-  of cos/sin(k dg w) rotates the block's start angle to every row, the
-  start angle is advanced block to block by the same rotation and
-  re-anchored with exact trig every ``_ANCHOR`` blocks, so the drift stays
-  at roundoff.  The log-model block is reduced against Q with a BLAS
-  mat-vec.
-
-The numba kernel clamps model zeros to ``_Z_FLOOR`` = 1e-300 before the
-log instead of propagating -inf (it runs with fastmath, which assumes
-finite arithmetic); the NumPy path floors the first term at ``_Z_FLOOR``,
-which keeps every zeta at or above it.  Either way a grid point on a
-likelihood singularity reads as a huge negative value, never as the
-largest.
+on a uniform g grid, over counted bins only (the others contribute exactly
+nothing), both ports stacked into one set of columns.  Along the grid,
+g_k w_i is an arithmetic progression per bin, so cos/sin are advanced by
+angle addition instead of libm calls per element.  Grid points are taken
+in blocks of ``_BLOCK``: a per-block table of cos/sin(k dg w) rotates the
+block's start phasor to every row, the start phasor is advanced block to
+block by the same rotation and re-anchored with exact trig every
+``_ANCHOR`` blocks, so the drift stays at roundoff.  The log-model block is
+reduced against Q with a BLAS mat-vec.  The floor term is raised to
+``_Z_FLOOR``, which keeps every zeta at or above it, so a grid point on a
+likelihood singularity reads as a huge negative value, never as -inf or
+as the largest.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-    prange = range
-
-#: Floor for the model probability before the log.
+#: Floor for the profile's model probability before the log.
 _Z_FLOOR = 1e-300
 
-#: Grid points per block of the NumPy path.
+#: Model-zero bound per unit r: (32 eps)^2 (u^2 + v^2) = (32 eps)^2 2 r.
+_NULL = 2.0 * (32.0 * np.finfo(float).eps) ** 2
+
+#: Grid points per block of the profile.
 _BLOCK = 32
 
-#: Blocks between exact-trig re-anchors of the NumPy path's block angle.
+#: Blocks between exact-trig re-anchors of the profile's block phasor.
 _ANCHOR = 16
 
 
-@njit(parallel=True, fastmath=True, cache=True)
-def _profile_kernel(g0, dg, n_g, omega, q1, q2, im1, sq1, im2, sq2):
-    n_chunk = 8
-    n_bins = omega.shape[0]
-    partial = np.zeros((n_chunk, n_g))
-    step = (n_bins + n_chunk - 1) // n_chunk
-    for chunk in prange(n_chunk):
-        lo = chunk * step
-        hi = min(lo + step, n_bins)
-        for i in range(lo, hi):
-            w = omega[i]
-            dc = np.cos(dg * w)
-            ds = np.sin(dg * w)
-            c = np.cos(g0 * w)
-            s = np.sin(g0 * w)
-            qa = q1[i]
-            qb = q2[i]
-            ma, sa = im1[i], sq1[i]
-            mb, sb = im2[i], sq2[i]
-            for k in range(n_g):
-                cc = c * c
-                ss = s * s
-                cs2 = 2.0 * c * s
-                za = cc + ss * sa + cs2 * ma
-                zb = cc + ss * sb + cs2 * mb
-                if za < _Z_FLOOR:
-                    za = _Z_FLOOR
-                if zb < _Z_FLOOR:
-                    zb = _Z_FLOOR
-                v = 0.0
-                if qa > 0.0:
-                    v += qa * np.log(za)
-                if qb > 0.0:
-                    v += qb * np.log(zb)
-                partial[chunk, k] += v
-                c_next = c * dc - s * ds
-                s = s * dc + c * ds
-                c = c_next
-    return partial.sum(axis=0)
+class ZetaTerms(NamedTuple):
+    """zeta = floor + (u cos x + v sin x)^2 at phase x = g w; model zero at or below null."""
+
+    floor: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    null: np.ndarray
 
 
-def _profile_numpy(g0, dg, n_g, omega, q1, q2, im1, sq1, im2, sq2):
-    q = np.concatenate([q1, q2])
-    live = q > 0
-    q = q[live]
-    w = np.concatenate([omega, omega])[live]
-    im = np.concatenate([im1, im2])[live]
-    sq = np.concatenate([sq1, sq2])[live]
-    a, b = 0.5 * (1.0 + sq), 0.5 * (1.0 - sq)
+def zeta_terms(aw) -> ZetaTerms:
+    """Terms of the reshaping factor for weak value(s) ``aw``."""
+    aw = np.asarray(aw)
+    re, im = np.real(aw), np.imag(aw)
+    re2, im2 = re * re, im * im
+    half_sq = 0.5 * (re2 + im2)
+    b = 0.5 - half_sq
     r = np.hypot(b, im)
-    half_delta = 0.5 * np.arctan2(im, b)
-    z_min = np.maximum((sq - im * im) / (a + r), _Z_FLOOR)
-    amp = np.sqrt(2.0 * r)
-    # zeta = z_min + (amp cos(g w - delta/2))^2; rows of a block rotate the
-    # block's start phasor (rc, rs) by the table angle k dg w
+    # u^2 = r + b and v^2 = r - b: one is r + |b|, the other r - |b|,
+    # formed as (Im A)^2 / (r + |b|) to avoid cancellation
+    big = r + np.abs(b)
+    small = im2 / np.maximum(big, np.finfo(float).tiny)
+    pos = b >= 0
+    u2, v2 = np.where(pos, big, small), np.where(pos, small, big)
+    return ZetaTerms(re2 / (0.5 + half_sq + r), np.sqrt(u2),
+                     np.copysign(np.sqrt(v2), im), _NULL * r)
+
+
+def zeta(x, terms: ZetaTerms):
+    """Reshaping factor and its derivative d zeta / dx at phase x = g w."""
+    c, s = np.cos(x), np.sin(x)
+    p = terms.u * c + terms.v * s
+    return terms.floor + p * p, 2.0 * p * (terms.v * c - terms.u * s)
+
+
+def counted_bins(omega, q, aw):
+    """Frequencies, counts and zeta terms of the bins with q > 0."""
+    live = q > 0
+    if np.ndim(aw):
+        aw = np.broadcast_to(aw, omega.shape)[live]
+    return omega[live], q[live], zeta_terms(aw)
+
+
+def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
+    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
+    omega = np.asarray(omega, dtype=float)
+    g0, dg, n_g = float(g0), float(dg), int(n_g)
+    cols = []
+    for q, aw in ((q1, aw1), (q2, aw2)):
+        w, q, terms = counted_bins(omega, np.asarray(q, dtype=float), aw)
+        cols.append([w, q, *(np.broadcast_to(t, w.shape) for t in terms[:3])])
+    w, q, floor, u, v = (np.concatenate(c) for c in zip(*cols))
+    z_min = np.maximum(floor, _Z_FLOOR)
+    # zeta = z_min + rc^2 with the phasor (rc, rs) = (u cos x + v sin x,
+    # u sin x - v cos x); rows of a block rotate the block's start phasor by
+    # the table angle k dg w
     step = dg * w
     table = np.arange(_BLOCK)[:, None] * step
     cos_t, sin_t = np.cos(table), np.sin(table)
@@ -127,8 +124,9 @@ def _profile_numpy(g0, dg, n_g, omega, q1, q2, im1, sq1, im2, sq2):
     out = np.empty(n_g)
     for block, lo in enumerate(range(0, n_g, _BLOCK)):
         if block % _ANCHOR == 0:
-            start = (g0 + lo * dg) * w - half_delta
-            rc, rs = amp * np.cos(start), amp * np.sin(start)
+            x = (g0 + lo * dg) * w
+            c, s = np.cos(x), np.sin(x)
+            rc, rs = u * c + v * s, u * s - v * c
         else:
             rc, rs = rc * cos_b - rs * sin_b, rs * cos_b + rc * sin_b
         m = min(_BLOCK, n_g - lo)
@@ -141,16 +139,3 @@ def _profile_numpy(g0, dg, n_g, omega, q1, q2, im1, sq1, im2, sq2):
         np.log(zm, out=zm)
         np.dot(zm, q, out=out[lo:lo + m])
     return out
-
-
-def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
-    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
-    omega = np.ascontiguousarray(omega, dtype=float)
-    q1 = np.ascontiguousarray(q1, dtype=float)
-    q2 = np.ascontiguousarray(q2, dtype=float)
-    im1 = np.ascontiguousarray(np.broadcast_to(np.imag(aw1), omega.shape), dtype=float)
-    im2 = np.ascontiguousarray(np.broadcast_to(np.imag(aw2), omega.shape), dtype=float)
-    sq1 = np.ascontiguousarray(np.broadcast_to(np.abs(aw1) ** 2, omega.shape), dtype=float)
-    sq2 = np.ascontiguousarray(np.broadcast_to(np.abs(aw2) ** 2, omega.shape), dtype=float)
-    impl = _profile_kernel if NUMBA_AVAILABLE else _profile_numpy
-    return impl(float(g0), float(dg), int(n_g), omega, q1, q2, im1, sq1, im2, sq2)

@@ -7,6 +7,8 @@ resolution-limit calculator).  Outputs are CSV or JSON so the results feed
 external plotting directly.
 
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
+``estimate --method all`` puts a failing method's error in its slot of the
+output and exits 1 only when every method failed.
 """
 
 from __future__ import annotations
@@ -104,14 +106,21 @@ def _estimate_one(method: str, record, args):
 
 def cmd_estimate(args) -> int:
     record = io.read_record(args.records)
-    methods = [m.value for m in Method] if args.method == "all" else [args.method]
+    single = args.method != "all"
+    methods = [args.method] if single else [m.value for m in Method]
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for method in methods:
-            results.append(io.result_to_dict(_estimate_one(method, record, args)))
-    print(json.dumps(results if args.method == "all" else results[0], indent=2))
-    return 0
+            try:
+                results.append(io.result_to_dict(_estimate_one(method, record, args)))
+            except WeakDelayError as exc:
+                if single:
+                    raise
+                results.append({"method": method, "error": {
+                    "type": type(exc).__name__, "message": str(exc)}})
+    print(json.dumps(results[0] if single else results, indent=2))
+    return 1 if all("error" in r for r in results) else 0
 
 
 def _add_sweep(sub):

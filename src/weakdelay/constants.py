@@ -29,12 +29,3 @@ def wavelength_to_angular_frequency(lambda_nm):
     omega = 2.0 * np.pi * C_VACUUM / (lam * NM)
     return float(omega) if np.isscalar(lambda_nm) else omega
 
-
-def angular_frequency_to_wavelength(omega):
-    """Inverse of :func:`wavelength_to_angular_frequency`; returns nm."""
-    om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0):
-        from .errors import DomainError
-        raise DomainError("angular frequency must be positive")
-    lam = 2.0 * np.pi * C_VACUUM / om / NM
-    return float(lam) if np.isscalar(omega) else lam

@@ -99,14 +99,17 @@ class QuarticCoefficients:
 
 
 def _port_arrays(record: MeasurementRecord, weak_values: WeakValuePair):
-    omega = record.omega
     q1 = record.port1.weights
     q2 = record.port2.weights
-    aw1 = np.broadcast_to(np.asarray(weak_values.aw1), omega.shape)
-    aw2 = np.broadcast_to(np.asarray(weak_values.aw2), omega.shape)
     if q1.sum() + q2.sum() <= 0:
         raise DegenerateRecordError("record holds no events")
-    return q1, q2, omega, aw1, aw2
+    return q1, q2, record.omega, weak_values.aw1, weak_values.aw2
+
+
+def _counted_ports(record: MeasurementRecord, weak_values: WeakValuePair):
+    """Counted bins of each port as (omega, q, zeta terms)."""
+    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
+    return [_kernels.counted_bins(omega, q, aw) for q, aw in ((q1, aw1), (q2, aw2))]
 
 
 def log_likelihood(g: float, record: MeasurementRecord,
@@ -115,19 +118,15 @@ def log_likelihood(g: float, record: MeasurementRecord,
 
     Only the reshaping factors depend on g, so the source spectrum and the
     postselection overlaps contribute constants and are omitted.  Bins with
-    zero counts contribute nothing; a bin with counts but vanishing model
-    probability yields -inf (sentinel, not an exception).
+    zero counts contribute nothing; a counted bin on a model zero (see
+    :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
     """
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
     out = 0.0
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        x = g * omega
-        z = np.cos(x) ** 2 + np.sin(x) ** 2 * np.abs(aw) ** 2 \
-            + np.sin(2 * x) * np.imag(aw)
-        live = q > 0
-        if np.any(z[live] <= 0):
+    for omega, q, terms in _counted_ports(record, weak_values):
+        z, _ = _kernels.zeta(g * omega, terms)
+        if np.any(z <= terms.null):
             return -np.inf
-        out += float((q[live] * np.log(z[live])).sum())
+        out += float((q * np.log(z)).sum())
     return out
 
 
@@ -136,22 +135,15 @@ def score_residual(g: float, record: MeasurementRecord,
     """Exact derivative of the log-likelihood with respect to g.
 
     Vanishes at the maximum-likelihood delay; positive below it near a
-    smooth maximum.  Raises ModelError where a counted bin sits on a zero
-    of its reshaping factor (the likelihood is singular there).
+    smooth maximum.  Raises ModelError where a counted bin sits on a model
+    zero of its reshaping factor (the likelihood is singular there).
     """
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
     out = 0.0
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        x = g * omega
-        sq = np.abs(aw) ** 2
-        im = np.imag(aw)
-        z = np.cos(x) ** 2 + np.sin(x) ** 2 * sq + np.sin(2 * x) * im
-        num = omega * (np.sin(2 * x) * (sq - 1.0) + 2.0 * np.cos(2 * x) * im)
-        live = q > 0
-        term = q[live] * num[live] / z[live]
-        if not np.all(np.isfinite(term)):
+    for omega, q, terms in _counted_ports(record, weak_values):
+        z, slope = _kernels.zeta(g * omega, terms)
+        if not np.all(z > terms.null):
             raise ModelError(f"likelihood score singular at g = {g!r}")
-        out += float(term.sum())
+        out += float((q * omega * slope / z).sum())
     return out
 
 
@@ -186,13 +178,12 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
                        g_lo: float, g_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-likelihood on a uniform n-point delay grid (diagnostic scan).
 
-    Suitable for dense grids (1e5 points): runs the numba kernel when numba
-    is installed and otherwise the NumPy block-rotation path of
-    :mod:`weakdelay._kernels`, which evaluates only counted bins.  Returns
-    (grid, values), values offset by the same g-independent constant as
-    :func:`log_likelihood`.  Both paths keep model probabilities at or
-    above 1e-300 before the log, so grid points sitting exactly on a
-    likelihood singularity read as huge negative values rather than -inf.
+    Suitable for dense grids (1e5 points): runs the block-rotation profile
+    of :mod:`weakdelay._kernels` over counted bins only.  Returns (grid,
+    values), values offset by the same g-independent constant as
+    :func:`log_likelihood`.  Model probabilities are kept at or above
+    1e-300 before the log, so grid points sitting on a likelihood
+    singularity read as huge negative values rather than -inf.
     """
     if n < 2:
         raise DomainError("profile needs at least 2 grid points")
@@ -456,7 +447,7 @@ def quartic_coefficients(record: MeasurementRecord, weak_values: WeakValuePair,
     q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
     series = [0.0] * 5
     printed_d = 0.0
-    for q, aw in ((q1, aw1[0]), (q2, aw2[0])):
+    for q, aw in ((q1, aw1), (q2, aw2)):
         im = float(np.imag(aw))
         u1, u2 = 2.0 * im, abs(aw) ** 2 - 1.0
         n = (im, u2, -u1)

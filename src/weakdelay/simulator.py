@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import NM, wavelength_to_angular_frequency
 from .errors import DomainError, ModelError
-from .estimators import EstimationResult, Method, first_order, jwm_simplified, solve_exact
+from .estimators import Method, first_order, jwm_simplified, solve_exact
 from .polarization import QwpModel, port_projections
 from .spectra import MeasurementRecord, Spectrum, postselected_distribution
 from .waveplate import PlateStack, pivot_delay
@@ -278,18 +278,6 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
             points.append(SnrPoint(alpha=float(alpha), snr_db=float(snr),
                                    trials=trials, phi_assumed=float(phi_assumed)))
     return points
-
-
-def noise_free_estimate(config: ExperimentConfig,
-                        method: Method = Method.FIRST_ORDER) -> EstimationResult:
-    """Estimate on the expected (infinite-statistics) record."""
-    record = simulate(replace(config, photons=0))
-    wv = _estimation_weak_values(config, record.omega)
-    if method is Method.EXACT:
-        return solve_exact(record, wv)
-    if method is Method.FIRST_ORDER:
-        return first_order(record, config.phi_for_estimation)
-    raise DomainError(f"unsupported noise-free method {method!r}")
 
 
 def resolution_factor(lambda0_nm: float, delta_lambda_nm: float,

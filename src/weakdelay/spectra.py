@@ -10,18 +10,21 @@ reports and what the moment integrals consume.
 The postselected distribution of port j is
 
     P_j(omega) = |<f_j|i>|^2 * P_0(omega) * zeta_j(omega, g)
-    zeta_j     = cos^2(g w) + sin^2(g w) |A_wj|^2 + sin(2 g w) Im(A_wj)
+    zeta_j     = |cos(g w) - i sin(g w) A_wj|^2
 
 with the exact trigonometric reshaping factor zeta (no small-g expansion
-anywhere in the forward model).
+anywhere in the forward model), evaluated by the likelihood core's
+half-angle form (see :mod:`weakdelay._kernels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .constants import wavelength_to_angular_frequency
 from .errors import DegenerateRecordError, DomainError, ModelError
 from .polarization import WeakValuePair, ideal_weak_values
@@ -48,9 +51,9 @@ class Spectrum:
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise DomainError("weights must be finite and nonnegative")
 
-    @property
+    @cached_property
     def omega(self) -> np.ndarray:
-        """Bin-centre angular frequencies [rad/s]."""
+        """Bin-centre angular frequencies [rad/s], computed once."""
         return wavelength_to_angular_frequency(self.grid_nm)
 
     def total(self) -> float:
@@ -154,24 +157,17 @@ def pooled_variance(record: MeasurementRecord) -> float:
 
 
 def zeta(omega, g: float, aw):
-    """Spectral reshaping factor of a postselected port (exact trig form).
+    """Spectral reshaping factor |cos(g w) - i sin(g w) aw|^2 of a postselected port.
 
-    zeta = cos^2(g w) + sin^2(g w) |aw|^2 + sin(2 g w) Im(aw), which equals
-    |cos(g w) - i sin(g w) aw|^2 and is therefore nonnegative for every
-    complex weak value.  Near a port null the three-term sum can round a
-    hair below zero; roundoff-scale negatives are clamped to 0, while
-    anything beyond roundoff (possible only for non-finite or inconsistent
-    inputs) is reported as a model error.
+    Evaluated as (Re aw)^2/(a + r) + 2 r cos^2(g w - delta/2), a sum of two
+    nonnegative terms (see :mod:`weakdelay._kernels`), so it needs no clamp
+    and keeps its digits next to a port null.  Non-finite inputs are
+    reported as a model error.
     """
     om = np.asarray(omega, dtype=float)
-    aw = np.asarray(aw)
-    x = g * om
-    mod = np.abs(aw)
-    out = np.cos(x) ** 2 + np.sin(x) ** 2 * mod ** 2 + np.sin(2 * x) * np.imag(aw)
-    roundoff = 32.0 * np.finfo(float).eps * (1.0 + mod) ** 2
-    out = np.where((out < 0) & (out >= -roundoff), 0.0, out)
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
-        raise ModelError("zeta produced negative or non-finite values; "
+    out, _ = _kernels.zeta(g * om, _kernels.zeta_terms(aw))
+    if not np.all(np.isfinite(out)):
+        raise ModelError("zeta produced non-finite values; "
                          "inconsistent (omega, g, aw) inputs")
     return float(out) if (np.ndim(omega) == 0 and np.ndim(aw) == 0) else out
 

@@ -92,6 +92,33 @@ class TestEstimateCommand:
             "exact", "quartic", "first_order", "jwm_simplified",
             "strubi_reference", "wva_first_order", "wva_mean_shift"}
 
+    def test_all_methods_keeps_estimates_when_one_fails(self, tmp_path, capsys):
+        # the truncated quartic has no real root on this unbalanced record
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": 0.03, "tau_true_fs": 0.02}))
+        rec = tmp_path / "r.csv"
+        run(["simulate", "--config", str(cfg), "--out", str(rec)], capsys)
+        code, stdout, _ = run(["estimate", "--records", str(rec),
+                               "--phi", "0.03", "--method", "all"], capsys)
+        assert code == 0
+        results = {r["method"]: r for r in json.loads(stdout)}
+        assert len(results) == 7
+        assert results["quartic"]["error"]["type"] == "SolverError"
+        assert "tau_s" not in results["quartic"]
+        assert results["exact"]["tau_fs"] == pytest.approx(0.02, rel=0.01)
+        assert all("tau_s" in r for m, r in results.items() if m != "quartic")
+
+    def test_all_methods_failing_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("wavelength_nm,counts_port1,counts_port2\n"
+                         "700.0,0,0\n701.0,0,0\n")
+        code, stdout, _ = run(["estimate", "--records", str(empty),
+                               "--phi", "0.03", "--method", "all"], capsys)
+        assert code == 1
+        results = json.loads(stdout)
+        assert len(results) == 7
+        assert all(r["error"]["type"] == "DegenerateRecordError" for r in results)
+
     def test_malformed_row_exits_2_with_row_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wavelength_nm,counts_port1,counts_port2\n"
