@@ -26,7 +26,8 @@ from .polarization import (PolarizationState, QwpModel, WeakValuePair,
                            port_projections, postselection_state,
                            qwp_jones_matrix)
 from .simulator import (ExperimentConfig, SnrPoint, SourceConfig, SweepRow,
-                        alpha_min, default_dispersive_qwp, make_source,
+                        alpha_min, default_dispersive_qwp, expected_record,
+                        make_source,
                         resolution_factor, simulate, snr_sweep, sweep_theta,
                         wva_uncertainty)
 from .spectra import (MeasurementRecord, SpectralMoments, Spectrum,

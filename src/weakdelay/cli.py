@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, io, simulator
-from .constants import FS, wavelength_to_angular_frequency
+from .constants import FS
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
 from .polarization import QwpModel, port_projections
@@ -42,6 +42,8 @@ def _add_simulate(sub):
 def cmd_simulate(args) -> int:
     config, resolved = io.load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise FormatError("--seed must be nonnegative")
         config = replace(config, seed=args.seed)
         resolved["seed"] = args.seed
     record = simulator.simulate(config)
@@ -71,10 +73,10 @@ def _add_estimate(sub):
 
 
 def _analyzer(args, omega):
-    if args.qwp == "dispersive":
-        omega0 = wavelength_to_angular_frequency(args.center_nm)
-        tau0 = (np.pi / 4) / omega0 if args.tau0_fs is None else args.tau0_fs * FS
-        qwp = QwpModel(variant="dispersive", tau0=tau0)
+    if args.qwp == "dispersive" and args.tau0_fs is None:
+        qwp = simulator.default_dispersive_qwp(simulator.SourceConfig(center_nm=args.center_nm))
+    elif args.qwp == "dispersive":
+        qwp = QwpModel(variant="dispersive", tau0=args.tau0_fs * FS)
     else:
         qwp = QwpModel(variant=args.qwp)
     wv, _, _ = port_projections(args.phi, omega, qwp)
@@ -97,9 +99,11 @@ def _estimate_one(method: str, record, args):
         return estimators.wva_first_order(record, args.phi)
     if method == Method.WVA_MEAN_SHIFT.value:
         m1, m2 = record_moments(record)
+        # the analyzer's port-2 weak value at the pooled mean frequency
+        aw2 = _analyzer(args, m1.m1 + m2.m1).aw2
         return estimators.wva_mean_shift(
             delta_omega=m1.m1_bar - m2.m1_bar,
-            im_aw2=1.0 / np.tan(args.phi / 2),
+            im_aw2=abs(np.imag(aw2)),
             variance=pooled_variance(record))
     raise FormatError(f"unknown method {method!r}")
 

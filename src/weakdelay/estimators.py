@@ -46,7 +46,7 @@ from .spectra import MeasurementRecord, pooled_variance, record_moments
 #: Default search bracket for the score root [s].
 DEFAULT_BRACKET = (-1e-15, 1e-15)
 
-#: Default bisection tolerance on the bracket width [s].  Chosen so that a
+#: Default root tolerance on the bracket width [s].  Chosen so that a
 #: zero-delay record resolves to zero at the 1e-12/omega0 level.
 DEFAULT_TOL = 1e-30
 
@@ -106,72 +106,103 @@ def _port_arrays(record: MeasurementRecord, weak_values: WeakValuePair):
     return q1, q2, record.omega, weak_values.aw1, weak_values.aw2
 
 
+#: Delay values evaluated together by the array forms of the likelihood
+#: functions; bounds their (delays x bins) temporaries.
+_CHUNK = 8
+
+
+def _rows(g, ports, row_values) -> np.ndarray:
+    """sum over ports of row_values(g rows, *port), _CHUNK delays at a time."""
+    gs = np.atleast_1d(np.asarray(g, dtype=float))
+    out = np.zeros(gs.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, gs.size, _CHUNK):
+            rows = gs[lo:lo + _CHUNK, None]
+            for port in ports:
+                out[lo:lo + _CHUNK] += row_values(rows, *port)
+    return out
+
+
+def _residual(g, out, what: str):
+    """Scalar g: the float, or ModelError where singular; array g: NaN marks."""
+    if np.ndim(g):
+        return out
+    if np.isnan(out[0]):
+        raise ModelError(f"{what} at g = {g!r}")
+    return float(out[0])
+
+
 def _counted_ports(record: MeasurementRecord, weak_values: WeakValuePair):
     """Counted bins of each port as (omega, q, zeta terms)."""
     q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
     return [_kernels.counted_bins(omega, q, aw) for q, aw in ((q1, aw1), (q2, aw2))]
 
 
-def log_likelihood(g: float, record: MeasurementRecord,
-                   weak_values: WeakValuePair) -> float:
+def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
+                   weak_values: WeakValuePair) -> float | np.ndarray:
     """Log-likelihood of delay g, up to a g-independent additive constant.
 
     Only the reshaping factors depend on g, so the source spectrum and the
     postselection overlaps contribute constants and are omitted.  Bins with
     zero counts contribute nothing; a counted bin on a model zero (see
     :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
+    A 1-D array g gives an array of log-likelihoods.
     """
-    out = 0.0
-    for omega, q, terms in _counted_ports(record, weak_values):
+    def rows(g, omega, q, terms):
         z, _ = _kernels.zeta(g * omega, terms)
-        if np.any(z <= terms.null):
-            return -np.inf
-        out += float((q * np.log(z)).sum())
-    return out
+        return np.where(np.any(z <= terms.null, axis=1), -np.inf,
+                        (q * np.log(z)).sum(axis=1))
+
+    out = _rows(g, _counted_ports(record, weak_values), rows)
+    return out if np.ndim(g) else float(out[0])
 
 
-def score_residual(g: float, record: MeasurementRecord,
-                   weak_values: WeakValuePair) -> float:
+def score_residual(g: float | np.ndarray, record: MeasurementRecord,
+                   weak_values: WeakValuePair) -> float | np.ndarray:
     """Exact derivative of the log-likelihood with respect to g.
 
     Vanishes at the maximum-likelihood delay; positive below it near a
     smooth maximum.  Raises ModelError where a counted bin sits on a model
-    zero of its reshaping factor (the likelihood is singular there).
+    zero of its reshaping factor (the likelihood is singular there); a 1-D
+    array g gives an array with NaN at such delays.
     """
-    out = 0.0
-    for omega, q, terms in _counted_ports(record, weak_values):
+    def rows(g, omega, q, terms):
         z, slope = _kernels.zeta(g * omega, terms)
-        if not np.all(z > terms.null):
-            raise ModelError(f"likelihood score singular at g = {g!r}")
-        out += float((q * omega * slope / z).sum())
-    return out
+        return np.where(np.any(z <= terms.null, axis=1), np.nan,
+                        (q * omega * slope / z).sum(axis=1))
+
+    out = _rows(g, _counted_ports(record, weak_values), rows)
+    return _residual(g, out, "likelihood score singular")
 
 
-def likelihood_equation_residual(g: float, record: MeasurementRecord,
-                                 weak_values: WeakValuePair) -> float:
+def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecord,
+                                 weak_values: WeakValuePair) -> float | np.ndarray:
     """Rationalized likelihood-equation residual (small g w expansion).
 
     Polynomial-over-quadratic integrand obtained by expanding the exact
     score to second order in g w; zero at the estimate.  Valid only in the
     weak-measurement regime (warns when max |g| omega exceeds
     ``WEAK_REGIME_MAX_GW``) and raises ModelError when any counted bin's
-    quadratic denominator is nonpositive.
+    quadratic denominator is nonpositive; a 1-D array g gives an array
+    with NaN at such delays.
     """
     q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
-    if abs(g) * omega.max() > WEAK_REGIME_MAX_GW:
+    if np.max(np.abs(g)) * omega.max() > WEAK_REGIME_MAX_GW:
         warnings.warn("rational residual evaluated outside the weak-measurement regime",
                       stacklevel=2)
-    out = 0.0
+    ports = []
     for q, aw in ((q1, aw1), (q2, aw2)):
-        sq = np.abs(aw) ** 2
-        im = np.imag(aw)
+        live = q > 0
+        aw = aw[live] if np.ndim(aw) else aw
+        ports.append((omega[live], q[live], np.abs(aw) ** 2, np.imag(aw)))
+
+    def rows(g, omega, q, sq, im):
         num = -2.0 * im * omega ** 3 * g ** 2 + (sq - 1.0) * omega ** 2 * g + im * omega
         den = (sq - 1.0) * (omega * g) ** 2 + 2.0 * im * g * omega + 1.0
-        live = q > 0
-        if np.any(den[live] <= 0):
-            raise ModelError(f"rational residual outside validity region at g = {g!r}")
-        out += float((q[live] * num[live] / den[live]).sum())
-    return out
+        return np.where(np.any(den <= 0, axis=1), np.nan, (q * num / den).sum(axis=1))
+
+    out = _rows(g, ports, rows)
+    return _residual(g, out, "rational residual outside validity region")
 
 
 def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
@@ -247,13 +278,16 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
                 residual_form: str = "exact") -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
-    The root is localized by a likelihood sweep over a candidate ladder
-    inside the bracket (default ±1e-15 s, widened tenfold up to three times
-    when the optimum presses against it), then refined by bisection of the
-    residual to width ``tol``.  ``residual_form`` selects the exact
-    trigonometric score (default) or the rationalized weak-regime form;
-    frequency-dependent weak values are supported by both, staying inside
-    the bin sums.
+    The residual is evaluated once over a candidate ladder inside the
+    bracket (default ±1e-15 s, widened tenfold up to three times while no
+    root is bracketed).  At a likelihood maximum the score falls through
+    zero, while a likelihood singularity jumps the other way (-inf to
+    +inf), so every descending sign change between neighbouring candidates
+    brackets a local maximum.  Each is refined to width ``tol`` by the
+    Illinois method, and the root with the highest likelihood wins.
+    ``residual_form`` selects the exact trigonometric score (default) or
+    the rationalized weak-regime form; frequency-dependent weak values are
+    supported by both, staying inside the bin sums.
     """
     if residual_form == "exact":
         def res(g):
@@ -270,154 +304,85 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
     lo, hi = bracket if explicit else DEFAULT_BRACKET
     if not lo < hi:
         raise DomainError("bracket must satisfy g_lo < g_hi")
-
-    if explicit:
-        try:
-            rlo, rhi = res(lo), res(hi)
-        except ModelError:
-            rlo = rhi = None
-        if rlo is not None and np.sign(rlo) == np.sign(rhi) and rlo != 0 and rhi != 0:
-            raise BracketingError("no sign change across requested bracket",
-                                  lo, hi, rlo, rhi)
-
     try:
         hint = general_first_order(record, weak_values)
     except ModelError:
         hint = None
 
     for expansion in range(4):
+        if expansion:
+            lo, hi = lo * 10.0, hi * 10.0
         cands = _candidate_ladder(lo, hi, hint)
-        brackets = _brackets_from_candidates(cands, record, weak_values, res)
-        if brackets or explicit or expansion == 3:
-            if not brackets:
-                raise BracketingError("could not bracket a score root inside "
-                                      "the search range", lo, hi,
-                                      float("nan"), float("nan"))
-            # refine every descending crossing; keep the most likely root
-            best = None
-            for g_lo, g_hi, f_lo, f_hi in brackets:
-                root, iters = _bisect(res, g_lo, g_hi, f_lo, f_hi, tol)
-                ll = log_likelihood(root, record, weak_values)
-                if best is None or ll > best[0]:
-                    best = (ll, root, iters, g_hi - g_lo)
-            _, root, iters, width = best
-            try:
-                residual_at_root = res(root)
-            except ModelError:
-                residual_at_root = float("nan")
-            mom1, mom2 = record_moments(record)
-            return EstimationResult(
-                tau_hat=root,
-                method=Method.EXACT,
-                diagnostics={
-                    "likelihood_residual": residual_at_root,
-                    "iterations": iters,
-                    "bracket_width": width,
-                    "final_width": tol,
-                    "candidate_roots": len(brackets),
-                    "residual_form": residual_form,
-                    "port_probabilities": (mom1.p0, mom2.p0),
-                },
-            )
-        # nothing bracketed inside the range: widen per the x10 policy
-        lo, hi = lo * 10.0, hi * 10.0
+        vals = res(cands)
+        # the ladder ends are the bracket ends
+        if explicit and np.sign(vals[0]) * np.sign(vals[-1]) > 0:
+            raise BracketingError("no sign change across requested bracket",
+                                  lo, hi, vals[0], vals[-1])
+        a, b = vals[:-1], vals[1:]
+        down = np.flatnonzero(np.isfinite(a) & np.isfinite(b)
+                              & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))
+        if down.size or explicit:
+            break
+    if not down.size:
+        raise BracketingError("could not bracket a score root inside the search range",
+                              lo, hi, float("nan"), float("nan"))
+
+    refined = [_illinois(res, cands[i], cands[i + 1], a[i], b[i], tol) for i in down]
+    best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]),
+                                        record, weak_values)))
+    (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
+    mom1, mom2 = record_moments(record)
+    return EstimationResult(
+        tau_hat=root,
+        method=Method.EXACT,
+        diagnostics={
+            "likelihood_residual": float(res(np.array([root]))[0]),  # NaN if singular
+            "iterations": iters,
+            "bracket_width": width,
+            "final_width": tol,
+            "candidate_roots": len(refined),
+            "residual_form": residual_form,
+            "port_probabilities": (mom1.p0, mom2.p0),
+        },
+    )
 
 
-def _brackets_from_candidates(cands, record, weak_values, res):
-    """All candidate intervals holding a likelihood-maximum score crossing.
+def _illinois(res, a, b, fa, fb, tol, max_iter=100):
+    """Root of res between a < b, where fa and fb differ in sign or vanish.
 
-    At a likelihood maximum the score falls through zero (+ to -), while
-    likelihood singularities jump the other way (-inf to +inf), so only
-    descending sign changes are admitted; competing local maxima are all
-    returned for the caller to rank.  When no candidate pair straddles a
-    root, densify around the likelihood argmax instead.
+    False position, halving the residual of an end that is kept twice in a
+    row (the Illinois rule) so both ends close in.  A step closer than
+    tol/2 to an end is moved to tol/2 from it, so a root next to an end
+    ends the search in one more step; a step that still leaves (a, b) is
+    replaced by the midpoint.  Returns (root, steps) once b - a <= tol.
     """
-    vals = np.empty(len(cands))
-    for i, g in enumerate(cands):
-        try:
-            vals[i] = res(g)
-        except ModelError:
-            vals[i] = np.nan
-    brackets = []
-    for i in range(len(cands) - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isfinite(a) and np.isfinite(b) and (a > 0 >= b or a >= 0 > b):
-            brackets.append((cands[i], cands[i + 1], a, b))
-    if brackets:
-        return brackets
-    # no straddle at ladder resolution: densify around the likelihood optimum
-    lls = np.array([log_likelihood(g, record, weak_values) for g in cands])
-    if np.all(np.isneginf(lls)):
-        raise SolverError("likelihood is -inf over the whole candidate ladder")
-    found = _refine_to_bracket(cands, int(np.argmax(lls)), res)
-    return [found] if found is not None else []
-
-
-def _refine_to_bracket(cands: np.ndarray, k: int, res, max_depth: int = 10):
-    """Find adjacent points straddling the score root near candidate k.
-
-    Recursively densifies the interval around the likelihood argmax until an
-    adjacent pair with finite, opposite-sign residuals emerges (isolated
-    likelihood singularities are skipped over by the densification).
-    """
-    window = cands[max(k - 2, 0):min(k + 3, len(cands))]
-    for _ in range(max_depth):
-        vals = []
-        for g in window:
-            try:
-                vals.append(res(g))
-            except ModelError:
-                vals.append(np.nan)
-        vals = np.array(vals)
-        for i in range(len(window) - 1):
-            a, b = vals[i], vals[i + 1]
-            if np.isfinite(a) and np.isfinite(b) and (a > 0 >= b or a >= 0 > b):
-                return window[i], window[i + 1], a, b
-        finite = np.isfinite(vals)
-        if not finite.any():
-            centre = len(window) // 2
-            lo_g, hi_g = window[0], window[-1]
+    if fa == 0:
+        return a, 0
+    if fb == 0:
+        return b, 0
+    steps, moved = 0, None
+    while b - a > tol and steps < max_iter:
+        # a false-position step, kept at least tol/2 inside the bracket
+        g = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+        if not a < g < b:
+            g = 0.5 * (a + b)
+            if not a < g < b:
+                break
+        fg = res(g)
+        steps += 1
+        if fg == 0:
+            return g, steps
+        if (fg > 0) == (fa > 0):
+            a, fa = g, fg
+            if moved == "a":
+                fb *= 0.5
+            moved = "a"
         else:
-            # keep the subinterval holding the sign structure closest to a root
-            centre = int(np.nanargmin(np.abs(vals)))
-            lo_g = window[max(centre - 1, 0)]
-            hi_g = window[min(centre + 1, len(window) - 1)]
-            if lo_g == hi_g:
-                return None
-        window = np.linspace(lo_g, hi_g, 33)
-    return None
-
-
-def _bisect(res, g_lo, g_hi, f_lo, f_hi, tol, max_iter=260):
-    if f_lo == 0:
-        return g_lo, 0
-    if f_hi == 0:
-        return g_hi, 0
-    iters = 0
-    while g_hi - g_lo > tol and iters < max_iter:
-        mid = 0.5 * (g_lo + g_hi)
-        try:
-            fm = res(mid)
-        except ModelError:
-            fm = None
-            for frac in (0.381966011, 0.618033989, 0.271, 0.729):
-                cand = g_lo + (g_hi - g_lo) * frac
-                try:
-                    fm = res(cand)
-                    mid = cand
-                    break
-                except ModelError:
-                    continue
-            if fm is None:
-                raise SolverError("residual singular across the working bracket")
-        if fm == 0:
-            return mid, iters
-        if (fm > 0) == (f_lo > 0):
-            g_lo, f_lo = mid, fm
-        else:
-            g_hi, f_hi = mid, fm
-        iters += 1
-    return 0.5 * (g_lo + g_hi), iters
+            b, fb = g, fg
+            if moved == "b":
+                fa *= 0.5
+            moved = "b"
+    return 0.5 * (a + b), steps
 
 
 def quartic_coefficients(record: MeasurementRecord, weak_values: WeakValuePair,

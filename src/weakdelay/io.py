@@ -10,7 +10,9 @@ Run configurations are JSON documents mirroring
 carries its unit in the key name (``center_nm``, ``tau_true_fs``,
 ``theta_rad``).  Unknown keys are rejected; missing keys are filled from
 the documented defaults (780 nm centre, 17.6 nm FWHM, 690-900 nm grid at
-0.1 nm).
+0.1 nm).  ``photons`` and ``seed`` must be whole numbers (not booleans),
+``seed`` nonnegative, and the grid at most
+:data:`~weakdelay.simulator.MAX_BINS` bins.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .constants import FS, MM
 from .errors import FormatError
 from .estimators import EstimationResult
 from .polarization import QwpModel
-from .simulator import ExperimentConfig, SourceConfig
+from .simulator import ExperimentConfig, SourceConfig, default_dispersive_qwp
 from .spectra import MeasurementRecord, Spectrum
 from .waveplate import PlateStack, default_quartz_stack
 
@@ -98,6 +100,16 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise FormatError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _whole_number(doc: dict, key: str, default: int) -> int:
+    """doc[key] as an int; bools, fractions and non-numbers are rejected."""
+    value = doc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"{key!r} must be a whole number, got {value!r}")
+
+
 def load_config(source) -> tuple[ExperimentConfig, dict]:
     """Load a run configuration from a JSON file path or a parsed dict.
 
@@ -131,8 +143,8 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
     model = qwp_doc.get("model", "ideal")
     if model == "dispersive":
         tau0_fs = qwp_doc.get("tau0_fs")
-        tau0 = (np.pi / 4.0) / source_cfg.omega0 if tau0_fs is None else tau0_fs * FS
-        qwp = QwpModel(variant="dispersive", tau0=tau0)
+        qwp = default_dispersive_qwp(source_cfg) if tau0_fs is None else \
+            QwpModel(variant="dispersive", tau0=tau0_fs * FS)
     elif model in ("ideal", "absent"):
         if qwp_doc.get("tau0_fs") is not None:
             raise FormatError("tau0_fs is only valid for the dispersive model")
@@ -168,8 +180,8 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             source=source_cfg,
             phi_assumed=doc.get("phi_assumed_rad"),
             qwp=qwp,
-            photons=int(doc.get("photons", 10_000_000)),
-            seed=int(doc.get("seed", 0)),
+            photons=_whole_number(doc, "photons", 10_000_000),
+            seed=_whole_number(doc, "seed", 0),
             tau_true=None if tau_fs is None else tau_fs * FS,
             theta=theta,
             stack=stack,

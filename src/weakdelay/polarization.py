@@ -121,11 +121,13 @@ def dispersive_weak_values(gamma: float, omega, tau0: float) -> WeakValuePair:
     aw1 = [(cos g - sin g)/(cos g + sin g)] exp(2i w tau0)
     aw2 = [(cos g + sin g)/(sin g - cos g)] exp(2i w tau0)
 
-    omega may be an array; the moduli are frequency independent.  gamma near
-    pi/4 makes port 2 orthogonal to the preselection and is rejected.
+    omega may be an array; the moduli are frequency independent.  gamma lies
+    in (-pi/2, pi/2) (phi > pi/2 gives gamma < 0); gamma near pi/4 makes
+    port 2 orthogonal to the preselection and is rejected.  tau0 = 0 is the
+    plate-free limit: the phase is 1 and the weak values are real scalars.
     """
-    if not 0.0 <= gamma < np.pi / 2:
-        raise DomainError(f"gamma = {gamma!r} outside [0, pi/2)")
+    if not -np.pi / 2 < gamma < np.pi / 2:
+        raise DomainError(f"gamma = {gamma!r} outside (-pi/2, pi/2)")
     if np.any(np.asarray(omega) <= 0):
         raise DomainError("omega must be positive")
     cg, sg = np.cos(gamma), np.sin(gamma)
@@ -133,10 +135,10 @@ def dispersive_weak_values(gamma: float, omega, tau0: float) -> WeakValuePair:
         raise SingularWeakValueError(
             "gamma = pi/4: port-2 postselection orthogonal to preselection"
         )
-    phase = np.exp(2j * np.asarray(omega, dtype=float) * tau0)
+    phase = np.exp(2j * np.asarray(omega, dtype=float) * tau0) if tau0 else 1.0
     aw1 = (cg - sg) / (cg + sg) * phase
     aw2 = (cg + sg) / (sg - cg) * phase
-    if np.ndim(omega) == 0:
+    if np.ndim(aw1) == 0:
         return WeakValuePair(aw1=complex(aw1), aw2=complex(aw2))
     return WeakValuePair(aw1=aw1, aw2=aw2)
 
@@ -164,25 +166,11 @@ def port_projections(phi: float, omega, qwp: QwpModel):
     values are arrays over omega; the overlaps are frequency independent
     because the plate only dephases the projection.
     """
-    gamma = np.pi / 4 - phi / 2
     if qwp.variant == "ideal":
-        wv = ideal_weak_values(phi)
-        ov1 = np.cos(phi / 2) ** 2
-        ov2 = np.sin(phi / 2) ** 2
-    else:
-        # "absent" is the tau0 -> 0 limit of the dispersive analyzer: the
-        # exp(2i w tau0) factor collapses to 1 and the weak values are real.
-        if not -np.pi / 2 < gamma < np.pi / 2:
-            raise DomainError(f"phi = {phi!r} maps to gamma outside (-pi/2, pi/2)")
-        cg, sg = np.cos(gamma), np.sin(gamma)
-        if abs(cg - sg) < _SINGULAR_TOL:
-            raise SingularWeakValueError("gamma = pi/4: singular port-2 weak value")
-        if qwp.variant == "dispersive":
-            phase = np.exp(2j * np.asarray(omega, dtype=float) * qwp.tau0)
-        else:
-            phase = 1.0
-        wv = WeakValuePair(aw1=(cg - sg) / (cg + sg) * phase,
-                           aw2=(cg + sg) / (sg - cg) * phase)
-        ov1 = (cg + sg) ** 2 / 2.0
-        ov2 = (sg - cg) ** 2 / 2.0
-    return wv, ov1, ov2
+        return ideal_weak_values(phi), np.cos(phi / 2) ** 2, np.sin(phi / 2) ** 2
+    # "absent" is the tau0 -> 0 limit of the dispersive analyzer
+    gamma = np.pi / 4 - phi / 2
+    tau0 = qwp.tau0 if qwp.variant == "dispersive" else 0.0
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    return (dispersive_weak_values(gamma, omega, tau0),
+            (cg + sg) ** 2 / 2.0, (sg - cg) ** 2 / 2.0)

@@ -30,9 +30,17 @@ from .spectra import MeasurementRecord, Spectrum, postselected_distribution
 from .waveplate import PlateStack, pivot_delay
 
 
+#: Largest wavelength grid a source may have.  The default grid has 2101
+#: bins; a million bins keep every per-bin array of a record under 8 MB.
+MAX_BINS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SourceConfig:
-    """Source spectrum parameters; defaults model a broadband LED line."""
+    """Source spectrum parameters; defaults model a broadband LED line.
+
+    The grid is limited to :data:`MAX_BINS` bins.
+    """
 
     center_nm: float = 780.0
     fwhm_nm: float = 17.6
@@ -44,8 +52,10 @@ class SourceConfig:
     def __post_init__(self):
         if not self.grid_step_nm > 0:
             raise DomainError("grid step must be positive")
-        if not self.grid_min_nm < self.grid_max_nm:
-            raise DomainError("grid must have positive extent")
+        if not -np.inf < self.grid_min_nm < self.grid_max_nm < np.inf:
+            raise DomainError("grid must have finite, positive extent")
+        if self.n_bins() > MAX_BINS:
+            raise DomainError(f"grid of {self.n_bins()} bins exceeds the cap of {MAX_BINS}")
         if not self.fwhm_nm > 0:
             raise DomainError("line width must be positive")
         if self.shape not in ("gaussian", "lorentzian", "flat"):
@@ -107,6 +117,8 @@ class ExperimentConfig:
             raise DomainError("phi_assumed must lie in (0, pi)")
         if self.photons < 0:
             raise DomainError("photon count must be nonnegative (0 = noise-free)")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.noise not in ("multinomial", "poisson"):
             raise DomainError(f"unknown noise model {self.noise!r}")
         if (self.tau_true is None) == (self.theta is None):
@@ -130,21 +142,15 @@ def default_dispersive_qwp(source: SourceConfig | None = None) -> QwpModel:
     return QwpModel(variant="dispersive", tau0=(np.pi / 4.0) / cfg.omega0)
 
 
-def simulate(config: ExperimentConfig,
-             rng: np.random.Generator | None = None) -> MeasurementRecord:
-    """Generate one measurement record under the configured forward model.
+def expected_record(config: ExperimentConfig) -> MeasurementRecord:
+    """Noise-free record: the expected port distributions of the configuration.
 
-    Deterministic for a fixed config: the generator defaults to
-    ``default_rng(config.seed)``.  Pass an explicit generator to consume a
-    Monte Carlo substream instead.
+    Each port holds |<f_j|i>|^2 P_0(w) zeta_j(w, tau) per bin, so the two
+    ports sum to 1; ``total_events`` is 0, the noise-free sentinel.
     """
     source = make_source(config.source)
-    omega = source.omega
     tau = config.delay()
-    wv, ov1, ov2 = port_projections(config.phi_actual, omega, config.qwp)
-    expected1 = postselected_distribution(source, tau, wv.aw1, ov1)
-    expected2 = postselected_distribution(source, tau, wv.aw2, ov2)
-
+    wv, ov1, ov2 = port_projections(config.phi_actual, source.omega, config.qwp)
     metadata = {
         "phi_nominal": config.phi_actual,
         "phi_assumed": config.phi_for_estimation,
@@ -154,15 +160,18 @@ def simulate(config: ExperimentConfig,
         "noise": config.noise,
         "tau_true_s": tau,
     }
+    return MeasurementRecord(port1=postselected_distribution(source, tau, wv.aw1, ov1),
+                             port2=postselected_distribution(source, tau, wv.aw2, ov2),
+                             total_events=0, metadata=metadata)
 
+
+def _draw(expected: MeasurementRecord, config: ExperimentConfig,
+          rng: np.random.Generator) -> MeasurementRecord:
+    """Shot-noise record of ``config.photons`` events over the expected ports."""
     if config.photons == 0:
-        return MeasurementRecord(port1=expected1, port2=expected2,
-                                 total_events=0, metadata=metadata)
-
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    n_bins = omega.size
-    p = np.concatenate([expected1.weights, expected2.weights])
+        return expected
+    n_bins = expected.omega.size
+    p = np.concatenate([expected.port1.weights, expected.port2.weights])
     total = p.sum()
     if total <= 0:
         raise ModelError("all-zero event probabilities; nothing to sample")
@@ -174,10 +183,23 @@ def simulate(config: ExperimentConfig,
         total_events = float(counts.sum())
         if total_events == 0:
             raise ModelError("Poisson draw produced an empty record")
-    grid = source.grid_nm
+    grid = expected.grid_nm
     return MeasurementRecord(port1=Spectrum(grid, counts[:n_bins]),
                              port2=Spectrum(grid, counts[n_bins:]),
-                             total_events=total_events, metadata=metadata)
+                             total_events=total_events, metadata=dict(expected.metadata))
+
+
+def simulate(config: ExperimentConfig,
+             rng: np.random.Generator | None = None) -> MeasurementRecord:
+    """Generate one measurement record under the configured forward model.
+
+    Deterministic for a fixed config: the generator defaults to
+    ``default_rng(config.seed)``.  Pass an explicit generator to consume a
+    Monte Carlo substream instead.
+    """
+    if rng is None and config.photons:
+        rng = np.random.default_rng(config.seed)
+    return _draw(expected_record(config), config, rng)
 
 
 @dataclass(frozen=True)
@@ -253,8 +275,11 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
 
     For each dimensionless delay alpha = w0 tau and each assumed phi, run
     ``trials`` seeded simulations at the actual phi and estimate with the
-    assumed one.  SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is
-    reported as +inf.
+    assumed one.  The expected port distributions are built once per
+    alpha; trial k of point (ia, ip) draws from them with the generator
+    ``default_rng((seed, ia, ip, k))``, as ``simulate`` would.
+    SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
+    +inf.
     """
     if trials < 30:
         raise DomainError("at least 30 trials per point are required")
@@ -267,11 +292,12 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
         tau = float(alpha) / omega0
         cfg = replace(config, phi_actual=phi_actual, tau_true=tau,
                       theta=None, stack=None)
+        expected = expected_record(cfg)
         for ip, phi_assumed in enumerate(phi_assumed_list):
             errors = np.empty(trials)
             for k in range(trials):
                 rng = np.random.default_rng((config.seed, ia, ip, k))
-                record = simulate(cfg, rng)
+                record = _draw(expected, cfg, rng)
                 errors[k] = first_order(record, phi_assumed).tau_hat - tau
             mse = float(np.mean(errors ** 2))
             snr = np.inf if mse == 0 else 10.0 * np.log10(tau ** 2 / mse)

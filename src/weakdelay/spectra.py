@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .constants import wavelength_to_angular_frequency
 from .errors import DegenerateRecordError, DomainError, ModelError
-from .polarization import WeakValuePair, ideal_weak_values
+from .polarization import QwpModel, WeakValuePair, port_projections
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,7 @@ def postselection_probabilities_exact(source: Spectrum, tau: float, phi: float):
     but only when the spectral spread is small against w0; the second-order
     term of the exact integral carries <w^2>, not w0^2.
     """
-    wv = ideal_weak_values(phi)
-    ov1 = np.cos(phi / 2) ** 2
-    ov2 = np.sin(phi / 2) ** 2
+    wv, ov1, ov2 = port_projections(phi, source.omega, QwpModel())
     p1 = postselected_distribution(source, tau, wv.aw1, ov1).total()
     p2 = postselected_distribution(source, tau, wv.aw2, ov2).total()
     return p1, p2

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from weakdelay import FormatError, read_record, write_record
+from weakdelay import (FormatError, QwpModel, load_config, port_projections,
+                       read_record, record_moments, simulator, write_record)
 from weakdelay.cli import main
+from weakdelay.constants import FS
 
 from conftest import PHI_JWM
 
@@ -66,6 +68,45 @@ class TestSimulateCommand:
         assert "phi_rad" in err
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize("doc", [{"seed": -1}, {"seed": 1.5}, {"photons": 1.7},
+                                     {"photons": True}, {"seed": "3"}],
+                             ids=["negative_seed", "fractional_seed",
+                                  "fractional_photons", "bool_photons", "string_seed"])
+    def test_bad_integer_field_exits_2(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": PHI_JWM, **doc}))
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "FormatError"
+
+    def test_whole_float_is_accepted(self):
+        config, resolved = load_config({"photons": 1e4, "seed": 3.0})
+        assert (config.photons, config.seed) == (10_000, 3)
+        assert isinstance(resolved["photons"], int)
+
+    def test_negative_seed_flag_exits_2(self, config_path, tmp_path, capsys):
+        code, _, err = run(["simulate", "--config", str(config_path), "--seed", "-1",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "FormatError"
+
+    def test_bin_cap_rejects_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 2.1e9 bins: the cap must reject the grid before any source is built
+        def no_source(cfg):
+            raise AssertionError("make_source called on an over-cap grid")
+
+        monkeypatch.setattr(simulator, "make_source", no_source)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"source": {"grid_step_nm": 1e-7}}))
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "FormatError"
+        assert str(simulator.MAX_BINS) in err
+
+
 class TestEstimateCommand:
     @pytest.fixture()
     def record_path(self, config_path, tmp_path, capsys):
@@ -118,6 +159,35 @@ class TestEstimateCommand:
         results = json.loads(stdout)
         assert len(results) == 7
         assert all(r["error"]["type"] == "DegenerateRecordError" for r in results)
+
+    def test_wva_mean_shift_ideal_uses_cot_half_phi(self, record_path, capsys):
+        code, stdout, _ = run(["estimate", "--records", str(record_path),
+                               "--method", "wva_mean_shift", "--phi", str(PHI_JWM)],
+                              capsys)
+        assert code == 0
+        assert json.loads(stdout)["diagnostics"]["im_aw2"] == 1.0 / np.tan(PHI_JWM / 2)
+
+    def test_wva_mean_shift_dispersive_uses_analyzer_weak_value(self, record_path, capsys):
+        # a plate off its design frequency at the pooled mean frequency
+        rec = read_record(record_path)
+        m1, m2 = record_moments(rec)
+        qwp = QwpModel(variant="dispersive", tau0=0.36 * FS)
+        aw2 = port_projections(PHI_JWM, m1.m1 + m2.m1, qwp)[0].aw2
+        code, stdout, _ = run(["estimate", "--records", str(record_path),
+                               "--method", "wva_mean_shift", "--phi", str(PHI_JWM),
+                               "--qwp", "dispersive", "--tau0-fs", "0.36"], capsys)
+        assert code == 0
+        im_aw2 = json.loads(stdout)["diagnostics"]["im_aw2"]
+        assert im_aw2 == abs(aw2.imag)
+        assert im_aw2 != pytest.approx(1.0 / np.tan(PHI_JWM / 2), rel=1e-2)
+
+    def test_wva_mean_shift_without_plate_is_domain_error(self, record_path, capsys):
+        # a plate-free analyzer has real weak values: Im A_w2 = 0
+        code, _, err = run(["estimate", "--records", str(record_path),
+                            "--method", "wva_mean_shift", "--phi", str(PHI_JWM),
+                            "--qwp", "absent"], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_malformed_row_exits_2_with_row_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,44 @@ class TestLogLikelihood:
             assert log_likelihood(g, rec, wv) == pytest.approx(float(ref), abs=1e-10), g
 
 
+class TestArrayEvaluation:
+    """Array g: element by element the scalar result, NaN / -inf where singular."""
+
+    @staticmethod
+    def _scalar(fn, g, rec, wv):
+        try:
+            return fn(g, rec, wv)
+        except ModelError:
+            return np.nan
+
+    @pytest.mark.parametrize("case", ["jwm", "wva", "dispersive"])
+    def test_array_call_equals_scalar_calls(self, case):
+        qwp = default_dispersive_qwp() if case == "dispersive" else QwpModel()
+        phi = PHI_JWM if case == "jwm" else PHI_WVA
+        rec = record_at(phi, 1e-17, qwp=qwp)
+        wv = port_projections(phi, rec.omega, qwp)[0]
+        gs = np.concatenate([[0.0], np.linspace(-3e-17, 3e-17, 21), [1e-17]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fn in (log_likelihood, score_residual, likelihood_equation_residual):
+                got = fn(gs, rec, wv)
+                want = np.array([self._scalar(fn, g, rec, wv) for g in gs])
+                assert got.shape == gs.shape
+                np.testing.assert_array_equal(got, want, err_msg=fn.__name__)
+
+    def test_dark_port_null_row(self):
+        wv = ideal_weak_values(PHI_WVA)
+        rec = record_at(PHI_WVA, 0.0)
+        g_wall = np.arctan(np.tan(PHI_WVA / 2)) / rec.omega[1000]
+        gs = np.array([0.5 * g_wall, g_wall, 2.0 * g_wall])
+        ll = log_likelihood(gs, rec, wv)
+        score = score_residual(gs, rec, wv)
+        assert ll[1] == -np.inf and np.isnan(score[1])
+        assert np.all(np.isfinite(ll[[0, 2]])) and np.all(np.isfinite(score[[0, 2]]))
+        with pytest.raises(ModelError):
+            score_residual(g_wall, rec, wv)
+
+
 class TestRationalResidual:
     def test_zero_at_zero_delay_symmetric_record(self, jwm_wv):
         rec = record_at(PHI_JWM, 0.0)
@@ -177,6 +216,26 @@ class TestSolveExact:
     def test_no_sign_change_raises(self, jwm_record, jwm_wv):
         with pytest.raises(BracketingError):
             solve_exact(jwm_record, jwm_wv, bracket=(4e-17, 9e-17))
+
+    def test_one_ladder_scan_and_one_ranking_per_solve(self, jwm_record, jwm_wv,
+                                                        monkeypatch):
+        import weakdelay.estimators as est
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(g, *args):
+                calls.append((name, np.size(g)))
+                return fn(g, *args)
+            return wrapper
+
+        for name in ("score_residual", "log_likelihood"):
+            monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
+        res = est.solve_exact(jwm_record, jwm_wv)
+        ladders = [n for name, n in calls if name == "score_residual" and n > 1]
+        assert len(ladders) == 1
+        assert [n for name, n in calls if name == "log_likelihood"] == \
+            [res.diagnostics["candidate_roots"]]
+        assert 0 < res.diagnostics["iterations"] <= 20
 
     def test_bad_bracket_ordering(self, jwm_record, jwm_wv):
         with pytest.raises(DomainError):

@@ -95,6 +95,21 @@ class TestDispersiveWeakValues:
         with pytest.raises(SingularWeakValueError):
             dispersive_weak_values(np.pi / 4, 2.4e15, 1e-16)
 
+    def test_negative_gamma_for_phi_beyond_half_pi(self):
+        # phi = 2.5 > pi/2 maps to gamma = pi/4 - 1.25 < 0
+        omega = np.array([2.3e15, 2.4e15])
+        wv = dispersive_weak_values(np.pi / 4 - 1.25, omega, (np.pi / 4) / 2.4e15)
+        ideal = ideal_weak_values(2.5)
+        assert wv.aw1[1] == pytest.approx(ideal.aw1, rel=1e-10)
+        assert wv.aw2[1] == pytest.approx(ideal.aw2, rel=1e-10)
+        with pytest.raises(DomainError):
+            dispersive_weak_values(-np.pi / 2, omega, 1e-16)
+
+    def test_zero_retardance_gives_real_scalars(self):
+        wv = dispersive_weak_values(0.3, np.linspace(2e15, 3e15, 5), 0.0)
+        assert np.ndim(wv.aw1) == 0 and np.ndim(wv.aw2) == 0
+        assert np.imag(wv.aw1) == 0 and np.imag(wv.aw2) == 0
+
 
 class TestPostselectionState:
     def test_gamma_zero_ports(self):
@@ -143,6 +158,21 @@ class TestPortProjections:
         wv, _, _ = port_projections(0.5, np.array([2.4e15]), QwpModel(variant="absent"))
         assert np.imag(wv.aw1) == 0
         assert np.imag(wv.aw2) == 0
+
+    def test_weak_values_come_from_the_weak_value_functions(self):
+        omega = np.linspace(2.1e15, 2.7e15, 7)
+        tau0 = 3.25e-16
+        for phi in (0.03, 0.8, 2.5):
+            gamma = np.pi / 4 - phi / 2
+            ideal, _, _ = port_projections(phi, omega, QwpModel())
+            disp, _, _ = port_projections(phi, omega, QwpModel("dispersive", tau0))
+            absent, _, _ = port_projections(phi, omega, QwpModel("absent"))
+            assert ideal == ideal_weak_values(phi)
+            want = dispersive_weak_values(gamma, omega, tau0)
+            np.testing.assert_array_equal(disp.aw1, want.aw1)
+            np.testing.assert_array_equal(disp.aw2, want.aw2)
+            assert absent == dispersive_weak_values(gamma, omega, 0.0)
+            assert not absent.is_frequency_dependent()
 
     def test_dispersive_matches_ideal_at_design_frequency(self):
         phi = 0.9

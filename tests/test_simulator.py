@@ -173,6 +173,24 @@ class TestSnrSweep:
         assert len(pts_a) == 4
         assert [p.snr_db for p in pts_a] == [p.snr_db for p in pts_b]
 
+    def test_equals_explicit_loop_of_simulate(self):
+        # one forward model per alpha must draw exactly what a fresh
+        # simulate per trial draws from the same substream
+        from dataclasses import replace
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
+                               photons=100_000, seed=5, noise="poisson")
+        alphas, phis, trials = [0.004, 0.012], [PHI_WVA, 0.05], 30
+        pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
+        want = []
+        for ia, alpha in enumerate(alphas):
+            tau = alpha / cfg.source.omega0
+            point_cfg = replace(cfg, tau_true=tau)
+            for ip, phi in enumerate(phis):
+                errors = [first_order(simulate(point_cfg, np.random.default_rng(
+                    (cfg.seed, ia, ip, k))), phi).tau_hat - tau for k in range(trials)]
+                want.append(10.0 * np.log10(tau ** 2 / np.mean(np.square(errors))))
+        assert [p.snr_db for p in pts] == want
+
     def test_matched_curve_sanity(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
                                photons=1_000_000, seed=23)
