@@ -95,11 +95,14 @@ def zeta(x, terms: ZetaTerms):
 
 
 def counted_bins(omega, q, aw):
-    """Frequencies, counts and zeta terms of the bins with q > 0."""
+    """Frequencies, counts and weak value(s) of the bins with q > 0.
+
+    A scalar weak value stays a scalar; an array is masked with the bins.
+    """
     live = q > 0
     if np.ndim(aw):
         aw = np.broadcast_to(aw, omega.shape)[live]
-    return omega[live], q[live], zeta_terms(aw)
+    return omega[live], q[live], aw
 
 
 def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
@@ -108,7 +111,8 @@ def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarr
     g0, dg, n_g = float(g0), float(dg), int(n_g)
     cols = []
     for q, aw in ((q1, aw1), (q2, aw2)):
-        w, q, terms = counted_bins(omega, np.asarray(q, dtype=float), aw)
+        w, q, aw = counted_bins(omega, np.asarray(q, dtype=float), aw)
+        terms = zeta_terms(aw)
         cols.append([w, q, *(np.broadcast_to(t, w.shape) for t in terms[:3])])
     w, q, floor, u, v = (np.concatenate(c) for c in zip(*cols))
     z_min = np.maximum(floor, _Z_FLOOR)

@@ -26,7 +26,7 @@ from . import estimators, io, simulator
 from .constants import FS
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
-from .polarization import QwpModel, port_projections
+from .polarization import port_projections
 from .spectra import pooled_variance, record_moments
 
 
@@ -72,19 +72,8 @@ def _add_estimate(sub):
     p.set_defaults(func=cmd_estimate)
 
 
-def _analyzer(args, omega):
-    if args.qwp == "dispersive" and args.tau0_fs is None:
-        qwp = simulator.default_dispersive_qwp(simulator.SourceConfig(center_nm=args.center_nm))
-    elif args.qwp == "dispersive":
-        qwp = QwpModel(variant="dispersive", tau0=args.tau0_fs * FS)
-    else:
-        qwp = QwpModel(variant=args.qwp)
-    wv, _, _ = port_projections(args.phi, omega, qwp)
-    return wv
-
-
-def _estimate_one(method: str, record, args):
-    wv = _analyzer(args, record.omega)
+def _estimate_one(method: str, record, args, qwp):
+    wv, _, _ = port_projections(args.phi, record.omega, qwp)
     if method == Method.EXACT.value:
         return estimators.solve_exact(record, wv)
     if method == Method.QUARTIC.value:
@@ -100,7 +89,7 @@ def _estimate_one(method: str, record, args):
     if method == Method.WVA_MEAN_SHIFT.value:
         m1, m2 = record_moments(record)
         # the analyzer's port-2 weak value at the pooled mean frequency
-        aw2 = _analyzer(args, m1.m1 + m2.m1).aw2
+        aw2 = port_projections(args.phi, m1.m1 + m2.m1, qwp)[0].aw2
         return estimators.wva_mean_shift(
             delta_omega=m1.m1_bar - m2.m1_bar,
             im_aw2=abs(np.imag(aw2)),
@@ -110,6 +99,7 @@ def _estimate_one(method: str, record, args):
 
 def cmd_estimate(args) -> int:
     record = io.read_record(args.records)
+    qwp = io._qwp_model({"model": args.qwp, "tau0_fs": args.tau0_fs}, args.center_nm)
     single = args.method != "all"
     methods = [args.method] if single else [m.value for m in Method]
     results = []
@@ -117,7 +107,7 @@ def cmd_estimate(args) -> int:
         warnings.simplefilter("ignore")
         for method in methods:
             try:
-                results.append(io.result_to_dict(_estimate_one(method, record, args)))
+                results.append(io.result_to_dict(_estimate_one(method, record, args, qwp)))
             except WeakDelayError as exc:
                 if single:
                     raise

@@ -15,8 +15,8 @@ Estimator family, from most to least rigorous:
 * ``solve_quartic``    - the rationalized score N/D with 1/D expanded as a
   power series in g w, truncated at fourth order in g; solved by
   companion-matrix eigenvalues.
-* ``first_order``      - the linear truncation of the quartic, specialized
-  to ideal-analyzer weak values (tan/cot coefficients).
+* ``general_first_order`` / ``first_order`` - the same series truncated at
+  first order in g, for any weak values or at the ideal-analyzer ones.
 * ``jwm_simplified``   - balanced-postselection shortcut that needs no
   knowledge of phi, only the pooled spectral variance.
 * ``strubi_reference`` - a published alternative balanced-port formula kept
@@ -98,12 +98,12 @@ class QuarticCoefficients:
         return np.array([self.a, self.b, self.c, self.d, self.e])
 
 
-def _port_arrays(record: MeasurementRecord, weak_values: WeakValuePair):
-    q1 = record.port1.weights
-    q2 = record.port2.weights
-    if q1.sum() + q2.sum() <= 0:
+def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
+    """(counts, weak value) of port 1 and of port 2; an empty record is degenerate."""
+    if record.total_weight() <= 0:
         raise DegenerateRecordError("record holds no events")
-    return q1, q2, record.omega, weak_values.aw1, weak_values.aw2
+    return ((record.port1.weights, weak_values.aw1),
+            (record.port2.weights, weak_values.aw2))
 
 
 #: Delay values evaluated together by the array forms of the likelihood
@@ -132,10 +132,46 @@ def _residual(g, out, what: str):
     return float(out[0])
 
 
-def _counted_ports(record: MeasurementRecord, weak_values: WeakValuePair):
-    """Counted bins of each port as (omega, q, zeta terms)."""
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
-    return [_kernels.counted_bins(omega, q, aw) for q, aw in ((q1, aw1), (q2, aw2))]
+def _counted_ports(record: MeasurementRecord, weak_values: WeakValuePair, terms):
+    """Counted bins of each port as (omega, q, terms(weak value))."""
+    counted = (_kernels.counted_bins(record.omega, q, aw)
+               for q, aw in _ports(record, weak_values))
+    return [(w, q, terms(aw)) for w, q, aw in counted]
+
+
+def _rational_terms(aw):
+    """Per-bin terms of the rationalized score, u1 = 2 Im A and u2 = |A|^2 - 1.
+
+    At x = g w the score of a bin is Q w N/D with N = n0 + n1 x + n2 x^2,
+    n = (Im A, u2, -u1), and D = 1 + u1 x + u2 x^2.  Returns (n, (u1, u2)).
+    """
+    im = np.imag(aw)
+    u1, u2 = 2.0 * im, np.abs(aw) ** 2 - 1.0
+    return (im, u2, -u1), (u1, u2)
+
+
+def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
+                  order: int) -> np.ndarray:
+    """Coefficients c_0..c_order of the rationalized score in powers of g.
+
+    With 1/D = sum_k r_k x^k, r_0 = 1, r_1 = -u1 and r_k = -u1 r_(k-1) -
+    u2 r_(k-2), the coefficient of g^k is sum_w Q w^(k+1) sum_i n_i r_(k-i)
+    summed over both ports (terms of :func:`_rational_terms`).  Zero-count
+    bins add nothing, so every bin is summed unmasked.
+    """
+    ports = _ports(record, weak_values)
+    omega = record.omega
+    powers = [omega] + [omega ** k for k in range(2, order + 2)]
+    series = np.zeros(order + 1)
+    for q, aw in ports:
+        n, (u1, u2) = _rational_terms(aw)
+        r = [1.0, -u1]
+        while len(r) <= order:
+            r.append(-u1 * r[-1] - u2 * r[-2])
+        for k in range(order + 1):
+            coef = sum(n[i] * r[k - i] for i in range(min(k, 2) + 1))
+            series[k] += (q * powers[k] * coef).sum()
+    return series
 
 
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
@@ -153,7 +189,7 @@ def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
         return np.where(np.any(z <= terms.null, axis=1), -np.inf,
                         (q * np.log(z)).sum(axis=1))
 
-    out = _rows(g, _counted_ports(record, weak_values), rows)
+    out = _rows(g, _counted_ports(record, weak_values, _kernels.zeta_terms), rows)
     return out if np.ndim(g) else float(out[0])
 
 
@@ -171,7 +207,7 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
         return np.where(np.any(z <= terms.null, axis=1), np.nan,
                         (q * omega * slope / z).sum(axis=1))
 
-    out = _rows(g, _counted_ports(record, weak_values), rows)
+    out = _rows(g, _counted_ports(record, weak_values, _kernels.zeta_terms), rows)
     return _residual(g, out, "likelihood score singular")
 
 
@@ -179,29 +215,27 @@ def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecor
                                  weak_values: WeakValuePair) -> float | np.ndarray:
     """Rationalized likelihood-equation residual (small g w expansion).
 
-    Polynomial-over-quadratic integrand obtained by expanding the exact
-    score to second order in g w; zero at the estimate.  Valid only in the
+    Polynomial-over-quadratic integrand sum Q w N/D (see
+    :func:`_rational_terms`) obtained by expanding the exact score to
+    second order in g w; zero at the estimate.  Valid only in the
     weak-measurement regime (warns when max |g| omega exceeds
     ``WEAK_REGIME_MAX_GW``) and raises ModelError when any counted bin's
     quadratic denominator is nonpositive; a 1-D array g gives an array
     with NaN at such delays.
     """
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
-    if np.max(np.abs(g)) * omega.max() > WEAK_REGIME_MAX_GW:
+    if np.max(np.abs(g)) * record.omega.max() > WEAK_REGIME_MAX_GW:
         warnings.warn("rational residual evaluated outside the weak-measurement regime",
                       stacklevel=2)
-    ports = []
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        live = q > 0
-        aw = aw[live] if np.ndim(aw) else aw
-        ports.append((omega[live], q[live], np.abs(aw) ** 2, np.imag(aw)))
 
-    def rows(g, omega, q, sq, im):
-        num = -2.0 * im * omega ** 3 * g ** 2 + (sq - 1.0) * omega ** 2 * g + im * omega
-        den = (sq - 1.0) * (omega * g) ** 2 + 2.0 * im * g * omega + 1.0
-        return np.where(np.any(den <= 0, axis=1), np.nan, (q * num / den).sum(axis=1))
+    def rows(g, omega, q, terms):
+        (n0, n1, n2), (u1, u2) = terms
+        x = g * omega
+        num = n0 + n1 * x + n2 * x * x
+        den = 1.0 + u1 * x + u2 * x * x
+        return np.where(np.any(den <= 0, axis=1), np.nan,
+                        (q * omega * num / den).sum(axis=1))
 
-    out = _rows(g, ports, rows)
+    out = _rows(g, _counted_ports(record, weak_values, _rational_terms), rows)
     return _residual(g, out, "rational residual outside validity region")
 
 
@@ -218,9 +252,9 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     """
     if n < 2:
         raise DomainError("profile needs at least 2 grid points")
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
+    (q1, aw1), (q2, aw2) = _ports(record, weak_values)
     dg = (g_hi - g_lo) / (n - 1)
-    values = _kernels.profile(g_lo, dg, n, omega, q1, q2, aw1, aw2)
+    values = _kernels.profile(g_lo, dg, n, record.omega, q1, q2, aw1, aw2)
     return g_lo + dg * np.arange(n), values
 
 
@@ -242,22 +276,16 @@ def phi_likelihood_scan(record: MeasurementRecord, phis, g: float) -> np.ndarray
 
 def general_first_order(record: MeasurementRecord,
                         weak_values: WeakValuePair) -> float:
-    """First-order estimate -E/D from the truncated score, any weak values.
+    """First-order estimate -c0/c1: the rationalized score truncated at g^1.
 
-    Uses the self-consistent linear coefficient sum_j [ (|A|^2 - 1)
-    - 2 (Im A)^2 ] <w^2>_j; reduces to the tan/cot form of
-    :func:`first_order` for ideal-analyzer weak values.
+    c0 = sum_j Im A_j <w>_j and c1 = sum_j [(|A_j|^2 - 1) - 2 (Im A_j)^2]
+    <w^2>_j, with sub-normalized moments; any weak values, frequency
+    dependent ones included.
     """
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
-    e = d = 0.0
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        sq = np.abs(aw) ** 2
-        im = np.imag(aw)
-        e += float((q * omega * im).sum())
-        d += float((q * omega ** 2 * ((sq - 1.0) - 2.0 * im ** 2)).sum())
-    if d == 0:
+    c0, c1 = _score_series(record, weak_values, 1)
+    if c1 == 0:
         raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
-    return -e / d
+    return float(-c0 / c1)
 
 
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
@@ -385,46 +413,18 @@ def _illinois(res, a, b, fa, fb, tol, max_iter=100):
     return 0.5 * (a + b), steps
 
 
-def quartic_coefficients(record: MeasurementRecord, weak_values: WeakValuePair,
-                         printed_d_form: bool = False) -> QuarticCoefficients:
+def quartic_coefficients(record: MeasurementRecord,
+                         weak_values: WeakValuePair) -> QuarticCoefficients:
     """Coefficients of the fourth-order truncation of the rationalized score.
 
-    Per bin the rationalized score is N/D with x = g w, u1 = 2 Im A and
-    u2 = |A|^2 - 1:
-
-        N = w (n0 + n1 x + n2 x^2),  n = (Im A, u2, -u1)
-        D = 1 + u1 x + u2 x^2,       1/D = sum_k r_k x^k
-
-    with r0 = 1, r1 = -u1, r2 = u1^2 - u2, r3 = 2 u1 u2 - u1^3 and
-    r4 = u2^2 - 3 u1^2 u2 + u1^4.  The coefficient of g^k is
-    sum_w Q w^(k+1) sum_i n_i r_(k-i), so the quartic agrees with
-    :func:`likelihood_equation_residual` through g^4.
-
-    Requires frequency-independent weak values.  The linear coefficient d
-    is that series term, the self-consistent form (|A|^2 - 1) - 2 (Im A)^2,
-    whose ratio -e/d reproduces the first-order estimator;
-    ``printed_d_form`` switches to the variant with an unsquared imaginary
-    part, retained only for comparison (the two differ and only the squared
-    form is consistent with the first-order limit).
+    The first five terms of the series of :func:`_score_series`, so the
+    quartic agrees with :func:`likelihood_equation_residual` through g^4
+    and its ratio -e/d is :func:`general_first_order`.  Requires
+    frequency-independent weak values.
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
-    q1, q2, omega, aw1, aw2 = _port_arrays(record, weak_values)
-    series = [0.0] * 5
-    printed_d = 0.0
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        im = float(np.imag(aw))
-        u1, u2 = 2.0 * im, abs(aw) ** 2 - 1.0
-        n = (im, u2, -u1)
-        r = (1.0, -u1, u1 ** 2 - u2, 2.0 * u1 * u2 - u1 ** 3,
-             u2 ** 2 - 3.0 * u1 ** 2 * u2 + u1 ** 4)
-        p = [float((q * omega ** (k + 1)).sum()) for k in range(5)]
-        for k in range(5):
-            series[k] += p[k] * sum(n[i] * r[k - i] for i in range(min(k, 2) + 1))
-        printed_d += p[1] * (u2 - 2.0 * im)
-    e, d, c, b, a = series
-    if printed_d_form:
-        d = printed_d
+    e, d, c, b, a = (float(x) for x in _score_series(record, weak_values, 4))
     coeffs = QuarticCoefficients(a=a, b=b, c=c, d=d, e=e)
     if not np.all(np.isfinite(coeffs.as_array())):
         raise DegenerateRecordError("quartic coefficients are not finite")
@@ -476,25 +476,23 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
 def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """First-order delay estimate for an ideal analyzer at offset phi.
 
+    :func:`general_first_order` at the weak values (i tan(phi/2),
+    -i cot(phi/2)), which reads
+
     tau = [sin^2(phi/2) <w>_1 - cos^2(phi/2) <w>_2]
           / [tan(phi/2) <w^2>_1 + cot(phi/2) <w^2>_2]
 
     with sub-normalized per-port moments, so a zero-delay record cancels the
-    numerator exactly regardless of the spectrum.
+    numerator regardless of the spectrum.
     """
     if not 0.0 < phi < np.pi:
         raise DomainError(f"phi = {phi!r} outside (0, pi)")
-    m1, m2 = record_moments(record)
-    t = np.tan(phi / 2)
-    num = np.sin(phi / 2) ** 2 * m1.m1 - np.cos(phi / 2) ** 2 * m2.m1
-    den = t * m1.m2 + m2.m2 / t
-    if den == 0:
-        raise DegenerateRecordError("degenerate record: zero moment denominator")
+    tau = general_first_order(record, ideal_weak_values(phi))
+    p1, p2 = record.port1.total(), record.port2.total()
     return EstimationResult(
-        tau_hat=num / den,
+        tau_hat=tau,
         method=Method.FIRST_ORDER,
-        diagnostics={"port_probabilities": (m1.p0, m2.p0),
-                     "moments_used": {"m1": (m1.m1, m2.m1), "m2": (m1.m2, m2.m2)}},
+        diagnostics={"port_probabilities": (p1 / (p1 + p2), p2 / (p1 + p2))},
     )
 
 

@@ -10,14 +10,18 @@ Run configurations are JSON documents mirroring
 carries its unit in the key name (``center_nm``, ``tau_true_fs``,
 ``theta_rad``).  Unknown keys are rejected; missing keys are filled from
 the documented defaults (780 nm centre, 17.6 nm FWHM, 690-900 nm grid at
-0.1 nm).  ``photons`` and ``seed`` must be whole numbers (not booleans),
-``seed`` nonnegative, and the grid at most
-:data:`~weakdelay.simulator.MAX_BINS` bins.
+0.1 nm).  Every other number must be finite (not NaN, not infinite, not a
+boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
+nonnegative, and the grid at most :data:`~weakdelay.simulator.MAX_BINS`
+bins.  Every rejected document or file raises
+:class:`~weakdelay.errors.FormatError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -44,7 +48,7 @@ def write_record(path, record: MeasurementRecord) -> None:
 
 def read_record(path) -> MeasurementRecord:
     """Parse a record CSV, rejecting malformed rows with their row number."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty record file")
@@ -94,6 +98,24 @@ _TOP_KEYS = {"source", "phi_actual_rad", "phi_assumed_rad", "qwp", "photons",
              "noise", "seed", "tau_true_fs", "theta_rad", "stack"}
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+@contextmanager
+def _format_errors(what: str):
+    """Report a TypeError, ValueError or OverflowError of the block as a FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what}: {exc}") from None
+
+
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -110,6 +132,52 @@ def _whole_number(doc: dict, key: str, default: int) -> int:
     raise FormatError(f"{key!r} must be a whole number, got {value!r}")
 
 
+def _finite_number(doc: dict, key: str, default: float | None) -> float | None:
+    """doc[key] as a float; None only for an optional key (default None).
+
+    Bools, non-numbers, NaN and infinities are rejected.
+    """
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value):
+        return float(value)
+    raise FormatError(f"{key!r} must be a finite number, got {value!r}")
+
+
+def _object(doc: dict, key: str, default: dict | None) -> dict | None:
+    """doc[key] as a dict; None only for an optional key (default None)."""
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, dict):
+        raise FormatError(f"{key!r} must be an object")
+    return value
+
+
+def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
+    """Analyzer plate of a ``qwp`` block (``model``, ``tau0_fs``).
+
+    The dispersive plate's ``tau0_fs`` defaults to pi/4 over the frequency
+    of ``center_nm``, which must be a valid source centre.  Shared by the
+    configuration loader and the ``estimate`` flags.
+    """
+    with _format_errors("invalid analyzer"):
+        _reject_unknown(doc, _QWP_KEYS, "qwp")
+        source = SourceConfig(center_nm=center_nm)
+        model = doc.get("model", "ideal")
+        tau0_fs = _finite_number(doc, "tau0_fs", None)
+        if model == "dispersive":
+            return default_dispersive_qwp(source) if tau0_fs is None else \
+                QwpModel(variant="dispersive", tau0=tau0_fs * FS)
+        if model not in ("ideal", "absent"):
+            raise FormatError(f"unknown qwp model {model!r}")
+        if tau0_fs is not None:
+            raise FormatError("tau0_fs is only valid for the dispersive model")
+        return QwpModel(variant=model)
+
+
 def load_config(source) -> tuple[ExperimentConfig, dict]:
     """Load a run configuration from a JSON file path or a parsed dict.
 
@@ -118,7 +186,7 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
     """
     if isinstance(source, (str, Path)):
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = json.loads(_read_text(source))
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON in {source}: {exc}") from None
     else:
@@ -127,58 +195,39 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
         raise FormatError("configuration document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "configuration")
 
-    src_doc = doc.get("source", {})
-    if not isinstance(src_doc, dict):
-        raise FormatError("'source' must be an object")
-    _reject_unknown(src_doc, _SOURCE_KEYS, "source")
-    try:
-        source_cfg = SourceConfig(**{**asdict(SourceConfig()), **src_doc})
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad source block: {exc}") from None
+    with _format_errors("invalid configuration"):
+        src_doc = _object(doc, "source", {})
+        _reject_unknown(src_doc, _SOURCE_KEYS, "source")
+        defaults = asdict(SourceConfig())
+        source_cfg = SourceConfig(
+            **{key: _finite_number(src_doc, key, default)
+               for key, default in defaults.items() if key != "shape"},
+            shape=src_doc.get("shape", defaults["shape"]))
+        qwp = _qwp_model(_object(doc, "qwp", {}), source_cfg.center_nm)
 
-    qwp_doc = doc.get("qwp", {"model": "ideal"})
-    if not isinstance(qwp_doc, dict):
-        raise FormatError("'qwp' must be an object")
-    _reject_unknown(qwp_doc, _QWP_KEYS, "qwp")
-    model = qwp_doc.get("model", "ideal")
-    if model == "dispersive":
-        tau0_fs = qwp_doc.get("tau0_fs")
-        qwp = default_dispersive_qwp(source_cfg) if tau0_fs is None else \
-            QwpModel(variant="dispersive", tau0=tau0_fs * FS)
-    elif model in ("ideal", "absent"):
-        if qwp_doc.get("tau0_fs") is not None:
-            raise FormatError("tau0_fs is only valid for the dispersive model")
-        qwp = QwpModel(variant=model)
-    else:
-        raise FormatError(f"unknown qwp model {model!r}")
+        stack = None
+        stack_doc = _object(doc, "stack", None)
+        if stack_doc is not None:
+            _reject_unknown(stack_doc, _STACK_KEYS, "stack")
+            if stack_doc.get("material", "quartz") != "quartz":
+                raise FormatError("only the quartz dispersion model ships with the package")
+            default = default_quartz_stack(source_cfg.center_nm * 1e-9)
+            stack = PlateStack(h1=_finite_number(stack_doc, "h1_mm", default.h1 / MM) * MM,
+                               h2=_finite_number(stack_doc, "h2_mm", default.h2 / MM) * MM)
 
-    stack = None
-    stack_doc = doc.get("stack")
-    if stack_doc is not None:
-        if not isinstance(stack_doc, dict):
-            raise FormatError("'stack' must be an object")
-        _reject_unknown(stack_doc, _STACK_KEYS, "stack")
-        if stack_doc.get("material", "quartz") != "quartz":
-            raise FormatError("only the quartz dispersion model ships with the package")
-        default = default_quartz_stack(source_cfg.center_nm * 1e-9)
-        h1 = stack_doc.get("h1_mm", default.h1 / MM) * MM
-        h2 = stack_doc.get("h2_mm", default.h2 / MM) * MM
-        stack = PlateStack(h1=h1, h2=h2)
+        theta = _finite_number(doc, "theta_rad", None)
+        tau_fs = _finite_number(doc, "tau_true_fs", None)
+        if theta is not None and tau_fs is not None:
+            raise FormatError("specify only one of tau_true_fs and theta_rad")
+        if theta is None and tau_fs is None:
+            tau_fs = 0.0
+        if theta is not None and stack is None:
+            stack = default_quartz_stack(source_cfg.center_nm * 1e-9)
 
-    theta = doc.get("theta_rad")
-    tau_fs = doc.get("tau_true_fs")
-    if theta is not None and tau_fs is not None:
-        raise FormatError("specify only one of tau_true_fs and theta_rad")
-    if theta is None and tau_fs is None:
-        tau_fs = 0.0
-    if theta is not None and stack is None:
-        stack = default_quartz_stack(source_cfg.center_nm * 1e-9)
-
-    try:
         config = ExperimentConfig(
-            phi_actual=doc.get("phi_actual_rad", np.pi / 2 + 0.071),
+            phi_actual=_finite_number(doc, "phi_actual_rad", np.pi / 2 + 0.071),
             source=source_cfg,
-            phi_assumed=doc.get("phi_assumed_rad"),
+            phi_assumed=_finite_number(doc, "phi_assumed_rad", None),
             qwp=qwp,
             photons=_whole_number(doc, "photons", 10_000_000),
             seed=_whole_number(doc, "seed", 0),
@@ -187,8 +236,6 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             stack=stack,
             noise=doc.get("noise", "multinomial"),
         )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid configuration: {exc}") from None
     return config, resolved_config_dict(config)
 
 

@@ -50,14 +50,16 @@ class SourceConfig:
     shape: str = "gaussian"
 
     def __post_init__(self):
+        if not 0.0 < self.center_nm < np.inf:
+            raise DomainError("centre wavelength must be positive and finite")
         if not self.grid_step_nm > 0:
             raise DomainError("grid step must be positive")
-        if not -np.inf < self.grid_min_nm < self.grid_max_nm < np.inf:
-            raise DomainError("grid must have finite, positive extent")
+        if not 0.0 < self.grid_min_nm < self.grid_max_nm < np.inf:
+            raise DomainError("grid must be positive wavelengths of finite, positive extent")
         if self.n_bins() > MAX_BINS:
             raise DomainError(f"grid of {self.n_bins()} bins exceeds the cap of {MAX_BINS}")
-        if not self.fwhm_nm > 0:
-            raise DomainError("line width must be positive")
+        if not 0.0 < self.fwhm_nm < np.inf:
+            raise DomainError("line width must be positive and finite")
         if self.shape not in ("gaussian", "lorentzian", "flat"):
             raise DomainError(f"unknown source shape {self.shape!r}")
 
@@ -115,8 +117,8 @@ class ExperimentConfig:
             raise DomainError("phi_actual must lie in (0, pi)")
         if self.phi_assumed is not None and not 0.0 < self.phi_assumed < np.pi:
             raise DomainError("phi_assumed must lie in (0, pi)")
-        if self.photons < 0:
-            raise DomainError("photon count must be nonnegative (0 = noise-free)")
+        if not 0 <= self.photons <= np.iinfo(np.int64).max:
+            raise DomainError("photon count must lie in [0, 2^63 - 1] (0 = noise-free)")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.noise not in ("multinomial", "poisson"):

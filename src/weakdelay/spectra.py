@@ -59,12 +59,6 @@ class Spectrum:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def normalized(self) -> "Spectrum":
-        tot = self.total()
-        if tot <= 0:
-            raise DegenerateRecordError("cannot normalize an empty spectrum")
-        return Spectrum(self.grid_nm, self.weights / tot)
-
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.total() - 1.0) <= tol
 

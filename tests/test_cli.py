@@ -70,9 +70,11 @@ class TestSimulateCommand:
 
 class TestConfigBoundary:
     @pytest.mark.parametrize("doc", [{"seed": -1}, {"seed": 1.5}, {"photons": 1.7},
-                                     {"photons": True}, {"seed": "3"}],
+                                     {"photons": True}, {"seed": "3"},
+                                     {"photons": 10 ** 30}],
                              ids=["negative_seed", "fractional_seed",
-                                  "fractional_photons", "bool_photons", "string_seed"])
+                                  "fractional_photons", "bool_photons", "string_seed",
+                                  "photons_beyond_int64"])
     def test_bad_integer_field_exits_2(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"phi_actual_rad": PHI_JWM, **doc}))
@@ -105,6 +107,37 @@ class TestConfigBoundary:
         assert code == 2
         assert json.loads(err)["error"] == "FormatError"
         assert str(simulator.MAX_BINS) in err
+
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"tau_true_fs": float("nan"), "photons": 0}, "tau_true_fs"),
+        ({"theta_rad": float("nan")}, "theta_rad"),
+        ({"source": {"center_nm": float("nan")}}, "center_nm"),
+        ({"qwp": {"model": "dispersive", "tau0_fs": float("nan")}}, "tau0_fs"),
+        ({"stack": {"h1_mm": "a"}, "theta_rad": 0.01}, "h1_mm"),
+        ({"source": {"fwhm_nm": float("inf")}}, "fwhm_nm"),
+        ({"phi_actual_rad": "x"}, "phi_actual_rad"),
+    ], ids=["nan_tau", "nan_theta", "nan_center", "nan_tau0", "string_h1",
+            "infinite_fwhm", "string_phi"])
+    def test_bad_number_exits_2_naming_the_key(self, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "FormatError"
+        assert key in report["message"]
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"seed": 1, "tau_true_fs": 0.01\xff}')
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FormatError"
 
 
 class TestEstimateCommand:
@@ -197,6 +230,30 @@ class TestEstimateCommand:
                             "--method", "first_order", "--phi", "1.0"], capsys)
         assert code == 2
         assert "row 3" in err
+
+    def test_non_utf8_record_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"wavelength_nm,counts_port1,counts_port2\n"
+                        b"700.0,1.0,2.0\n701.0,1.0\xe9,2.0\n")
+        code, _, err = run(["estimate", "--records", str(bad),
+                            "--method", "first_order", "--phi", "1.0"], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FormatError"
+
+    @pytest.mark.parametrize("flags", [
+        ["--qwp", "ideal", "--tau0-fs", "0.36"],
+        ["--qwp", "dispersive", "--tau0-fs", "-1"],
+        ["--qwp", "dispersive", "--center-nm", "-5"],
+    ], ids=["ideal_with_tau0", "negative_tau0", "negative_center"])
+    def test_bad_analyzer_flags_exit_2(self, flags, record_path, capsys):
+        code, stdout, err = run(["estimate", "--records", str(record_path),
+                                 "--method", "all", "--phi", str(PHI_JWM), *flags],
+                                capsys)
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FormatError"
 
     def test_model_error_exits_1(self, tmp_path, capsys):
         empty_port = tmp_path / "empty.csv"

@@ -248,14 +248,6 @@ class TestQuartic:
         assert -coeffs.e / coeffs.d == pytest.approx(
             first_order(jwm_record, PHI_JWM).tau_hat, rel=1e-12)
 
-    def test_printed_linear_coefficient_differs(self, jwm_record, jwm_wv):
-        # the unsquared-imaginary-part variant is retained for comparison
-        # only; it is inconsistent with the first-order limit
-        squared = quartic_coefficients(jwm_record, jwm_wv)
-        printed = quartic_coefficients(jwm_record, jwm_wv, printed_d_form=True)
-        assert printed.d != pytest.approx(squared.d, rel=1e-3)
-        assert printed.a == squared.a and printed.e == squared.e
-
     def test_zero_delay_record_selects_zero_root(self):
         rec = record_at(PHI_JWM, 0.0)
         res = quartic(rec, ideal_weak_values(PHI_JWM))
@@ -334,6 +326,22 @@ class TestFirstOrder:
             wv = ideal_weak_values(phi)
             assert first_order(rec, phi).tau_hat == pytest.approx(
                 general_first_order(rec, wv), rel=1e-10)
+
+    def test_equals_tan_cot_moment_formula(self):
+        # computed as the truncated series, it must still equal the tan/cot
+        # ratio of sub-normalized moments its docstring states
+        rng = np.random.default_rng(21)
+        grid = np.linspace(690.0, 900.0, 421)
+        for phi in rng.uniform(0.05, np.pi - 0.05, 20):
+            rec = MeasurementRecord(port1=Spectrum(grid, rng.random(421)),
+                                    port2=Spectrum(grid, rng.random(421)), total_events=0)
+            m1, m2 = record_moments(rec)
+            t = np.tan(phi / 2)
+            tau = ((np.sin(phi / 2) ** 2 * m1.m1 - np.cos(phi / 2) ** 2 * m2.m1)
+                   / (t * m1.m2 + m2.m2 / t))
+            res = first_order(rec, phi)
+            assert res.tau_hat == pytest.approx(tau, rel=1e-10)
+            assert res.diagnostics["port_probabilities"] == pytest.approx((m1.p0, m2.p0))
 
     def test_rejects_bad_phi(self, jwm_record):
         with pytest.raises(DomainError):
