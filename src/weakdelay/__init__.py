@@ -17,8 +17,9 @@ from .io import (load_config, read_record, resolved_config_dict,
 from .estimators import (EstimationResult, Method, QuarticCoefficients,
                          first_order, general_first_order, jwm_simplified,
                          likelihood_equation_residual, likelihood_profile,
-                         log_likelihood, phi_likelihood_scan, quartic,
-                         quartic_coefficients, score_residual, solve_exact,
+                         log_likelihood, phi_likelihood_scan,
+                         prepare_likelihood, quartic, quartic_coefficients,
+                         score_residual, solve_exact,
                          solve_quartic, strubi_reference, wva_first_order,
                          wva_mean_shift)
 from .polarization import (PolarizationState, QwpModel, WeakValuePair,

@@ -1,4 +1,4 @@
-"""Likelihood core: zeta terms, counted-bin preparation, dense profile.
+"""Likelihood core: zeta terms, the prepared record, dense profile.
 
 Every reshaping factor zeta = |cos(g w) - i sin(g w) A|^2 in the package is
 evaluated from the terms :func:`zeta_terms` derives from the weak value A.
@@ -15,30 +15,36 @@ to the null of a strongly amplified port no digits are lost to cancelling
 terms of size |A|^2.  u^2 = r + b and v^2 = r - b are formed without
 cancellation (their product is (Im A)^2) and without delta itself, so
 the phase sum is exact to a few ulps of sqrt(u^2 + v^2) = sqrt(2 r).
-The terms are computed on the weak value before it meets the frequency
-grid, so they stay scalars for frequency-independent analyzers.
+The terms depend on the weak value alone: spectra.zeta keeps them scalar
+for a frequency-independent analyzer; a prepared record holds one per column.
 
 Null rule: a counted bin whose zeta is at or below ``null`` =
 (32 eps)^2 (u^2 + v^2), the square of a generous bound on the roundoff of
 the phase sum u cos(g w) + v sin(g w), is a model zero: the likelihood
 reads -inf there and the score is undefined.
 
+Prepared record: bins without counts add exactly nothing to the
+likelihood, so :func:`prepare` keeps the bins with Q > 0 of both ports,
+stacked as one set of columns (port 1 first): w, Q, the bin's weak value
+and its zeta terms.  The likelihood functions of
+:mod:`weakdelay.estimators` read the columns through :meth:`Prepared.rows`,
+in blocks of delays of about ``_CHUNK`` elements; the dense profile reads
+the same columns.
+
 The dense profile evaluates the source-free log-likelihood
 
     l(g_k) = sum_j sum_i Q_ji * log zeta_j(g_k w_i)
 
-on a uniform g grid, over counted bins only (the others contribute exactly
-nothing), both ports stacked into one set of columns.  Along the grid,
-g_k w_i is an arithmetic progression per bin, so cos/sin are advanced by
-angle addition instead of libm calls per element.  Grid points are taken
-in blocks of ``_BLOCK``: a per-block table of cos/sin(k dg w) rotates the
-block's start phasor to every row, the start phasor is advanced block to
-block by the same rotation and re-anchored with exact trig every
-``_ANCHOR`` blocks, so the drift stays at roundoff.  The log-model block is
-reduced against Q with a BLAS mat-vec.  The floor term is raised to
-``_Z_FLOOR``, which keeps every zeta at or above it, so a grid point on a
-likelihood singularity reads as a huge negative value, never as -inf or
-as the largest.
+on a uniform g grid.  Along the grid, g_k w_i is an arithmetic progression
+per bin, so cos/sin are advanced by angle addition instead of libm calls
+per element.  Grid points are taken in blocks of ``_BLOCK``: a per-block
+table of cos/sin(k dg w) rotates the block's start phasor to every row,
+the start phasor is advanced block to block by the same rotation and
+re-anchored with exact trig every ``_ANCHOR`` blocks, so the drift stays
+at roundoff.  The log-model block is reduced against Q with a BLAS
+mat-vec.  The floor term is raised to ``_Z_FLOOR``, which keeps every zeta
+at or above it, so a grid point on a likelihood singularity reads as a
+huge negative value, never as -inf or as the largest.
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ _BLOCK = 32
 
 #: Blocks between exact-trig re-anchors of the profile's block phasor.
 _ANCHOR = 16
+
+#: Elements (delays x columns) evaluated together by :meth:`Prepared.rows`,
+#: 64 KiB per temporary; blocks twice as large ran 1.5-2x slower per element.
+_CHUNK = 8192
 
 
 class ZetaTerms(NamedTuple):
@@ -94,27 +104,39 @@ def zeta(x, terms: ZetaTerms):
     return terms.floor + p * p, 2.0 * p * (terms.v * c - terms.u * s)
 
 
-def counted_bins(omega, q, aw):
-    """Frequencies, counts and weak value(s) of the bins with q > 0.
+class Prepared(NamedTuple):
+    """Counted bins of both ports as columns: w, q, weak value, zeta terms."""
 
-    A scalar weak value stays a scalar; an array is masked with the bins.
-    """
+    omega: np.ndarray
+    q: np.ndarray
+    aw: np.ndarray
+    terms: ZetaTerms
+
+    def rows(self, g, row_values) -> float | np.ndarray:
+        """row_values(delays as a column, self) per delay of g; a float for scalar g."""
+        gs = np.atleast_1d(np.asarray(g, dtype=float))
+        out = np.empty(gs.size)
+        step = max(1, _CHUNK // max(self.omega.size, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, gs.size, step):
+                out[lo:lo + step] = row_values(gs[lo:lo + step, None], self)
+        return out if np.ndim(g) else float(out[0])
+
+
+def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
+    """Stack the counted bins of both ports; the one place they are masked."""
+    omega = np.asarray(omega, dtype=float)
+    q = np.concatenate([q1, q2]).astype(float)
+    aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])
     live = q > 0
-    if np.ndim(aw):
-        aw = np.broadcast_to(aw, omega.shape)[live]
-    return omega[live], q[live], aw
+    aw = aw[live]
+    return Prepared(np.tile(omega, 2)[live], q[live], aw, zeta_terms(aw))
 
 
 def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
     """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
-    omega = np.asarray(omega, dtype=float)
+    w, q, _, (floor, u, v, _) = prepare(omega, q1, q2, aw1, aw2)
     g0, dg, n_g = float(g0), float(dg), int(n_g)
-    cols = []
-    for q, aw in ((q1, aw1), (q2, aw2)):
-        w, q, aw = counted_bins(omega, np.asarray(q, dtype=float), aw)
-        terms = zeta_terms(aw)
-        cols.append([w, q, *(np.broadcast_to(t, w.shape) for t in terms[:3])])
-    w, q, floor, u, v = (np.concatenate(c) for c in zip(*cols))
     z_min = np.maximum(floor, _Z_FLOOR)
     # zeta = z_min + rc^2 with the phasor (rc, rs) = (u cos x + v sin x,
     # u sin x - v cos x); rows of a block rotate the block's start phasor by

@@ -9,12 +9,19 @@ external plotting directly.
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
 ``estimate --method all`` puts a failing method's error in its slot of the
 output and exits 1 only when every method failed.
+
+Flags are checked before a command runs: every float flag and every entry
+of a float list must be finite, and the phi flags (``estimate --phi``,
+``snr --phi-actual``, each ``snr --phi-assumed`` entry) must lie in
+(0, pi).  A flag that breaks the rule is a format error: exit 2 with one
+JSON line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -73,10 +80,11 @@ def _add_estimate(sub):
 
 
 def _estimate_one(method: str, record, args, qwp):
-    wv, _, _ = port_projections(args.phi, record.omega, qwp)
-    if method == Method.EXACT.value:
-        return estimators.solve_exact(record, wv)
-    if method == Method.QUARTIC.value:
+    # only exact, quartic and wva_mean_shift read the analyzer's weak values
+    if method in (Method.EXACT.value, Method.QUARTIC.value):
+        wv, _, _ = port_projections(args.phi, record.omega, qwp)
+        if method == Method.EXACT.value:
+            return estimators.solve_exact(record, wv)
         return estimators.quartic(record, wv)
     if method == Method.FIRST_ORDER.value:
         return estimators.first_order(record, args.phi)
@@ -98,6 +106,7 @@ def _estimate_one(method: str, record, args, qwp):
 
 
 def cmd_estimate(args) -> int:
+    _phi(args.phi, "--phi")
     record = io.read_record(args.records)
     qwp = io._qwp_model({"model": args.qwp, "tau0_fs": args.tau0_fs}, args.center_nm)
     single = args.method != "all"
@@ -136,9 +145,7 @@ def cmd_sweep(args) -> int:
     from .waveplate import default_quartz_stack
     stack = config.stack or default_quartz_stack(config.source.center_nm * 1e-9)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    base = config if config.tau_true is not None else replace(
-        config, theta=None, stack=None, tau_true=0.0)
-    rows = simulator.sweep_theta(thetas, stack, base, mode=args.mode)
+    rows = simulator.sweep_theta(thetas, stack, config, mode=args.mode)
     jwm_mode = Method.JWM_SIMPLIFIED.value in rows[0].estimates
     header = "theta_rad,tau_theory_s,tau_exact_s,tau_first_order_s"
     if jwm_mode:
@@ -169,20 +176,32 @@ def _add_snr(sub):
     p.set_defaults(func=cmd_snr)
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise FormatError(f"{flag} must be a finite number, got {value!r}")
+    return value
+
+
+def _phi(value: float, flag: str) -> float:
+    if not 0.0 < value < np.pi:
+        raise FormatError(f"{flag} = {value!r} lies outside (0, pi)")
+    return value
+
+
+def _parse_floats(text: str, flag: str, check=_finite) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise FormatError(f"could not parse {what} list {text!r}") from None
+        raise FormatError(f"could not parse {flag} list {text!r}") from None
+    return [check(v, flag) for v in values]
 
 
 def cmd_snr(args) -> int:
+    _phi(args.phi_actual, "--phi-actual")
+    alphas = _parse_floats(args.alphas, "--alphas")
+    phis = _parse_floats(args.phi_assumed, "--phi-assumed", _phi)
     config, _ = io.load_config(args.config)
-    alphas = _parse_floats(args.alphas, "alpha")
-    phis = _parse_floats(args.phi_assumed, "phi")
-    base = config if config.tau_true is not None else replace(
-        config, theta=None, stack=None, tau_true=0.0)
-    points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, base)
+    points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
     lines = ["alpha,phi_assumed,snr_db,trials"]
     for pt in points:
         lines.append(f"{pt.alpha:.17g},{pt.phi_assumed:.17g},"
@@ -251,6 +270,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         return args.func(args)
     except FormatError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -8,10 +8,9 @@ record (and the assumed postselection parameters), never P_0.
 
 Estimator family, from most to least rigorous:
 
-* ``solve_exact``      - bracketed root of the likelihood score.  The
-  default residual is the exact trigonometric score d/dg sum Q_j log zeta_j;
-  the rationalized small-(g w) form is available as ``residual_form=
-  "rational"`` and as :func:`likelihood_equation_residual`.
+* ``solve_exact``      - bracketed root of the exact trigonometric score
+  d/dg sum Q_j log zeta_j.  The rationalized small-(g w) form of the score
+  is :func:`likelihood_equation_residual`.
 * ``solve_quartic``    - the rationalized score N/D with 1/D expanded as a
   power series in g w, truncated at fourth order in g; solved by
   companion-matrix eigenvalues.
@@ -106,37 +105,23 @@ def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
             (record.port2.weights, weak_values.aw2))
 
 
-#: Delay values evaluated together by the array forms of the likelihood
-#: functions; bounds their (delays x bins) temporaries.
-_CHUNK = 8
-
-
-def _rows(g, ports, row_values) -> np.ndarray:
-    """sum over ports of row_values(g rows, *port), _CHUNK delays at a time."""
-    gs = np.atleast_1d(np.asarray(g, dtype=float))
-    out = np.zeros(gs.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, gs.size, _CHUNK):
-            rows = gs[lo:lo + _CHUNK, None]
-            for port in ports:
-                out[lo:lo + _CHUNK] += row_values(rows, *port)
+def _residual(g, out, what: str):
+    """Scalar g: ModelError where singular (NaN); array g: NaN marks kept."""
+    if not np.ndim(g) and np.isnan(out):
+        raise ModelError(f"{what} at g = {g!r}")
     return out
 
 
-def _residual(g, out, what: str):
-    """Scalar g: the float, or ModelError where singular; array g: NaN marks."""
-    if np.ndim(g):
-        return out
-    if np.isnan(out[0]):
-        raise ModelError(f"{what} at g = {g!r}")
-    return float(out[0])
+def prepare_likelihood(record, weak_values=None) -> _kernels.Prepared:
+    """Both ports' counted bins, stacked once (see :mod:`weakdelay._kernels`).
 
-
-def _counted_ports(record: MeasurementRecord, weak_values: WeakValuePair, terms):
-    """Counted bins of each port as (omega, q, terms(weak value))."""
-    counted = (_kernels.counted_bins(record.omega, q, aw)
-               for q, aw in _ports(record, weak_values))
-    return [(w, q, terms(aw)) for w, q, aw in counted]
+    The likelihood functions accept the result in place of ``(record,
+    weak_values)``; a prepared record is returned as it is.
+    """
+    if isinstance(record, _kernels.Prepared):
+        return record
+    (q1, aw1), (q2, aw2) = _ports(record, weak_values)
+    return _kernels.prepare(record.omega, q1, q2, aw1, aw2)
 
 
 def _rational_terms(aw):
@@ -151,31 +136,30 @@ def _rational_terms(aw):
 
 
 def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
-                  order: int) -> np.ndarray:
-    """Coefficients c_0..c_order of the rationalized score in powers of g.
+                  order: int) -> list[list[float]]:
+    """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
 
     With 1/D = sum_k r_k x^k, r_0 = 1, r_1 = -u1 and r_k = -u1 r_(k-1) -
-    u2 r_(k-2), the coefficient of g^k is sum_w Q w^(k+1) sum_i n_i r_(k-i)
-    summed over both ports (terms of :func:`_rational_terms`).  Zero-count
-    bins add nothing, so every bin is summed unmasked.
+    u2 r_(k-2), port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i
+    r_(k-i) (terms of :func:`_rational_terms`).  Returns [port 1's, port
+    2's]; the score's series is their sum.  Zero-count bins add nothing,
+    so every bin is summed unmasked.
     """
-    ports = _ports(record, weak_values)
     omega = record.omega
     powers = [omega] + [omega ** k for k in range(2, order + 2)]
-    series = np.zeros(order + 1)
-    for q, aw in ports:
+    series = []
+    for q, aw in _ports(record, weak_values):
         n, (u1, u2) = _rational_terms(aw)
         r = [1.0, -u1]
         while len(r) <= order:
             r.append(-u1 * r[-1] - u2 * r[-2])
-        for k in range(order + 1):
-            coef = sum(n[i] * r[k - i] for i in range(min(k, 2) + 1))
-            series[k] += (q * powers[k] * coef).sum()
+        coefs = [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1)) for k in range(order + 1)]
+        series.append([(q * w * coef).sum() for w, coef in zip(powers, coefs)])
     return series
 
 
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
-                   weak_values: WeakValuePair) -> float | np.ndarray:
+                   weak_values: WeakValuePair | None = None) -> float | np.ndarray:
     """Log-likelihood of delay g, up to a g-independent additive constant.
 
     Only the reshaping factors depend on g, so the source spectrum and the
@@ -184,17 +168,16 @@ def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
     :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
     A 1-D array g gives an array of log-likelihoods.
     """
-    def rows(g, omega, q, terms):
-        z, _ = _kernels.zeta(g * omega, terms)
-        return np.where(np.any(z <= terms.null, axis=1), -np.inf,
-                        (q * np.log(z)).sum(axis=1))
+    def rows(g, p):
+        z, _ = _kernels.zeta(g * p.omega, p.terms)
+        return np.where(np.any(z <= p.terms.null, axis=1), -np.inf,
+                        (p.q * np.log(z)).sum(axis=1))
 
-    out = _rows(g, _counted_ports(record, weak_values, _kernels.zeta_terms), rows)
-    return out if np.ndim(g) else float(out[0])
+    return prepare_likelihood(record, weak_values).rows(g, rows)
 
 
 def score_residual(g: float | np.ndarray, record: MeasurementRecord,
-                   weak_values: WeakValuePair) -> float | np.ndarray:
+                   weak_values: WeakValuePair | None = None) -> float | np.ndarray:
     """Exact derivative of the log-likelihood with respect to g.
 
     Vanishes at the maximum-likelihood delay; positive below it near a
@@ -202,40 +185,42 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
     zero of its reshaping factor (the likelihood is singular there); a 1-D
     array g gives an array with NaN at such delays.
     """
-    def rows(g, omega, q, terms):
-        z, slope = _kernels.zeta(g * omega, terms)
-        return np.where(np.any(z <= terms.null, axis=1), np.nan,
-                        (q * omega * slope / z).sum(axis=1))
+    def rows(g, p):
+        z, slope = _kernels.zeta(g * p.omega, p.terms)
+        return np.where(np.any(z <= p.terms.null, axis=1), np.nan,
+                        (p.q * p.omega * slope / z).sum(axis=1))
 
-    out = _rows(g, _counted_ports(record, weak_values, _kernels.zeta_terms), rows)
+    out = prepare_likelihood(record, weak_values).rows(g, rows)
     return _residual(g, out, "likelihood score singular")
 
 
 def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecord,
-                                 weak_values: WeakValuePair) -> float | np.ndarray:
+                                 weak_values: WeakValuePair | None = None
+                                 ) -> float | np.ndarray:
     """Rationalized likelihood-equation residual (small g w expansion).
 
     Polynomial-over-quadratic integrand sum Q w N/D (see
     :func:`_rational_terms`) obtained by expanding the exact score to
     second order in g w; zero at the estimate.  Valid only in the
-    weak-measurement regime (warns when max |g| omega exceeds
-    ``WEAK_REGIME_MAX_GW``) and raises ModelError when any counted bin's
-    quadratic denominator is nonpositive; a 1-D array g gives an array
-    with NaN at such delays.
+    weak-measurement regime (warns when max |g| omega over the counted
+    bins exceeds ``WEAK_REGIME_MAX_GW``) and raises ModelError when any
+    counted bin's quadratic denominator is nonpositive; a 1-D array g gives
+    an array with NaN at such delays.
     """
-    if np.max(np.abs(g)) * record.omega.max() > WEAK_REGIME_MAX_GW:
+    prepared = prepare_likelihood(record, weak_values)
+    if np.max(np.abs(g)) * prepared.omega.max() > WEAK_REGIME_MAX_GW:
         warnings.warn("rational residual evaluated outside the weak-measurement regime",
                       stacklevel=2)
+    (n0, n1, n2), (u1, u2) = _rational_terms(prepared.aw)
 
-    def rows(g, omega, q, terms):
-        (n0, n1, n2), (u1, u2) = terms
-        x = g * omega
+    def rows(g, p):
+        x = g * p.omega
         num = n0 + n1 * x + n2 * x * x
         den = 1.0 + u1 * x + u2 * x * x
         return np.where(np.any(den <= 0, axis=1), np.nan,
-                        (q * omega * num / den).sum(axis=1))
+                        (p.q * p.omega * num / den).sum(axis=1))
 
-    out = _rows(g, _counted_ports(record, weak_values, _rational_terms), rows)
+    out = prepared.rows(g, rows)
     return _residual(g, out, "rational residual outside validity region")
 
 
@@ -280,10 +265,12 @@ def general_first_order(record: MeasurementRecord,
 
     c0 = sum_j Im A_j <w>_j and c1 = sum_j [(|A_j|^2 - 1) - 2 (Im A_j)^2]
     <w^2>_j, with sub-normalized moments; any weak values, frequency
-    dependent ones included.
+    dependent ones included.  A c1 within roundoff (64 eps) of its two port
+    terms, as real weak values give on a zero-delay record, is degenerate.
     """
-    c0, c1 = _score_series(record, weak_values, 1)
-    if c1 == 0:
+    (a0, a1), (b0, b1) = _score_series(record, weak_values, 1)
+    c0, c1 = a0 + b0, a1 + b1
+    if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
         raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
     return float(-c0 / c1)
 
@@ -302,8 +289,7 @@ def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
 
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
                 bracket: tuple[float, float] | None = None,
-                tol: float = DEFAULT_TOL,
-                residual_form: str = "exact") -> EstimationResult:
+                tol: float = DEFAULT_TOL) -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
     The residual is evaluated once over a candidate ladder inside the
@@ -312,26 +298,19 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
     zero, while a likelihood singularity jumps the other way (-inf to
     +inf), so every descending sign change between neighbouring candidates
     brackets a local maximum.  Each is refined to width ``tol`` by the
-    Illinois method, and the root with the highest likelihood wins.
-    ``residual_form`` selects the exact trigonometric score (default) or
-    the rationalized weak-regime form; frequency-dependent weak values are
-    supported by both, staying inside the bin sums.
+    Illinois method, and the root with the highest likelihood wins.  The
+    counted bins are prepared once per solve; frequency-dependent weak
+    values stay inside the bin sums.
     """
-    if residual_form == "exact":
-        def res(g):
-            return score_residual(g, record, weak_values)
-    elif residual_form == "rational":
-        def res(g):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return likelihood_equation_residual(g, record, weak_values)
-    else:
-        raise DomainError(f"unknown residual form {residual_form!r}")
-
     explicit = bracket is not None
     lo, hi = bracket if explicit else DEFAULT_BRACKET
     if not lo < hi:
         raise DomainError("bracket must satisfy g_lo < g_hi")
+    prepared = prepare_likelihood(record, weak_values)
+
+    def res(g):
+        return score_residual(g, prepared)
+
     try:
         hint = general_first_order(record, weak_values)
     except ModelError:
@@ -356,8 +335,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
                               lo, hi, float("nan"), float("nan"))
 
     refined = [_illinois(res, cands[i], cands[i + 1], a[i], b[i], tol) for i in down]
-    best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]),
-                                        record, weak_values)))
+    best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
     (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
     mom1, mom2 = record_moments(record)
     return EstimationResult(
@@ -369,7 +347,6 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
             "bracket_width": width,
             "final_width": tol,
             "candidate_roots": len(refined),
-            "residual_form": residual_form,
             "port_probabilities": (mom1.p0, mom2.p0),
         },
     )
@@ -424,7 +401,7 @@ def quartic_coefficients(record: MeasurementRecord,
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
-    e, d, c, b, a = (float(x) for x in _score_series(record, weak_values, 4))
+    e, d, c, b, a = (float(x + y) for x, y in zip(*_score_series(record, weak_values, 4)))
     coeffs = QuarticCoefficients(a=a, b=b, c=c, d=d, e=e)
     if not np.all(np.isfinite(coeffs.as_array())):
         raise DegenerateRecordError("quartic coefficients are not finite")

@@ -266,14 +266,31 @@ class TestEstimateCommand:
         assert "error" in err
 
 
-class TestSweepCommand:
-    def test_three_step_sweep_with_zero(self, config_path, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code, _, _ = run(["sweep", "--config", str(config_path),
-                          "--theta-min", "0", "--theta-max", "4e-5",
-                          "--steps", "3", "--out", str(out)], capsys)
+def output_per_delay(argv, doc, tmp_path, capsys):
+    """CSV that ``argv`` writes for ``doc`` with no delay, a tau_true_fs and a theta_rad.
+
+    The sweep and snr commands set each point's delay themselves, so the
+    configuration's own delay, given either way, must not change the output.
+    ``argv`` names the config ``{config}`` and the output ``{out}``.
+    """
+    texts = []
+    for k, delay in enumerate(({}, {"tau_true_fs": 0.01}, {"theta_rad": 2e-5})):
+        cfg, out = tmp_path / f"c{k}.json", tmp_path / f"out{k}.csv"
+        cfg.write_text(json.dumps({**doc, **delay}))
+        code, _, _ = run([a.format(config=cfg, out=out) for a in argv], capsys)
         assert code == 0
-        lines = out.read_text().splitlines()
+        texts.append(out.read_text())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    return texts[0]
+
+
+class TestSweepCommand:
+    def test_three_step_sweep_with_zero(self, tmp_path, capsys):
+        text = output_per_delay(
+            ["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "4e-5",
+             "--steps", "3", "--out", "{out}"],
+            {"phi_actual_rad": PHI_JWM, "photons": 0, "seed": 7}, tmp_path, capsys)
+        lines = text.splitlines()
         assert lines[0] == "theta_rad,tau_theory_s,tau_exact_s,tau_first_order_s,tau_jwm_s"
         assert len(lines) == 4
         first = [float(v) for v in lines[1].split(",")]
@@ -293,15 +310,12 @@ class TestSweepCommand:
 
 class TestSnrCommand:
     def test_row_per_alpha_phi_pair(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"phi_actual_rad": 0.03, "photons": 100000,
-                                   "seed": 1}))
-        out = tmp_path / "snr.csv"
-        code, _, _ = run(["snr", "--config", str(cfg), "--alphas", "0.005,0.01",
-                          "--phi-actual", "0.03", "--phi-assumed", "0.03,0.05",
-                          "--trials", "30", "--out", str(out)], capsys)
-        assert code == 0
-        lines = out.read_text().splitlines()
+        text = output_per_delay(
+            ["snr", "--config", "{config}", "--alphas", "0.005,0.01",
+             "--phi-actual", "0.03", "--phi-assumed", "0.03,0.05",
+             "--trials", "30", "--out", "{out}"],
+            {"phi_actual_rad": 0.03, "photons": 100000, "seed": 1}, tmp_path, capsys)
+        lines = text.splitlines()
         assert lines[0] == "alpha,phi_assumed,snr_db,trials"
         assert len(lines) == 1 + 4
 
@@ -326,6 +340,40 @@ class TestAnalyticCommand:
         doc = json.loads(stdout)
         c = 780.0 * 0.1 / (4 * 17.6 ** 2)
         assert doc["delta_alpha"] == pytest.approx(4 * c * 0.01, rel=1e-9)
+
+
+class TestFlagBoundary:
+    """Non-finite float flags and phi flags outside (0, pi) exit 2 before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--records", "{record}", "--method", "jwm_simplified", "--phi", "nan"],
+        ["estimate", "--records", "{record}", "--phi", "4"],
+        ["estimate", "--records", "{record}", "--phi", "0"],
+        ["estimate", "--records", "{record}", "--phi", "1", "--center-nm", "inf"],
+        ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
+         "--phi-assumed", "nan", "--out", "{out}"],
+        ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "nan",
+         "--phi-assumed", "0.03", "--out", "{out}"],
+        ["snr", "--config", "{config}", "--alphas", "nan", "--phi-actual", "0.03",
+         "--phi-assumed", "0.03", "--out", "{out}"],
+        ["sweep", "--config", "{config}", "--theta-min", "nan", "--theta-max", "1e-5",
+         "--steps", "2", "--out", "{out}"],
+        ["analytic", "--alpha-min", "--epsilon", "nan"],
+        ["analytic", "--uncertainty", "--alpha", "nan", "--beta", "0.1"],
+        ["analytic", "--alpha-min", "--lambda0-nm", "inf"],
+    ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
+            "nan_phi_actual", "nan_alpha", "nan_theta_min", "nan_epsilon",
+            "nan_uncertainty_alpha", "inf_lambda0"])
+    def test_bad_flag_exits_2(self, argv, config_path, tmp_path, capsys):
+        record = tmp_path / "rec.csv"
+        run(["simulate", "--config", str(config_path), "--out", str(record)], capsys)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run([a.format(record=record, config=config_path, out=out)
+                                 for a in argv], capsys)
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FormatError"
 
 
 class TestRecordRoundTrip:

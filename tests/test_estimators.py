@@ -11,8 +11,8 @@ from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
                        first_order, general_first_order, ideal_weak_values,
                        jwm_simplified, likelihood_equation_residual,
                        likelihood_profile, log_likelihood, phi_likelihood_scan,
-                       pooled_variance, port_projections, quartic,
-                       quartic_coefficients, record_moments, score_residual,
+                       pooled_variance, port_projections, prepare_likelihood,
+                       quartic, quartic_coefficients, record_moments, score_residual,
                        simulate, solve_exact, solve_quartic, strubi_reference,
                        wva_first_order, wva_mean_shift)
 
@@ -110,6 +110,7 @@ class TestArrayEvaluation:
         rec = record_at(phi, 1e-17, qwp=qwp)
         wv = port_projections(phi, rec.omega, qwp)[0]
         gs = np.concatenate([[0.0], np.linspace(-3e-17, 3e-17, 21), [1e-17]])
+        prepared = prepare_likelihood(rec, wv)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for fn in (log_likelihood, score_residual, likelihood_equation_residual):
@@ -117,6 +118,11 @@ class TestArrayEvaluation:
                 want = np.array([self._scalar(fn, g, rec, wv) for g in gs])
                 assert got.shape == gs.shape
                 np.testing.assert_array_equal(got, want, err_msg=fn.__name__)
+                # a prepared record stands in for (record, weak values) exactly
+                np.testing.assert_array_equal(fn(gs, prepared), got, err_msg=fn.__name__)
+                np.testing.assert_array_equal(
+                    [self._scalar(fn, g, prepared, None) for g in gs], want,
+                    err_msg=fn.__name__)
 
     def test_dark_port_null_row(self):
         wv = ideal_weak_values(PHI_WVA)
@@ -192,14 +198,6 @@ class TestSolveExact:
         res = solve_exact(rec, ideal_weak_values(PHI_JWM))
         assert abs(res.tau_hat) < ZERO_FLOOR
 
-    def test_rational_form_agrees_in_weak_regime(self):
-        tau = 4e-19
-        rec = record_at(PHI_JWM, tau)
-        wv = ideal_weak_values(PHI_JWM)
-        exact = solve_exact(rec, wv).tau_hat
-        rational = solve_exact(rec, wv, residual_form="rational").tau_hat
-        assert rational == pytest.approx(exact, rel=1e-3)
-
     def test_dispersive_weak_values_recover_where_ideal_biased(self):
         # analyzer wavelength dependence: the exact solver fed the matching
         # frequency-dependent weak values recovers the truth, while the
@@ -219,6 +217,7 @@ class TestSolveExact:
 
     def test_one_ladder_scan_and_one_ranking_per_solve(self, jwm_record, jwm_wv,
                                                         monkeypatch):
+        import weakdelay._kernels as kernels
         import weakdelay.estimators as est
         calls = []
 
@@ -230,7 +229,9 @@ class TestSolveExact:
 
         for name in ("score_residual", "log_likelihood"):
             monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
+        monkeypatch.setattr(kernels, "prepare", counting("prepare", kernels.prepare))
         res = est.solve_exact(jwm_record, jwm_wv)
+        assert [name for name, _ in calls].count("prepare") == 1
         ladders = [n for name, n in calls if name == "score_residual" and n > 1]
         assert len(ladders) == 1
         assert [n for name, n in calls if name == "log_likelihood"] == \
@@ -346,6 +347,16 @@ class TestFirstOrder:
     def test_rejects_bad_phi(self, jwm_record):
         with pytest.raises(DomainError):
             first_order(jwm_record, 0.0)
+
+    @pytest.mark.parametrize("phi", [0.7, 1.0, 2.3133, 1.5302, 2.0])
+    def test_general_form_degenerate_without_plate_at_zero_delay(self, phi):
+        # real weak values: the two port terms of c1 cancel exactly on a
+        # noise-free zero-delay record, so its rounded remainder is no signal
+        qwp = QwpModel(variant="absent")
+        rec = record_at(phi, 0.0, qwp=qwp)
+        wv = port_projections(phi, rec.omega, qwp)[0]
+        with pytest.raises(DegenerateRecordError):
+            general_first_order(rec, wv)
 
 
 class TestJwmSimplified:
