@@ -17,15 +17,12 @@ from .io import (load_config, read_record, resolved_config_dict,
 from .estimators import (EstimationResult, Method, QuarticCoefficients,
                          first_order, general_first_order, jwm_simplified,
                          likelihood_equation_residual, likelihood_profile,
-                         log_likelihood, phi_likelihood_scan,
-                         prepare_likelihood, quartic, quartic_coefficients,
-                         score_residual, solve_exact,
+                         log_likelihood, prepare_likelihood, quartic,
+                         quartic_coefficients, score_residual, solve_exact,
                          solve_quartic, strubi_reference, wva_first_order,
                          wva_mean_shift)
-from .polarization import (PolarizationState, QwpModel, WeakValuePair,
-                           dispersive_weak_values, ideal_weak_values,
-                           port_projections, postselection_state,
-                           qwp_jones_matrix)
+from .polarization import (QwpModel, WeakValuePair, ideal_weak_values,
+                           port_projections)
 from .simulator import (ExperimentConfig, SnrPoint, SourceConfig, SweepRow,
                         alpha_min, default_dispersive_qwp, expected_record,
                         make_source,

@@ -193,6 +193,8 @@ def _parse_floats(text: str, flag: str, check=_finite) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise FormatError(f"could not parse {flag} list {text!r}") from None
+    if not values:
+        raise FormatError(f"{flag} list is empty")
     return [check(v, flag) for v in values]
 
 

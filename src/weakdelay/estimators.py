@@ -243,22 +243,6 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     return g_lo + dg * np.arange(n), values
 
 
-def phi_likelihood_scan(record: MeasurementRecord, phis, g: float) -> np.ndarray:
-    """Log-likelihood versus assumed postselection offset (diagnostic only).
-
-    Unlike the delay likelihood, the postselection overlaps depend on the
-    scanned parameter, so their log-weights are kept.
-    """
-    n1 = record.port1.total()
-    n2 = record.port2.total()
-    out = []
-    for phi in phis:
-        overlap_term = 2.0 * (n1 * np.log(np.cos(phi / 2))
-                              + n2 * np.log(np.sin(phi / 2)))
-        out.append(overlap_term + log_likelihood(g, record, ideal_weak_values(phi)))
-    return np.array(out)
-
-
 def general_first_order(record: MeasurementRecord,
                         weak_values: WeakValuePair) -> float:
     """First-order estimate -c0/c1: the rationalized score truncated at g^1.
@@ -462,8 +446,6 @@ def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     with sub-normalized per-port moments, so a zero-delay record cancels the
     numerator regardless of the spectrum.
     """
-    if not 0.0 < phi < np.pi:
-        raise DomainError(f"phi = {phi!r} outside (0, pi)")
     tau = general_first_order(record, ideal_weak_values(phi))
     p1, p2 = record.port1.total(), record.port2.total()
     return EstimationResult(

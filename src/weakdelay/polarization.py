@@ -1,20 +1,35 @@
-"""Polarization states and weak values for postselected delay measurement.
+"""Weak values and postselection overlaps of the three analyzer variants.
 
 Conventions
 -----------
 The two-level system is photon polarization in the {|H>, |V>} basis and the
 measured operator is sigma_z = |H><H| - |V><V|.  The preselected state is
-(|H> + |V>)/sqrt(2).  Postselection is a polarizing splitter rotated by
+|+> = (|H> + |V>)/sqrt(2).  Postselection is a polarizing splitter rotated by
 gamma = pi/4 - phi/2 relative to the preselection axis, optionally preceded
-by a quarter-wave plate at 45 degrees:
+by a quarter-wave plate at 45 degrees.  Every variant follows one law,
 
-* ideal QWP       -> port weak values (i tan(phi/2), -i cot(phi/2))
-* dispersive QWP  -> the plate retardance is exact only at the design
-  frequency omega_0 = (pi/4)/tau_0, so the weak values pick up a frequency
-  dependent phase exp(2i omega tau_0) and a real prefactor set by gamma
-* no QWP          -> purely real weak values (no imaginary amplification)
+    A_w1 = tan(phi/2) e^{i theta},   A_w2 = -cot(phi/2) e^{i theta},
 
-All functions are pure; arrays broadcast over omega where noted.
+with overlaps |<f_1|i>|^2 = cos^2(phi/2) and |<f_2|i>|^2 = sin^2(phi/2),
+and only the phase differs:
+
+* ideal QWP       -> e^{i theta} = i, imaginary weak values
+* dispersive QWP  -> e^{i theta} = exp(2i omega tau0), exact only at the
+  design frequency omega0 = (pi/4)/tau0
+* no QWP          -> e^{i theta} = 1, real weak values
+
+Why a plate contributes exp(2i omega tau0): a plate at 45 degrees with
+retardance time tau0 has the Jones matrix cos(omega tau0) - i sin(omega tau0)
+sigma_x.  Its eigenstates are |+> and |-> = (|H> - |V>)/sqrt(2), which it
+multiplies by exp(-i omega tau0) and exp(+i omega tau0).  The preselection is
+|+> and sigma_z|+> = |->, so in A_w = <f|U sigma_z|i>/<f|U|i> the numerator
+gains exp(2i omega tau0) over the denominator, while the overlaps
+|<f|U|i>|^2 = |<f|+>|^2 do not depend on frequency.  The splitter sets the
+modulus: <f_1|->/<f_1|+> = (cos gamma - sin gamma)/(cos gamma + sin gamma)
+= tan(phi/2), and port 2 gives -cot(phi/2).
+
+phi -> 0 makes port 2 orthogonal to the preselection and phi -> pi does the
+same for port 1, so phi must lie in (0, pi) for every variant.
 """
 
 from __future__ import annotations
@@ -24,27 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularWeakValueError
-
-#: Tolerance below which a postselection state is treated as orthogonal to
-#: the preselection (weak value diverges).
-_SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PolarizationState:
-    """Jones vector (h, v) for the {|H>, |V>} basis, normalized to 1."""
-
-    h: complex
-    v: complex
-
-    def __post_init__(self):
-        norm = abs(self.h) ** 2 + abs(self.v) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"polarization state not normalized: |h|^2+|v|^2 = {norm!r}")
-
-    def inner(self, other: "PolarizationState") -> complex:
-        """<self|other>."""
-        return np.conj(self.h) * other.h + np.conj(self.v) * other.v
 
 
 @dataclass(frozen=True)
@@ -84,78 +78,19 @@ class QwpModel:
             raise DomainError(f"tau0 is only meaningful for the dispersive variant")
 
 
-def ideal_weak_values(phi: float) -> WeakValuePair:
-    """Port weak values (i tan(phi/2), -i cot(phi/2)) for an ideal analyzer.
-
-    phi parametrizes the postselection offset; phi -> 0 sends port 2 toward
-    orthogonality with the preselection and phi -> pi does the same for
-    port 1, so both limits are rejected.
-    """
+def _weak_values(phi: float, phase) -> WeakValuePair:
+    """The analyzer law (tan(phi/2) phase, -cot(phi/2) phase)."""
     if not 0.0 < phi < np.pi:
         raise SingularWeakValueError(
             f"phi = {phi!r} outside (0, pi): postselection degenerate or weak value singular"
         )
-    half = 0.5 * phi
-    return WeakValuePair(aw1=1j * np.tan(half), aw2=-1j / np.tan(half))
+    t = np.tan(0.5 * phi)
+    return WeakValuePair(aw1=phase * t, aw2=-phase / t)
 
 
-def qwp_jones_matrix(omega: float, tau0: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with retardance time tau0.
-
-    Returns [[cos(w t0), -i sin(w t0)], [-i sin(w t0), cos(w t0)]]; unitary
-    for all arguments.  The plate acts as an exact quarter-wave plate at the
-    design frequency where omega * tau0 = pi/4.
-    """
-    if not omega > 0:
-        raise DomainError("omega must be positive")
-    if not tau0 > 0:
-        raise DomainError("tau0 must be positive")
-    x = omega * tau0
-    c, s = np.cos(x), np.sin(x)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def dispersive_weak_values(gamma: float, omega, tau0: float) -> WeakValuePair:
-    """Weak values behind a fixed-retardance QWP followed by a splitter at gamma.
-
-    aw1 = [(cos g - sin g)/(cos g + sin g)] exp(2i w tau0)
-    aw2 = [(cos g + sin g)/(sin g - cos g)] exp(2i w tau0)
-
-    omega may be an array; the moduli are frequency independent.  gamma lies
-    in (-pi/2, pi/2) (phi > pi/2 gives gamma < 0); gamma near pi/4 makes
-    port 2 orthogonal to the preselection and is rejected.  tau0 = 0 is the
-    plate-free limit: the phase is 1 and the weak values are real scalars.
-    """
-    if not -np.pi / 2 < gamma < np.pi / 2:
-        raise DomainError(f"gamma = {gamma!r} outside (-pi/2, pi/2)")
-    if np.any(np.asarray(omega) <= 0):
-        raise DomainError("omega must be positive")
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    if abs(cg - sg) < _SINGULAR_TOL:
-        raise SingularWeakValueError(
-            "gamma = pi/4: port-2 postselection orthogonal to preselection"
-        )
-    phase = np.exp(2j * np.asarray(omega, dtype=float) * tau0) if tau0 else 1.0
-    aw1 = (cg - sg) / (cg + sg) * phase
-    aw2 = (cg + sg) / (sg - cg) * phase
-    if np.ndim(aw1) == 0:
-        return WeakValuePair(aw1=complex(aw1), aw2=complex(aw2))
-    return WeakValuePair(aw1=aw1, aw2=aw2)
-
-
-def postselection_state(gamma: float, port: int) -> PolarizationState:
-    """Linear polarizer state of the given output port at splitter angle gamma.
-
-    Port 1 is cos(g)|H> + sin(g)|V>, port 2 is sin(g)|H> - cos(g)|V>; the
-    two are orthogonal for every gamma.
-    """
-    if not 0.0 <= gamma <= np.pi / 2:
-        raise DomainError(f"gamma = {gamma!r} outside [0, pi/2]")
-    if port == 1:
-        return PolarizationState(h=complex(np.cos(gamma)), v=complex(np.sin(gamma)))
-    if port == 2:
-        return PolarizationState(h=complex(np.sin(gamma)), v=complex(-np.cos(gamma)))
-    raise DomainError(f"port must be 1 or 2, got {port!r}")
+def ideal_weak_values(phi: float) -> WeakValuePair:
+    """Port weak values (i tan(phi/2), -i cot(phi/2)) for an ideal analyzer."""
+    return _weak_values(phi, 1j)
 
 
 def port_projections(phi: float, omega, qwp: QwpModel):
@@ -163,14 +98,11 @@ def port_projections(phi: float, omega, qwp: QwpModel):
 
     Returns (weak_values, overlap_sq_1, overlap_sq_2) where overlap_sq_j is
     |<postselection_j|preselection>|^2.  For the dispersive variant the weak
-    values are arrays over omega; the overlaps are frequency independent
+    values follow the shape of omega; the overlaps are frequency independent
     because the plate only dephases the projection.
     """
-    if qwp.variant == "ideal":
-        return ideal_weak_values(phi), np.cos(phi / 2) ** 2, np.sin(phi / 2) ** 2
-    # "absent" is the tau0 -> 0 limit of the dispersive analyzer
-    gamma = np.pi / 4 - phi / 2
-    tau0 = qwp.tau0 if qwp.variant == "dispersive" else 0.0
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    return (dispersive_weak_values(gamma, omega, tau0),
-            (cg + sg) ** 2 / 2.0, (sg - cg) ** 2 / 2.0)
+    if qwp.variant == "dispersive":
+        phase = np.exp(2j * np.asarray(omega, dtype=float) * qwp.tau0)
+    else:
+        phase = 1j if qwp.variant == "ideal" else 1 + 0j
+    return _weak_values(phi, phase), np.cos(phi / 2) ** 2, np.sin(phi / 2) ** 2

@@ -286,6 +286,8 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     if trials < 30:
         raise DomainError("at least 30 trials per point are required")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if alphas.size == 0 or len(phi_assumed_list) == 0:
+        raise DomainError("alpha and phi lists must be nonempty")
     if np.any(alphas <= 0):
         raise DomainError("alpha values must be positive (alpha = 0 is excluded)")
     omega0 = config.source.omega0

@@ -84,13 +84,6 @@ class PlateStack:
         if not (self.h1 > 0 and self.h2 > 0):
             raise DomainError("plate thicknesses must be positive")
 
-    def birefringence(self, lambda_m: float) -> float:
-        n_o, n_e, _ = self.index_model(lambda_m)
-        dn = n_e - n_o
-        if dn == 0:
-            raise DomainError("index model is not birefringent at this wavelength")
-        return dn
-
 
 def default_quartz_stack(lambda0_m: float = 780e-9, base_thickness_m: float = 1e-3) -> PlateStack:
     """Multi-order pair whose thickness difference is a half wave at lambda0."""
@@ -139,20 +132,16 @@ def single_plate_retardance(lambda_m: float, h: float, indices, tilt: TiltAngles
 def compound_retardance(lambda_m: float, stack: PlateStack, tilt: TiltAngles) -> float:
     """Net retardance of the crossed pair under oblique incidence.
 
-    delta = 2 pi (n_e - n_o) (h1 cos psi / cos xi - h2 cos xi / cos psi)
-            / (lambda sqrt(1 - sin^2 xi sin^2 psi))
+    The difference of the two single-plate retardances.  The second plate
+    sees the tilt with azimuth and elevation exchanged (its frame is rotated
+    by 90 degrees and inter-plate refraction is neglected), which gives
 
-    The second plate sees the tilt with azimuth and elevation exchanged
-    (its frame is rotated by 90 degrees and inter-plate refraction is
-    neglected), which is what the cos ratio swap expresses.
+    delta = 2 pi (n_e - n_o) (h1 cos psi / cos xi - h2 cos xi / cos psi)
+            / (lambda sqrt(1 - sin^2 xi sin^2 psi)).
     """
-    dn = stack.birefringence(lambda_m)
-    cx, cp = np.cos(tilt.xi), np.cos(tilt.psi)
-    root = np.sqrt(1.0 - np.sin(tilt.xi) ** 2 * np.sin(tilt.psi) ** 2)
-    denom = lambda_m * root
-    if denom <= 0:
-        raise DomainError("degenerate geometry")
-    return 2.0 * np.pi * dn * (stack.h1 * cp / cx - stack.h2 * cx / cp) / denom
+    swapped = TiltAngles(xi=tilt.psi, psi=tilt.xi)
+    return (single_plate_retardance(lambda_m, stack.h1, stack.index_model, tilt)
+            - single_plate_retardance(lambda_m, stack.h2, stack.index_model, swapped))
 
 
 def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1) -> float:

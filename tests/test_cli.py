@@ -356,13 +356,18 @@ class TestFlagBoundary:
          "--phi-assumed", "0.03", "--out", "{out}"],
         ["snr", "--config", "{config}", "--alphas", "nan", "--phi-actual", "0.03",
          "--phi-assumed", "0.03", "--out", "{out}"],
+        ["snr", "--config", "{config}", "--alphas", "", "--phi-actual", "0.03",
+         "--phi-assumed", "0.03", "--out", "{out}"],
+        ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
+         "--phi-assumed", ",", "--out", "{out}"],
         ["sweep", "--config", "{config}", "--theta-min", "nan", "--theta-max", "1e-5",
          "--steps", "2", "--out", "{out}"],
         ["analytic", "--alpha-min", "--epsilon", "nan"],
         ["analytic", "--uncertainty", "--alpha", "nan", "--beta", "0.1"],
         ["analytic", "--alpha-min", "--lambda0-nm", "inf"],
     ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
-            "nan_phi_actual", "nan_alpha", "nan_theta_min", "nan_epsilon",
+            "nan_phi_actual", "nan_alpha", "empty_alphas", "empty_phi_assumed",
+            "nan_theta_min", "nan_epsilon",
             "nan_uncertainty_alpha", "inf_lambda0"])
     def test_bad_flag_exits_2(self, argv, config_path, tmp_path, capsys):
         record = tmp_path / "rec.csv"

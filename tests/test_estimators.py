@@ -10,7 +10,7 @@ from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
                        SourceConfig, Spectrum, default_dispersive_qwp,
                        first_order, general_first_order, ideal_weak_values,
                        jwm_simplified, likelihood_equation_residual,
-                       likelihood_profile, log_likelihood, phi_likelihood_scan,
+                       likelihood_profile, log_likelihood,
                        pooled_variance, port_projections, prepare_likelihood,
                        quartic, quartic_coefficients, record_moments, score_residual,
                        simulate, solve_exact, solve_quartic, strubi_reference,
@@ -596,8 +596,3 @@ class TestDiagnostics:
                 direct = log_likelihood(grid[idx], rec, wv)
                 assert vals[idx] == pytest.approx(direct, abs=1e-10), (n, idx)
 
-    def test_phi_scan_peaks_near_true_phi(self):
-        rec = record_at(PHI_JWM, 5e-18)
-        phis = np.linspace(PHI_JWM - 0.2, PHI_JWM + 0.2, 81)
-        vals = phi_likelihood_scan(rec, phis, 5e-18)
-        assert abs(phis[int(np.argmax(vals))] - PHI_JWM) < 0.02

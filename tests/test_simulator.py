@@ -191,6 +191,13 @@ class TestSnrSweep:
                 want.append(10.0 * np.log10(tau ** 2 / np.mean(np.square(errors))))
         assert [p.snr_db for p in pts] == want
 
+    @pytest.mark.parametrize("alphas, phis", [([], [PHI_WVA]), ([0.01], [])],
+                             ids=["no_alphas", "no_phis"])
+    def test_empty_list_rejected(self, alphas, phis):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
+        with pytest.raises(DomainError):
+            snr_sweep(alphas, PHI_WVA, phis, 30, cfg)
+
     def test_matched_curve_sanity(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
                                photons=1_000_000, seed=23)
