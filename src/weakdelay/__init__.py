@@ -14,13 +14,12 @@ from .errors import (BracketingError, DegenerateRecordError, DomainError,
                      SolverError, WeakDelayError)
 from .io import (load_config, read_record, resolved_config_dict,
                  result_to_dict, write_record)
-from .estimators import (EstimationResult, Method, QuarticCoefficients,
-                         first_order, general_first_order, jwm_simplified,
+from .estimators import (EstimationResult, Method, first_order,
+                         general_first_order, jwm_simplified,
                          likelihood_equation_residual, likelihood_profile,
                          log_likelihood, prepare_likelihood, quartic,
-                         quartic_coefficients, score_residual, solve_exact,
-                         solve_quartic, strubi_reference, wva_first_order,
-                         wva_mean_shift)
+                         score_residual, solve_exact, strubi_reference,
+                         wva_first_order, wva_mean_shift)
 from .polarization import (QwpModel, WeakValuePair, ideal_weak_values,
                            port_projections)
 from .simulator import (ExperimentConfig, SnrPoint, SourceConfig, SweepRow,

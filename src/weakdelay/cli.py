@@ -14,7 +14,10 @@ Flags are checked before a command runs: every float flag and every entry
 of a float list must be finite, and the phi flags (``estimate --phi``,
 ``snr --phi-actual``, each ``snr --phi-assumed`` entry) must lie in
 (0, pi).  A flag that breaks the rule is a format error: exit 2 with one
-JSON line on stderr.
+JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
+library input from a flag, so a library ``DomainError`` there (too few
+trials, a nonpositive alpha or length, a negative epsilon) is a format
+error too.
 """
 
 from __future__ import annotations
@@ -203,7 +206,8 @@ def cmd_snr(args) -> int:
     alphas = _parse_floats(args.alphas, "--alphas")
     phis = _parse_floats(args.phi_assumed, "--phi-assumed", _phi)
     config, _ = io.load_config(args.config)
-    points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
+    with io._format_errors("invalid snr flags"):
+        points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
     lines = ["alpha,phi_assumed,snr_db,trials"]
     for pt in points:
         lines.append(f"{pt.alpha:.17g},{pt.phi_assumed:.17g},"
@@ -229,27 +233,24 @@ def _add_analytic(sub):
 
 
 def cmd_analytic(args) -> int:
-    out = {"lambda0_nm": args.lambda0_nm, "delta_lambda_nm": args.delta_lambda_nm,
-           "resolution_nm": args.resolution_nm,
-           "resolution_factor": simulator.resolution_factor(
-               args.lambda0_nm, args.delta_lambda_nm, args.resolution_nm)}
     if args.alpha_min == args.uncertainty:
         raise FormatError("choose exactly one of --alpha-min / --uncertainty")
-    if args.alpha_min:
-        eps = 1.0 if args.epsilon is None else args.epsilon
-        out["epsilon"] = eps
-        out["alpha_min"] = simulator.alpha_min(
-            eps, args.lambda0_nm, args.delta_lambda_nm, args.resolution_nm)
-        out["alpha_min_per_epsilon"] = simulator.alpha_min(
-            1.0, args.lambda0_nm, args.delta_lambda_nm, args.resolution_nm)
-    else:
-        if args.alpha is None or args.beta is None:
-            raise FormatError("--uncertainty requires --alpha and --beta")
-        out["alpha"] = args.alpha
-        out["beta"] = args.beta
-        out["delta_alpha"] = simulator.wva_uncertainty(
-            args.alpha, args.beta, args.lambda0_nm, args.delta_lambda_nm,
-            args.resolution_nm)
+    lengths = (args.lambda0_nm, args.delta_lambda_nm, args.resolution_nm)
+    out = {"lambda0_nm": args.lambda0_nm, "delta_lambda_nm": args.delta_lambda_nm,
+           "resolution_nm": args.resolution_nm}
+    with io._format_errors("invalid analytic flags"):
+        out["resolution_factor"] = simulator.resolution_factor(*lengths)
+        if args.alpha_min:
+            eps = 1.0 if args.epsilon is None else args.epsilon
+            out["epsilon"] = eps
+            out["alpha_min"] = simulator.alpha_min(eps, *lengths)
+            out["alpha_min_per_epsilon"] = simulator.alpha_min(1.0, *lengths)
+        else:
+            if args.alpha is None or args.beta is None:
+                raise FormatError("--uncertainty requires --alpha and --beta")
+            out["alpha"] = args.alpha
+            out["beta"] = args.beta
+            out["delta_alpha"] = simulator.wva_uncertainty(args.alpha, args.beta, *lengths)
     print(json.dumps(out, indent=2))
     return 0
 

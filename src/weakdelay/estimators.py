@@ -11,7 +11,7 @@ Estimator family, from most to least rigorous:
 * ``solve_exact``      - bracketed root of the exact trigonometric score
   d/dg sum Q_j log zeta_j.  The rationalized small-(g w) form of the score
   is :func:`likelihood_equation_residual`.
-* ``solve_quartic``    - the rationalized score N/D with 1/D expanded as a
+* ``quartic``          - the rationalized score N/D with 1/D expanded as a
   power series in g w, truncated at fourth order in g; solved by
   companion-matrix eigenvalues.
 * ``general_first_order`` / ``first_order`` - the same series truncated at
@@ -45,8 +45,8 @@ from .spectra import MeasurementRecord, pooled_variance, record_moments
 #: Default search bracket for the score root [s].
 DEFAULT_BRACKET = (-1e-15, 1e-15)
 
-#: Default root tolerance on the bracket width [s].  Chosen so that a
-#: zero-delay record resolves to zero at the 1e-12/omega0 level.
+#: Root tolerance on the bracket width [s] of ``solve_exact``.  Chosen so
+#: that a zero-delay record resolves to zero at the 1e-12/omega0 level.
 DEFAULT_TOL = 1e-30
 
 #: Sign constant of the balanced-postselection shortcut estimator.  The raw
@@ -81,20 +81,6 @@ class EstimationResult:
     def __post_init__(self):
         if not np.isfinite(self.tau_hat):
             raise SolverError(f"estimator {self.method} produced non-finite tau")
-
-
-@dataclass(frozen=True)
-class QuarticCoefficients:
-    """Coefficients a g^4 + b g^3 + c g^2 + d g + e of the truncated score."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d, self.e])
 
 
 def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
@@ -272,8 +258,7 @@ def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
 
 
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
-                bracket: tuple[float, float] | None = None,
-                tol: float = DEFAULT_TOL) -> EstimationResult:
+                bracket: tuple[float, float] | None = None) -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
     The residual is evaluated once over a candidate ladder inside the
@@ -281,7 +266,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
     root is bracketed).  At a likelihood maximum the score falls through
     zero, while a likelihood singularity jumps the other way (-inf to
     +inf), so every descending sign change between neighbouring candidates
-    brackets a local maximum.  Each is refined to width ``tol`` by the
+    brackets a local maximum.  Each is refined to width ``DEFAULT_TOL`` by the
     Illinois method, and the root with the highest likelihood wins.  The
     counted bins are prepared once per solve; frequency-dependent weak
     values stay inside the bin sums.
@@ -318,7 +303,8 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
         raise BracketingError("could not bracket a score root inside the search range",
                               lo, hi, float("nan"), float("nan"))
 
-    refined = [_illinois(res, cands[i], cands[i + 1], a[i], b[i], tol) for i in down]
+    refined = [_illinois(res, cands[i], cands[i + 1], a[i], b[i], DEFAULT_TOL)
+               for i in down]
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
     (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
     mom1, mom2 = record_moments(record)
@@ -329,7 +315,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
             "likelihood_residual": float(res(np.array([root]))[0]),  # NaN if singular
             "iterations": iters,
             "bracket_width": width,
-            "final_width": tol,
+            "final_width": DEFAULT_TOL,
             "candidate_roots": len(refined),
             "port_probabilities": (mom1.p0, mom2.p0),
         },
@@ -374,49 +360,29 @@ def _illinois(res, a, b, fa, fb, tol, max_iter=100):
     return 0.5 * (a + b), steps
 
 
-def quartic_coefficients(record: MeasurementRecord,
-                         weak_values: WeakValuePair) -> QuarticCoefficients:
-    """Coefficients of the fourth-order truncation of the rationalized score.
+def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
+    """Real root of the fourth-order truncation of the rationalized score.
 
-    The first five terms of the series of :func:`_score_series`, so the
-    quartic agrees with :func:`likelihood_equation_residual` through g^4
-    and its ratio -e/d is :func:`general_first_order`.  Requires
-    frequency-independent weak values.
+    The coefficients e + d g + c g^2 + b g^3 + a g^4 are the first five
+    terms of the series of :func:`_score_series`, so the quartic agrees with
+    :func:`likelihood_equation_residual` through g^4 and its ratio -e/d is
+    :func:`general_first_order`.  Requires frequency-independent weak
+    values.  The root nearest the hint -e/d wins; the polynomial is
+    rescaled by |hint| (1e-18 s when the hint is zero or not finite) before
+    the companion-matrix eigenvalue solve to keep the wildly mixed
+    coefficient units conditioned.
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
     e, d, c, b, a = (float(x + y) for x, y in zip(*_score_series(record, weak_values, 4)))
-    coeffs = QuarticCoefficients(a=a, b=b, c=c, d=d, e=e)
-    if not np.all(np.isfinite(coeffs.as_array())):
-        raise DegenerateRecordError("quartic coefficients are not finite")
-    if np.all(coeffs.as_array() == 0.0):
-        raise DegenerateRecordError("all-zero record: quartic is degenerate")
-    return coeffs
-
-
-def solve_quartic(coeffs: QuarticCoefficients, hint: float) -> EstimationResult:
-    """Real root of the quartic closest to the hint (first-order estimate).
-
-    The polynomial is rescaled to an O(1) variable before the
-    companion-matrix eigenvalue solve to keep the wildly mixed coefficient
-    units conditioned.
-    """
-    arr = coeffs.as_array()
+    arr = np.array([a, b, c, d, e])
     if not np.all(np.isfinite(arr)):
-        raise SolverError("quartic coefficients are not finite")
-    if coeffs.a == coeffs.b == coeffs.c == 0.0:
-        if coeffs.d == 0.0:
-            raise SolverError("degenerate quartic: no linear term")
-        root = -coeffs.e / coeffs.d
-        return EstimationResult(tau_hat=root, method=Method.QUARTIC,
-                                diagnostics={"real_roots": [root], "hint": hint})
-    scale = abs(hint) if hint else 0.0
-    if not scale:
-        scale = abs(coeffs.e / coeffs.d) if coeffs.d else 1e-18
-    if not np.isfinite(scale) or scale == 0.0:
-        scale = 1e-18
-    scaled = arr * scale ** np.array([4.0, 3.0, 2.0, 1.0, 0.0])
-    roots = np.roots(scaled)
+        raise DegenerateRecordError("quartic coefficients are not finite")
+    if np.all(arr == 0.0):
+        raise DegenerateRecordError("all-zero record: quartic is degenerate")
+    hint = -e / d if d else 0.0
+    scale = abs(hint) if hint and np.isfinite(hint) else 1e-18
+    roots = np.roots(arr * scale ** np.array([4.0, 3.0, 2.0, 1.0, 0.0]))
     mags = np.abs(roots)
     real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(mags, 1e-300)].real * scale
     if real.size == 0:
@@ -425,13 +391,6 @@ def solve_quartic(coeffs: QuarticCoefficients, hint: float) -> EstimationResult:
     return EstimationResult(tau_hat=best, method=Method.QUARTIC,
                             diagnostics={"real_roots": sorted(real.tolist()),
                                          "hint": hint})
-
-
-def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
-    """Convenience wrapper: coefficients + root selection seeded by -e/d."""
-    coeffs = quartic_coefficients(record, weak_values)
-    hint = -coeffs.e / coeffs.d if coeffs.d else 0.0
-    return solve_quartic(coeffs, hint)
 
 
 def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
@@ -462,17 +421,16 @@ def _check_balanced(p1: float, p2: float):
                       stacklevel=3)
 
 
-def jwm_simplified(record: MeasurementRecord,
-                   variance_source: float | None = None) -> EstimationResult:
+def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
     """Balanced-postselection estimate needing no knowledge of phi.
 
     tau = JWM_SIGN * (P_f1 <w>_2 - P_f2 <w>_1) / variance, with the pooled
-    two-port frequency variance as the default divisor and sub-normalized
-    first moments.
+    two-port frequency variance as the divisor and sub-normalized first
+    moments.
     """
     m1, m2 = record_moments(record)
     _check_balanced(m1.p0, m2.p0)
-    var = pooled_variance(record) if variance_source is None else variance_source
+    var = pooled_variance(record)
     if not var > 0:
         raise DegenerateRecordError("spectral variance must be positive")
     tau = JWM_SIGN * (m1.p0 * m2.m1 - m2.p0 * m1.m1) / var
@@ -484,8 +442,7 @@ def jwm_simplified(record: MeasurementRecord,
     )
 
 
-def strubi_reference(record: MeasurementRecord,
-                     omega_stats: tuple[float, float] | None = None) -> EstimationResult:
+def strubi_reference(record: MeasurementRecord) -> EstimationResult:
     """Published alternative balanced-port formula, for comparison only.
 
     tau = 1/4 [ (<w>_2 - <w>_1)/var - (P_f2 - P_f1)/sqrt(var) ] with
@@ -497,13 +454,10 @@ def strubi_reference(record: MeasurementRecord,
     """
     m1, m2 = record_moments(record)
     _check_balanced(m1.p0, m2.p0)
-    if omega_stats is None:
-        var = pooled_variance(record)
-        spread = float(np.sqrt(var))
-    else:
-        var, spread = omega_stats
-    if not (var > 0 and spread > 0):
+    var = pooled_variance(record)
+    if not var > 0:
         raise DegenerateRecordError("spectral variance must be positive")
+    spread = float(np.sqrt(var))
     if m1.p0 == 0 or m2.p0 == 0:
         raise DegenerateRecordError("empty port: barred moments undefined")
     tau = 0.25 * ((m2.m1_bar - m1.m1_bar) / var - (m2.p0 - m1.p0) / spread)
@@ -515,15 +469,14 @@ def strubi_reference(record: MeasurementRecord,
     )
 
 
-def wva_first_order(record: MeasurementRecord, phi: float,
-                    omega0: float | None = None) -> EstimationResult:
+def wva_first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """Unbalanced-regime first-order estimate from normalized moments.
 
     tau = (phi/2) (<w>_1^bar - <w>_2^bar)
           / (<w^2>_1^bar + <w^2>_2^bar - 2 w0 <w>_2^bar)
 
-    omega0 defaults to the bright-port mean <w>_1^bar, which approximates
-    the source mean when the postselection is strongly unbalanced.
+    with w0 the bright-port mean <w>_1^bar, which approximates the source
+    mean when the postselection is strongly unbalanced.
     """
     if not 0.0 < phi < np.pi:
         raise DomainError(f"phi = {phi!r} outside (0, pi)")
@@ -535,7 +488,7 @@ def wva_first_order(record: MeasurementRecord, phi: float,
         raise DegenerateRecordError("empty port 2: barred moments undefined")
     if m1.p0 == 0:
         raise DegenerateRecordError("empty port 1: barred moments undefined")
-    w0 = m1.m1_bar if omega0 is None else omega0
+    w0 = m1.m1_bar
     den = m1.m2_bar + m2.m2_bar - 2.0 * w0 * m2.m1_bar
     if den == 0:
         raise DegenerateRecordError("degenerate record: zero barred denominator")

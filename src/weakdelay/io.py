@@ -90,8 +90,6 @@ def read_record(path) -> MeasurementRecord:
                              metadata={"path": str(path)})
 
 
-_SOURCE_KEYS = {"center_nm", "fwhm_nm", "grid_min_nm", "grid_max_nm",
-                "grid_step_nm", "shape"}
 _QWP_KEYS = {"model", "tau0_fs"}
 _STACK_KEYS = {"h1_mm", "h2_mm", "material"}
 _TOP_KEYS = {"source", "phi_actual_rad", "phi_assumed_rad", "qwp", "photons",
@@ -168,14 +166,9 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
         source = SourceConfig(center_nm=center_nm)
         model = doc.get("model", "ideal")
         tau0_fs = _finite_number(doc, "tau0_fs", None)
-        if model == "dispersive":
-            return default_dispersive_qwp(source) if tau0_fs is None else \
-                QwpModel(variant="dispersive", tau0=tau0_fs * FS)
-        if model not in ("ideal", "absent"):
-            raise FormatError(f"unknown qwp model {model!r}")
-        if tau0_fs is not None:
-            raise FormatError("tau0_fs is only valid for the dispersive model")
-        return QwpModel(variant=model)
+        if model == "dispersive" and tau0_fs is None:
+            return default_dispersive_qwp(source)
+        return QwpModel(variant=model, tau0=None if tau0_fs is None else tau0_fs * FS)
 
 
 def load_config(source) -> tuple[ExperimentConfig, dict]:
@@ -197,8 +190,8 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
 
     with _format_errors("invalid configuration"):
         src_doc = _object(doc, "source", {})
-        _reject_unknown(src_doc, _SOURCE_KEYS, "source")
         defaults = asdict(SourceConfig())
+        _reject_unknown(src_doc, set(defaults), "source")
         source_cfg = SourceConfig(
             **{key: _finite_number(src_doc, key, default)
                for key, default in defaults.items() if key != "shape"},
@@ -217,8 +210,6 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
 
         theta = _finite_number(doc, "theta_rad", None)
         tau_fs = _finite_number(doc, "tau_true_fs", None)
-        if theta is not None and tau_fs is not None:
-            raise FormatError("specify only one of tau_true_fs and theta_rad")
         if theta is None and tau_fs is None:
             tau_fs = 0.0
         if theta is not None and stack is None:

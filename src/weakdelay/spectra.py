@@ -140,14 +140,19 @@ def record_moments(record: MeasurementRecord) -> tuple[SpectralMoments, Spectral
 
 
 def pooled_variance(record: MeasurementRecord) -> float:
-    """Frequency variance of the two ports pooled into one spectrum."""
+    """Frequency variance of the two ports pooled into one spectrum.
+
+    The moments are taken of the offsets from the most heavily weighted
+    bin, so E[d^2] - E[d]^2 keeps its digits (E[w^2] ~ 6e30 would leave a
+    rounding residue of order 1e15) and a one-bin record gives exactly 0.
+    """
     w = record.port1.weights + record.port2.weights
     tot = w.sum()
     if tot <= 0:
         raise DegenerateRecordError("empty record")
-    omega = record.omega
-    mean = (w * omega).sum() / tot
-    return float((w * omega ** 2).sum() / tot - mean ** 2)
+    d = record.omega - record.omega[np.argmax(w)]
+    mean = (w * d).sum() / tot
+    return float((w * d ** 2).sum() / tot - mean ** 2)
 
 
 def zeta(omega, g: float, aw):

@@ -27,8 +27,7 @@ through the dispersion of the indices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,26 +69,24 @@ class TiltAngles:
 
 @dataclass(frozen=True)
 class PlateStack:
-    """Two birefringent plates with crossed axes and a dispersion model.
-
-    index_model maps wavelength [m] to (n_o, n_e, n_avg); the default is the
-    quartz Sellmeier table above.
-    """
+    """Two crystalline quartz plates with crossed axes, thicknesses in m."""
 
     h1: float
     h2: float
-    index_model: Callable[[float], tuple[float, float, float]] = field(default=quartz_indices)
 
     def __post_init__(self):
         if not (self.h1 > 0 and self.h2 > 0):
             raise DomainError("plate thicknesses must be positive")
 
 
-def default_quartz_stack(lambda0_m: float = 780e-9, base_thickness_m: float = 1e-3) -> PlateStack:
-    """Multi-order pair whose thickness difference is a half wave at lambda0."""
+def default_quartz_stack(lambda0_m: float = 780e-9) -> PlateStack:
+    """Multi-order pair whose thickness difference is a half wave at lambda0.
+
+    The thinner plate is 1 mm thick.
+    """
     n_o, n_e, _ = quartz_indices(lambda0_m)
-    return PlateStack(h1=base_thickness_m + lambda0_m / (2.0 * (n_e - n_o)),
-                      h2=base_thickness_m)
+    h2 = 1e-3
+    return PlateStack(h1=h2 + lambda0_m / (2.0 * (n_e - n_o)), h2=h2)
 
 
 def effective_path_length(x: float, y: float, z: float) -> float:
@@ -108,7 +105,7 @@ def effective_path_length(x: float, y: float, z: float) -> float:
     return r2 / norm
 
 
-def single_plate_retardance(lambda_m: float, h: float, indices, tilt: TiltAngles) -> float:
+def single_plate_retardance(lambda_m: float, h: float, tilt: TiltAngles) -> float:
     """Retardance of one plate under oblique incidence.
 
     Built from the exit-point geometry: the ray through a plate of thickness
@@ -116,13 +113,8 @@ def single_plate_retardance(lambda_m: float, h: float, indices, tilt: TiltAngles
 
         delta = 2 pi (n_e - n_o) h cos(psi) /
                 [lambda cos(xi) sqrt(1 - sin^2 xi sin^2 psi)].
-
-    ``indices`` is an index model callable or an explicit (n_o, n_e) pair.
     """
-    if callable(indices):
-        n_o, n_e = indices(lambda_m)[:2]
-    else:
-        n_o, n_e = indices[:2]
+    n_o, n_e, _ = quartz_indices(lambda_m)
     if not h > 0:
         raise DomainError("plate thickness must be positive")
     c_path = effective_path_length(h * np.tan(tilt.xi), h, h * np.tan(tilt.psi))
@@ -140,8 +132,8 @@ def compound_retardance(lambda_m: float, stack: PlateStack, tilt: TiltAngles) ->
             / (lambda sqrt(1 - sin^2 xi sin^2 psi)).
     """
     swapped = TiltAngles(xi=tilt.psi, psi=tilt.xi)
-    return (single_plate_retardance(lambda_m, stack.h1, stack.index_model, tilt)
-            - single_plate_retardance(lambda_m, stack.h2, stack.index_model, swapped))
+    return (single_plate_retardance(lambda_m, stack.h1, tilt)
+            - single_plate_retardance(lambda_m, stack.h2, swapped))
 
 
 def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1) -> float:
@@ -158,7 +150,7 @@ def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1
     if abs(theta) > 0.2:
         warnings.warn(f"pivot angle {theta!r} rad is outside the small-angle regime",
                       stacklevel=2)
-    n_o, n_e, n_avg = stack.index_model(lambda_m)
+    n_o, n_e, n_avg = quartz_indices(lambda_m)
     return sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
         2.0 * C_VACUUM * n_avg ** 2)
 
@@ -167,6 +159,6 @@ def theta_for_delay(tau: float, stack: PlateStack, lambda_m: float) -> float:
     """Pivot angle producing the requested delay (inverse of pivot_delay)."""
     if tau < 0:
         raise DomainError("tau must be nonnegative for the + pivot branch")
-    n_o, n_e, n_avg = stack.index_model(lambda_m)
+    n_o, n_e, n_avg = quartz_indices(lambda_m)
     return float(np.sqrt(2.0 * C_VACUUM * n_avg ** 2 * tau /
                          ((n_e - n_o) * (stack.h1 + stack.h2))))

@@ -341,6 +341,13 @@ class TestAnalyticCommand:
         c = 780.0 * 0.1 / (4 * 17.6 ** 2)
         assert doc["delta_alpha"] == pytest.approx(4 * c * 0.01, rel=1e-9)
 
+    def test_invalid_resolution_factor_exits_1(self, capsys):
+        # every flag is in range, but C >= 1/4 leaves the formula's model
+        code, stdout, err = run(["analytic", "--alpha-min", "--resolution-nm", "100"],
+                                capsys)
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == "ModelError"
+
 
 class TestFlagBoundary:
     """Non-finite float flags and phi flags outside (0, pi) exit 2 before any work."""
@@ -365,10 +372,18 @@ class TestFlagBoundary:
         ["analytic", "--alpha-min", "--epsilon", "nan"],
         ["analytic", "--uncertainty", "--alpha", "nan", "--beta", "0.1"],
         ["analytic", "--alpha-min", "--lambda0-nm", "inf"],
+        ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
+         "--phi-assumed", "0.03", "--trials", "10", "--out", "{out}"],
+        ["snr", "--config", "{config}", "--alphas", "-0.01", "--phi-actual", "0.03",
+         "--phi-assumed", "0.03", "--out", "{out}"],
+        ["analytic", "--uncertainty", "--alpha", "0", "--beta", "1"],
+        ["analytic", "--alpha-min", "--epsilon", "-1"],
+        ["analytic", "--alpha-min", "--lambda0-nm", "-5"],
     ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
             "nan_phi_actual", "nan_alpha", "empty_alphas", "empty_phi_assumed",
             "nan_theta_min", "nan_epsilon",
-            "nan_uncertainty_alpha", "inf_lambda0"])
+            "nan_uncertainty_alpha", "inf_lambda0", "few_trials", "negative_alpha",
+            "zero_uncertainty_alpha", "negative_epsilon", "negative_lambda0"])
     def test_bad_flag_exits_2(self, argv, config_path, tmp_path, capsys):
         record = tmp_path / "rec.csv"
         run(["simulate", "--config", str(config_path), "--out", str(record)], capsys)

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
-                       MeasurementRecord, ModelError,
-                       QuarticCoefficients, QwpModel, SolverError,
+                       MeasurementRecord, ModelError, QwpModel, SolverError,
                        SourceConfig, Spectrum, default_dispersive_qwp,
                        first_order, general_first_order, ideal_weak_values,
                        jwm_simplified, likelihood_equation_residual,
                        likelihood_profile, log_likelihood,
                        pooled_variance, port_projections, prepare_likelihood,
-                       quartic, quartic_coefficients, record_moments, score_residual,
-                       simulate, solve_exact, solve_quartic, strubi_reference,
-                       wva_first_order, wva_mean_shift)
+                       quartic, record_moments, score_residual, simulate,
+                       solve_exact, strubi_reference, wva_first_order,
+                       wva_mean_shift)
+from weakdelay.estimators import _score_series
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
 
@@ -144,9 +144,9 @@ class TestRationalResidual:
         assert abs(likelihood_equation_residual(0.0, rec, jwm_wv)) < 1e-12 * scale
 
     def test_residual_at_zero_equals_linear_coefficient(self, jwm_record, jwm_wv):
-        coeffs = quartic_coefficients(jwm_record, jwm_wv)
+        (e1,), (e2,) = _score_series(jwm_record, jwm_wv, 0)
         res0 = likelihood_equation_residual(0.0, jwm_record, jwm_wv)
-        assert res0 == pytest.approx(coeffs.e, rel=1e-12)
+        assert res0 == pytest.approx(e1 + e2, rel=1e-12)
 
     def test_sign_change_brackets_truth(self, jwm_record, jwm_wv):
         tau = 1e-17
@@ -245,8 +245,8 @@ class TestSolveExact:
 
 class TestQuartic:
     def test_linear_ratio_matches_first_order(self, jwm_record, jwm_wv):
-        coeffs = quartic_coefficients(jwm_record, jwm_wv)
-        assert -coeffs.e / coeffs.d == pytest.approx(
+        # the root-selection hint is -e/d
+        assert quartic(jwm_record, jwm_wv).diagnostics["hint"] == pytest.approx(
             first_order(jwm_record, PHI_JWM).tau_hat, rel=1e-12)
 
     def test_zero_delay_record_selects_zero_root(self):
@@ -282,27 +282,33 @@ class TestQuartic:
         t = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
         vals = [likelihood_equation_residual(h * ti, rec, wv) for ti in t]
         taylor = np.polynomial.polynomial.polyfit(t, vals, 10)[:5] / h ** np.arange(5)
-        coeffs = quartic_coefficients(rec, wv).as_array()[::-1]
+        coeffs = [x + y for x, y in zip(*_score_series(rec, wv, 4))]
         assert coeffs == pytest.approx(taylor, rel=1e-6)
 
     def test_rejects_frequency_dependent_weak_values(self, jwm_record):
         qwp = default_dispersive_qwp()
         wv, _, _ = port_projections(PHI_JWM, jwm_record.omega, qwp)
         with pytest.raises(DomainError):
-            quartic_coefficients(jwm_record, wv)
+            quartic(jwm_record, wv)
 
-    def test_solve_quartic_zero_linear_root(self):
-        res = solve_quartic(QuarticCoefficients(a=1e60, b=0.0, c=1e30, d=-1.0, e=0.0),
-                            hint=0.0)
-        assert res.tau_hat == pytest.approx(0.0, abs=1e-25)
+    def test_real_weak_values_give_zero_root_and_mirror_pair(self):
+        # without a plate Im A = 0, so the constant coefficient is exactly 0:
+        # the hint is 0, the root 0 is exact, and the mirror roots +-tau
+        # show the delay's sign is not identifiable
+        tau = 1e-17
+        qwp = QwpModel(variant="absent")
+        rec = record_at(PHI_JWM, tau, qwp=qwp)
+        res = quartic(rec, port_projections(PHI_JWM, rec.omega, qwp)[0])
+        assert res.tau_hat == 0.0 and res.diagnostics["hint"] == 0.0
+        low, zero, high = res.diagnostics["real_roots"]
+        assert zero == 0.0 and low == pytest.approx(-high, rel=1e-12)
+        assert high == pytest.approx(tau, rel=1e-3)
 
-    def test_solve_quartic_degenerate_linear(self):
-        res = solve_quartic(QuarticCoefficients(a=0, b=0, c=0, d=2.0, e=-3.0), hint=1.0)
-        assert res.tau_hat == pytest.approx(1.5)
-
-    def test_solve_quartic_no_real_roots(self):
+    def test_no_real_roots_raises(self):
+        # strongly unbalanced and outside the deep weak regime
+        rec = record_at(PHI_WVA, 2e-17)
         with pytest.raises(SolverError):
-            solve_quartic(QuarticCoefficients(a=1, b=0, c=0, d=0, e=1), hint=0.0)
+            quartic(rec, ideal_weak_values(PHI_WVA))
 
 
 class TestFirstOrder:
@@ -387,16 +393,20 @@ class TestJwmSimplified:
         with pytest.warns(UserWarning):
             jwm_simplified(rec)
 
-    def test_explicit_variance_input(self):
-        rec = record_at(np.pi / 2, 1e-18)
-        var = pooled_variance(rec)
-        est = jwm_simplified(rec, variance_source=2 * var)
-        assert est.tau_hat == pytest.approx(jwm_simplified(rec).tau_hat / 2, rel=1e-12)
-
-    def test_nonpositive_variance_rejected(self):
-        rec = record_at(np.pi / 2, 1e-18)
-        with pytest.raises(DegenerateRecordError):
-            jwm_simplified(rec, variance_source=0.0)
+    @pytest.mark.parametrize("k,c1,c2", [(1500, 1234567, 89), (2100, 5, 7)])
+    def test_single_bin_record_rejected(self, source, k, c1, c2):
+        # all counts in one bin: the pooled variance is exactly 0, not the
+        # rounding residue of E[w^2] - E[w]^2
+        w1, w2 = np.zeros(source.grid_nm.size), np.zeros(source.grid_nm.size)
+        w1[k], w2[k] = c1, c2
+        rec = MeasurementRecord(port1=Spectrum(source.grid_nm, w1),
+                                port2=Spectrum(source.grid_nm, w2), total_events=c1 + c2)
+        assert pooled_variance(rec) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fn in (jwm_simplified, strubi_reference):
+                with pytest.raises(DegenerateRecordError):
+                    fn(rec)
 
 
 class TestStrubiReference:

@@ -49,25 +49,21 @@ class TestSinglePlate:
     def test_normal_incidence(self):
         n_o, n_e, _ = quartz_indices(LAM)
         h = 0.9e-3
-        delta = single_plate_retardance(LAM, h, quartz_indices, TiltAngles())
+        delta = single_plate_retardance(LAM, h, TiltAngles())
         assert delta == pytest.approx(2 * np.pi * (n_e - n_o) * h / LAM, rel=1e-12)
 
     def test_linear_in_thickness(self):
         tilt = TiltAngles(xi=0.02, psi=0.01)
-        d1 = single_plate_retardance(LAM, 1e-3, quartz_indices, tilt)
-        d2 = single_plate_retardance(LAM, 2e-3, quartz_indices, tilt)
+        d1 = single_plate_retardance(LAM, 1e-3, tilt)
+        d2 = single_plate_retardance(LAM, 2e-3, tilt)
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_small_azimuth_taylor(self):
         # delta(xi) - delta(0) = delta(0) xi^2 / 2 + O(xi^4) at psi = 0
         h, xi = 1e-3, 1e-3
-        d0 = single_plate_retardance(LAM, h, quartz_indices, TiltAngles())
-        dx = single_plate_retardance(LAM, h, quartz_indices, TiltAngles(xi=xi))
+        d0 = single_plate_retardance(LAM, h, TiltAngles())
+        dx = single_plate_retardance(LAM, h, TiltAngles(xi=xi))
         assert abs((dx - d0) - d0 * xi ** 2 / 2) < d0 * xi ** 4
-
-    def test_accepts_explicit_indices(self):
-        delta = single_plate_retardance(LAM, 1e-3, (1.5384, 1.5473), TiltAngles())
-        assert delta == pytest.approx(2 * np.pi * 0.0089 * 1e-3 / LAM, rel=1e-2)
 
 
 class TestCompoundRetardance:
