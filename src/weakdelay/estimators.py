@@ -144,6 +144,27 @@ def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
     return series
 
 
+def _zeta_rows(x, work, p):
+    """zeta, its slope and the rows with a counted bin on a model zero; x is overwritten."""
+    z, slope, mask = work
+    _kernels.zeta(x, p.terms, out=(z, slope))
+    return z, slope, np.less_equal(z, p.terms.null, out=mask).any(axis=1)
+
+
+def _log_likelihood_rows(x, work, p) -> np.ndarray:
+    z, _, singular = _zeta_rows(x, work, p)
+    np.log(z, out=z)
+    z *= p.q
+    return np.where(singular, -np.inf, z.sum(axis=1))
+
+
+def _score_rows(x, work, p) -> np.ndarray:
+    z, slope, singular = _zeta_rows(x, work, p)
+    slope *= p.qw
+    slope /= z
+    return np.where(singular, np.nan, slope.sum(axis=1))
+
+
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
                    weak_values: WeakValuePair | None = None) -> float | np.ndarray:
     """Log-likelihood of delay g, up to a g-independent additive constant.
@@ -154,12 +175,7 @@ def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
     :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
     A 1-D array g gives an array of log-likelihoods.
     """
-    def rows(g, p):
-        z, _ = _kernels.zeta(g * p.omega, p.terms)
-        return np.where(np.any(z <= p.terms.null, axis=1), -np.inf,
-                        (p.q * np.log(z)).sum(axis=1))
-
-    return prepare_likelihood(record, weak_values).rows(g, rows)
+    return prepare_likelihood(record, weak_values).rows(g, _log_likelihood_rows)
 
 
 def score_residual(g: float | np.ndarray, record: MeasurementRecord,
@@ -171,12 +187,7 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
     zero of its reshaping factor (the likelihood is singular there); a 1-D
     array g gives an array with NaN at such delays.
     """
-    def rows(g, p):
-        z, slope = _kernels.zeta(g * p.omega, p.terms)
-        return np.where(np.any(z <= p.terms.null, axis=1), np.nan,
-                        (p.q * p.omega * slope / z).sum(axis=1))
-
-    out = prepare_likelihood(record, weak_values).rows(g, rows)
+    out = prepare_likelihood(record, weak_values).rows(g, _score_rows)
     return _residual(g, out, "likelihood score singular")
 
 
@@ -199,8 +210,7 @@ def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecor
                       stacklevel=2)
     (n0, n1, n2), (u1, u2) = _rational_terms(prepared.aw)
 
-    def rows(g, p):
-        x = g * p.omega
+    def rows(x, work, p):
         num = n0 + n1 * x + n2 * x * x
         den = 1.0 + u1 * x + u2 * x * x
         return np.where(np.any(den <= 0, axis=1), np.nan,
@@ -371,6 +381,11 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     rescaled by |hint| (1e-18 s when the hint is zero or not finite) before
     the companion-matrix eigenvalue solve to keep the wildly mixed
     coefficient units conditioned.
+
+    Real weak values (no analyzer plate) make the score odd in g: e = 0,
+    the root 0 is exact and the record cannot tell the sign of the delay,
+    so they raise DegenerateRecordError naming the mirror pair +-|tau| of
+    the real roots.
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
@@ -387,6 +402,10 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(mags, 1e-300)].real * scale
     if real.size == 0:
         raise SolverError(f"quartic has no real roots (coefficients {arr.tolist()})")
+    if not (np.imag(weak_values.aw1) or np.imag(weak_values.aw2)):
+        raise DegenerateRecordError(
+            f"real weak values: the delay's sign is not identifiable "
+            f"(mirror pair +-{np.max(np.abs(real)):.6g} s)")
     best = float(real[np.argmin(np.abs(real - hint))])
     return EstimationResult(tau_hat=best, method=Method.QUARTIC,
                             diagnostics={"real_roots": sorted(real.tolist()),

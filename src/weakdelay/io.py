@@ -3,7 +3,10 @@
 Record files are plain CSV with header ``wavelength_nm,counts_port1,
 counts_port2``, one row per wavelength bin, wavelengths strictly
 increasing.  Values are written with 17 significant digits so that a
-write/read round trip is lossless for doubles.
+write/read round trip is lossless for doubles.  The reader parses every
+field in one array conversion, which accepts exactly what ``float()``
+accepts, and runs its row checks as column masks; a rejected row is
+reported with its 1-based line number in the file, blank lines counted.
 
 Run configurations are JSON documents mirroring
 :class:`~weakdelay.simulator.ExperimentConfig`.  Every physical quantity
@@ -47,40 +50,27 @@ def write_record(path, record: MeasurementRecord) -> None:
 
 
 def read_record(path) -> MeasurementRecord:
-    """Parse a record CSV, rejecting malformed rows with their row number."""
-    text = _read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse a record CSV, rejecting malformed rows with their line number."""
+    lines = _read_text(path).splitlines()
+    kept = [ln for ln in lines if ln.strip()]
+    if not kept:
         raise FormatError("empty record file")
-    if lines[0].strip() != RECORD_HEADER:
-        raise FormatError(f"bad header; expected {RECORD_HEADER!r}", row=1)
-    lams, c1s, c2s = [], [], []
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 comma-separated fields, got {len(parts)}",
-                              row=idx)
-        try:
-            lam, c1, c2 = (float(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"non-numeric field in {line!r}", row=idx) from None
-        if not (np.isfinite(lam) and np.isfinite(c1) and np.isfinite(c2)):
-            raise FormatError("NaN or infinite value", row=idx)
-        if lam <= 0:
-            raise FormatError(f"nonpositive wavelength {lam!r}", row=idx)
-        if c1 < 0 or c2 < 0:
-            raise FormatError("negative count", row=idx)
-        if lams and lam <= lams[-1]:
-            raise FormatError(f"wavelength {lam!r} not strictly increasing "
-                              f"(previous {lams[-1]!r})", row=idx)
-        lams.append(lam)
-        c1s.append(c1)
-        c2s.append(c2)
-    if len(lams) < 2:
+    if kept[0].strip() != RECORD_HEADER:
+        raise FormatError(f"bad header; expected {RECORD_HEADER!r}",
+                          row=_line_number(lines, 0))
+    body = kept[1:]
+    try:
+        table = _parse_rows(body)
+    except ValueError:
+        # the rows before the first unparsable one parse, and an error
+        # among them comes first
+        k, why = _first_unparsable(body)
+        _check_rows(_parse_rows(body[:k]), lines)
+        raise FormatError(why, row=_line_number(lines, k + 1)) from None
+    _check_rows(table, lines)
+    if len(body) < 2:
         raise FormatError("record needs at least 2 bins")
-    grid = np.array(lams)
-    w1 = np.array(c1s)
-    w2 = np.array(c2s)
+    grid, w1, w2 = table.T.copy()
     total = w1.sum() + w2.sum()
     integral = np.allclose(w1, np.round(w1), atol=1e-9) and \
         np.allclose(w2, np.round(w2), atol=1e-9)
@@ -88,6 +78,59 @@ def read_record(path) -> MeasurementRecord:
     return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
                              total_events=total_events,
                              metadata={"path": str(path)})
+
+
+def _line_number(lines: list[str], k: int) -> int:
+    """1-based line number of the k-th (from 0) non-blank line."""
+    return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
+
+
+def _parse_rows(body: list[str]) -> np.ndarray:
+    """Rows of three numbers as an n x 3 array; ValueError for any other row.
+
+    The rows are joined by a field of their own, "\n", which stays in every
+    fourth place only if each row has three fields; float() and the array
+    parse accept the same text.
+    """
+    if not body:
+        return np.empty((0, 3))
+    fields = ",\n,".join(body).split(",")
+    if len(fields) != 4 * len(body) - 1 or fields[3::4] != ["\n"] * (len(body) - 1):
+        raise ValueError("a row without three fields")
+    del fields[3::4]
+    return np.array(fields, dtype=float).reshape(-1, 3)
+
+
+def _first_unparsable(body: list[str]) -> tuple[int, str]:
+    """Index and error of the first row that is not three numbers."""
+    for k, line in enumerate(body):
+        parts = line.split(",")
+        if len(parts) != 3:
+            return k, f"expected 3 comma-separated fields, got {len(parts)}"
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return k, f"non-numeric field in {line!r}"
+    raise AssertionError("the array parse rejected rows that float() accepts")
+
+
+def _check_rows(table: np.ndarray, lines: list[str]) -> None:
+    """Raise for the first bad row of a parsed table, its first failed check."""
+    lam, c1, c2 = table.T
+    prev = np.concatenate([[-np.inf], lam[:-1]])
+    checks = [
+        (~np.isfinite(table).all(axis=1), lambda k: "NaN or infinite value"),
+        (lam <= 0, lambda k: f"nonpositive wavelength {float(lam[k])!r}"),
+        ((c1 < 0) | (c2 < 0), lambda k: "negative count"),
+        (lam <= prev, lambda k: f"wavelength {float(lam[k])!r} not strictly "
+                                f"increasing (previous {float(prev[k])!r})"),
+    ]
+    failed = np.array([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        k = int(bad[0])
+        message = checks[int(np.argmax(failed[:, k]))][1]
+        raise FormatError(message(k), row=_line_number(lines, k + 1))
 
 
 _QWP_KEYS = {"model", "tau0_fs"}

@@ -13,8 +13,9 @@ The postselected distribution of port j is
     zeta_j     = |cos(g w) - i sin(g w) A_wj|^2
 
 with the exact trigonometric reshaping factor zeta (no small-g expansion
-anywhere in the forward model), evaluated by the likelihood core's
-half-angle form (see :mod:`weakdelay._kernels`).
+anywhere in the forward model), evaluated by the likelihood core as
+floor + (u cos(g w) + v sin(g w))^2 in tangent form (see
+:mod:`weakdelay._kernels`).
 """
 
 from __future__ import annotations

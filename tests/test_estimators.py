@@ -291,18 +291,16 @@ class TestQuartic:
         with pytest.raises(DomainError):
             quartic(jwm_record, wv)
 
-    def test_real_weak_values_give_zero_root_and_mirror_pair(self):
-        # without a plate Im A = 0, so the constant coefficient is exactly 0:
-        # the hint is 0, the root 0 is exact, and the mirror roots +-tau
-        # show the delay's sign is not identifiable
+    def test_real_weak_values_raise_naming_the_mirror_pair(self):
+        # without a plate Im A = 0, so the constant coefficient is exactly 0
+        # and the real roots are 0 and +-tau: the sign is not identifiable
         tau = 1e-17
         qwp = QwpModel(variant="absent")
         rec = record_at(PHI_JWM, tau, qwp=qwp)
-        res = quartic(rec, port_projections(PHI_JWM, rec.omega, qwp)[0])
-        assert res.tau_hat == 0.0 and res.diagnostics["hint"] == 0.0
-        low, zero, high = res.diagnostics["real_roots"]
-        assert zero == 0.0 and low == pytest.approx(-high, rel=1e-12)
-        assert high == pytest.approx(tau, rel=1e-3)
+        with pytest.raises(DegenerateRecordError, match="mirror pair") as exc:
+            quartic(rec, port_projections(PHI_JWM, rec.omega, qwp)[0])
+        mirror = float(str(exc.value).rsplit("+-", 1)[1].split()[0])
+        assert mirror == pytest.approx(tau, rel=1e-3)
 
     def test_no_real_roots_raises(self):
         # strongly unbalanced and outside the deep weak regime

@@ -109,11 +109,15 @@ class TestConfigMutations:
 def record_text(rng, rows=12):
     lam = 700.0 + np.cumsum(rng.uniform(0.1, 1.0, rows))
     counts = rng.integers(0, 50, size=(rows, 2))
-    return [RECORD_HEADER] + [f"{l!r},{a},{b}" for l, (a, b) in zip(lam, counts)]
+    return [RECORD_HEADER] + [f"{float(l)!r},{a},{b}" for l, (a, b) in zip(lam, counts)]
 
 
 def record_mutation(lines, rng):
-    """One seeded corruption of a valid record's lines, as bytes."""
+    """One seeded corruption of a valid record's lines: (bytes, line, kind).
+
+    Kinds 0-5 break the row on 1-based line ``line`` of the file; kinds 6-7
+    insert a byte that is not UTF-8 anywhere (line None).
+    """
     lines = list(lines)
     row = int(rng.integers(2, len(lines)))
     fields = lines[row].split(",")
@@ -136,7 +140,7 @@ def record_mutation(lines, rng):
     if kind >= 6:
         cut = int(rng.integers(len(data)))
         data = data[:cut] + bytes([int(rng.integers(0x80, 0x100))]) + data[cut:]
-    return data
+    return data, (row + 1 if kind < 6 else None), kind
 
 
 class TestRecordMutations:
@@ -144,6 +148,41 @@ class TestRecordMutations:
         rng = np.random.default_rng(11)
         path = tmp_path / "r.csv"
         for _ in range(300):
-            path.write_bytes(record_mutation(record_text(rng), rng))
-            with pytest.raises(FormatError):
+            lines = record_text(rng)
+            path.write_text("\n".join(lines) + "\n")
+            assert read_record(path).grid_nm.size == len(lines) - 1
+            data, line, kind = record_mutation(lines, rng)
+            path.write_bytes(data)
+            with pytest.raises(FormatError) as exc:
                 read_record(path)
+            if line is not None:
+                assert exc.value.row == line, (kind, data)
+
+    def test_earlier_of_two_bad_rows_is_reported(self, tmp_path):
+        # line 4 is reported before line 7, whether the vectorized checks
+        # or the row-by-row parse finds either error
+        rng = np.random.default_rng(12)
+        lines = record_text(rng)
+        path = tmp_path / "r.csv"
+        for early, late in (("701.5,-2,3", "1,2"), ("1,2", "701.5,-2,3"),
+                            ("nan,1,2", "abc,1,2")):
+            bad = list(lines)
+            bad[3], bad[6] = early, late
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(FormatError) as exc:
+                read_record(path)
+            assert exc.value.row == 4, (early, late)
+
+    def test_blank_lines_count_in_the_line_number(self, tmp_path):
+        rng = np.random.default_rng(13)
+        lines = record_text(rng)
+        bad = lines[:4] + ["", "  "] + lines[4:]
+        bad[7] = "abc,1,2"  # line 8 of the file, the 6th non-blank one
+        path = tmp_path / "r.csv"
+        path.write_text("\n\n" + "\n".join(bad) + "\n")
+        with pytest.raises(FormatError, match="non-numeric") as exc:
+            read_record(path)
+        assert exc.value.row == 10
+        path.write_text("\n" + "\n".join(lines[:4] + [""] + lines[4:]) + "\n")
+        rec = read_record(path)
+        assert rec.grid_nm.size == len(lines) - 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakdelay import _kernels
 from weakdelay import (DegenerateRecordError, DomainError, MeasurementRecord,
                        QwpModel, SourceConfig, Spectrum, completeness_defect,
                        ideal_weak_values, make_source, moments,
@@ -76,6 +77,36 @@ class TestZeta:
         omega = 2.4e15
         for g in (x_null + np.linspace(-1e-10, 1e-10, 20001)) / omega:
             assert zeta(omega, g, aw) >= 0.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_tangent_form_against_long_double_reference(self):
+        # |x| up to 3e3 rad is the widest solver bracket, 1e-12 s, times
+        # the largest frequency; next to the odd multiples of pi/2, t = tan x
+        # is largest and cos^2 x = 1/(1 + t^2) smallest
+        rng = np.random.default_rng(17)
+        k = np.arange(-955, 955)
+        poles = ((2 * k + 1) * (np.pi / np.longdouble(2))).astype(float)
+        x = np.concatenate([[0.0], rng.uniform(-3e3, 3e3, 4000),
+                            rng.uniform(-1.0, 1.0, 1000), poles,
+                            np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf)])
+        pairs = [ideal_weak_values(PHI_JWM), ideal_weak_values(0.03),
+                 port_projections(0.9, np.array([2.4e15]),
+                                  QwpModel("dispersive", 3.25e-16))[0],
+                 port_projections(0.9, 2.4e15, QwpModel("absent"))[0]]
+        weak_values = [complex(np.ravel(aw)[0]) for pair in pairs
+                       for aw in (pair.aw1, pair.aw2)]
+        xl = x.astype(np.longdouble)
+        c, s = np.cos(xl), np.sin(xl)
+        for aw in weak_values:
+            terms = _kernels.zeta_terms(aw)
+            z, slope = _kernels.zeta(x, terms)
+            re, im = np.longdouble(aw.real), np.longdouble(aw.imag)
+            z_ref = (c + s * im) ** 2 + (s * re) ** 2
+            slope_ref = 2 * (c + s * im) * (c * im - s) + 2 * re * re * s * c
+            scale = 4 * np.finfo(float).eps * (terms.floor + terms.u ** 2 + terms.v ** 2)
+            assert np.max(np.abs(z - z_ref)) <= scale, aw
+            assert np.max(np.abs(slope - slope_ref)) <= scale, aw
 
 
 class TestPostselectedDistribution:
