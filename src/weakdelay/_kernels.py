@@ -19,11 +19,11 @@ The terms depend on the weak value alone: spectra.zeta keeps them scalar
 for a frequency-independent analyzer; a prepared record holds one per column.
 
 :func:`zeta` evaluates the last form with one tangent per element instead
-of a cosine and a sine: with t = tan(g w) and a = u + v t,
-u cos + v sin = a cos(g w) and cos^2(g w) = 1/(1 + t^2), so
+of a cosine and a sine: with t = tan(g w) and h = u + v t,
+u cos + v sin = h cos(g w) and cos^2(g w) = 1/(1 + t^2), so
 
-    zeta  = floor + a^2 cos^2(g w),
-    zeta' = 2 a (v - u t) cos^2(g w)        (d/dx at x = g w).
+    zeta  = floor + h^2 cos^2(g w),
+    zeta' = 2 h (v - u t) cos^2(g w)        (d/dx at x = g w).
 
 The tangent's argument reduction is as exact as the cosine's, and even at
 the double nearest an odd multiple of pi/2, t^2 is far below overflow;
@@ -116,8 +116,8 @@ def zeta_terms(aw) -> ZetaTerms:
 def zeta(x, terms: ZetaTerms, out=None):
     """Reshaping factor and its derivative d zeta / dx at phase x = g w.
 
-    Tangent form: with t = tan x, a = u + v t and cos^2 x = 1/(1 + t^2),
-    zeta = floor + a^2 cos^2 x and zeta' = 2 a (v - u t) cos^2 x.
+    Tangent form: with t = tan x, h = u + v t and cos^2 x = 1/(1 + t^2),
+    zeta = floor + h^2 cos^2 x and zeta' = 2 h (v - u t) cos^2 x.
     ``out`` = (zeta, slope), two float arrays of the result's shape, takes
     the results without allocating; x, of the same shape, is then
     overwritten as scratch.
@@ -131,15 +131,15 @@ def zeta(x, terms: ZetaTerms, out=None):
     cos2 = np.square(t, out=z)
     cos2 += 1.0
     np.reciprocal(cos2, out=cos2)
-    a = np.multiply(t, terms.v, out=x)
-    a += terms.u
+    h = np.multiply(t, terms.v, out=x)
+    h += terms.u
     np.multiply(t, terms.u, out=slope)
     np.subtract(terms.v, slope, out=slope)
-    slope *= a
+    slope *= h
     slope *= 2.0
     slope *= cos2
-    np.square(a, out=a)
-    np.multiply(a, cos2, out=z)
+    np.square(h, out=h)
+    np.multiply(h, cos2, out=z)
     z += terms.floor
     return z, slope
 
