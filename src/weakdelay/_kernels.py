@@ -59,10 +59,30 @@ at roundoff.  The log-model block is reduced against Q with a BLAS
 mat-vec.  The floor term is raised to ``_Z_FLOOR``, which keeps every zeta
 at or above it, so a grid point on a likelihood singularity reads as a
 huge negative value, never as -inf or as the largest.
+
+The ``_BLOCK * _ANCHOR`` = 512 grid points from one exact-trig anchor to
+the next form an anchor group, the profile's unit of parallel work.
+Groups are dealt round robin to min(usable CPUs, groups) workers, the
+usable CPUs being the affinity mask where the platform has one, else the
+CPU count: the calling thread takes one share and a thread each of the
+others, which run in parallel because NumPy releases the GIL inside the
+ufuncs and the BLAS mat-vec.  Where threads can be pinned, each worker
+runs on its own CPU of the mask (the caller's mask is restored after its
+share): unpinned, the two threads of a 2-core VM often stayed stacked on
+one CPU, handing the GIL back and forth between the short ufunc calls of
+a 1379-column record, and ran no faster than one.  Every group runs the same operations in the
+same order whatever the worker count, so the output is bit-identical to
+the one-worker run, and a grid of one group starts no thread.  The
+cos/sin tables and the prepared columns are shared read-only; each worker
+owns a 32 x N z and scratch workspace (512 N bytes, 2.2 MB for the 4202
+columns of a noise-free record) and writes only its groups' slices of
+the output.  An exception in a worker is raised in the caller.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -153,6 +173,7 @@ class Prepared(NamedTuple):
     aw: np.ndarray
     terms: ZetaTerms
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def rows(self, g, row_values) -> float | np.ndarray:
         """row_values(x, work, self) per block of delays of g; a float for scalar g.
 
@@ -160,18 +181,18 @@ class Prepared(NamedTuple):
         arrays and a bool array of its shape: one workspace, allocated once
         per call, that row_values may overwrite.
         """
-        gs = np.atleast_1d(np.asarray(g, dtype=float))
+        g = np.asarray(g, dtype=float)
+        gs = g.reshape(-1)
+        n = self.omega.size
+        step = max(1, min(gs.size, _CHUNK // max(n, 1)))
+        x, z, slope = np.empty((3, step, n))
+        mask = np.empty((step, n), dtype=bool)
         out = np.empty(gs.size)
-        step = max(1, min(gs.size, _CHUNK // max(self.omega.size, 1)))
-        floats = np.empty((3, step, self.omega.size))
-        mask = np.empty((step, self.omega.size), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, gs.size, step):
-                m = min(step, gs.size - lo)
-                x, z, slope = floats[:, :m]
-                np.multiply(gs[lo:lo + m, None], self.omega, out=x)
-                out[lo:lo + m] = row_values(x, (z, slope, mask[:m]), self)
-        return out if np.ndim(g) else float(out[0])
+        for lo in range(0, gs.size, step):
+            m = min(step, gs.size - lo)
+            np.multiply(gs[lo:lo + m, None], self.omega, out=x[:m])
+            out[lo:lo + m] = row_values(x[:m], (z[:m], slope[:m], mask[:m]), self)
+        return out if g.ndim else float(out[0])
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
@@ -188,31 +209,80 @@ def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarr
     """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
     w, q, _, _, (floor, u, v, _) = prepare(omega, q1, q2, aw1, aw2)
     g0, dg, n_g = float(g0), float(dg), int(n_g)
-    z_min = np.maximum(floor, _Z_FLOOR)
     # zeta = z_min + rc^2 with the phasor (rc, rs) = (u cos x + v sin x,
     # u sin x - v cos x); rows of a block rotate the block's start phasor by
     # the table angle k dg w
     step = dg * w
     table = np.arange(_BLOCK)[:, None] * step
-    cos_t, sin_t = np.cos(table), np.sin(table)
-    cos_b, sin_b = np.cos(_BLOCK * step), np.sin(_BLOCK * step)
+    cos_t = np.cos(table)
+    cols = (w, q, u, v, np.maximum(floor, _Z_FLOOR), cos_t, np.sin(table, out=table),
+            np.cos(_BLOCK * step), np.sin(_BLOCK * step))
+    out = np.empty(n_g)
+    groups = range(0, n_g, _BLOCK * _ANCHOR)
+    cpus = _cpus()
+    workers = min(len(cpus), len(groups)) or 1
+    errors = []
+
+    def work(k):
+        try:
+            _pinned(cpus[k] if workers > 1 else None, _profile_share,
+                    groups[k::workers], g0, dg, cols, out)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _cpus() -> list:
+    """One entry per CPU this process may run on: its number where a thread
+    can be pinned to it, else None."""
+    if hasattr(os, "sched_setaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
+
+
+def _pinned(cpu, fn, *args):
+    """fn(*args) with the calling thread pinned to ``cpu`` (None: left as it is)."""
+    if cpu is None:
+        return fn(*args)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        return fn(*args)
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def _profile_share(starts, g0: float, dg: float, cols, out: np.ndarray) -> None:
+    """Anchor groups of the profile that begin at the grid indices ``starts``."""
+    w, q, u, v, z_min, cos_t, sin_t, cos_b, sin_b = cols
     z = np.empty_like(cos_t)
     tmp = np.empty_like(cos_t)
-    out = np.empty(n_g)
-    for block, lo in enumerate(range(0, n_g, _BLOCK)):
-        if block % _ANCHOR == 0:
-            x = (g0 + lo * dg) * w
-            c, s = np.cos(x), np.sin(x)
-            rc, rs = u * c + v * s, u * s - v * c
-        else:
-            rc, rs = rc * cos_b - rs * sin_b, rs * cos_b + rc * sin_b
-        m = min(_BLOCK, n_g - lo)
-        zm, tm = z[:m], tmp[:m]
-        np.multiply(cos_t[:m], rc, out=zm)
-        np.multiply(sin_t[:m], rs, out=tm)
-        np.subtract(zm, tm, out=zm)
-        np.square(zm, out=zm)
-        np.add(zm, z_min, out=zm)
-        np.log(zm, out=zm)
-        np.dot(zm, q, out=out[lo:lo + m])
-    return out
+    n_g = out.size
+    for start in starts:
+        for block, lo in enumerate(range(start, min(start + _BLOCK * _ANCHOR, n_g), _BLOCK)):
+            if block == 0:
+                x = (g0 + lo * dg) * w
+                c, s = np.cos(x), np.sin(x)
+                rc, rs = u * c + v * s, u * s - v * c
+            else:
+                rc, rs = rc * cos_b - rs * sin_b, rs * cos_b + rc * sin_b
+            m = min(_BLOCK, n_g - lo)
+            zm, tm = z[:m], tmp[:m]
+            np.multiply(cos_t[:m], rc, out=zm)
+            np.multiply(sin_t[:m], rs, out=tm)
+            np.subtract(zm, tm, out=zm)
+            np.square(zm, out=zm)
+            np.add(zm, z_min, out=zm)
+            np.log(zm, out=zm)
+            np.dot(zm, q, out=out[lo:lo + m])

@@ -30,6 +30,7 @@ are never absorbed silently (see ``JWM_SIGN``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,7 +94,7 @@ def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
 
 def _residual(g, out, what: str):
     """Scalar g: ModelError where singular (NaN); array g: NaN marks kept."""
-    if not np.ndim(g) and np.isnan(out):
+    if isinstance(out, float) and math.isnan(out):
         raise ModelError(f"{what} at g = {g!r}")
     return out
 
@@ -145,24 +146,31 @@ def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
 
 
 def _zeta_rows(x, work, p):
-    """zeta, its slope and the rows with a counted bin on a model zero; x is overwritten."""
+    """zeta, its slope and the mask of counted bins on a model zero; x is overwritten."""
     z, slope, mask = work
     _kernels.zeta(x, p.terms, out=(z, slope))
-    return z, slope, np.less_equal(z, p.terms.null, out=mask).any(axis=1)
+    return z, slope, np.less_equal(z, p.terms.null, out=mask)
+
+
+def _singular(sums, mask, sentinel) -> np.ndarray:
+    """sums with ``sentinel`` at the rows that have a counted bin on a model zero."""
+    if mask.any():
+        sums[mask.any(axis=1)] = sentinel
+    return sums
 
 
 def _log_likelihood_rows(x, work, p) -> np.ndarray:
-    z, _, singular = _zeta_rows(x, work, p)
+    z, _, mask = _zeta_rows(x, work, p)
     np.log(z, out=z)
     z *= p.q
-    return np.where(singular, -np.inf, z.sum(axis=1))
+    return _singular(z.sum(axis=1), mask, -np.inf)
 
 
 def _score_rows(x, work, p) -> np.ndarray:
-    z, slope, singular = _zeta_rows(x, work, p)
+    z, slope, mask = _zeta_rows(x, work, p)
     slope *= p.qw
     slope /= z
-    return np.where(singular, np.nan, slope.sum(axis=1))
+    return _singular(slope.sum(axis=1), mask, np.nan)
 
 
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,

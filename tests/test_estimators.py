@@ -1,9 +1,12 @@
 import inspect
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from weakdelay import _kernels
 from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
                        MeasurementRecord, ModelError, QwpModel, SolverError,
                        SourceConfig, Spectrum, default_dispersive_qwp,
@@ -236,7 +239,10 @@ class TestSolveExact:
         assert len(ladders) == 1
         assert [n for name, n in calls if name == "log_likelihood"] == \
             [res.diagnostics["candidate_roots"]]
-        assert 0 < res.diagnostics["iterations"] <= 20
+        # a ladder candidate on an exact zero of the score is the root itself
+        assert 0 <= res.diagnostics["iterations"] <= 20
+        if res.diagnostics["iterations"] == 0:
+            assert res.diagnostics["likelihood_residual"] == 0.0
 
     def test_bad_bracket_ordering(self, jwm_record, jwm_wv):
         with pytest.raises(DomainError):
@@ -604,3 +610,69 @@ class TestDiagnostics:
                 direct = log_likelihood(grid[idx], rec, wv)
                 assert vals[idx] == pytest.approx(direct, abs=1e-10), (n, idx)
 
+
+class TestProfileWorkers:
+    """The profile runs its anchor groups (512 grid points each) on worker
+    threads; its output must not depend on how the groups are shared."""
+
+    @pytest.fixture(scope="class", params=["ideal", "dispersive", "absent"])
+    def analyzer_record(self, request):
+        qwp = default_dispersive_qwp() if request.param == "dispersive" \
+            else QwpModel(variant=request.param)
+        rec = record_at(PHI_WVA, 1e-17, qwp=qwp, source=SourceConfig(grid_step_nm=0.5))
+        return rec, port_projections(PHI_WVA, rec.omega, qwp)[0]
+
+    @staticmethod
+    def profile_on(workers, monkeypatch, rec, wv, n):
+        # workers entries of the usable CPUs, repeated as needed
+        cpus = _kernels._cpus()
+        with monkeypatch.context() as patch:
+            if workers is not None:
+                patch.setattr(_kernels, "_cpus", lambda: (cpus * workers)[:workers])
+            return likelihood_profile(rec, wv, 0.0, 3e-17, n)[1]
+
+    def test_profile_identical_for_any_worker_count(self, analyzer_record, monkeypatch):
+        # one worker (the serial kernel), the default count, and 8 workers:
+        # more than the groups up to 513 points, and more than the cores
+        # with a short switch interval at 100_001 points (196 groups)
+        rec, wv = analyzer_record
+        interval, cpus = sys.getswitchinterval(), _kernels._cpus()
+        for n in (2, 511, 512, 513, 100_001):
+            serial = self.profile_on(1, monkeypatch, rec, wv, n)
+            assert np.array_equal(self.profile_on(None, monkeypatch, rec, wv, n), serial), n
+            sys.setswitchinterval(1e-5)
+            try:
+                many = self.profile_on(8, monkeypatch, rec, wv, n)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(many, serial), n
+        assert _kernels._cpus() == cpus  # the caller's CPU mask is restored
+
+    def test_profile_of_one_group_runs_on_the_calling_thread(self, monkeypatch):
+        share, threads = _kernels._profile_share, []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return share(*args)
+
+        monkeypatch.setattr(_kernels, "_cpus", lambda: [None] * 8)
+        monkeypatch.setattr(_kernels, "_profile_share", recording)
+        rec = record_at(PHI_WVA, 1e-17, source=SourceConfig(grid_step_nm=0.5))
+        likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 3e-17, 512)
+        assert threads == [threading.main_thread()]
+
+    def test_profile_worker_error_reaches_caller(self, monkeypatch):
+        share, raised_in_main = _kernels._profile_share, []
+
+        def failing(starts, *args):
+            if 0 not in starts:  # not the calling thread's share
+                raised_in_main.append(threading.current_thread() is threading.main_thread())
+                raise RuntimeError("share failed")
+            return share(starts, *args)
+
+        monkeypatch.setattr(_kernels, "_cpus", lambda: [None] * 2)
+        monkeypatch.setattr(_kernels, "_profile_share", failing)
+        rec = record_at(PHI_WVA, 1e-17, source=SourceConfig(grid_step_nm=0.5))
+        with pytest.raises(RuntimeError, match="share failed"):
+            likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 3e-17, 2000)
+        assert raised_in_main == [False]
