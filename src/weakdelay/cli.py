@@ -8,7 +8,8 @@ external plotting directly.
 
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
 ``estimate --method all`` puts a failing method's error in its slot of the
-output and exits 1 only when every method failed.
+output and exits 1 only when every method failed.  Each estimate lists its
+regime caveats under ``warnings``.
 
 Flags are checked before a command runs: every float flag and every entry
 of a float list must be finite, and the phi flags (``estimate --phi``,
@@ -17,7 +18,7 @@ of a float list must be finite, and the phi flags (``estimate --phi``,
 JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
 library input from a flag, so a library ``DomainError`` there (too few
 trials, a nonpositive alpha or length, a negative epsilon) is a format
-error too.
+error too, and so is a ``sweep`` angle whose delay overflows a float.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,16 +115,14 @@ def cmd_estimate(args) -> int:
     single = args.method != "all"
     methods = [args.method] if single else [m.value for m in Method]
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for method in methods:
-            try:
-                results.append(io.result_to_dict(_estimate_one(method, record, args, qwp)))
-            except WeakDelayError as exc:
-                if single:
-                    raise
-                results.append({"method": method, "error": {
-                    "type": type(exc).__name__, "message": str(exc)}})
+    for method in methods:
+        try:
+            results.append(io.result_to_dict(_estimate_one(method, record, args, qwp)))
+        except WeakDelayError as exc:
+            if single:
+                raise
+            results.append({"method": method, "error": {
+                "type": type(exc).__name__, "message": str(exc)}})
     print(json.dumps(results[0] if single else results, indent=2))
     return 1 if all("error" in r for r in results) else 0
 
@@ -148,7 +146,8 @@ def cmd_sweep(args) -> int:
     from .waveplate import default_quartz_stack
     stack = config.stack or default_quartz_stack(config.source.center_nm * 1e-9)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    rows = simulator.sweep_theta(thetas, stack, config, mode=args.mode)
+    with io._format_errors("invalid sweep angles"):
+        rows = simulator.sweep_theta(thetas, stack, config, mode=args.mode)
     jwm_mode = Method.JWM_SIMPLIFIED.value in rows[0].estimates
     header = "theta_rad,tau_theory_s,tau_exact_s,tau_first_order_s"
     if jwm_mode:

@@ -43,7 +43,7 @@ from .errors import (BracketingError, DegenerateRecordError, DomainError,
 from .polarization import WeakValuePair, ideal_weak_values
 from .spectra import MeasurementRecord, pooled_variance, record_moments
 
-#: Default search bracket for the score root [s].
+#: Search bracket for the score root [s], widened tenfold up to three times.
 DEFAULT_BRACKET = (-1e-15, 1e-15)
 
 #: Root tolerance on the bracket width [s] of ``solve_exact``.  Chosen so
@@ -73,11 +73,12 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """A delay estimate with method identifier and solver diagnostics."""
+    """A delay estimate with method identifier, diagnostics and regime caveats."""
 
     tau_hat: float
     method: Method
     diagnostics: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not np.isfinite(self.tau_hat):
@@ -213,6 +214,7 @@ def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecor
     an array with NaN at such delays.
     """
     prepared = prepare_likelihood(record, weak_values)
+    # a bare residual has no result to carry a caveat, so it warns
     if np.max(np.abs(g)) * prepared.omega.max() > WEAK_REGIME_MAX_GW:
         warnings.warn("rational residual evaluated outside the weak-measurement regime",
                       stacklevel=2)
@@ -254,12 +256,15 @@ def general_first_order(record: MeasurementRecord,
     c0 = sum_j Im A_j <w>_j and c1 = sum_j [(|A_j|^2 - 1) - 2 (Im A_j)^2]
     <w^2>_j, with sub-normalized moments; any weak values, frequency
     dependent ones included.  A c1 within roundoff (64 eps) of its two port
-    terms, as real weak values give on a zero-delay record, is degenerate.
+    terms, as real weak values give on a zero-delay record, is degenerate,
+    and so are real weak values, whose c0 is exactly 0 whatever the delay.
     """
     (a0, a1), (b0, b1) = _score_series(record, weak_values, 1)
     c0, c1 = a0 + b0, a1 + b1
     if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
         raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
+    if c0 == 0 and weak_values.is_real():
+        raise DegenerateRecordError("real weak values: the constant score term vanishes")
     return float(-c0 / c1)
 
 
@@ -275,24 +280,21 @@ def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
     return np.unique(np.concatenate([allc, [lo, hi]]))
 
 
-def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
-                bracket: tuple[float, float] | None = None) -> EstimationResult:
+def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
-    The residual is evaluated once over a candidate ladder inside the
-    bracket (default ±1e-15 s, widened tenfold up to three times while no
-    root is bracketed).  At a likelihood maximum the score falls through
+    The residual is evaluated once over a candidate ladder inside
+    ``DEFAULT_BRACKET``, widened tenfold up to three times while no root is
+    bracketed.  At a likelihood maximum the score falls through
     zero, while a likelihood singularity jumps the other way (-inf to
     +inf), so every descending sign change between neighbouring candidates
     brackets a local maximum.  Each is refined to width ``DEFAULT_TOL`` by the
     Illinois method, and the root with the highest likelihood wins.  The
     counted bins are prepared once per solve; frequency-dependent weak
-    values stay inside the bin sums.
+    values stay inside the bin sums.  Real weak values (an even likelihood)
+    give the nonnegative member of the mirror pair, with a caveat.
     """
-    explicit = bracket is not None
-    lo, hi = bracket if explicit else DEFAULT_BRACKET
-    if not lo < hi:
-        raise DomainError("bracket must satisfy g_lo < g_hi")
+    lo, hi = DEFAULT_BRACKET
     prepared = prepare_likelihood(record, weak_values)
 
     def res(g):
@@ -308,14 +310,10 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
             lo, hi = lo * 10.0, hi * 10.0
         cands = _candidate_ladder(lo, hi, hint)
         vals = res(cands)
-        # the ladder ends are the bracket ends
-        if explicit and np.sign(vals[0]) * np.sign(vals[-1]) > 0:
-            raise BracketingError("no sign change across requested bracket",
-                                  lo, hi, vals[0], vals[-1])
         a, b = vals[:-1], vals[1:]
         down = np.flatnonzero(np.isfinite(a) & np.isfinite(b)
                               & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))
-        if down.size or explicit:
+        if down.size:
             break
     if not down.size:
         raise BracketingError("could not bracket a score root inside the search range",
@@ -325,6 +323,11 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
                for i in down]
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
     (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
+    caveats = ()
+    if weak_values.is_real():
+        root = abs(root)
+        caveats = (f"real weak values: the delay's sign is not identifiable "
+                   f"(mirror pair +-{root:.6g} s)",)
     mom1, mom2 = record_moments(record)
     return EstimationResult(
         tau_hat=root,
@@ -337,6 +340,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair,
             "candidate_roots": len(refined),
             "port_probabilities": (mom1.p0, mom2.p0),
         },
+        warnings=caveats,
     )
 
 
@@ -410,7 +414,7 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(mags, 1e-300)].real * scale
     if real.size == 0:
         raise SolverError(f"quartic has no real roots (coefficients {arr.tolist()})")
-    if not (np.imag(weak_values.aw1) or np.imag(weak_values.aw2)):
+    if weak_values.is_real():
         raise DegenerateRecordError(
             f"real weak values: the delay's sign is not identifiable "
             f"(mirror pair +-{np.max(np.abs(real)):.6g} s)")
@@ -441,11 +445,11 @@ def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     )
 
 
-def _check_balanced(p1: float, p2: float):
-    if not (0.3 <= p1 <= 0.7 and 0.3 <= p2 <= 0.7):
-        warnings.warn(f"record is not near-balanced (port probabilities "
-                      f"{p1:.3f}/{p2:.3f}); balanced-regime estimators degrade",
-                      stacklevel=3)
+def _balance_caveat(p1: float, p2: float) -> tuple[str, ...]:
+    if 0.3 <= p1 <= 0.7 and 0.3 <= p2 <= 0.7:
+        return ()
+    return (f"record is not near-balanced (port probabilities "
+            f"{p1:.3f}/{p2:.3f}); balanced-regime estimators degrade",)
 
 
 def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
@@ -456,7 +460,6 @@ def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
     moments.
     """
     m1, m2 = record_moments(record)
-    _check_balanced(m1.p0, m2.p0)
     var = pooled_variance(record)
     if not var > 0:
         raise DegenerateRecordError("spectral variance must be positive")
@@ -466,6 +469,7 @@ def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
         method=Method.JWM_SIMPLIFIED,
         diagnostics={"port_probabilities": (m1.p0, m2.p0), "variance": var,
                      "sign_constant": JWM_SIGN},
+        warnings=_balance_caveat(m1.p0, m2.p0),
     )
 
 
@@ -480,7 +484,6 @@ def strubi_reference(record: MeasurementRecord) -> EstimationResult:
     which is the point of carrying it.
     """
     m1, m2 = record_moments(record)
-    _check_balanced(m1.p0, m2.p0)
     var = pooled_variance(record)
     if not var > 0:
         raise DegenerateRecordError("spectral variance must be positive")
@@ -493,6 +496,7 @@ def strubi_reference(record: MeasurementRecord) -> EstimationResult:
         method=Method.STRUBI_REFERENCE,
         diagnostics={"port_probabilities": (m1.p0, m2.p0),
                      "variance": var, "spread": spread},
+        warnings=_balance_caveat(m1.p0, m2.p0),
     )
 
 
@@ -507,9 +511,6 @@ def wva_first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """
     if not 0.0 < phi < np.pi:
         raise DomainError(f"phi = {phi!r} outside (0, pi)")
-    if phi > 0.2:
-        warnings.warn(f"phi = {phi:.3f} rad is outside the unbalanced regime",
-                      stacklevel=2)
     m1, m2 = record_moments(record)
     if m2.p0 == 0:
         raise DegenerateRecordError("empty port 2: barred moments undefined")
@@ -524,6 +525,8 @@ def wva_first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
         tau_hat=tau,
         method=Method.WVA_FIRST_ORDER,
         diagnostics={"port_probabilities": (m1.p0, m2.p0), "omega0": w0},
+        warnings=(f"phi = {phi:.3f} rad is outside the unbalanced regime",)
+        if phi > 0.2 else (),
     )
 
 

@@ -317,4 +317,5 @@ def result_to_dict(result: EstimationResult) -> dict:
         "tau_s": result.tau_hat,
         "tau_fs": result.tau_hat / FS,
         "diagnostics": _json_safe(result.diagnostics),
+        "warnings": list(result.warnings),
     }

@@ -55,6 +55,9 @@ class WeakValuePair:
     def is_frequency_dependent(self) -> bool:
         return np.ndim(self.aw1) > 0 or np.ndim(self.aw2) > 0
 
+    def is_real(self) -> bool:
+        return not (np.any(np.imag(self.aw1)) or np.any(np.imag(self.aw2)))
+
 
 @dataclass(frozen=True)
 class QwpModel:

@@ -17,7 +17,6 @@ package; see the README.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -249,9 +248,7 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
             Method.FIRST_ORDER.value: first_order(record, cfg.phi_for_estimation).tau_hat,
         }
         if mode == "jwm":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                estimates[Method.JWM_SIMPLIFIED.value] = jwm_simplified(record).tau_hat
+            estimates[Method.JWM_SIMPLIFIED.value] = jwm_simplified(record).tau_hat
         rows.append(SweepRow(theta=float(theta), tau_theory=tau_theory,
                              estimates=estimates))
     return rows

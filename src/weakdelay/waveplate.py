@@ -147,12 +147,14 @@ def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    if abs(theta) > 0.2:
+    n_o, n_e, n_avg = quartz_indices(lambda_m)
+    # computed first, so an angle whose square overflows raises without warning
+    tau = sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
+        2.0 * C_VACUUM * n_avg ** 2)
+    if abs(theta) > 0.2:  # a bare float has no result to carry a caveat
         warnings.warn(f"pivot angle {theta!r} rad is outside the small-angle regime",
                       stacklevel=2)
-    n_o, n_e, n_avg = quartz_indices(lambda_m)
-    return sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
-        2.0 * C_VACUUM * n_avg ** 2)
+    return tau
 
 
 def theta_for_delay(tau: float, stack: PlateStack, lambda_m: float) -> float:

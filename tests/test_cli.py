@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ class TestEstimateCommand:
         assert "tau_s" not in results["quartic"]
         assert results["exact"]["tau_fs"] == pytest.approx(0.02, rel=0.01)
         assert all("tau_s" in r for m, r in results.items() if m != "quartic")
+
+    def test_all_methods_carry_caveats_and_leave_stderr_empty(self, tmp_path, capsys):
+        # on an unbalanced record the balanced-port methods name the
+        # imbalance in their JSON; no Python warning reaches stderr
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": 0.03, "tau_true_fs": 0.02}))
+        rec = tmp_path / "r.csv"
+        run(["simulate", "--config", str(cfg), "--out", str(rec)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(["estimate", "--records", str(rec),
+                                     "--phi", "0.03", "--method", "all"], capsys)
+        assert code == 0 and err == ""
+        results = {r["method"]: r for r in json.loads(stdout) if "error" not in r}
+        assert len(results) == 6
+        for method, result in results.items():
+            if method in ("jwm_simplified", "strubi_reference"):
+                assert len(result["warnings"]) == 1
+                assert result["warnings"][0].startswith("record is not near-balanced")
+            else:
+                assert result["warnings"] == []
 
     def test_all_methods_failing_exits_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -369,6 +391,8 @@ class TestFlagBoundary:
          "--phi-assumed", ",", "--out", "{out}"],
         ["sweep", "--config", "{config}", "--theta-min", "nan", "--theta-max", "1e-5",
          "--steps", "2", "--out", "{out}"],
+        ["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e300",
+         "--steps", "2", "--out", "{out}"],
         ["analytic", "--alpha-min", "--epsilon", "nan"],
         ["analytic", "--uncertainty", "--alpha", "nan", "--beta", "0.1"],
         ["analytic", "--alpha-min", "--lambda0-nm", "inf"],
@@ -381,15 +405,17 @@ class TestFlagBoundary:
         ["analytic", "--alpha-min", "--lambda0-nm", "-5"],
     ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
             "nan_phi_actual", "nan_alpha", "empty_alphas", "empty_phi_assumed",
-            "nan_theta_min", "nan_epsilon",
+            "nan_theta_min", "overflowing_theta", "nan_epsilon",
             "nan_uncertainty_alpha", "inf_lambda0", "few_trials", "negative_alpha",
             "zero_uncertainty_alpha", "negative_epsilon", "negative_lambda0"])
     def test_bad_flag_exits_2(self, argv, config_path, tmp_path, capsys):
         record = tmp_path / "rec.csv"
         run(["simulate", "--config", str(config_path), "--out", str(record)], capsys)
         out = tmp_path / "out.csv"
-        code, stdout, err = run([a.format(record=record, config=config_path, out=out)
-                                 for a in argv], capsys)
+        with warnings.catch_warnings():  # a Python warning would be a second line
+            warnings.simplefilter("error")
+            code, stdout, err = run([a.format(record=record, config=config_path, out=out)
+                                     for a in argv], capsys)
         assert code == 2
         assert stdout == "" and not out.exists()
         assert len(err.splitlines()) == 1

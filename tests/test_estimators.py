@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weakdelay import _kernels
-from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
+from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        MeasurementRecord, ModelError, QwpModel, SolverError,
                        SourceConfig, Spectrum, default_dispersive_qwp,
                        first_order, general_first_order, ideal_weak_values,
@@ -114,18 +114,16 @@ class TestArrayEvaluation:
         wv = port_projections(phi, rec.omega, qwp)[0]
         gs = np.concatenate([[0.0], np.linspace(-3e-17, 3e-17, 21), [1e-17]])
         prepared = prepare_likelihood(rec, wv)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for fn in (log_likelihood, score_residual, likelihood_equation_residual):
-                got = fn(gs, rec, wv)
-                want = np.array([self._scalar(fn, g, rec, wv) for g in gs])
-                assert got.shape == gs.shape
-                np.testing.assert_array_equal(got, want, err_msg=fn.__name__)
-                # a prepared record stands in for (record, weak values) exactly
-                np.testing.assert_array_equal(fn(gs, prepared), got, err_msg=fn.__name__)
-                np.testing.assert_array_equal(
-                    [self._scalar(fn, g, prepared, None) for g in gs], want,
-                    err_msg=fn.__name__)
+        for fn in (log_likelihood, score_residual, likelihood_equation_residual):
+            got = fn(gs, rec, wv)
+            want = np.array([self._scalar(fn, g, rec, wv) for g in gs])
+            assert got.shape == gs.shape
+            np.testing.assert_array_equal(got, want, err_msg=fn.__name__)
+            # a prepared record stands in for (record, weak values) exactly
+            np.testing.assert_array_equal(fn(gs, prepared), got, err_msg=fn.__name__)
+            np.testing.assert_array_equal(
+                [self._scalar(fn, g, prepared, None) for g in gs], want,
+                err_msg=fn.__name__)
 
     def test_dark_port_null_row(self):
         wv = ideal_weak_values(PHI_WVA)
@@ -190,6 +188,7 @@ class TestSolveExact:
         res = solve_exact(rec, ideal_weak_values(phi))
         assert res.tau_hat == pytest.approx(tau, rel=1e-6)
         assert res.diagnostics["bracket_width"] > 0
+        assert res.warnings == ()
 
     def test_negative_delay(self):
         rec = record_at(PHI_JWM, -2e-18)
@@ -214,9 +213,23 @@ class TestSolveExact:
         fo = first_order(rec, PHI_WVA).tau_hat
         assert abs(fo - tau) / tau > 0.05
 
-    def test_no_sign_change_raises(self, jwm_record, jwm_wv):
-        with pytest.raises(BracketingError):
-            solve_exact(jwm_record, jwm_wv, bracket=(4e-17, 9e-17))
+    @pytest.mark.parametrize("tau,photons,mirror", [
+        (0.0, 10_000_000, 4.9894878969186465e-18), (-1e-17, 0, 1e-17),
+    ], ids=["seed_320", "noise_free_negative"])
+    def test_real_weak_values_return_nonnegative_mirror_root(self, tau, photons,
+                                                             mirror):
+        # without a plate the log-likelihood is even in g, so the roots +-x
+        # tie; the ranking kept -4.99e-18 s on this 1e7-photon record
+        phi, qwp = 0.8997, QwpModel(variant="absent")
+        cfg = ExperimentConfig(phi_actual=phi, tau_true=tau, photons=photons,
+                               qwp=qwp, seed=320)
+        rec = simulate(cfg)
+        res = solve_exact(rec, port_projections(phi, rec.omega, qwp)[0])
+        assert res.tau_hat >= 0
+        assert res.tau_hat == pytest.approx(mirror, rel=1e-6)
+        assert res.warnings == (
+            f"real weak values: the delay's sign is not identifiable "
+            f"(mirror pair +-{res.tau_hat:.6g} s)",)
 
     def test_one_ladder_scan_and_one_ranking_per_solve(self, jwm_record, jwm_wv,
                                                         monkeypatch):
@@ -243,10 +256,6 @@ class TestSolveExact:
         assert 0 <= res.diagnostics["iterations"] <= 20
         if res.diagnostics["iterations"] == 0:
             assert res.diagnostics["likelihood_residual"] == 0.0
-
-    def test_bad_bracket_ordering(self, jwm_record, jwm_wv):
-        with pytest.raises(DomainError):
-            solve_exact(jwm_record, jwm_wv, bracket=(1e-15, -1e-15))
 
 
 class TestQuartic:
@@ -368,6 +377,15 @@ class TestFirstOrder:
         with pytest.raises(DegenerateRecordError):
             general_first_order(rec, wv)
 
+    def test_general_form_degenerate_for_real_weak_values(self):
+        # Im A = 0 makes c0 exactly 0, so -c0/c1 read -0.0 whatever the delay
+        qwp = QwpModel(variant="absent")
+        rec = record_at(PHI_JWM, 1e-17, qwp=qwp)
+        wv = port_projections(PHI_JWM, rec.omega, qwp)[0]
+        assert solve_exact(rec, wv).tau_hat == pytest.approx(1e-17, rel=1e-6)
+        with pytest.raises(DegenerateRecordError, match="real weak values"):
+            general_first_order(rec, wv)
+
 
 class TestJwmSimplified:
     def test_zero_delay(self):
@@ -393,9 +411,15 @@ class TestJwmSimplified:
         assert abs(num) == pytest.approx(tau * pooled_variance(rec), rel=1e-3)
 
     def test_unbalanced_record_warns(self):
-        rec = record_at(PHI_WVA, 1e-18)
-        with pytest.warns(UserWarning):
-            jwm_simplified(rec)
+        # the balance caveat travels in the result, not as a Python warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [fn(record_at(phi, 1e-18)) for phi in (PHI_WVA, PHI_JWM)
+                       for fn in (jwm_simplified, strubi_reference)]
+        for res in results[:2]:
+            assert res.warnings == ("record is not near-balanced (port probabilities "
+                                    "1.000/0.000); balanced-regime estimators degrade",)
+        assert all(res.warnings == () for res in results[2:])
 
     @pytest.mark.parametrize("k,c1,c2", [(1500, 1234567, 89), (2100, 5, 7)])
     def test_single_bin_record_rejected(self, source, k, c1, c2):
@@ -406,11 +430,9 @@ class TestJwmSimplified:
         rec = MeasurementRecord(port1=Spectrum(source.grid_nm, w1),
                                 port2=Spectrum(source.grid_nm, w2), total_events=c1 + c2)
         assert pooled_variance(rec) == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for fn in (jwm_simplified, strubi_reference):
-                with pytest.raises(DegenerateRecordError):
-                    fn(rec)
+        for fn in (jwm_simplified, strubi_reference):
+            with pytest.raises(DegenerateRecordError):
+                fn(rec)
 
 
 class TestStrubiReference:
@@ -455,9 +477,13 @@ class TestWvaEstimators:
         assert biases[0] < biases[1] < biases[2]
 
     def test_large_phi_warns(self):
+        # the regime caveat travels in the result, not as a Python warning
         rec = record_at(0.5, 1e-19)
-        with pytest.warns(UserWarning):
-            wva_first_order(rec, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = wva_first_order(rec, 0.5)
+        assert res.warnings == ("phi = 0.500 rad is outside the unbalanced regime",)
+        assert wva_first_order(record_at(0.2, 1e-19), 0.2).warnings == ()
 
     def test_mean_shift_zero(self):
         var = 5e26
