@@ -9,7 +9,8 @@ external plotting directly.
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
 ``estimate --method all`` puts a failing method's error in its slot of the
 output and exits 1 only when every method failed.  Each estimate lists its
-regime caveats under ``warnings``.
+regime caveats under ``warnings``, and ``sweep``'s summary line lists the
+small-angle caveats of its angles beyond 0.2 rad under ``warnings``.
 
 Flags are checked before a command runs: every float flag and every entry
 of a float list must be finite, and the phi flags (``estimate --phi``,
@@ -37,7 +38,7 @@ from .constants import FS
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
 from .polarization import port_projections
-from .spectra import pooled_variance, record_moments
+from .spectra import pooled_variance
 
 
 def _add_simulate(sub):
@@ -98,7 +99,7 @@ def _estimate_one(method: str, record, args, qwp):
     if method == Method.WVA_FIRST_ORDER.value:
         return estimators.wva_first_order(record, args.phi)
     if method == Method.WVA_MEAN_SHIFT.value:
-        m1, m2 = record_moments(record)
+        m1, m2 = estimators._barred_moments(record)
         # the analyzer's port-2 weak value at the pooled mean frequency
         aw2 = port_projections(args.phi, m1.m1 + m2.m1, qwp)[0].aw2
         return estimators.wva_mean_shift(
@@ -161,7 +162,8 @@ def cmd_sweep(args) -> int:
             fields.append(f"{row.estimates['jwm_simplified']:.17g}")
         lines.append(",".join(fields))
     Path(args.out).write_text("\n".join(lines) + "\n")
-    print(json.dumps({"rows": len(rows), "out": str(args.out)}))
+    print(json.dumps({"rows": len(rows), "out": str(args.out),
+                      "warnings": [w for row in rows for w in row.warnings]}))
     return 0
 
 

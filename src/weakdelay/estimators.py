@@ -85,12 +85,17 @@ class EstimationResult:
             raise SolverError(f"estimator {self.method} produced non-finite tau")
 
 
+def _require_events(q1: np.ndarray, q2: np.ndarray) -> None:
+    """An empty record (no counts or mass in either port) is degenerate."""
+    if float(q1.sum()) + float(q2.sum()) <= 0:
+        raise DegenerateRecordError("record holds no events")
+
+
 def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
     """(counts, weak value) of port 1 and of port 2; an empty record is degenerate."""
-    if record.total_weight() <= 0:
-        raise DegenerateRecordError("record holds no events")
-    return ((record.port1.weights, weak_values.aw1),
-            (record.port2.weights, weak_values.aw2))
+    q1, q2 = record.port1.weights, record.port2.weights
+    _require_events(q1, q2)
+    return (q1, weak_values.aw1), (q2, weak_values.aw2)
 
 
 def _residual(g, out, what: str):
@@ -123,27 +128,74 @@ def _rational_terms(aw):
     return (im, u2, -u1), (u1, u2)
 
 
-def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
-                  order: int) -> list[list[float]]:
-    """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
+def _series_terms(omega: np.ndarray, weak_values: WeakValuePair,
+                  order: int) -> list[list[tuple]]:
+    """Per-port pairs (w^(k+1), coefficient) of the rationalized score, k = 0..order.
 
     With 1/D = sum_k r_k x^k, r_0 = 1, r_1 = -u1 and r_k = -u1 r_(k-1) -
-    u2 r_(k-2), port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i
-    r_(k-i) (terms of :func:`_rational_terms`).  Returns [port 1's, port
-    2's]; the score's series is their sum.  Zero-count bins add nothing,
-    so every bin is summed unmasked.
+    u2 r_(k-2), the coefficient of g^k is sum_i n_i r_(k-i) (terms of
+    :func:`_rational_terms`).  Returns [port 1's, port 2's]; they depend on
+    the grid and the weak values only, not on the counts.
     """
-    omega = record.omega
     powers = [omega] + [omega ** k for k in range(2, order + 2)]
-    series = []
-    for q, aw in _ports(record, weak_values):
+    terms = []
+    for aw in (weak_values.aw1, weak_values.aw2):
         n, (u1, u2) = _rational_terms(aw)
         r = [1.0, -u1]
         while len(r) <= order:
             r.append(-u1 * r[-1] - u2 * r[-2])
         coefs = [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1)) for k in range(order + 1)]
-        series.append([(q * w * coef).sum() for w, coef in zip(powers, coefs)])
-    return series
+        terms.append(list(zip(powers, coefs)))
+    return terms
+
+
+def _series_sums(terms, q1: np.ndarray, q2: np.ndarray) -> list[list[float]]:
+    """Port j's coefficient of g^k, sum_w Q_j w^(k+1) coef_k, for each pair of ``terms``."""
+    return [[(q * w * coef).sum() for w, coef in port] for q, port in zip((q1, q2), terms)]
+
+
+def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
+                  order: int) -> list[list[float]]:
+    """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
+
+    Port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i r_(k-i)
+    (see :func:`_series_terms`).  Returns [port 1's, port 2's]; the score's
+    series is their sum.  Zero-count bins add nothing, so every bin is
+    summed unmasked.
+    """
+    (q1, _), (q2, _) = _ports(record, weak_values)
+    return _series_sums(_series_terms(record.omega, weak_values, order), q1, q2)
+
+
+def _first_order_ratio(series, weak_values: WeakValuePair) -> float:
+    """-c0/c1 of a first-order series, or DegenerateRecordError (see general_first_order)."""
+    (a0, a1), (b0, b1) = series
+    c0, c1 = a0 + b0, a1 + b1
+    if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
+        raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
+    if c0 == 0 and weak_values.is_real():
+        raise DegenerateRecordError("real weak values: the constant score term vanishes")
+    return float(-c0 / c1)
+
+
+class _FirstOrderForm:
+    """:func:`first_order` for one grid and one pair of weak values, built once.
+
+    Holds the per-port terms of :func:`_series_terms`; calling it on the
+    port counts (q1, q2) of a record on that grid sums them and returns
+    ``first_order``'s delay for that record, bit for bit, with the same
+    empty-record, degeneracy and non-finite checks.  Monte Carlo loops use
+    it to estimate sampled counts without building a record per trial.
+    """
+
+    def __init__(self, omega: np.ndarray, weak_values: WeakValuePair):
+        self.terms = _series_terms(omega, weak_values, 1)
+        self.weak_values = weak_values
+
+    def __call__(self, q1: np.ndarray, q2: np.ndarray) -> float:
+        _require_events(q1, q2)
+        tau = _first_order_ratio(_series_sums(self.terms, q1, q2), self.weak_values)
+        return EstimationResult(tau_hat=tau, method=Method.FIRST_ORDER).tau_hat
 
 
 def _zeta_rows(x, work, p):
@@ -259,13 +311,7 @@ def general_first_order(record: MeasurementRecord,
     terms, as real weak values give on a zero-delay record, is degenerate,
     and so are real weak values, whose c0 is exactly 0 whatever the delay.
     """
-    (a0, a1), (b0, b1) = _score_series(record, weak_values, 1)
-    c0, c1 = a0 + b0, a1 + b1
-    if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
-        raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
-    if c0 == 0 and weak_values.is_real():
-        raise DegenerateRecordError("real weak values: the constant score term vanishes")
-    return float(-c0 / c1)
+    return _first_order_ratio(_score_series(record, weak_values, 1), weak_values)
 
 
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
@@ -500,6 +546,16 @@ def strubi_reference(record: MeasurementRecord) -> EstimationResult:
     )
 
 
+def _barred_moments(record: MeasurementRecord):
+    """Both ports' moments; an empty port, whose barred moments are NaN, is degenerate."""
+    m1, m2 = record_moments(record)
+    if m2.p0 == 0:
+        raise DegenerateRecordError("empty port 2: barred moments undefined")
+    if m1.p0 == 0:
+        raise DegenerateRecordError("empty port 1: barred moments undefined")
+    return m1, m2
+
+
 def wva_first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """Unbalanced-regime first-order estimate from normalized moments.
 
@@ -511,11 +567,7 @@ def wva_first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """
     if not 0.0 < phi < np.pi:
         raise DomainError(f"phi = {phi!r} outside (0, pi)")
-    m1, m2 = record_moments(record)
-    if m2.p0 == 0:
-        raise DegenerateRecordError("empty port 2: barred moments undefined")
-    if m1.p0 == 0:
-        raise DegenerateRecordError("empty port 1: barred moments undefined")
+    m1, m2 = _barred_moments(record)
     w0 = m1.m1_bar
     den = m1.m2_bar + m2.m2_bar - 2.0 * w0 * m2.m1_bar
     if den == 0:

@@ -23,10 +23,11 @@ import numpy as np
 
 from .constants import NM, wavelength_to_angular_frequency
 from .errors import DomainError, ModelError
-from .estimators import Method, first_order, jwm_simplified, solve_exact
-from .polarization import QwpModel, port_projections
+from .estimators import (Method, _FirstOrderForm, first_order, jwm_simplified,
+                         solve_exact)
+from .polarization import QwpModel, ideal_weak_values, port_projections
 from .spectra import MeasurementRecord, Spectrum, postselected_distribution
-from .waveplate import PlateStack, pivot_delay
+from .waveplate import PlateStack, _pivot_delay, pivot_delay
 
 
 #: Largest wavelength grid a source may have.  The default grid has 2101
@@ -166,28 +167,37 @@ def expected_record(config: ExperimentConfig) -> MeasurementRecord:
                              total_events=0, metadata=metadata)
 
 
-def _draw(expected: MeasurementRecord, config: ExperimentConfig,
-          rng: np.random.Generator) -> MeasurementRecord:
-    """Shot-noise record of ``config.photons`` events over the expected ports."""
-    if config.photons == 0:
-        return expected
-    n_bins = expected.omega.size
+def _sampler(expected: MeasurementRecord, config: ExperimentConfig):
+    """Shot-noise sampler of ``config.photons`` events over the expected ports.
+
+    The event probabilities are normalized once.  The returned ``draw(rng)``
+    gives (counts of port 1 then of port 2, total events) from one
+    generator: multinomial at the fixed total, or Poisson per bin, which
+    raises ModelError on an empty draw.  With ``photons == 0`` it gives the
+    expected weights and the noise-free total 0.
+    """
     p = np.concatenate([expected.port1.weights, expected.port2.weights])
+    photons = config.photons
+    if photons == 0:
+        return lambda rng: (p, 0)
     total = p.sum()
     if total <= 0:
         raise ModelError("all-zero event probabilities; nothing to sample")
     if config.noise == "multinomial":
-        counts = rng.multinomial(config.photons, p / total).astype(float)
-        total_events = float(config.photons)
+        pvals = p / total
+
+        def draw(rng):
+            return rng.multinomial(photons, pvals).astype(float), float(photons)
     else:
-        counts = rng.poisson(config.photons * p / total).astype(float)
-        total_events = float(counts.sum())
-        if total_events == 0:
-            raise ModelError("Poisson draw produced an empty record")
-    grid = expected.grid_nm
-    return MeasurementRecord(port1=Spectrum(grid, counts[:n_bins]),
-                             port2=Spectrum(grid, counts[n_bins:]),
-                             total_events=total_events, metadata=dict(expected.metadata))
+        means = photons * p / total
+
+        def draw(rng):
+            counts = rng.poisson(means).astype(float)
+            total_events = float(counts.sum())
+            if total_events == 0:
+                raise ModelError("Poisson draw produced an empty record")
+            return counts, total_events
+    return draw
 
 
 def simulate(config: ExperimentConfig,
@@ -198,18 +208,31 @@ def simulate(config: ExperimentConfig,
     ``default_rng(config.seed)``.  Pass an explicit generator to consume a
     Monte Carlo substream instead.
     """
-    if rng is None and config.photons:
+    expected = expected_record(config)
+    if config.photons == 0:
+        return expected
+    if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _draw(expected_record(config), config, rng)
+    counts, total_events = _sampler(expected, config)(rng)
+    n_bins = expected.omega.size
+    grid = expected.grid_nm
+    return MeasurementRecord(port1=Spectrum(grid, counts[:n_bins]),
+                             port2=Spectrum(grid, counts[n_bins:]),
+                             total_events=total_events, metadata=dict(expected.metadata))
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tilt angle of a theta sweep with per-method estimates [s]."""
+    """One tilt angle of a theta sweep with per-method estimates [s].
+
+    ``warnings`` holds the tilt-to-delay map's small-angle caveat when the
+    angle lies beyond 0.2 rad.
+    """
 
     theta: float
     tau_theory: float
     estimates: dict
+    warnings: tuple[str, ...] = ()
 
 
 def _estimation_weak_values(config: ExperimentConfig, omega: np.ndarray):
@@ -225,7 +248,8 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
     map; a record is simulated and estimated with the exact solver and the
     first-order formula, plus the balanced-postselection shortcut when the
     configuration is balanced (``mode="jwm"``, or ``"auto"`` with phi within
-    0.35 rad of pi/2).
+    0.35 rad of pi/2).  An angle beyond the map's small-angle regime gets
+    its caveat in the row's ``warnings``, not a Python warning.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.size == 0:
@@ -238,7 +262,7 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
     lam0_m = config.source.center_nm * NM
     rows = []
     for i, theta in enumerate(thetas):
-        tau_theory = pivot_delay(float(theta), stack, lam0_m) if theta else 0.0
+        tau_theory, caveats = _pivot_delay(float(theta), stack, lam0_m) if theta else (0.0, ())
         cfg = replace(config, tau_true=tau_theory, theta=None, stack=None)
         rng = np.random.default_rng((config.seed, i))
         record = simulate(cfg, rng)
@@ -250,7 +274,7 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
         if mode == "jwm":
             estimates[Method.JWM_SIMPLIFIED.value] = jwm_simplified(record).tau_hat
         rows.append(SweepRow(theta=float(theta), tau_theory=tau_theory,
-                             estimates=estimates))
+                             estimates=estimates, warnings=caveats))
     return rows
 
 
@@ -274,9 +298,12 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
 
     For each dimensionless delay alpha = w0 tau and each assumed phi, run
     ``trials`` seeded simulations at the actual phi and estimate with the
-    assumed one.  The expected port distributions are built once per
-    alpha; trial k of point (ia, ip) draws from them with the generator
-    ``default_rng((seed, ia, ip, k))``, as ``simulate`` would.
+    assumed one.  Per alpha the expected port distributions and their
+    sampler are built once, and per (alpha, phi) point the first-order
+    form's terms.  Trial k of point (ia, ip) is then a draw with the
+    generator ``default_rng((seed, ia, ip, k))``, as ``simulate`` would
+    make it, and the form's sums over the drawn counts: the same delay as
+    ``first_order(simulate(...), phi)``, with no record built.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
     +inf.
     """
@@ -294,12 +321,14 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
         cfg = replace(config, phi_actual=phi_actual, tau_true=tau,
                       theta=None, stack=None)
         expected = expected_record(cfg)
+        n_bins = expected.omega.size
+        draw = _sampler(expected, cfg)
         for ip, phi_assumed in enumerate(phi_assumed_list):
+            estimate = _FirstOrderForm(expected.omega, ideal_weak_values(phi_assumed))
             errors = np.empty(trials)
             for k in range(trials):
-                rng = np.random.default_rng((config.seed, ia, ip, k))
-                record = _draw(expected, cfg, rng)
-                errors[k] = first_order(record, phi_assumed).tau_hat - tau
+                counts, _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
+                errors[k] = estimate(counts[:n_bins], counts[n_bins:]) - tau
             mse = float(np.mean(errors ** 2))
             snr = np.inf if mse == 0 else 10.0 * np.log10(tau ** 2 / mse)
             points.append(SnrPoint(alpha=float(alpha), snr_db=float(snr),

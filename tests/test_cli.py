@@ -277,6 +277,21 @@ class TestEstimateCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "FormatError"
 
+    def test_wva_mean_shift_empty_dark_port_is_degenerate(self, tmp_path, capsys):
+        # 100 photons at phi = 0.03 leave the dark port empty; its barred
+        # mean is undefined, not a non-finite estimate
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": 0.03, "tau_true_fs": 0.003,
+                                   "photons": 100, "seed": 3}))
+        rec = tmp_path / "r.csv"
+        run(["simulate", "--config", str(cfg), "--out", str(rec)], capsys)
+        assert read_record(rec).port2.total() == 0
+        code, stdout, err = run(["estimate", "--records", str(rec),
+                                 "--method", "wva_mean_shift", "--phi", "0.03"], capsys)
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {"error": "DegenerateRecordError",
+                                   "message": "empty port 2: barred moments undefined"}
+
     def test_model_error_exits_1(self, tmp_path, capsys):
         empty_port = tmp_path / "empty.csv"
         empty_port.write_text("wavelength_nm,counts_port1,counts_port2\n"
@@ -328,6 +343,24 @@ class TestSweepCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "theta_rad,tau_theory_s,tau_exact_s,tau_first_order_s"
+
+
+    def test_wide_angles_report_caveats_as_json(self, tmp_path, capsys):
+        # beyond 0.2 rad the small-angle caveat goes to the summary line,
+        # one per angle, and no Python warning reaches stderr
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": 0.03, "photons": 0}))
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(["sweep", "--config", str(cfg), "--theta-min", "0.3",
+                                     "--theta-max", "10", "--steps", "3",
+                                     "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        caveats = json.loads(stdout)["warnings"]
+        assert len(caveats) == 3
+        assert all("outside the small-angle regime" in c for c in caveats)
+        assert len(out.read_text().splitlines()) == 4
 
 
 class TestSnrCommand:

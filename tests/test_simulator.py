@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,19 @@ class TestSweepTheta:
             sweep_theta([], stack, noise_free_config(PHI_JWM, 0.0))
 
 
+def explicit_loop_snr(cfg, alphas, phis, trials):
+    """snr_sweep's SNRs, from first_order on a fresh simulate per trial."""
+    want = []
+    for ia, alpha in enumerate(alphas):
+        tau = alpha / cfg.source.omega0
+        point_cfg = replace(cfg, tau_true=tau)
+        for ip, phi in enumerate(phis):
+            errors = [first_order(simulate(point_cfg, np.random.default_rng(
+                (cfg.seed, ia, ip, k))), phi).tau_hat - tau for k in range(trials)]
+            want.append(10.0 * np.log10(tau ** 2 / np.mean(np.square(errors))))
+    return want
+
+
 class TestSnrSweep:
     def test_point_layout_and_determinism(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
@@ -173,20 +188,25 @@ class TestSnrSweep:
     def test_equals_explicit_loop_of_simulate(self):
         # one forward model per alpha must draw exactly what a fresh
         # simulate per trial draws from the same substream
-        from dataclasses import replace
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
                                photons=100_000, seed=5, noise="poisson")
         alphas, phis, trials = [0.004, 0.012], [PHI_WVA, 0.05], 30
         pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
-        want = []
-        for ia, alpha in enumerate(alphas):
-            tau = alpha / cfg.source.omega0
-            point_cfg = replace(cfg, tau_true=tau)
-            for ip, phi in enumerate(phis):
-                errors = [first_order(simulate(point_cfg, np.random.default_rng(
-                    (cfg.seed, ia, ip, k))), phi).tau_hat - tau for k in range(trials)]
-                want.append(10.0 * np.log10(tau ** 2 / np.mean(np.square(errors))))
-        assert [p.snr_db for p in pts] == want
+        assert [p.snr_db for p in pts] == explicit_loop_snr(cfg, alphas, phis, trials)
+
+    def test_multinomial_equals_explicit_loop_of_simulate(self):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
+                               photons=200_000, seed=11)
+        alphas, phis, trials = [0.003, 0.015], [PHI_WVA, 0.06], 30
+        pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
+        assert [p.snr_db for p in pts] == explicit_loop_snr(cfg, alphas, phis, trials)
+
+    def test_empty_poisson_draw_raises(self):
+        # one expected photon per trial: some trial of the 30 draws none
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1,
+                               seed=2, noise="poisson")
+        with pytest.raises(ModelError, match="Poisson draw produced an empty record"):
+            snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg)
 
     @pytest.mark.parametrize("alphas, phis", [([], [PHI_WVA]), ([0.01], [])],
                              ids=["no_alphas", "no_phis"])
