@@ -14,7 +14,7 @@ from .errors import (BracketingError, DegenerateRecordError, DomainError,
                      SolverError, WeakDelayError)
 from .io import (load_config, read_record, resolved_config_dict,
                  result_to_dict, write_record)
-from .estimators import (EstimationResult, Method, first_order,
+from .estimators import (EstimationResult, Method, estimate, first_order,
                          general_first_order, jwm_simplified,
                          likelihood_equation_residual, likelihood_profile,
                          log_likelihood, prepare_likelihood, quartic,
@@ -33,7 +33,7 @@ from .spectra import (MeasurementRecord, SpectralMoments, Spectrum,
                       postselection_probabilities_exact, record_moments, zeta)
 from .waveplate import (PlateStack, TiltAngles, compound_retardance,
                         default_quartz_stack, effective_path_length,
-                        pivot_delay, quartz_indices, single_plate_retardance,
-                        theta_for_delay)
+                        pivot_caveats, pivot_delay, quartz_indices,
+                        single_plate_retardance, theta_for_delay)
 
 __version__ = "0.1.0"

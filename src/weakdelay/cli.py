@@ -8,9 +8,11 @@ external plotting directly.
 
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
 ``estimate --method all`` puts a failing method's error in its slot of the
-output and exits 1 only when every method failed.  Each estimate lists its
-regime caveats under ``warnings``, and ``sweep``'s summary line lists the
-small-angle caveats of its angles beyond 0.2 rad under ``warnings``.
+output and exits 1 only when every method failed.  Caveats are JSON fields,
+never Python warnings: each estimate lists its regime caveats under
+``warnings``, ``simulate``'s line lists the tilt-to-delay map's small-angle
+caveat of a pivot-angle configuration under ``warnings``, and ``sweep``'s
+summary line lists that caveat of each of its angles under ``warnings``.
 
 Flags are checked before a command runs: every float flag and every entry
 of a float list must be finite, and the phi flags (``estimate --phi``,
@@ -37,8 +39,6 @@ from . import estimators, io, simulator
 from .constants import FS
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
-from .polarization import port_projections
-from .spectra import pooled_variance
 
 
 def _add_simulate(sub):
@@ -63,7 +63,8 @@ def cmd_simulate(args) -> int:
     sidecar.write_text(json.dumps(resolved, indent=2) + "\n")
     print(json.dumps({"record": str(args.out), "sidecar": str(sidecar),
                       "tau_true_fs": record.metadata["tau_true_s"] / FS,
-                      "total_events": record.total_events}))
+                      "total_events": record.total_events,
+                      "warnings": record.metadata["warnings"]}))
     return 0
 
 
@@ -83,32 +84,6 @@ def _add_estimate(sub):
     p.set_defaults(func=cmd_estimate)
 
 
-def _estimate_one(method: str, record, args, qwp):
-    # only exact, quartic and wva_mean_shift read the analyzer's weak values
-    if method in (Method.EXACT.value, Method.QUARTIC.value):
-        wv, _, _ = port_projections(args.phi, record.omega, qwp)
-        if method == Method.EXACT.value:
-            return estimators.solve_exact(record, wv)
-        return estimators.quartic(record, wv)
-    if method == Method.FIRST_ORDER.value:
-        return estimators.first_order(record, args.phi)
-    if method == Method.JWM_SIMPLIFIED.value:
-        return estimators.jwm_simplified(record)
-    if method == Method.STRUBI_REFERENCE.value:
-        return estimators.strubi_reference(record)
-    if method == Method.WVA_FIRST_ORDER.value:
-        return estimators.wva_first_order(record, args.phi)
-    if method == Method.WVA_MEAN_SHIFT.value:
-        m1, m2 = estimators._barred_moments(record)
-        # the analyzer's port-2 weak value at the pooled mean frequency
-        aw2 = port_projections(args.phi, m1.m1 + m2.m1, qwp)[0].aw2
-        return estimators.wva_mean_shift(
-            delta_omega=m1.m1_bar - m2.m1_bar,
-            im_aw2=abs(np.imag(aw2)),
-            variance=pooled_variance(record))
-    raise FormatError(f"unknown method {method!r}")
-
-
 def cmd_estimate(args) -> int:
     _phi(args.phi, "--phi")
     record = io.read_record(args.records)
@@ -118,7 +93,8 @@ def cmd_estimate(args) -> int:
     results = []
     for method in methods:
         try:
-            results.append(io.result_to_dict(_estimate_one(method, record, args, qwp)))
+            results.append(io.result_to_dict(
+                estimators.estimate(method, record, args.phi, qwp)))
         except WeakDelayError as exc:
             if single:
                 raise

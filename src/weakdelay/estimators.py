@@ -40,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .errors import (BracketingError, DegenerateRecordError, DomainError,
                      ModelError, SolverError)
-from .polarization import WeakValuePair, ideal_weak_values
+from .polarization import QwpModel, WeakValuePair, ideal_weak_values, port_projections
 from .spectra import MeasurementRecord, pooled_variance, record_moments
 
 #: Search bracket for the score root [s], widened tenfold up to three times.
@@ -167,25 +167,14 @@ def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
     return _series_sums(_series_terms(record.omega, weak_values, order), q1, q2)
 
 
-def _first_order_ratio(series, weak_values: WeakValuePair) -> float:
-    """-c0/c1 of a first-order series, or DegenerateRecordError (see general_first_order)."""
-    (a0, a1), (b0, b1) = series
-    c0, c1 = a0 + b0, a1 + b1
-    if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
-        raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
-    if c0 == 0 and weak_values.is_real():
-        raise DegenerateRecordError("real weak values: the constant score term vanishes")
-    return float(-c0 / c1)
-
-
 class _FirstOrderForm:
-    """:func:`first_order` for one grid and one pair of weak values, built once.
+    """:func:`general_first_order` for one grid and one pair of weak values, built once.
 
     Holds the per-port terms of :func:`_series_terms`; calling it on the
-    port counts (q1, q2) of a record on that grid sums them and returns
-    ``first_order``'s delay for that record, bit for bit, with the same
-    empty-record, degeneracy and non-finite checks.  Monte Carlo loops use
-    it to estimate sampled counts without building a record per trial.
+    port counts (q1, q2) of a record on that grid sums them and returns the
+    ratio -c0/c1 after the empty-record, degeneracy and non-finite checks.
+    Monte Carlo loops use it to estimate sampled counts without building a
+    record per trial.
     """
 
     def __init__(self, omega: np.ndarray, weak_values: WeakValuePair):
@@ -194,8 +183,13 @@ class _FirstOrderForm:
 
     def __call__(self, q1: np.ndarray, q2: np.ndarray) -> float:
         _require_events(q1, q2)
-        tau = _first_order_ratio(_series_sums(self.terms, q1, q2), self.weak_values)
-        return EstimationResult(tau_hat=tau, method=Method.FIRST_ORDER).tau_hat
+        (a0, a1), (b0, b1) = _series_sums(self.terms, q1, q2)
+        c0, c1 = a0 + b0, a1 + b1
+        if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
+            raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
+        if c0 == 0 and self.weak_values.is_real():
+            raise DegenerateRecordError("real weak values: the constant score term vanishes")
+        return EstimationResult(tau_hat=float(-c0 / c1), method=Method.FIRST_ORDER).tau_hat
 
 
 def _zeta_rows(x, work, p):
@@ -310,8 +304,10 @@ def general_first_order(record: MeasurementRecord,
     dependent ones included.  A c1 within roundoff (64 eps) of its two port
     terms, as real weak values give on a zero-delay record, is degenerate,
     and so are real weak values, whose c0 is exactly 0 whatever the delay.
+    A non-finite ratio raises SolverError.
     """
-    return _first_order_ratio(_score_series(record, weak_values, 1), weak_values)
+    return _FirstOrderForm(record.omega, weak_values)(record.port1.weights,
+                                                      record.port2.weights)
 
 
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
@@ -491,11 +487,19 @@ def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     )
 
 
-def _balance_caveat(p1: float, p2: float) -> tuple[str, ...]:
-    if 0.3 <= p1 <= 0.7 and 0.3 <= p2 <= 0.7:
-        return ()
-    return (f"record is not near-balanced (port probabilities "
-            f"{p1:.3f}/{p2:.3f}); balanced-regime estimators degrade",)
+def _balanced_regime(record: MeasurementRecord, m1, m2) -> tuple[float, tuple[str, ...]]:
+    """Pooled variance and balance caveat of a balanced-regime estimate.
+
+    A variance that is not positive is degenerate; port probabilities
+    outside [0.3, 0.7] give the caveat.
+    """
+    var = pooled_variance(record)
+    if not var > 0:
+        raise DegenerateRecordError("spectral variance must be positive")
+    if 0.3 <= m1.p0 <= 0.7 and 0.3 <= m2.p0 <= 0.7:
+        return var, ()
+    return var, (f"record is not near-balanced (port probabilities "
+                 f"{m1.p0:.3f}/{m2.p0:.3f}); balanced-regime estimators degrade",)
 
 
 def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
@@ -506,16 +510,14 @@ def jwm_simplified(record: MeasurementRecord) -> EstimationResult:
     moments.
     """
     m1, m2 = record_moments(record)
-    var = pooled_variance(record)
-    if not var > 0:
-        raise DegenerateRecordError("spectral variance must be positive")
+    var, caveats = _balanced_regime(record, m1, m2)
     tau = JWM_SIGN * (m1.p0 * m2.m1 - m2.p0 * m1.m1) / var
     return EstimationResult(
         tau_hat=tau,
         method=Method.JWM_SIMPLIFIED,
         diagnostics={"port_probabilities": (m1.p0, m2.p0), "variance": var,
                      "sign_constant": JWM_SIGN},
-        warnings=_balance_caveat(m1.p0, m2.p0),
+        warnings=caveats,
     )
 
 
@@ -529,20 +531,16 @@ def strubi_reference(record: MeasurementRecord) -> EstimationResult:
     this deviates from ground truth where ``jwm_simplified`` tracks it,
     which is the point of carrying it.
     """
-    m1, m2 = record_moments(record)
-    var = pooled_variance(record)
-    if not var > 0:
-        raise DegenerateRecordError("spectral variance must be positive")
+    m1, m2 = _barred_moments(record)
+    var, caveats = _balanced_regime(record, m1, m2)
     spread = float(np.sqrt(var))
-    if m1.p0 == 0 or m2.p0 == 0:
-        raise DegenerateRecordError("empty port: barred moments undefined")
     tau = 0.25 * ((m2.m1_bar - m1.m1_bar) / var - (m2.p0 - m1.p0) / spread)
     return EstimationResult(
         tau_hat=tau,
         method=Method.STRUBI_REFERENCE,
         diagnostics={"port_probabilities": (m1.p0, m2.p0),
                      "variance": var, "spread": spread},
-        warnings=_balance_caveat(m1.p0, m2.p0),
+        warnings=caveats,
     )
 
 
@@ -600,3 +598,30 @@ def wva_mean_shift(delta_omega: float, im_aw2: float, variance: float) -> Estima
         diagnostics={"delta_omega": delta_omega, "im_aw2": im_aw2,
                      "variance": variance},
     )
+
+
+def estimate(method: Method | str, record: MeasurementRecord, phi: float,
+             qwp: QwpModel) -> EstimationResult:
+    """One method's estimate of the record at assumed offset phi and analyzer ``qwp``.
+
+    Builds the inputs the method reads: the analyzer's weak values on the
+    record's grid for ``exact`` and ``quartic``; for ``wva_mean_shift`` the
+    barred dark-port mean shift, |Im A_w2| at the pooled mean frequency and
+    the pooled variance.  The other methods take phi or the record alone.
+    """
+    method = Method(method)
+    if method in (Method.EXACT, Method.QUARTIC):
+        wv, _, _ = port_projections(phi, record.omega, qwp)
+        return (solve_exact if method is Method.EXACT else quartic)(record, wv)
+    if method is Method.FIRST_ORDER:
+        return first_order(record, phi)
+    if method is Method.JWM_SIMPLIFIED:
+        return jwm_simplified(record)
+    if method is Method.STRUBI_REFERENCE:
+        return strubi_reference(record)
+    if method is Method.WVA_FIRST_ORDER:
+        return wva_first_order(record, phi)
+    m1, m2 = _barred_moments(record)
+    aw2 = port_projections(phi, m1.m1 + m2.m1, qwp)[0].aw2
+    return wva_mean_shift(delta_omega=m1.m1_bar - m2.m1_bar, im_aw2=abs(np.imag(aw2)),
+                          variance=pooled_variance(record))

@@ -23,11 +23,10 @@ import numpy as np
 
 from .constants import NM, wavelength_to_angular_frequency
 from .errors import DomainError, ModelError
-from .estimators import (Method, _FirstOrderForm, first_order, jwm_simplified,
-                         solve_exact)
+from .estimators import Method, _FirstOrderForm, estimate
 from .polarization import QwpModel, ideal_weak_values, port_projections
 from .spectra import MeasurementRecord, Spectrum, postselected_distribution
-from .waveplate import PlateStack, _pivot_delay, pivot_delay
+from .waveplate import PlateStack, pivot_caveats, pivot_delay
 
 
 #: Largest wavelength grid a source may have.  The default grid has 2101
@@ -148,7 +147,10 @@ def expected_record(config: ExperimentConfig) -> MeasurementRecord:
     """Noise-free record: the expected port distributions of the configuration.
 
     Each port holds |<f_j|i>|^2 P_0(w) zeta_j(w, tau) per bin, so the two
-    ports sum to 1; ``total_events`` is 0, the noise-free sentinel.
+    ports sum to 1; ``total_events`` is 0, the noise-free sentinel.  The
+    metadata holds the delay under ``tau_true_s`` and, for a pivot-angle
+    configuration, the tilt-to-delay map's small-angle caveat under
+    ``warnings`` (a list, empty when the map is trusted).
     """
     source = make_source(config.source)
     tau = config.delay()
@@ -161,6 +163,7 @@ def expected_record(config: ExperimentConfig) -> MeasurementRecord:
         "photons": config.photons,
         "noise": config.noise,
         "tau_true_s": tau,
+        "warnings": [] if config.theta is None else list(pivot_caveats(config.theta)),
     }
     return MeasurementRecord(port1=postselected_distribution(source, tau, wv.aw1, ov1),
                              port2=postselected_distribution(source, tau, wv.aw2, ov2),
@@ -225,8 +228,8 @@ def simulate(config: ExperimentConfig,
 class SweepRow:
     """One tilt angle of a theta sweep with per-method estimates [s].
 
-    ``warnings`` holds the tilt-to-delay map's small-angle caveat when the
-    angle lies beyond 0.2 rad.
+    ``warnings`` holds the caveats of the angle's simulated record: the
+    tilt-to-delay map's small-angle caveat where the map is not trusted.
     """
 
     theta: float
@@ -235,21 +238,17 @@ class SweepRow:
     warnings: tuple[str, ...] = ()
 
 
-def _estimation_weak_values(config: ExperimentConfig, omega: np.ndarray):
-    wv, _, _ = port_projections(config.phi_for_estimation, omega, config.qwp)
-    return wv
-
-
 def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
                 mode: str = "auto") -> list[SweepRow]:
     """Reproduce the tilt-sweep comparison of estimators against theory.
 
-    For each pivot angle the ground-truth delay comes from the tilt-to-delay
-    map; a record is simulated and estimated with the exact solver and the
-    first-order formula, plus the balanced-postselection shortcut when the
-    configuration is balanced (``mode="jwm"``, or ``"auto"`` with phi within
-    0.35 rad of pi/2).  An angle beyond the map's small-angle regime gets
-    its caveat in the row's ``warnings``, not a Python warning.
+    Each pivot angle and ``stack`` replace the configuration's delay, so
+    the simulated record carries the tilt-to-delay map's delay and its
+    small-angle caveat in its metadata; the row reads both back from it
+    (the caveat as data, not a Python warning).  The record is estimated
+    with the exact solver and the first-order formula, plus the
+    balanced-postselection shortcut when the configuration is balanced
+    (``mode="jwm"``, or ``"auto"`` with phi within 0.35 rad of pi/2).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.size == 0:
@@ -259,22 +258,17 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
     if mode not in ("jwm", "wva"):
         raise DomainError(f"unknown sweep mode {mode!r}")
 
-    lam0_m = config.source.center_nm * NM
+    methods = [Method.EXACT, Method.FIRST_ORDER]
+    if mode == "jwm":
+        methods.append(Method.JWM_SIMPLIFIED)
     rows = []
     for i, theta in enumerate(thetas):
-        tau_theory, caveats = _pivot_delay(float(theta), stack, lam0_m) if theta else (0.0, ())
-        cfg = replace(config, tau_true=tau_theory, theta=None, stack=None)
-        rng = np.random.default_rng((config.seed, i))
-        record = simulate(cfg, rng)
-        wv = _estimation_weak_values(cfg, record.omega)
-        estimates = {
-            Method.EXACT.value: solve_exact(record, wv).tau_hat,
-            Method.FIRST_ORDER.value: first_order(record, cfg.phi_for_estimation).tau_hat,
-        }
-        if mode == "jwm":
-            estimates[Method.JWM_SIMPLIFIED.value] = jwm_simplified(record).tau_hat
-        rows.append(SweepRow(theta=float(theta), tau_theory=tau_theory,
-                             estimates=estimates, warnings=caveats))
+        cfg = replace(config, tau_true=None, theta=float(theta), stack=stack)
+        record = simulate(cfg, np.random.default_rng((config.seed, i)))
+        estimates = {m.value: estimate(m, record, cfg.phi_for_estimation, cfg.qwp).tau_hat
+                     for m in methods}
+        rows.append(SweepRow(theta=float(theta), tau_theory=record.metadata["tau_true_s"],
+                             estimates=estimates, warnings=tuple(record.metadata["warnings"])))
     return rows
 
 

@@ -26,7 +26,6 @@ through the dispersion of the indices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,23 +135,6 @@ def compound_retardance(lambda_m: float, stack: PlateStack, tilt: TiltAngles) ->
             - single_plate_retardance(lambda_m, stack.h2, swapped))
 
 
-def _pivot_delay(theta: float, stack: PlateStack, lambda_m: float,
-                 sign: int = +1) -> tuple[float, tuple[str, ...]]:
-    """:func:`pivot_delay`'s delay and its small-angle caveat, without a warning.
-
-    The caveat tuple is empty for |theta| up to 0.2 rad.
-    """
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    n_o, n_e, n_avg = quartz_indices(lambda_m)
-    # computed first, so an angle whose square overflows raises without a caveat
-    tau = sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
-        2.0 * C_VACUUM * n_avg ** 2)
-    if abs(theta) > 0.2:
-        return tau, (f"pivot angle {theta!r} rad is outside the small-angle regime",)
-    return tau, ()
-
-
 def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1) -> float:
     """Time delay induced by pivoting the second plate by theta [rad].
 
@@ -160,13 +142,21 @@ def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1
     average index evaluated at lambda_m.  sign = +1 corresponds to a pivot
     in the azimuth plane (psi = 0) and sign = -1 to the elevation plane.
     Equals the oblique-incidence retardance excess divided by the optical
-    frequency; wavelength enters only through the index dispersion.
-    Warns beyond 0.2 rad, where the small-angle map is not trusted.
+    frequency; wavelength enters only through the index dispersion.  The
+    formula only: :func:`pivot_caveats` says where it is not trusted.
     """
-    tau, caveats = _pivot_delay(theta, stack, lambda_m, sign)
-    for caveat in caveats:  # a bare float has no result to carry a caveat
-        warnings.warn(caveat, stacklevel=2)
-    return tau
+    if sign not in (+1, -1):
+        raise DomainError("sign must be +1 or -1")
+    n_o, n_e, n_avg = quartz_indices(lambda_m)
+    return sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
+        2.0 * C_VACUUM * n_avg ** 2)
+
+
+def pivot_caveats(theta: float) -> tuple[str, ...]:
+    """Small-angle caveat of :func:`pivot_delay` at theta; empty up to 0.2 rad."""
+    if abs(theta) > 0.2:
+        return (f"pivot angle {theta!r} rad is outside the small-angle regime",)
+    return ()
 
 
 def theta_for_delay(tau: float, stack: PlateStack, lambda_m: float) -> float:

@@ -60,6 +60,24 @@ class TestSimulateCommand:
         run(["simulate", "--config", str(cfg), "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pivot_caveat_is_a_json_field(self, config_path, tmp_path, capsys):
+        # beyond 0.2 rad the small-angle caveat goes to the JSON line and
+        # no Python warning reaches stderr; a tau_true_fs config has none
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi_actual_rad": 1.6407963267948966,
+                                   "theta_rad": 0.5, "photons": 0, "seed": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(["simulate", "--config", str(cfg),
+                                     "--out", str(tmp_path / "a.csv")], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["warnings"] == [
+            "pivot angle 0.5 rad is outside the small-angle regime"]
+        code, stdout, err = run(["simulate", "--config", str(config_path),
+                                 "--out", str(tmp_path / "b.csv")], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["warnings"] == []
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"phi_rad": 1.0}))

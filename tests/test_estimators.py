@@ -8,9 +8,10 @@ import pytest
 
 from weakdelay import _kernels
 from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
-                       MeasurementRecord, ModelError, QwpModel, SolverError,
-                       SourceConfig, Spectrum, default_dispersive_qwp,
-                       first_order, general_first_order, ideal_weak_values,
+                       MeasurementRecord, Method, ModelError, QwpModel,
+                       SolverError, SourceConfig, Spectrum,
+                       default_dispersive_qwp, estimate, first_order,
+                       general_first_order, ideal_weak_values,
                        jwm_simplified, likelihood_equation_residual,
                        likelihood_profile, log_likelihood,
                        pooled_variance, port_projections, prepare_likelihood,
@@ -257,6 +258,26 @@ class TestSolveExact:
         if res.diagnostics["iterations"] == 0:
             assert res.diagnostics["likelihood_residual"] == 0.0
 
+    @pytest.mark.parametrize("tau", [1.5e-15, -1.2e-15])
+    def test_bracket_widens_once_past_default(self, tau, monkeypatch):
+        # on a 1550 nm grid no root lies inside +-1e-15 s, so the ladder is
+        # scanned a second time over the tenfold bracket
+        import weakdelay.estimators as est
+        source = SourceConfig(center_nm=1550, fwhm_nm=30, grid_min_nm=1400,
+                              grid_max_nm=1700)
+        rec = simulate(ExperimentConfig(phi_actual=0.3, tau_true=tau, photons=0,
+                                        source=source))
+        sizes = []
+
+        def counting(g, *args):
+            sizes.append(np.size(g))
+            return score_residual(g, *args)
+
+        monkeypatch.setattr(est, "score_residual", counting)
+        res = est.solve_exact(rec, ideal_weak_values(0.3))
+        assert res.tau_hat == pytest.approx(tau, rel=1e-6)
+        assert len([n for n in sizes if n > 1]) == 2
+
 
 class TestQuartic:
     def test_linear_ratio_matches_first_order(self, jwm_record, jwm_wv):
@@ -455,6 +476,14 @@ class TestStrubiReference:
         assert jwm_err < 0.05
         assert strubi_err > 10 * jwm_err
 
+    def test_empty_port_is_named(self):
+        grid = np.array([700.0, 701.0])
+        rec = MeasurementRecord(port1=Spectrum(grid, np.array([5.0, 5.0])),
+                                port2=Spectrum(grid, np.zeros(2)), total_events=10)
+        with pytest.raises(DegenerateRecordError,
+                           match="^empty port 2: barred moments undefined$"):
+            strubi_reference(rec)
+
 
 class TestWvaEstimators:
     def test_zero_delay(self):
@@ -608,6 +637,27 @@ class TestEstimatorFamilyProperties:
             step = grid[1] - grid[0]
             g_star = grid[int(np.argmax(vals))]
             assert abs(est - g_star) <= step, (phi, tau)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("phi", [PHI_JWM, PHI_WVA], ids=["balanced", "unbalanced"])
+def test_estimate_equals_direct_call(method, phi):
+    rec, qwp = record_at(phi, 1e-18), QwpModel()
+    wv = port_projections(phi, rec.omega, qwp)[0]
+    m1, m2 = record_moments(rec)
+    direct = {
+        Method.EXACT: lambda: solve_exact(rec, wv),
+        Method.QUARTIC: lambda: quartic(rec, wv),
+        Method.FIRST_ORDER: lambda: first_order(rec, phi),
+        Method.JWM_SIMPLIFIED: lambda: jwm_simplified(rec),
+        Method.STRUBI_REFERENCE: lambda: strubi_reference(rec),
+        Method.WVA_FIRST_ORDER: lambda: wva_first_order(rec, phi),
+        Method.WVA_MEAN_SHIFT: lambda: wva_mean_shift(
+            m1.m1_bar - m2.m1_bar,
+            abs(port_projections(phi, m1.m1 + m2.m1, qwp)[0].aw2.imag),
+            pooled_variance(rec)),
+    }[method]
+    assert repr(estimate(method.value, rec, phi, qwp)) == repr(direct())
 
 
 class TestDiagnostics:

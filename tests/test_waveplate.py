@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from weakdelay import (DomainError, PlateStack, TiltAngles,
                        compound_retardance, default_quartz_stack,
-                       effective_path_length, pivot_delay, quartz_indices,
-                       single_plate_retardance, theta_for_delay)
+                       effective_path_length, pivot_caveats, pivot_delay,
+                       quartz_indices, single_plate_retardance, theta_for_delay)
 from weakdelay.constants import C_VACUUM
 
 LAM = 780e-9
@@ -122,8 +124,14 @@ class TestPivotDelay:
         assert pivot_delay(theta, stack, LAM) == pytest.approx(excess / omega, rel=1e-2)
 
     def test_large_angle_warns(self, stack):
-        with pytest.warns(UserWarning):
+        # the small-angle caveat is data, not a Python warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pivot_delay(0.3, stack, LAM)
+        for theta in (0.3, -0.3):
+            (caveat,) = pivot_caveats(theta)
+            assert caveat.startswith(f"pivot angle {theta!r} rad")
+        assert pivot_caveats(0.2) == pivot_caveats(-0.2) == ()
 
     def test_theta_for_delay_round_trip(self, stack):
         tau = 1e-17
