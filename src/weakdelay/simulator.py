@@ -297,7 +297,9 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     form's terms.  Trial k of point (ia, ip) is then a draw with the
     generator ``default_rng((seed, ia, ip, k))``, as ``simulate`` would
     make it, and the form's sums over the drawn counts: the same delay as
-    ``first_order(simulate(...), phi)``, with no record built.
+    ``first_order(simulate(...), phi)``, with no record built.  A
+    noise-free configuration (``photons`` 0) has one error per point, the
+    first-order bias on the expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
     +inf.
     """
@@ -319,8 +321,9 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
         draw = _sampler(expected, cfg)
         for ip, phi_assumed in enumerate(phi_assumed_list):
             estimate = _FirstOrderForm(expected.omega, ideal_weak_values(phi_assumed))
-            errors = np.empty(trials)
-            for k in range(trials):
+            # noise-free trials all draw the expected counts: one is enough
+            errors = np.empty(1 if config.photons == 0 else trials)
+            for k in range(errors.size):
                 counts, _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
                 errors[k] = estimate(counts[:n_bins], counts[n_bins:]) - tau
             mse = float(np.mean(errors ** 2))

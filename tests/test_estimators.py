@@ -686,6 +686,55 @@ class TestDiagnostics:
                 direct = log_likelihood(grid[idx], rec, wv)
                 assert vals[idx] == pytest.approx(direct, abs=1e-10), (n, idx)
 
+    def test_profile_matches_pointwise_likelihood_on_random_records(self):
+        # interpolated and exact columns alike: 40 seeded records over all
+        # three analyzers and three photon counts, on grids that hold the
+        # delay, zero and the dark port's null at the central frequency
+        rng = np.random.default_rng(1414)
+        for k in range(40):
+            phi = rng.uniform(0.011, np.pi - 0.011)
+            tau = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-19, np.log10(2e-16)))
+            kind = ("ideal", "dispersive", "absent")[k % 3]
+            qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel(variant=kind)
+            photons = (0, 10_000, 10_000_000)[k // 3 % 3]
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=tau, photons=photons,
+                                            seed=k, qwp=qwp))
+            wv = port_projections(phi, rec.omega, qwp)[0]
+            mid = rec.omega.size // 2
+            dark = max((np.broadcast_to(a, rec.omega.shape)[mid] for a in (wv.aw1, wv.aw2)),
+                       key=abs)
+            terms = _kernels.zeta_terms(dark)
+            x_null = np.remainder(np.arctan2(terms.v, terms.u), np.pi) - 0.5 * np.pi
+            ends = (0.0, 2.0 * tau, float(x_null / rec.omega[mid]))
+            span = max(ends) - min(ends)
+            # random margins: a bin whose wavelength is a simple multiple
+            # of the central one would put the grid's end on its null
+            g_lo, g_hi = min(ends) - span * rng.uniform(0.05, 0.2), \
+                max(ends) + span * rng.uniform(0.05, 0.2)
+            n = 100_000
+            grid, vals = likelihood_profile(rec, wv, g_lo, g_hi, n)
+            tol = 1e-10 * rec.total_weight()
+            picks = np.unique(np.concatenate([[0, n - 1, int(np.argmax(vals))],
+                                              rng.integers(0, n, 60)]))
+            assert picks.size >= 60
+            for idx in picks:
+                direct = log_likelihood(grid[idx], rec, wv)
+                assert vals[idx] == pytest.approx(direct, abs=tol), (k, idx)
+
+    def test_profile_on_a_counted_null_reads_finite_and_low(self):
+        # the dark port's weak value -i cot(phi/2) zeroes zeta at
+        # w g = phi/2: a grid starting there reads a finite value far
+        # below its neighbour, where the likelihood itself is -inf
+        rec = simulate(ExperimentConfig(phi_actual=PHI_WVA, tau_true=1e-17,
+                                        photons=10_000_000, seed=5))
+        wv = ideal_weak_values(PHI_WVA)
+        j = int(np.argmax(rec.port2.weights))
+        g_null = 0.5 * PHI_WVA / rec.omega[j]
+        grid, vals = likelihood_profile(rec, wv, g_null, g_null + 1e-19, 1001)
+        assert log_likelihood(g_null, rec, wv) == -np.inf
+        assert np.isfinite(vals[0])
+        assert vals[0] < vals[1] - 20.0 * rec.port2.weights[j]
+
 
 class TestProfileWorkers:
     """The profile runs its anchor groups (512 grid points each) on worker
@@ -752,3 +801,23 @@ class TestProfileWorkers:
         with pytest.raises(RuntimeError, match="share failed"):
             likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 3e-17, 2000)
         assert raised_in_main == [False]
+
+    def test_profile_exact_kernel_only_near_nulls(self, monkeypatch):
+        # grid points x columns handed to the rotation kernel: none for a
+        # balanced record, about 1% for an unbalanced one, around its dark
+        # port's nulls (w g = 0.015: 5.5e-18 to 7.2e-18 s)
+        share, work = _kernels._profile_share, []
+
+        def counting(starts, g0, dg, groups, out):
+            work.extend((groups[s][0] - s) * groups[s][1][0].size for s in starts)
+            return share(starts, g0, dg, groups, out)
+
+        monkeypatch.setattr(_kernels, "_profile_share", counting)
+        n = 100_000
+        likelihood_profile(record_at(PHI_JWM, 1e-17), ideal_weak_values(PHI_JWM),
+                           0.0, 2e-17, n)
+        assert sum(work) == 0
+        rec = record_at(PHI_WVA, 1e-17)
+        columns = np.count_nonzero(rec.port1.weights) + np.count_nonzero(rec.port2.weights)
+        likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 2e-17, n)
+        assert 0 < sum(work) < 0.05 * n * columns

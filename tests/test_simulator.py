@@ -9,6 +9,8 @@ from weakdelay import (DomainError, ExperimentConfig, ModelError,
                        pivot_delay, postselection_probabilities_exact,
                        resolution_factor, simulate, snr_sweep, sweep_theta,
                        wva_uncertainty)
+from weakdelay import simulator
+from weakdelay.simulator import expected_record
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
 
@@ -225,6 +227,32 @@ class TestSnrSweep:
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
         with pytest.raises(DomainError):
             snr_sweep([0.005], PHI_WVA, [PHI_WVA], 10, cfg)
+
+    def test_noise_free_point_is_the_first_order_bias(self, monkeypatch):
+        # photons 0: every trial would draw the expected counts, so each
+        # point draws once and its SNR is that of the first-order bias
+        draws = []
+        sampler = simulator._sampler
+
+        def counting(expected, cfg):
+            draw = sampler(expected, cfg)
+
+            def counted(rng):
+                draws.append(1)
+                return draw(rng)
+            return counted
+
+        monkeypatch.setattr(simulator, "_sampler", counting)
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=0, seed=3)
+        alphas, phis = [0.002, 0.005, 0.01, 0.02], [PHI_WVA, 0.05, 0.08]
+        pts = snr_sweep(alphas, PHI_WVA, phis, 100, cfg)
+        assert len(draws) == len(pts) == 12
+        for p in pts:
+            tau = p.alpha / cfg.source.omega0
+            bias = first_order(expected_record(replace(cfg, tau_true=tau)),
+                               p.phi_assumed).tau_hat - tau
+            assert p.trials == 100
+            assert p.snr_db == pytest.approx(10.0 * np.log10(tau ** 2 / bias ** 2), rel=1e-12)
 
     def test_zero_alpha_excluded(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
