@@ -91,44 +91,15 @@ stays on the stretch of grid around each column's null: none on a
 balanced record over [0, 2 tau], about 0.1-1% of the grid points x
 columns on an unbalanced one whose range holds the dark port's nulls.
 
-The exact columns of each final range go to the rotation kernel.  Along
-the grid, g_k w_i is an arithmetic progression per bin, so cos/sin are
-advanced by angle addition instead of libm calls per element.  Grid
-points are taken in blocks of ``_BLOCK``: a per-block table of
-cos/sin(k dg w) rotates the block's start phasor to every row, the start
-phasor is advanced block to block by the same rotation and re-anchored
-with exact trig every ``_ANCHOR`` blocks, so the drift stays at
-roundoff.  The log-model block is reduced against Q with a BLAS mat-vec.
-The floor term is raised to ``_Z_FLOOR``, which keeps every zeta at or
-above it, so a grid point on a likelihood singularity reads finite and
-far below its neighbours, never as -inf or as the largest.
-
-The ``_BLOCK * _ANCHOR`` = 512 grid points from one exact-trig anchor to
-the next, counted from the start of a final range, form an anchor group,
-the unit of parallel work; the interpolation runs on the calling thread
-before it.  Groups are dealt round robin to min(usable CPUs, groups)
-workers, the usable CPUs being the affinity mask where the platform has
-one, else the CPU count: the calling thread takes one share and a thread
-each of the others, which run in parallel because NumPy releases the GIL
-inside the ufuncs and the BLAS mat-vec.  Where threads can be pinned,
-each worker runs on its own CPU of the mask (the caller's mask is
-restored after its share): unpinned, the two threads of a 2-core VM
-often stayed stacked on one CPU, handing the GIL back and forth between
-the short ufunc calls of a 1379-column record, and ran no faster than
-one.  Which columns are interpolated on which range depends on the grid
-and the record only, and every group runs the same operations in the
-same order whatever the worker count, so the output is bit-identical to
-the one-worker run, and a grid of at most one group starts no thread.
-The cos/sin tables and the prepared columns are shared read-only; each
-worker owns a 32 x N z and scratch workspace for the N columns of a
-group and adds only into its groups' slices of the output.  An
-exception in a worker is raised in the caller.
+The exact columns of each final range are evaluated by :func:`zeta`
+through :meth:`Prepared.rows`, like every other likelihood, with the
+floor term raised to ``_Z_FLOOR``: every zeta stays at or above it, so a
+grid point on a likelihood singularity reads finite and far below its
+neighbours, never as -inf or as the largest.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -138,12 +109,6 @@ _Z_FLOOR = 1e-300
 
 #: Model-zero bound per unit r: (32 eps)^2 (u^2 + v^2) = (32 eps)^2 2 r.
 _NULL = 2.0 * (32.0 * np.finfo(float).eps) ** 2
-
-#: Grid points per block of the profile.
-_BLOCK = 32
-
-#: Blocks between exact-trig re-anchors of the profile's block phasor.
-_ANCHOR = 16
 
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
 _RHO_MIN = 2.0
@@ -264,32 +229,8 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
 def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
     """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
     prepared = prepare(omega, q1, q2, aw1, aw2)
-    g0, dg, n_g = float(g0), float(dg), int(n_g)
-    out = np.zeros(n_g)
-    groups = {}
-    _bisect(0, n_g, prepared, _nulls(prepared.terms), (g0, dg, out, groups))
-    starts = sorted(groups)
-    cpus = _cpus()
-    workers = min(len(cpus), len(starts)) or 1
-    errors = []
-
-    def work(k):
-        try:
-            _pinned(cpus[k] if workers > 1 else None, _profile_share,
-                    starts[k::workers], g0, dg, groups, out)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    out = np.zeros(int(n_g))
+    _bisect(0, out.size, prepared, _nulls(prepared.terms), float(g0), float(dg), out)
     return out
 
 
@@ -325,14 +266,14 @@ def _bernstein(lo: int, hi: int, g0: float, dg: float, omega, nulls) -> np.ndarr
         return np.fmax(np.abs(t + root), np.abs(t - root))
 
 
-def _bisect(lo: int, hi: int, p: Prepared, nulls, grid) -> None:
+def _bisect(lo: int, hi: int, p: Prepared, nulls, g0: float, dg: float,
+            out: np.ndarray) -> None:
     """Add the columns of ``p`` to the grid range [lo, hi) of the output.
 
     Columns whose rho reaches ``_RHO_MIN`` are interpolated; the rest are
     split with the range while it holds more than ``_LEAF`` points, then
-    left to the rotation kernel as anchor groups in ``grid``'s dict.
+    evaluated exactly.
     """
-    g0, dg, out, groups = grid
     rho = _bernstein(lo, hi, g0, dg, p.omega, nulls)
     smooth = rho >= _RHO_MIN
     if smooth.any():
@@ -344,19 +285,17 @@ def _bisect(lo: int, hi: int, p: Prepared, nulls, grid) -> None:
         return
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
-        _bisect(lo, mid, p, nulls, grid)
-        _bisect(mid, hi, p, nulls, grid)
+        _bisect(lo, mid, p, nulls, g0, dg, out)
+        _bisect(mid, hi, p, nulls, g0, dg, out)
         return
-    # zeta = z_min + rc^2 with the phasor (rc, rs) = (u cos x + v sin x,
-    # u sin x - v cos x); rows of a block rotate the block's start phasor by
-    # the table angle k dg w
-    step = dg * p.omega
-    table = np.arange(_BLOCK)[:, None] * step
-    cos_t = np.cos(table)
-    cols = (p.omega, p.q, p.terms.u, p.terms.v, np.maximum(p.terms.floor, _Z_FLOOR), cos_t,
-            np.sin(table, out=table), np.cos(_BLOCK * step), np.sin(_BLOCK * step))
-    for start in range(lo, hi, _BLOCK * _ANCHOR):
-        groups[start] = min(start + _BLOCK * _ANCHOR, hi), cols
+    _exact(lo, hi, p, g0, dg, out)
+
+
+def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray) -> None:
+    """Add sum q log zeta over the columns of ``p`` to out[lo:hi], with
+    every zeta kept at or above ``_Z_FLOOR``."""
+    p = p._replace(terms=p.terms._replace(floor=np.maximum(p.terms.floor, _Z_FLOOR)))
+    out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg, _log_rows)
 
 
 def _log_rows(x, work, p) -> np.ndarray:
@@ -389,48 +328,3 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
         t -= b2
         t += coef[0]
         out[a:a + t.size] += t
-
-
-def _cpus() -> list:
-    """One entry per CPU this process may run on: its number where a thread
-    can be pinned to it, else None."""
-    if hasattr(os, "sched_setaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return [None] * (os.cpu_count() or 1)
-
-
-def _pinned(cpu, fn, *args):
-    """fn(*args) with the calling thread pinned to ``cpu`` (None: left as it is)."""
-    if cpu is None:
-        return fn(*args)
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {cpu})
-    try:
-        return fn(*args)
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
-def _profile_share(starts, g0: float, dg: float, groups, out: np.ndarray) -> None:
-    """Anchor groups of the profile that begin at the grid indices ``starts``."""
-    for start in starts:
-        stop, (w, q, u, v, z_min, cos_t, sin_t, cos_b, sin_b) = groups[start]
-        z = np.empty_like(cos_t)
-        tmp = np.empty_like(cos_t)
-        row = np.empty(_BLOCK)
-        for block, lo in enumerate(range(start, stop, _BLOCK)):
-            if block == 0:
-                x = (g0 + lo * dg) * w
-                c, s = np.cos(x), np.sin(x)
-                rc, rs = u * c + v * s, u * s - v * c
-            else:
-                rc, rs = rc * cos_b - rs * sin_b, rs * cos_b + rc * sin_b
-            m = min(_BLOCK, stop - lo)
-            zm, tm = z[:m], tmp[:m]
-            np.multiply(cos_t[:m], rc, out=zm)
-            np.multiply(sin_t[:m], rs, out=tm)
-            np.subtract(zm, tm, out=zm)
-            np.square(zm, out=zm)
-            np.add(zm, z_min, out=zm)
-            np.log(zm, out=zm)
-            out[lo:lo + m] += np.dot(zm, q, out=row[:m])

@@ -31,6 +31,7 @@ are never absorbed silently (see ``JWM_SIGN``).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -283,17 +284,24 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     Suitable for dense grids (1e5 points): the profile of
     :mod:`weakdelay._kernels` over counted bins only.  A bin's term is
     interpolated (Chebyshev) on the stretches of grid where its zeta has
-    no zero nearby, and evaluated exactly by the block-rotation kernel on
+    no zero nearby, and evaluated exactly, like :func:`log_likelihood`, on
     the stretch around its null.  Returns (grid, values), values offset
     by the same g-independent constant as :func:`log_likelihood` and
     within 1e-10 times the record's total weight of it (5e-14 at most on
     40 seeded records).  The exact terms keep model probabilities at or
     above 1e-300 before the log, so a grid point sitting on a likelihood
     singularity reads a finite value far below its neighbours rather
-    than -inf.
+    than -inf.  ``n`` must be an integer of at least 2 and the bounds
+    finite, else DomainError.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"profile grid size must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError("profile needs at least 2 grid points")
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+        raise DomainError(f"profile bounds must be finite, got [{g_lo}, {g_hi}]")
     (q1, aw1), (q2, aw2) = _ports(record, weak_values)
     dg = (g_hi - g_lo) / (n - 1)
     values = _kernels.profile(g_lo, dg, n, record.omega, q1, q2, aw1, aw2)

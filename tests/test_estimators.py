@@ -1,6 +1,4 @@
 import inspect
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -668,10 +666,9 @@ class TestDiagnostics:
         assert res.diagnostics["final_width"] <= 1e-30
 
     def test_profile_matches_pointwise_likelihood(self, jwm_record, jwm_wv):
-        # the profile's angle recurrence must agree with the plain evaluator,
-        # including at the far end of a 1e5-point grid where drift would
-        # show, for a strongly amplified port and for frequency-dependent
-        # weak values
+        # interpolated and exact columns must agree with the plain evaluator
+        # at both ends and the middle of a 1e5-point grid, for a strongly
+        # amplified port and for frequency-dependent weak values
         qwp = default_dispersive_qwp()
         wva_record = record_at(PHI_WVA, 1e-17)
         disp_record = record_at(PHI_WVA, 1e-17, qwp=qwp)
@@ -735,84 +732,28 @@ class TestDiagnostics:
         assert np.isfinite(vals[0])
         assert vals[0] < vals[1] - 20.0 * rec.port2.weights[j]
 
+    @pytest.mark.parametrize("g_lo, g_hi, n", [
+        (0.0, 2e-17, 1), (0.0, 2e-17, 10.7), (0.0, np.nan, 11),
+        (-np.inf, 2e-17, 11), (0.0, np.inf, 11)])
+    def test_profile_rejects_bad_grid(self, jwm_record, jwm_wv, g_lo, g_hi, n):
+        with pytest.raises(DomainError):
+            likelihood_profile(jwm_record, jwm_wv, g_lo, g_hi, n)
+
 
 class TestProfileWorkers:
-    """The profile runs its anchor groups (512 grid points each) on worker
-    threads; its output must not depend on how the groups are shared."""
-
-    @pytest.fixture(scope="class", params=["ideal", "dispersive", "absent"])
-    def analyzer_record(self, request):
-        qwp = default_dispersive_qwp() if request.param == "dispersive" \
-            else QwpModel(variant=request.param)
-        rec = record_at(PHI_WVA, 1e-17, qwp=qwp, source=SourceConfig(grid_step_nm=0.5))
-        return rec, port_projections(PHI_WVA, rec.omega, qwp)[0]
-
-    @staticmethod
-    def profile_on(workers, monkeypatch, rec, wv, n):
-        # workers entries of the usable CPUs, repeated as needed
-        cpus = _kernels._cpus()
-        with monkeypatch.context() as patch:
-            if workers is not None:
-                patch.setattr(_kernels, "_cpus", lambda: (cpus * workers)[:workers])
-            return likelihood_profile(rec, wv, 0.0, 3e-17, n)[1]
-
-    def test_profile_identical_for_any_worker_count(self, analyzer_record, monkeypatch):
-        # one worker (the serial kernel), the default count, and 8 workers:
-        # more than the groups up to 513 points, and more than the cores
-        # with a short switch interval at 100_001 points (196 groups)
-        rec, wv = analyzer_record
-        interval, cpus = sys.getswitchinterval(), _kernels._cpus()
-        for n in (2, 511, 512, 513, 100_001):
-            serial = self.profile_on(1, monkeypatch, rec, wv, n)
-            assert np.array_equal(self.profile_on(None, monkeypatch, rec, wv, n), serial), n
-            sys.setswitchinterval(1e-5)
-            try:
-                many = self.profile_on(8, monkeypatch, rec, wv, n)
-            finally:
-                sys.setswitchinterval(interval)
-            assert np.array_equal(many, serial), n
-        assert _kernels._cpus() == cpus  # the caller's CPU mask is restored
-
-    def test_profile_of_one_group_runs_on_the_calling_thread(self, monkeypatch):
-        share, threads = _kernels._profile_share, []
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return share(*args)
-
-        monkeypatch.setattr(_kernels, "_cpus", lambda: [None] * 8)
-        monkeypatch.setattr(_kernels, "_profile_share", recording)
-        rec = record_at(PHI_WVA, 1e-17, source=SourceConfig(grid_step_nm=0.5))
-        likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 3e-17, 512)
-        assert threads == [threading.main_thread()]
-
-    def test_profile_worker_error_reaches_caller(self, monkeypatch):
-        share, raised_in_main = _kernels._profile_share, []
-
-        def failing(starts, *args):
-            if 0 not in starts:  # not the calling thread's share
-                raised_in_main.append(threading.current_thread() is threading.main_thread())
-                raise RuntimeError("share failed")
-            return share(starts, *args)
-
-        monkeypatch.setattr(_kernels, "_cpus", lambda: [None] * 2)
-        monkeypatch.setattr(_kernels, "_profile_share", failing)
-        rec = record_at(PHI_WVA, 1e-17, source=SourceConfig(grid_step_nm=0.5))
-        with pytest.raises(RuntimeError, match="share failed"):
-            likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 3e-17, 2000)
-        assert raised_in_main == [False]
+    """Where the profile's exact (not interpolated) work goes."""
 
     def test_profile_exact_kernel_only_near_nulls(self, monkeypatch):
-        # grid points x columns handed to the rotation kernel: none for a
-        # balanced record, about 1% for an unbalanced one, around its dark
-        # port's nulls (w g = 0.015: 5.5e-18 to 7.2e-18 s)
-        share, work = _kernels._profile_share, []
+        # grid points x columns evaluated exactly: none for a balanced
+        # record, about 1% for an unbalanced one, around its dark port's
+        # nulls (w g = 0.015: 5.5e-18 to 7.2e-18 s)
+        exact, work = _kernels._exact, []
 
-        def counting(starts, g0, dg, groups, out):
-            work.extend((groups[s][0] - s) * groups[s][1][0].size for s in starts)
-            return share(starts, g0, dg, groups, out)
+        def counting(lo, hi, p, *args):
+            work.append((hi - lo) * p.q.size)
+            return exact(lo, hi, p, *args)
 
-        monkeypatch.setattr(_kernels, "_profile_share", counting)
+        monkeypatch.setattr(_kernels, "_exact", counting)
         n = 100_000
         likelihood_profile(record_at(PHI_JWM, 1e-17), ideal_weak_values(PHI_JWM),
                            0.0, 2e-17, n)
