@@ -23,7 +23,10 @@ of a cosine and a sine: with t = tan(g w) and h = u + v t,
 u cos + v sin = h cos(g w) and cos^2(g w) = 1/(1 + t^2), so
 
     zeta  = floor + h^2 cos^2(g w),
-    zeta' = 2 h (v - u t) cos^2(g w)        (d/dx at x = g w).
+    zeta' = 2 h (v - u t) cos^2(g w)        (d/dx at x = g w),
+
+the slope only for derivative order 1: the likelihood and the profile ask
+for order 0, the score for order 1.
 
 The tangent's argument reduction is as exact as the cosine's, and even at
 the double nearest an odd multiple of pi/2, t^2 is far below overflow;
@@ -74,14 +77,22 @@ E_sqrt(rho), inside which S is bounded)
 on the range, M the largest |S| on E_sqrt(rho): at most sum q times the
 largest |log zeta| there, which stays moderate as zeta has no zero in
 E_rho.  (Against :func:`weakdelay.estimators.log_likelihood`, 40 seeded
-records of all three analyzers agree to 5e-14 sum q.)  The degree rule m =
+records of all three analyzers agree to 2e-14 sum q.)  The degree rule m =
 max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) = max(8, ceil(40 /
 log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2 keeps m <= 133.  S
-is sampled with :func:`zeta` through :meth:`Prepared.rows`, its
+is sampled with :func:`zeta` through :meth:`Prepared.rows`, and its
 coefficients are sums against exact cosines cos(k theta_i) (a three-term
-recurrence for T_k loses ~k^2 eps), and Clenshaw's recurrence evaluates
-them on the range's grid points, ``_CHUNK`` at a time.  A range of no
-more grid points than nodes is evaluated exactly, which is cheaper.
+recurrence for T_k loses ~k^2 eps).  The range's grid points are cut into
+blocks of ``_BLOCK`` = 8 points per node.  On each block p_m is a
+polynomial of degree m - 1 in the block's own coordinate, so its values at
+the block's m first-kind Chebyshev points determine it exactly: Clenshaw's
+recurrence evaluates the series at those points only, and one barycentric
+matrix (second form, shared by every block of the range) maps them onto
+the block's grid points in one matrix product.  This re-evaluates p_m, it
+does not approximate it further, and the barycentric formula at Chebyshev
+points is forward stable (Higham, IMA J. Numer. Anal. 24, 547 (2004);
+Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  A range of no more grid
+points than nodes is evaluated exactly, which is cheaper.
 
 The rest, the singular columns, stay with the range while it is halved:
 a range that still has singular columns and more than ``_LEAF`` = 2048
@@ -120,6 +131,15 @@ _LEAF = 2048
 _DIGITS = 40.0
 _MIN_NODES = 8
 
+#: Grid points per Chebyshev node in a block of an interpolated range.  Wider
+#: blocks run the recurrence on fewer nodes (n nodes / _BLOCK points x
+#: coefficients) but build a larger barycentric matrix (_BLOCK nodes^2 / 2
+#: elements).  On the 12 records of the benchmark's `profile` workload, 1e5
+#: points each, the six balanced took 14.8 / 13.0 / 12.1 ms and the six
+#: unbalanced 205 / 211 / 223 ms with 4 / 8 / 16 (medians of 25 interleaved
+#: rounds, one thread, 2-core Xeon, NumPy 2.4.6).
+_BLOCK = 8
+
 #: Elements (delays x columns) evaluated together by :meth:`Prepared.rows`,
 #: 256 KiB per workspace array.  The 172-delay ladder of a 4202-column record
 #: took 9.5 ns per element with it, against 15.3 with 8192, 10.8 with 16384
@@ -154,35 +174,37 @@ def zeta_terms(aw) -> ZetaTerms:
                      np.copysign(np.sqrt(v2), im), _NULL * r)
 
 
-def zeta(x, terms: ZetaTerms, out=None):
-    """Reshaping factor and its derivative d zeta / dx at phase x = g w.
+def zeta(x, terms: ZetaTerms, order: int, out=None):
+    """Reshaping factor at phase x = g w and, for ``order`` 1, its slope d zeta / dx.
 
     Tangent form: with t = tan x, h = u + v t and cos^2 x = 1/(1 + t^2),
-    zeta = floor + h^2 cos^2 x and zeta' = 2 h (v - u t) cos^2 x.
-    ``out`` = (zeta, slope), two float arrays of the result's shape, takes
-    the results without allocating; x, of the same shape, is then
+    zeta = floor + h^2 cos^2 x and zeta' = 2 h (v - u t) cos^2 x.  Returns
+    the tuple (zeta,) for order 0 and (zeta, zeta') for order 1.  ``out``,
+    a sequence of at least order + 1 float arrays of the result's shape,
+    takes the results without allocating; x, of the same shape, is then
     overwritten as scratch.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(x), np.shape(terms.u))
         x = np.array(np.broadcast_to(x, shape), dtype=float)
-        out = np.empty(shape), np.empty(shape)
-    z, slope = out
-    t = np.tan(x, out=slope)
+        out = [np.empty(shape) for _ in range(order + 1)]
+    z = out[0]
+    t = np.tan(x, out=out[1] if order else x)
     cos2 = np.square(t, out=z)
     cos2 += 1.0
     np.reciprocal(cos2, out=cos2)
     h = np.multiply(t, terms.v, out=x)
     h += terms.u
-    np.multiply(t, terms.u, out=slope)
-    np.subtract(terms.v, slope, out=slope)
-    slope *= h
-    slope *= 2.0
-    slope *= cos2
+    if order:
+        slope = np.multiply(t, terms.u, out=t)
+        np.subtract(terms.v, slope, out=slope)
+        slope *= h
+        slope *= 2.0
+        slope *= cos2
     np.square(h, out=h)
     np.multiply(h, cos2, out=z)
     z += terms.floor
-    return z, slope
+    return tuple(out[:order + 1])
 
 
 class Prepared(NamedTuple):
@@ -299,14 +321,20 @@ def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray)
 
 
 def _log_rows(x, work, p) -> np.ndarray:
-    z = zeta(x, p.terms, out=work[:2])[0]
+    z, = zeta(x, p.terms, 0, out=work)
     return np.log(z, out=z) @ p.q
 
 
 def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float,
                  out: np.ndarray) -> None:
     """Add sum q log zeta over the columns of ``p`` to out[lo:hi] from its
-    Chebyshev interpolant at ``nodes`` points (Clenshaw, in-place)."""
+    Chebyshev interpolant at ``nodes`` points.
+
+    The columns are sampled at the nodes first-kind Chebyshev points of the
+    range, the series coefficients are sums against cos(k theta_i), and
+    :func:`_chebyshev` evaluates the series on the range's grid points,
+    block by block from the values at each block's own Chebyshev points.
+    """
     centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
     # cos(k theta_i) at theta_i = pi (2 i + 1) / (2 nodes), the angle reduced
     # mod 2 pi in integers: a three-term recurrence for T_k lost ~k^2 eps
@@ -315,16 +343,65 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
     values = p.rows(g0 + (centre + half * basis[1]) * dg, _log_rows)
     coef = basis @ values * (2.0 / nodes)
     coef[0] *= 0.5
-    for a in range(lo, hi, _CHUNK):
-        t = (np.arange(a, min(a + _CHUNK, hi)) - centre) / half
-        t2 = 2.0 * t
-        b1, b2, tmp = np.zeros((3, t.size))
-        for c in coef[:0:-1]:
-            np.multiply(t2, b1, out=tmp)
-            tmp -= b2
-            tmp += c
-            b1, b2, tmp = tmp, b1, b2
-        t *= b1
-        t -= b2
-        t += coef[0]
-        out[a:a + t.size] += t
+    out[lo:hi] += _chebyshev(coef, hi - lo)
+
+
+def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coef[k] T_k(t) at the n uniform points t_j = 2 j / (n - 1) - 1.
+
+    The points are cut into blocks of width = min(n, ``_BLOCK`` * nodes)
+    consecutive points, the last block ending at t = 1 (it rewrites the
+    points it shares with the block before it).  On a block the series is
+    a polynomial of degree nodes - 1 in the block's own coordinate s_j =
+    (j - h) / h, h = (width - 1) / 2, so its values at the first-kind
+    Chebyshev points x_i = cos theta_i, theta_i = pi (2 i + 1) / (2 nodes),
+    determine it exactly.  :func:`_clenshaw` evaluates the series at each
+    block's x_i, and one barycentric matrix W (width x nodes, second form,
+    weights (-1)^i sin theta_i), shared by every block, maps those values
+    onto the block's points: one matrix product for the whole range.
+    """
+    nodes = coef.size
+    width = min(n, _BLOCK * nodes)
+    h, c = 0.5 * (width - 1), 0.5 * (n - 1)
+    theta = np.pi / (2 * nodes) * (2 * np.arange(nodes) + 1)
+    # cos theta_i as sin(pi/2 - theta_i): exactly odd in i, and the middle
+    # node of an odd count exactly 0
+    x = np.sin(np.pi / (2 * nodes) * (nodes - 1 - 2 * np.arange(nodes)))
+    starts = np.minimum(np.arange(0, n, width), n - width)
+    node_values = _clenshaw(coef, ((starts[:, None] + (h - c)) + h * x) / c)
+    # the block's points s_j and the nodes are symmetric about 0 in floating
+    # point too, so row width - 1 - j of W is row j reversed: only the rows
+    # with s_j <= 0 are formed
+    mid = (width + 1) // 2
+    s = (np.arange(mid) - h) / h
+    w = np.empty((width, nodes))
+    top = np.subtract.outer(s, x, out=w[:mid])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.where(np.arange(nodes) % 2, -1.0, 1.0) * np.sin(theta), top, out=top)
+        total = top.sum(axis=1)
+        top /= total[:, None]
+    # a point on a node (1/0 makes its row sum infinite) takes that node's value
+    on_node = np.isinf(total)
+    top[on_node] = np.equal.outer(s[on_node], x)
+    w[mid:] = top[width - mid - 1::-1, ::-1]
+    values = np.empty(n)
+    full = n // width
+    np.dot(node_values[:full], w.T, out=values[:full * width].reshape(full, width))
+    if full < starts.size:
+        np.dot(w, node_values[-1], out=values[n - width:])
+    return values
+
+
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t) by Clenshaw's recurrence; t is overwritten."""
+    t2 = 2.0 * t
+    b1, b2, tmp = np.zeros((3,) + t.shape)
+    for c in coef[:0:-1]:
+        np.multiply(t2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    t *= b1
+    t -= b2
+    t += coef[0]
+    return t

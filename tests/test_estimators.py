@@ -762,3 +762,85 @@ class TestProfileWorkers:
         columns = np.count_nonzero(rec.port1.weights) + np.count_nonzero(rec.port2.weights)
         likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 2e-17, n)
         assert 0 < sum(work) < 0.05 * n * columns
+
+
+class TestProfileSeries:
+    """How the profile evaluates an interpolated range's Chebyshev series."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        # (grid points, nodes, Clenshaw points, coefficients) per _interpolate call
+        interpolate, chebyshev, clenshaw = (_kernels._interpolate, _kernels._chebyshev,
+                                            _kernels._clenshaw)
+        calls = []
+
+        def counting_interpolate(lo, hi, p, nodes, *args):
+            calls.append({"n": hi - lo, "nodes": nodes, "points": [], "coef": None})
+            return interpolate(lo, hi, p, nodes, *args)
+
+        def capturing_chebyshev(coef, n):
+            calls[-1]["coef"] = coef.copy()
+            return chebyshev(coef, n)
+
+        def counting_clenshaw(coef, t):
+            calls[-1]["points"].append(t.copy())
+            return clenshaw(coef, t)
+
+        monkeypatch.setattr(_kernels, "_interpolate", counting_interpolate)
+        monkeypatch.setattr(_kernels, "_chebyshev", capturing_chebyshev)
+        monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)
+        return calls
+
+    def _interpolated(self, monkeypatch, record, wv, n, nodes):
+        """_interpolate's values on an n-point range, chebval of the series it
+        fitted there, sum |c_k| and the points the recurrence ran on."""
+        calls = self._spy(monkeypatch)
+        out = np.zeros(n)
+        _kernels._interpolate(0, n, prepare_likelihood(record, wv), nodes,
+                              0.0, 2e-17 / (n - 1), out)
+        coef = calls[0]["coef"]
+        series = np.polynomial.chebyshev.chebval(np.arange(n) / (0.5 * (n - 1)) - 1.0, coef)
+        return out, series, np.abs(coef).sum(), calls[0]["points"][0]
+
+    @pytest.mark.parametrize("nodes", [8, 67, 133])
+    @pytest.mark.parametrize("size", ["nodes+1", "one block", "partial block", "1e5"])
+    def test_block_evaluation_equals_the_series(self, monkeypatch, jwm_record, jwm_wv,
+                                                nodes, size):
+        # a block of 8 x nodes grid points: just above nodes points, exactly
+        # one block, two blocks and a partial last one, and 1e5 points
+        n = {"nodes+1": nodes + 1, "one block": 8 * nodes,
+             "partial block": 16 * nodes + 37, "1e5": 100_000}[size]
+        out, series, scale, _ = self._interpolated(monkeypatch, jwm_record, jwm_wv, n, nodes)
+        assert np.max(np.abs(out - series)) <= 1e-14 * scale
+
+    def test_grid_point_on_a_block_node_reads_the_series(self, monkeypatch, jwm_record,
+                                                         jwm_wv):
+        # an odd block width and an odd node count put the middle grid
+        # point exactly on the middle node, t = 0: the barycentric weights
+        # divide by zero there
+        out, series, scale, points = self._interpolated(monkeypatch, jwm_record, jwm_wv,
+                                                        301, 67)
+        assert 0.0 in points
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - series)) <= 1e-14 * scale
+
+    def test_recurrence_runs_on_block_nodes_only(self, monkeypatch):
+        # per interpolated range of n grid points, Clenshaw's recurrence
+        # runs once, on at most ceil(n / width) x nodes points (width =
+        # min(n, 8 nodes)), not on every grid point
+        calls = self._spy(monkeypatch)
+        n = 100_000
+        for phi in (PHI_JWM, PHI_WVA):
+            likelihood_profile(record_at(phi, 1e-17), ideal_weak_values(phi), 0.0, 2e-17, n)
+        assert len(calls) > 2
+        for call in calls:
+            width = min(call["n"], 8 * call["nodes"])
+            assert len(call["points"]) == 1
+            assert 0 < call["points"][0].size <= -(-call["n"] // width) * call["nodes"]
+        assert sum(c["points"][0].size for c in calls) < sum(c["n"] for c in calls) / 4
+
+    def test_profile_is_deterministic(self):
+        # the block products run through BLAS, with its threads unpinned
+        rec, wv = record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA)
+        first = likelihood_profile(rec, wv, 0.0, 2e-17, 100_000)[1]
+        assert np.array_equal(first, likelihood_profile(rec, wv, 0.0, 2e-17, 100_000)[1])

@@ -78,6 +78,19 @@ class TestZeta:
         for g in (x_null + np.linspace(-1e-10, 1e-10, 20001)) / omega:
             assert zeta(omega, g, aw) >= 0.0
 
+    def test_order_zero_is_the_value_of_order_one(self):
+        # order 0 skips the slope but takes the same steps for zeta, also
+        # into caller buffers with x overwritten as scratch
+        x = np.random.default_rng(3).uniform(-3e3, 3e3, 2000)
+        for aw in (ideal_weak_values(0.03).aw2, ideal_weak_values(PHI_JWM).aw1):
+            terms = _kernels.zeta_terms(aw)
+            z, slope = _kernels.zeta(x, terms, 1)
+            scratch, out = x.copy(), np.empty((2, x.size))
+            (z0,) = _kernels.zeta(scratch, terms, 0, out=out)
+            assert np.shares_memory(z0, out[0])
+            assert np.array_equal(z0, z)
+            assert np.array_equal(_kernels.zeta(x, terms, 0)[0], z)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
     def test_tangent_form_against_long_double_reference(self):
@@ -100,7 +113,7 @@ class TestZeta:
         c, s = np.cos(xl), np.sin(xl)
         for aw in weak_values:
             terms = _kernels.zeta_terms(aw)
-            z, slope = _kernels.zeta(x, terms)
+            z, slope = _kernels.zeta(x, terms, 1)
             re, im = np.longdouble(aw.real), np.longdouble(aw.imag)
             z_ref = (c + s * im) ** 2 + (s * re) ** 2
             slope_ref = 2 * (c + s * im) * (c * im - s) + 2 * re * re * s * c
