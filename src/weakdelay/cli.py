@@ -20,8 +20,10 @@ of a float list must be finite, and the phi flags (``estimate --phi``,
 (0, pi).  A flag that breaks the rule is a format error: exit 2 with one
 JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
 library input from a flag, so a library ``DomainError`` there (too few
-trials, a nonpositive alpha or length, a negative epsilon) is a format
-error too, and so is a ``sweep`` angle whose delay overflows a float.
+or too many trials, a nonpositive alpha or length, a negative epsilon) is
+a format error too, and so are ``sweep --steps`` outside [1,
+``simulator.MAX_TRIALS``] and a ``sweep`` angle whose delay overflows a
+float.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def _add_sweep(sub):
 
 def cmd_sweep(args) -> int:
     config, _ = io.load_config(args.config)
-    if args.steps < 1:
-        raise FormatError("steps must be >= 1")
+    if not 1 <= args.steps <= simulator.MAX_TRIALS:
+        raise FormatError(f"--steps must lie in [1, {simulator.MAX_TRIALS}]")
     from .waveplate import default_quartz_stack
     stack = config.stack or default_quartz_stack(config.source.center_nm * 1e-9)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)

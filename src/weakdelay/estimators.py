@@ -16,6 +16,7 @@ Estimator family, from most to least rigorous:
   companion-matrix eigenvalues.
 * ``general_first_order`` / ``first_order`` - the same series truncated at
   first order in g, for any weak values or at the ideal-analyzer ones.
+  Both read the series from one per-port weight table, ``_ScoreSeries``.
 * ``jwm_simplified``   - balanced-postselection shortcut that needs no
   knowledge of phi, only the pooled spectral variance.
 * ``strubi_reference`` - a published alternative balanced-port formula kept
@@ -129,62 +130,42 @@ def _rational_terms(aw):
     return (im, u2, -u1), (u1, u2)
 
 
-def _series_terms(omega: np.ndarray, weak_values: WeakValuePair,
-                  order: int) -> list[list[tuple]]:
-    """Per-port pairs (w^(k+1), coefficient) of the rationalized score, k = 0..order.
-
-    With 1/D = sum_k r_k x^k, r_0 = 1, r_1 = -u1 and r_k = -u1 r_(k-1) -
-    u2 r_(k-2), the coefficient of g^k is sum_i n_i r_(k-i) (terms of
-    :func:`_rational_terms`).  Returns [port 1's, port 2's]; they depend on
-    the grid and the weak values only, not on the counts.
-    """
-    powers = [omega] + [omega ** k for k in range(2, order + 2)]
-    terms = []
-    for aw in (weak_values.aw1, weak_values.aw2):
-        n, (u1, u2) = _rational_terms(aw)
-        r = [1.0, -u1]
-        while len(r) <= order:
-            r.append(-u1 * r[-1] - u2 * r[-2])
-        coefs = [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1)) for k in range(order + 1)]
-        terms.append(list(zip(powers, coefs)))
-    return terms
-
-
-def _series_sums(terms, q1: np.ndarray, q2: np.ndarray) -> list[list[float]]:
-    """Port j's coefficient of g^k, sum_w Q_j w^(k+1) coef_k, for each pair of ``terms``."""
-    return [[(q * w * coef).sum() for w, coef in port] for q, port in zip((q1, q2), terms)]
-
-
-def _score_series(record: MeasurementRecord, weak_values: WeakValuePair,
-                  order: int) -> list[list[float]]:
+class _ScoreSeries:
     """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
 
-    Port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i r_(k-i)
-    (see :func:`_series_terms`).  Returns [port 1's, port 2's]; the score's
-    series is their sum.  Zero-count bins add nothing, so every bin is
-    summed unmasked.
-    """
-    (q1, _), (q2, _) = _ports(record, weak_values)
-    return _series_sums(_series_terms(record.omega, weak_values, order), q1, q2)
-
-
-class _FirstOrderForm:
-    """:func:`general_first_order` for one grid and one pair of weak values, built once.
-
-    Holds the per-port terms of :func:`_series_terms`; calling it on the
-    port counts (q1, q2) of a record on that grid sums them and returns the
-    ratio -c0/c1 after the empty-record, degeneracy and non-finite checks.
-    Monte Carlo loops use it to estimate sampled counts without building a
-    record per trial.
+    Port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i r_(k-i), with
+    n from :func:`_rational_terms` and 1/D = sum_k r_k x^k: r_0 = 1,
+    r_1 = -u1, r_k = -u1 r_(k-1) - u2 r_(k-2).  The weights depend on the
+    grid and the weak values only (per bin for dispersive ones), so each
+    port's are built once as an (order + 1) x bins matrix; calling the
+    table on a record's port counts (q1, q2) is one matrix-vector product
+    per port.  Zero-count bins add nothing, so every bin is summed unmasked.
     """
 
-    def __init__(self, omega: np.ndarray, weak_values: WeakValuePair):
-        self.terms = _series_terms(omega, weak_values, 1)
+    def __init__(self, omega: np.ndarray, weak_values: WeakValuePair, order: int):
         self.weak_values = weak_values
+        powers = omega ** np.arange(1.0, order + 2)[:, None]
+        self.weights = []
+        for aw in (weak_values.aw1, weak_values.aw2):
+            n, (u1, u2) = _rational_terms(aw)
+            r = [1.0, -u1]
+            while len(r) <= order:
+                r.append(-u1 * r[-1] - u2 * r[-2])
+            coefs = [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1))
+                     for k in range(order + 1)]
+            self.weights.append(powers * np.reshape(coefs, (order + 1, -1)))
 
-    def __call__(self, q1: np.ndarray, q2: np.ndarray) -> float:
+    def __call__(self, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _require_events(q1, q2)
-        (a0, a1), (b0, b1) = _series_sums(self.terms, q1, q2)
+        return self.weights[0] @ q1, self.weights[1] @ q2
+
+    def first_order(self, q1: np.ndarray, q2: np.ndarray) -> float:
+        """:func:`general_first_order` of the counts (q1, q2): -c0/c1 after its checks.
+
+        Monte Carlo loops use it to estimate sampled counts without
+        building a record per trial.
+        """
+        (a0, a1, *_), (b0, b1, *_) = self(q1, q2)
         c0, c1 = a0 + b0, a1 + b1
         if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
             raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
@@ -320,8 +301,8 @@ def general_first_order(record: MeasurementRecord,
     and so are real weak values, whose c0 is exactly 0 whatever the delay.
     A non-finite ratio raises SolverError.
     """
-    return _FirstOrderForm(record.omega, weak_values)(record.port1.weights,
-                                                      record.port2.weights)
+    return _ScoreSeries(record.omega, weak_values, 1).first_order(record.port1.weights,
+                                                                  record.port2.weights)
 
 
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
@@ -442,7 +423,7 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     """Real root of the fourth-order truncation of the rationalized score.
 
     The coefficients e + d g + c g^2 + b g^3 + a g^4 are the first five
-    terms of the series of :func:`_score_series`, so the quartic agrees with
+    terms of the series of :class:`_ScoreSeries`, so the quartic agrees with
     :func:`likelihood_equation_residual` through g^4 and its ratio -e/d is
     :func:`general_first_order`.  Requires frequency-independent weak
     values.  The root nearest the hint -e/d wins; the polynomial is
@@ -457,7 +438,9 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
-    e, d, c, b, a = (float(x + y) for x, y in zip(*_score_series(record, weak_values, 4)))
+    p1, p2 = _ScoreSeries(record.omega, weak_values, 4)(record.port1.weights,
+                                                        record.port2.weights)
+    e, d, c, b, a = (p1 + p2).tolist()
     arr = np.array([a, b, c, d, e])
     if not np.all(np.isfinite(arr)):
         raise DegenerateRecordError("quartic coefficients are not finite")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import NM, wavelength_to_angular_frequency
 from .errors import DomainError, ModelError
-from .estimators import Method, _FirstOrderForm, estimate
+from .estimators import Method, _ScoreSeries, estimate
 from .polarization import QwpModel, ideal_weak_values, port_projections
 from .spectra import MeasurementRecord, Spectrum, postselected_distribution
 from .waveplate import PlateStack, pivot_caveats, pivot_delay
@@ -32,6 +32,10 @@ from .waveplate import PlateStack, pivot_caveats, pivot_delay
 #: Largest wavelength grid a source may have.  The default grid has 2101
 #: bins; a million bins keep every per-bin array of a record under 8 MB.
 MAX_BINS = 1_000_000
+
+#: Most Monte Carlo trials per point, and most angles of a tilt sweep; a
+#: million keep every per-trial or per-angle array under 8 MB.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -293,25 +297,28 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     For each dimensionless delay alpha = w0 tau and each assumed phi, run
     ``trials`` seeded simulations at the actual phi and estimate with the
     assumed one.  Per alpha the expected port distributions and their
-    sampler are built once, and per (alpha, phi) point the first-order
-    form's terms.  Trial k of point (ia, ip) is then a draw with the
-    generator ``default_rng((seed, ia, ip, k))``, as ``simulate`` would
-    make it, and the form's sums over the drawn counts: the same delay as
+    sampler are built once, and per assumed phi, for the whole sweep, the
+    first-order score table (every alpha shares the source grid).  Trial
+    k of point (ia, ip) is then a draw with the generator
+    ``default_rng((seed, ia, ip, k))``, as ``simulate`` would make it, and
+    the table's products with the drawn counts: the same delay as
     ``first_order(simulate(...), phi)``, with no record built.  A
     noise-free configuration (``photons`` 0) has one error per point, the
     first-order bias on the expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
-    +inf.
+    +inf.  ``trials`` must lie in [30, :data:`MAX_TRIALS`].
     """
     if trials < 30:
         raise DomainError("at least 30 trials per point are required")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"{trials} trials per point exceed the cap of {MAX_TRIALS}")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0 or len(phi_assumed_list) == 0:
         raise DomainError("alpha and phi lists must be nonempty")
     if np.any(alphas <= 0):
         raise DomainError("alpha values must be positive (alpha = 0 is excluded)")
     omega0 = config.source.omega0
-    points = []
+    points, tables = [], []
     for ia, alpha in enumerate(alphas):
         tau = float(alpha) / omega0
         cfg = replace(config, phi_actual=phi_actual, tau_true=tau,
@@ -319,13 +326,15 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
         expected = expected_record(cfg)
         n_bins = expected.omega.size
         draw = _sampler(expected, cfg)
-        for ip, phi_assumed in enumerate(phi_assumed_list):
-            estimate = _FirstOrderForm(expected.omega, ideal_weak_values(phi_assumed))
+        # every alpha shares the source grid, so one table per assumed phi
+        tables = tables or [_ScoreSeries(expected.omega, ideal_weak_values(phi), 1)
+                            for phi in phi_assumed_list]
+        for ip, (phi_assumed, table) in enumerate(zip(phi_assumed_list, tables)):
             # noise-free trials all draw the expected counts: one is enough
             errors = np.empty(1 if config.photons == 0 else trials)
             for k in range(errors.size):
                 counts, _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
-                errors[k] = estimate(counts[:n_bins], counts[n_bins:]) - tau
+                errors[k] = table.first_order(counts[:n_bins], counts[n_bins:]) - tau
             mse = float(np.mean(errors ** 2))
             snr = np.inf if mse == 0 else 10.0 * np.log10(tau ** 2 / mse)
             points.append(SnrPoint(alpha=float(alpha), snr_db=float(snr),

@@ -454,11 +454,19 @@ class TestFlagBoundary:
         ["analytic", "--uncertainty", "--alpha", "0", "--beta", "1"],
         ["analytic", "--alpha-min", "--epsilon", "-1"],
         ["analytic", "--alpha-min", "--lambda0-nm", "-5"],
+        # over the cap, rejected before anything is allocated or run
+        ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
+         "--phi-assumed", "0.03", "--trials", str(10 ** 15), "--out", "{out}"],
+        ["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e-5",
+         "--steps", str(10 ** 15), "--out", "{out}"],
+        ["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e-5",
+         "--steps", "0", "--out", "{out}"],
     ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
             "nan_phi_actual", "nan_alpha", "empty_alphas", "empty_phi_assumed",
             "nan_theta_min", "overflowing_theta", "nan_epsilon",
             "nan_uncertainty_alpha", "inf_lambda0", "few_trials", "negative_alpha",
-            "zero_uncertainty_alpha", "negative_epsilon", "negative_lambda0"])
+            "zero_uncertainty_alpha", "negative_epsilon", "negative_lambda0",
+            "huge_trials", "huge_steps", "zero_steps"])
     def test_bad_flag_exits_2(self, argv, config_path, tmp_path, capsys):
         record = tmp_path / "rec.csv"
         run(["simulate", "--config", str(config_path), "--out", str(record)], capsys)

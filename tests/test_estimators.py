@@ -16,7 +16,7 @@ from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        quartic, record_moments, score_residual, simulate,
                        solve_exact, strubi_reference, wva_first_order,
                        wva_mean_shift)
-from weakdelay.estimators import _score_series
+from weakdelay.estimators import _ScoreSeries
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
 
@@ -144,7 +144,8 @@ class TestRationalResidual:
         assert abs(likelihood_equation_residual(0.0, rec, jwm_wv)) < 1e-12 * scale
 
     def test_residual_at_zero_equals_linear_coefficient(self, jwm_record, jwm_wv):
-        (e1,), (e2,) = _score_series(jwm_record, jwm_wv, 0)
+        (e1,), (e2,) = _ScoreSeries(jwm_record.omega, jwm_wv, 0)(jwm_record.port1.weights,
+                                                                  jwm_record.port2.weights)
         res0 = likelihood_equation_residual(0.0, jwm_record, jwm_wv)
         assert res0 == pytest.approx(e1 + e2, rel=1e-12)
 
@@ -316,7 +317,8 @@ class TestQuartic:
         t = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
         vals = [likelihood_equation_residual(h * ti, rec, wv) for ti in t]
         taylor = np.polynomial.polynomial.polyfit(t, vals, 10)[:5] / h ** np.arange(5)
-        coeffs = [x + y for x, y in zip(*_score_series(rec, wv, 4))]
+        p1, p2 = _ScoreSeries(rec.omega, wv, 4)(rec.port1.weights, rec.port2.weights)
+        coeffs = (p1 + p2).tolist()
         assert coeffs == pytest.approx(taylor, rel=1e-6)
 
     def test_rejects_frequency_dependent_weak_values(self, jwm_record):
@@ -385,6 +387,25 @@ class TestFirstOrder:
     def test_rejects_bad_phi(self, jwm_record):
         with pytest.raises(DomainError):
             first_order(jwm_record, 0.0)
+
+    def test_general_form_with_dispersive_weak_values_per_bin(self):
+        # frequency-dependent weak values go through the same table, with
+        # per-bin coefficients: -c0/c1 written out bin by bin
+        rng = np.random.default_rng(34)
+        grid = np.linspace(690.0, 900.0, 421)
+        qwp = default_dispersive_qwp()
+        for phi in rng.uniform(0.05, np.pi - 0.05, 12):
+            rec = MeasurementRecord(port1=Spectrum(grid, rng.random(421)),
+                                    port2=Spectrum(grid, rng.random(421)), total_events=0)
+            wv = port_projections(phi, rec.omega, qwp)[0]
+            assert wv.is_frequency_dependent()
+            c0 = c1 = 0.0
+            for q, aw in ((rec.port1.weights, wv.aw1), (rec.port2.weights, wv.aw2)):
+                c0 += np.sum(q * rec.omega * aw.imag)
+                c1 += np.sum(q * rec.omega ** 2 * ((np.abs(aw) ** 2 - 1) - 2 * aw.imag ** 2))
+            # abs=0: pytest's default 1e-12 absolute tolerance would pass any
+            # delay of order 1e-17 s
+            assert general_first_order(rec, wv) == pytest.approx(-c0 / c1, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("phi", [0.7, 1.0, 2.3133, 1.5302, 2.0])
     def test_general_form_degenerate_without_plate_at_zero_delay(self, phi):

@@ -243,10 +243,20 @@ class TestSnrSweep:
             return counted
 
         monkeypatch.setattr(simulator, "_sampler", counting)
+        # every alpha shares the grid: one score table per assumed phi
+        tables = []
+        table = simulator._ScoreSeries
+
+        def counting_table(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(simulator, "_ScoreSeries", counting_table)
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=0, seed=3)
         alphas, phis = [0.002, 0.005, 0.01, 0.02], [PHI_WVA, 0.05, 0.08]
         pts = snr_sweep(alphas, PHI_WVA, phis, 100, cfg)
         assert len(draws) == len(pts) == 12
+        assert len(tables) == len(phis)
         for p in pts:
             tau = p.alpha / cfg.source.omega0
             bias = first_order(expected_record(replace(cfg, tau_true=tau)),
