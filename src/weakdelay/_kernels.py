@@ -37,12 +37,17 @@ Null rule: a counted bin whose zeta is at or below ``null`` =
 the phase sum u cos(g w) + v sin(g w), is a model zero: the likelihood
 reads -inf there and the score is undefined.
 
-Prepared record: bins without counts add exactly nothing to the
-likelihood, so :func:`prepare` keeps the bins with Q > 0 of both ports,
-stacked as one set of columns (port 1 first): w, Q, Q w, the bin's weak
-value and its zeta terms.  The likelihood functions of
-:mod:`weakdelay.estimators` read the columns through :meth:`Prepared.rows`,
-in blocks of delays of about ``_CHUNK`` elements.  Each block is evaluated
+Prepared record: :func:`prepare` keeps the bins of both ports whose
+weight Q exceeds eps sum Q / (2 bins), stacked as one set of columns (port
+1 first): w, Q, Q w, the bin's weak value and its zeta terms.  The bins
+left out weigh at most eps sum Q together, so their terms add at most eps
+sum Q max |log zeta| to the likelihood, the order of the rounding of the
+sum itself.  On a count record they are exactly the bins without counts;
+on a noise-free record, the far spectral tail (weights down to 3e-60),
+whose nulls would make the likelihood -inf at delays where its counted
+terms are finite, and widen the profile's exact work.  The likelihood
+functions of :mod:`weakdelay.estimators` read the columns through
+:meth:`Prepared.rows`, in blocks of delays of about ``_CHUNK`` elements.  Each block is evaluated
 with ``out=`` ufuncs into one workspace that the call allocates once, so a
 block allocates nothing of its size; every row is reduced by the same
 pairwise sum whether its delay came alone or in an array.  The dense
@@ -118,8 +123,11 @@ import numpy as np
 #: Floor for the profile's model probability before the log.
 _Z_FLOOR = 1e-300
 
+#: Machine epsilon of a double, 2^-52.
+_EPS = np.finfo(float).eps
+
 #: Model-zero bound per unit r: (32 eps)^2 (u^2 + v^2) = (32 eps)^2 2 r.
-_NULL = 2.0 * (32.0 * np.finfo(float).eps) ** 2
+_NULL = 2.0 * (32.0 * _EPS) ** 2
 
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
 _RHO_MIN = 2.0
@@ -239,11 +247,17 @@ class Prepared(NamedTuple):
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
-    """Stack the counted bins of both ports; the one place they are masked."""
+    """Stack the counted bins of both ports; the one place they are masked.
+
+    A bin is counted when its weight exceeds eps sum(q) / q.size over both
+    ports, so the bins left out weigh at most eps sum(q) together.  On the
+    default 2101-bin grid every nonzero bin of a count record of fewer
+    than ~1.9e19 events is counted.
+    """
     omega = np.asarray(omega, dtype=float)
     q = np.concatenate([q1, q2]).astype(float)
     aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])
-    live = q > 0
+    live = q > _EPS * q.sum() / q.size
     w, q, aw = np.tile(omega, 2)[live], q[live], aw[live]
     return Prepared(w, q, q * w, aw, zeta_terms(aw))
 

@@ -208,8 +208,10 @@ def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
     """Log-likelihood of delay g, up to a g-independent additive constant.
 
     Only the reshaping factors depend on g, so the source spectrum and the
-    postselection overlaps contribute constants and are omitted.  Bins with
-    zero counts contribute nothing; a counted bin on a model zero (see
+    postselection overlaps contribute constants and are omitted.  A bin
+    counts when its weight exceeds eps sum Q / (2 bins), which a count
+    record's every nonzero bin does; the bins left out weigh at most eps
+    sum Q together.  A counted bin on a model zero (see
     :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
     A 1-D array g gives an array of log-likelihoods.
     """

@@ -48,7 +48,7 @@ class TestLogLikelihood:
         local = np.linspace(grid[k - 1], grid[k + 1], 401)
         vals_local = [log_likelihood(g, jwm_record, jwm_wv) for g in local]
         g_best = local[int(np.argmax(vals_local))]
-        assert g_best == pytest.approx(tau, rel=1e-3)
+        assert g_best == pytest.approx(tau, rel=1e-3, abs=0)
 
     def test_port_exchange_symmetry(self, jwm_record, jwm_wv):
         from weakdelay import WeakValuePair
@@ -58,7 +58,8 @@ class TestLogLikelihood:
         swapped_wv = WeakValuePair(aw1=jwm_wv.aw2, aw2=jwm_wv.aw1)
         for g in (0.0, 5e-18, 2e-17):
             assert log_likelihood(g, jwm_record, jwm_wv) == pytest.approx(
-                log_likelihood(g, swapped_rec, swapped_wv), rel=1e-12)
+                log_likelihood(g, swapped_rec, swapped_wv), rel=1e-12,
+                abs=1e-14 * jwm_record.total_weight())
 
     def test_score_identity_at_generating_delay(self, jwm_wv):
         # Q_j proportional to P_j(.; g0) makes the score vanish at g0
@@ -137,6 +138,40 @@ class TestArrayEvaluation:
             score_residual(g_wall, rec, wv)
 
 
+class TestCountedBins:
+    """A bin is counted when its weight exceeds eps sum(q) / (2 bins)."""
+
+    @pytest.mark.parametrize("photons", [100_000, 10_000_000])
+    def test_count_record_counts_every_nonzero_bin(self, photons):
+        rec = simulate(ExperimentConfig(phi_actual=PHI_WVA, tau_true=3e-18,
+                                        photons=photons, seed=3))
+        counted = prepare_likelihood(rec, ideal_weak_values(PHI_WVA)).q.size
+        assert counted == np.count_nonzero(rec.port1.weights) + \
+            np.count_nonzero(rec.port2.weights)
+
+    @pytest.mark.parametrize("phi,tau", [(PHI_WVA, 1e-17), (PHI_JWM, 1e-17),
+                                         (2.4883, -4.59e-17)])
+    def test_noise_free_record_drops_at_most_eps_of_its_weight(self, phi, tau):
+        rec = record_at(phi, tau)
+        q = np.sort(np.concatenate([rec.port1.weights, rec.port2.weights]))
+        counted = np.sort(prepare_likelihood(rec, ideal_weak_values(phi)).q)
+        dropped = q.size - counted.size
+        # the tail weights below eps total / bins are what is left out
+        assert 0 < dropped < q.size // 2
+        np.testing.assert_array_equal(counted, q[dropped:])
+        assert q[:dropped].sum() <= np.finfo(float).eps * q.sum()
+
+    def test_tail_bin_on_its_null_leaves_the_likelihood_finite(self):
+        # a 874.5 nm bin of weight 5.3e-39 sits on its null at this delay;
+        # counted, it read -inf where the profile reads -0.09
+        phi, g = 2.4883, -1.516481167428668e-16
+        rec, wv = record_at(phi, -4.59e-17), ideal_weak_values(phi)
+        direct = log_likelihood(g, rec, wv)
+        _, vals = likelihood_profile(rec, wv, g, g + 1e-19, 101)
+        assert np.isfinite(direct)
+        assert vals[0] == pytest.approx(direct, rel=0, abs=1e-10 * rec.total_weight())
+
+
 class TestRationalResidual:
     def test_zero_at_zero_delay_symmetric_record(self, jwm_wv):
         rec = record_at(PHI_JWM, 0.0)
@@ -186,14 +221,14 @@ class TestSolveExact:
     def test_noise_free_recovery(self, phi, tau):
         rec = record_at(phi, tau)
         res = solve_exact(rec, ideal_weak_values(phi))
-        assert res.tau_hat == pytest.approx(tau, rel=1e-6)
+        assert res.tau_hat == pytest.approx(tau, rel=1e-6, abs=0)
         assert res.diagnostics["bracket_width"] > 0
         assert res.warnings == ()
 
     def test_negative_delay(self):
         rec = record_at(PHI_JWM, -2e-18)
         res = solve_exact(rec, ideal_weak_values(PHI_JWM))
-        assert res.tau_hat == pytest.approx(-2e-18, rel=1e-6)
+        assert res.tau_hat == pytest.approx(-2e-18, rel=1e-6, abs=0)
 
     def test_zero_delay(self):
         rec = record_at(PHI_JWM, 0.0)
@@ -209,7 +244,7 @@ class TestSolveExact:
         rec = record_at(PHI_WVA, tau, qwp=qwp)
         wv_disp, _, _ = port_projections(PHI_WVA, rec.omega, qwp)
         res = solve_exact(rec, wv_disp)
-        assert res.tau_hat == pytest.approx(tau, rel=1e-3)
+        assert res.tau_hat == pytest.approx(tau, rel=1e-3, abs=0)
         fo = first_order(rec, PHI_WVA).tau_hat
         assert abs(fo - tau) / tau > 0.05
 
@@ -226,7 +261,7 @@ class TestSolveExact:
         rec = simulate(cfg)
         res = solve_exact(rec, port_projections(phi, rec.omega, qwp)[0])
         assert res.tau_hat >= 0
-        assert res.tau_hat == pytest.approx(mirror, rel=1e-6)
+        assert res.tau_hat == pytest.approx(mirror, rel=1e-6, abs=0)
         assert res.warnings == (
             f"real weak values: the delay's sign is not identifiable "
             f"(mirror pair +-{res.tau_hat:.6g} s)",)
@@ -274,7 +309,7 @@ class TestSolveExact:
 
         monkeypatch.setattr(est, "score_residual", counting)
         res = est.solve_exact(rec, ideal_weak_values(0.3))
-        assert res.tau_hat == pytest.approx(tau, rel=1e-6)
+        assert res.tau_hat == pytest.approx(tau, rel=1e-6, abs=0)
         assert len([n for n in sizes if n > 1]) == 2
 
 
@@ -282,7 +317,7 @@ class TestQuartic:
     def test_linear_ratio_matches_first_order(self, jwm_record, jwm_wv):
         # the root-selection hint is -e/d
         assert quartic(jwm_record, jwm_wv).diagnostics["hint"] == pytest.approx(
-            first_order(jwm_record, PHI_JWM).tau_hat, rel=1e-12)
+            first_order(jwm_record, PHI_JWM).tau_hat, rel=1e-12, abs=0)
 
     def test_zero_delay_record_selects_zero_root(self):
         rec = record_at(PHI_JWM, 0.0)
@@ -294,7 +329,7 @@ class TestQuartic:
         tau = 1e-17
         rec = record_at(np.pi / 2, tau)
         res = quartic(rec, ideal_weak_values(np.pi / 2))
-        assert res.tau_hat == pytest.approx(tau, rel=5e-3)
+        assert res.tau_hat == pytest.approx(tau, rel=5e-3, abs=0)
 
     def test_matches_exact_solver_in_deep_weak_regime(self):
         tau = 4e-19  # omega0 tau ~ 1e-3
@@ -302,7 +337,7 @@ class TestQuartic:
         wv = ideal_weak_values(PHI_JWM)
         root = quartic(rec, wv).tau_hat
         exact = solve_exact(rec, wv).tau_hat
-        assert root == pytest.approx(exact, rel=1e-2)
+        assert root == pytest.approx(exact, rel=1e-2, abs=0)
 
     @pytest.mark.parametrize("phi", [PHI_JWM, PHI_WVA], ids=["jwm", "wva"])
     def test_coefficients_are_taylor_series_of_rational_residual(self, phi):
@@ -336,7 +371,7 @@ class TestQuartic:
         with pytest.raises(DegenerateRecordError, match="mirror pair") as exc:
             quartic(rec, port_projections(PHI_JWM, rec.omega, qwp)[0])
         mirror = float(str(exc.value).rsplit("+-", 1)[1].split()[0])
-        assert mirror == pytest.approx(tau, rel=1e-3)
+        assert mirror == pytest.approx(tau, rel=1e-3, abs=0)
 
     def test_no_real_roots_raises(self):
         # strongly unbalanced and outside the deep weak regime
@@ -352,7 +387,7 @@ class TestFirstOrder:
 
     def test_balanced_recovery_within_one_percent(self):
         rec = record_at(PHI_JWM, 1e-17)
-        assert first_order(rec, PHI_JWM).tau_hat == pytest.approx(1e-17, rel=1e-2)
+        assert first_order(rec, PHI_JWM).tau_hat == pytest.approx(1e-17, rel=1e-2, abs=0)
 
     def test_specialization_of_general_form(self):
         # the tan/cot formula is the general -e/d estimate evaluated at the
@@ -366,7 +401,7 @@ class TestFirstOrder:
                                     port2=Spectrum(grid, w2), total_events=0)
             wv = ideal_weak_values(phi)
             assert first_order(rec, phi).tau_hat == pytest.approx(
-                general_first_order(rec, wv), rel=1e-10)
+                general_first_order(rec, wv), rel=1e-10, abs=0)
 
     def test_equals_tan_cot_moment_formula(self):
         # computed as the truncated series, it must still equal the tan/cot
@@ -381,7 +416,7 @@ class TestFirstOrder:
             tau = ((np.sin(phi / 2) ** 2 * m1.m1 - np.cos(phi / 2) ** 2 * m2.m1)
                    / (t * m1.m2 + m2.m2 / t))
             res = first_order(rec, phi)
-            assert res.tau_hat == pytest.approx(tau, rel=1e-10)
+            assert res.tau_hat == pytest.approx(tau, rel=1e-10, abs=0)
             assert res.diagnostics["port_probabilities"] == pytest.approx((m1.p0, m2.p0))
 
     def test_rejects_bad_phi(self, jwm_record):
@@ -422,7 +457,7 @@ class TestFirstOrder:
         qwp = QwpModel(variant="absent")
         rec = record_at(PHI_JWM, 1e-17, qwp=qwp)
         wv = port_projections(PHI_JWM, rec.omega, qwp)[0]
-        assert solve_exact(rec, wv).tau_hat == pytest.approx(1e-17, rel=1e-6)
+        assert solve_exact(rec, wv).tau_hat == pytest.approx(1e-17, rel=1e-6, abs=0)
         with pytest.raises(DegenerateRecordError, match="real weak values"):
             general_first_order(rec, wv)
 
@@ -440,8 +475,8 @@ class TestJwmSimplified:
         rec = record_at(np.pi / 2, tau)
         m1, m2 = record_moments(rec)
         raw = (m1.p0 * m2.m1 - m2.p0 * m1.m1) / pooled_variance(rec)
-        assert raw == pytest.approx(-tau, rel=1e-3)
-        assert jwm_simplified(rec).tau_hat == pytest.approx(tau, rel=1e-3)
+        assert raw == pytest.approx(-tau, rel=1e-3, abs=0)
+        assert jwm_simplified(rec).tau_hat == pytest.approx(tau, rel=1e-3, abs=0)
 
     def test_numerator_magnitude_is_tau_times_variance(self):
         tau = 1e-18
@@ -514,7 +549,7 @@ class TestWvaEstimators:
         # known +cot(phi/2) w0 tau / 2 level, a couple of percent
         tau = 1e-19
         rec = record_at(PHI_WVA, tau)
-        assert wva_first_order(rec, PHI_WVA).tau_hat == pytest.approx(tau, rel=0.03)
+        assert wva_first_order(rec, PHI_WVA).tau_hat == pytest.approx(tau, rel=0.03, abs=0)
 
     def test_dispersive_bias_grows(self):
         qwp = default_dispersive_qwp()
@@ -540,7 +575,7 @@ class TestWvaEstimators:
     def test_mean_shift_inverse_proportionality(self):
         a = wva_mean_shift(1e10, 30.0, 5e26).tau_hat
         b = wva_mean_shift(1e10, 60.0, 5e26).tau_hat
-        assert a == pytest.approx(2 * b, rel=1e-12)
+        assert a == pytest.approx(2 * b, rel=1e-12, abs=0)
 
     def test_mean_shift_consistency_with_first_order(self):
         # feed back the dark-port mean shift measured on a simulated record
@@ -551,7 +586,7 @@ class TestWvaEstimators:
                              im_aw2=1 / np.tan(PHI_WVA / 2),
                              variance=pooled_variance(rec))
         ref = wva_first_order(rec, PHI_WVA)
-        assert est.tau_hat == pytest.approx(ref.tau_hat, rel=0.1)
+        assert est.tau_hat == pytest.approx(ref.tau_hat, rel=0.1, abs=0)
 
     def test_mean_shift_rejects_zero_divisors(self):
         with pytest.raises(DomainError):
@@ -570,13 +605,13 @@ class TestEstimatorFamilyProperties:
             total_events=0)
         wv = ideal_weak_values(PHI_JWM)
         assert first_order(scaled, PHI_JWM).tau_hat == pytest.approx(
-            first_order(rec, PHI_JWM).tau_hat, rel=1e-12)
+            first_order(rec, PHI_JWM).tau_hat, rel=1e-12, abs=0)
         assert jwm_simplified(scaled).tau_hat == pytest.approx(
-            jwm_simplified(rec).tau_hat, rel=1e-12)
+            jwm_simplified(rec).tau_hat, rel=1e-12, abs=0)
         assert quartic(scaled, wv).tau_hat == pytest.approx(
-            quartic(rec, wv).tau_hat, rel=1e-9)
+            quartic(rec, wv).tau_hat, rel=1e-9, abs=0)
         assert solve_exact(scaled, wv).tau_hat == pytest.approx(
-            solve_exact(rec, wv).tau_hat, rel=1e-9, abs=1e-29)
+            solve_exact(rec, wv).tau_hat, rel=1e-9, abs=0)
 
     def test_no_estimator_consumes_source_spectrum(self):
         # the likelihood equation eliminates the source distribution, so no
@@ -681,10 +716,16 @@ def test_estimate_equals_direct_call(method, phi):
 
 class TestDiagnostics:
     def test_exact_reports_residual_and_iterations(self, jwm_record, jwm_wv):
+        # 1e-17 s is itself a ladder candidate: a score of exactly 0 there
+        # is returned at step 0; 1.3e-17 s is no ladder point
         res = solve_exact(jwm_record, jwm_wv)
-        assert res.diagnostics["iterations"] > 0
-        assert np.isfinite(res.diagnostics["likelihood_residual"])
-        assert res.diagnostics["final_width"] <= 1e-30
+        assert res.diagnostics["iterations"] > 0 or \
+            res.diagnostics["likelihood_residual"] == 0.0
+        off_ladder = solve_exact(record_at(PHI_JWM, 1.3e-17), jwm_wv)
+        assert off_ladder.diagnostics["iterations"] > 0
+        for r in (res, off_ladder):
+            assert np.isfinite(r.diagnostics["likelihood_residual"])
+            assert r.diagnostics["final_width"] <= 1e-30
 
     def test_profile_matches_pointwise_likelihood(self, jwm_record, jwm_wv):
         # interpolated and exact columns must agree with the plain evaluator
