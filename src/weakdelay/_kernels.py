@@ -82,18 +82,30 @@ E_sqrt(rho), inside which S is bounded)
 on the range, M the largest |S| on E_sqrt(rho): at most sum q times the
 largest |log zeta| there, which stays moderate as zeta has no zero in
 E_rho.  (Against :func:`weakdelay.estimators.log_likelihood`, 40 seeded
-records of all three analyzers agree to 2e-14 sum q.)  The degree rule m =
-max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) = max(8, ceil(40 /
-log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2 keeps m <= 133.  S
-is sampled with :func:`zeta` through :meth:`Prepared.rows`, and its
-coefficients are sums against exact cosines cos(k theta_i) (a three-term
-recurrence for T_k loses ~k^2 eps).  The range's grid points are cut into
-blocks of ``_BLOCK`` = 8 points per node.  On each block p_m is a
-polynomial of degree m - 1 in the block's own coordinate, so its values at
-the block's m first-kind Chebyshev points determine it exactly: Clenshaw's
-recurrence evaluates the series at those points only, and one barycentric
-matrix (second form, shared by every block of the range) maps them onto
-the block's grid points in one matrix product.  This re-evaluates p_m, it
+records of all three analyzers agree to 1e-14 sum q, chop included.)
+The degree rule m = max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) =
+max(8, ceil(40 / log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2
+keeps m <= 133.  S is sampled with :func:`zeta` through
+:meth:`Prepared.rows`, and its coefficients are sums against exact
+cosines cos(k theta_i) (a three-term recurrence for T_k loses ~k^2 eps),
+taken from one table of the 4 m distinct angles.
+
+The rule for m is an a-priori bound; the coefficients mostly fall to a
+rounding plateau of 1e-16 to 1e-17 sum |c_k| well before it.  So the
+series is chopped (Aurentz & Trefethen, "Chopping a Chebyshev series",
+ACM Trans. Math. Softw. 43, 33 (2017)): the longest trailing run of
+coefficients whose sum |c_k| is at most ``_CHOP`` eps sum |c_k| =
+32 eps sum |c_k| is dropped, keeping at least one.  As |T_k| <= 1 on the
+range, the chopped series p_kept differs from p_m by at most the dropped
+sum |c_k| there.  A series that never reaches its plateau is kept whole.
+
+The range's grid points are cut into blocks of ``_BLOCK`` = 8 points per
+kept coefficient.  On each block p_kept is a polynomial of degree kept - 1
+in the block's own coordinate, so its values at the block's kept
+first-kind Chebyshev points determine it exactly: Clenshaw's recurrence
+evaluates the series at those points only, and one barycentric matrix
+(second form, shared by every block of the range) maps them onto the
+block's grid points in one matrix product.  This re-evaluates p_kept, it
 does not approximate it further, and the barycentric formula at Chebyshev
 points is forward stable (Higham, IMA J. Numer. Anal. 24, 547 (2004);
 Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  A range of no more grid
@@ -139,13 +151,25 @@ _LEAF = 2048
 _DIGITS = 40.0
 _MIN_NODES = 8
 
-#: Grid points per Chebyshev node in a block of an interpolated range.  Wider
-#: blocks run the recurrence on fewer nodes (n nodes / _BLOCK points x
-#: coefficients) but build a larger barycentric matrix (_BLOCK nodes^2 / 2
-#: elements).  On the 12 records of the benchmark's `profile` workload, 1e5
-#: points each, the six balanced took 14.8 / 13.0 / 12.1 ms and the six
-#: unbalanced 205 / 211 / 223 ms with 4 / 8 / 16 (medians of 25 interleaved
-#: rounds, one thread, 2-core Xeon, NumPy 2.4.6).
+#: Rounding plateau of a fitted series: a trailing run of coefficients with
+#: sum |c_k| <= _CHOP eps sum |c_k| is dropped before evaluation.  On the 24
+#: records of the benchmark's `profile` workload at seeds 1 and 2 the ranges
+#: kept 47 / 34 / 30 / 28% of their sampled coefficients with 16 / 32 / 64 /
+#: 128, and the worst profile error on the 40 seeded records of the tests
+#: read 1.4 / 0.9 / 2.4 / 5.2e-14 sum q (1.8e-14 unchopped).  The 12
+#: unbalanced records took 305 / 278 / 289 / 281 ms (medians of 15
+#: interleaved rounds, one thread, 2-core Xeon, NumPy 2.4.6): 16 is slower,
+#: the others agree within the noise, and 32 is the most accurate.
+_CHOP = 32.0
+
+#: Grid points per kept coefficient in a block of an interpolated range.
+#: Wider blocks run the recurrence on fewer points (n / _BLOCK points x
+#: coefficients) but build a larger barycentric matrix (_BLOCK kept^2 / 2
+#: elements).  On the 24 records of the benchmark's `profile` workload at
+#: seeds 1 and 2, 1e5 points each, the 12 balanced took 40.5 / 36.0 / 34.6
+#: ms and the 12 unbalanced 232 / 224 / 225 ms with 4 / 8 / 16 (medians of
+#: 25 interleaved rounds, one thread, 2-core Xeon, NumPy 2.4.6); a second
+#: set read 248 / 260 ms unbalanced with 8 / 16.
 _BLOCK = 8
 
 #: Elements (delays x columns) evaluated together by :meth:`Prepared.rows`,
@@ -345,25 +369,44 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
     Chebyshev interpolant at ``nodes`` points.
 
     The columns are sampled at the nodes first-kind Chebyshev points of the
-    range, the series coefficients are sums against cos(k theta_i), and
-    :func:`_chebyshev` evaluates the series on the range's grid points,
-    block by block from the values at each block's own Chebyshev points.
+    range and the series coefficients are sums against cos(k theta_i).
+    :func:`_chop` drops the series' rounding plateau, which moves no value
+    on the range by more than the dropped sum |c_k| <= ``_CHOP`` eps
+    sum |c_k|, and :func:`_chebyshev` evaluates the kept terms on the
+    range's grid points, block by block from the values at each block's
+    own Chebyshev points.
     """
     centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
     # cos(k theta_i) at theta_i = pi (2 i + 1) / (2 nodes), the angle reduced
-    # mod 2 pi in integers: a three-term recurrence for T_k lost ~k^2 eps
+    # mod 2 pi in integers: a three-term recurrence for T_k lost ~k^2 eps.
+    # The 4 nodes distinct angles take one cosine each.
     angle = np.outer(np.arange(nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
-    basis = np.cos(np.pi / (2 * nodes) * angle)
+    basis = np.cos(np.pi / (2 * nodes) * np.arange(4 * nodes))[angle]
     values = p.rows(g0 + (centre + half * basis[1]) * dg, _log_rows)
     coef = basis @ values * (2.0 / nodes)
     coef[0] *= 0.5
-    out[lo:hi] += _chebyshev(coef, hi - lo)
+    out[lo:hi] += _chebyshev(_chop(coef), hi - lo)
+
+
+def _chop(coef: np.ndarray) -> np.ndarray:
+    """coef without its longest trailing run whose sum |c_k| is at most
+    ``_CHOP`` eps sum |c_k|; at least one coefficient is kept.
+
+    As |T_k| <= 1 on [-1, 1], the chopped series differs from the full one
+    by at most the dropped sum |c_k| anywhere on the range.
+    """
+    # tail[i] = sum |c_k| over the last i + 1 coefficients; nondecreasing,
+    # so the coefficients to drop are those of the tail sums within bound
+    tail = np.cumsum(np.abs(coef[::-1]))
+    drop = np.searchsorted(tail, _CHOP * _EPS * tail[-1], side="right")
+    return coef[:max(1, coef.size - drop)]
 
 
 def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
     """sum_k coef[k] T_k(t) at the n uniform points t_j = 2 j / (n - 1) - 1.
 
-    The points are cut into blocks of width = min(n, ``_BLOCK`` * nodes)
+    With nodes = coef.size (the kept length of a chopped series), the
+    points are cut into blocks of width = min(n, ``_BLOCK`` * nodes)
     consecutive points, the last block ending at t = 1 (it rewrites the
     points it shares with the block before it).  On a block the series is
     a polynomial of degree nodes - 1 in the block's own coordinate s_j =

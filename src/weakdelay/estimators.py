@@ -261,6 +261,11 @@ def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecor
     return _residual(g, out, "rational residual outside validity region")
 
 
+#: Most grid points of a likelihood profile; a million keep the grid, the
+#: values and every per-point work array under 8 MB each.
+MAX_PROFILE_POINTS = 1_000_000
+
+
 def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
                        g_lo: float, g_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-likelihood on a uniform n-point delay grid (diagnostic scan).
@@ -271,12 +276,13 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     no zero nearby, and evaluated exactly, like :func:`log_likelihood`, on
     the stretch around its null.  Returns (grid, values), values offset
     by the same g-independent constant as :func:`log_likelihood` and
-    within 1e-10 times the record's total weight of it (2e-14 at most on
+    within 1e-10 times the record's total weight of it (1e-14 at most on
     40 seeded records).  The exact terms keep model probabilities at or
     above 1e-300 before the log, so a grid point sitting on a likelihood
     singularity reads a finite value far below its neighbours rather
-    than -inf.  ``n`` must be an integer of at least 2 and the bounds
-    finite, else DomainError.
+    than -inf.  ``n`` must be an integer in [2, :data:`MAX_PROFILE_POINTS`]
+    and the bounds, the grid step and the largest phase |g| w finite,
+    else DomainError.
     """
     try:
         n = operator.index(n)
@@ -284,10 +290,15 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
         raise DomainError(f"profile grid size must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError("profile needs at least 2 grid points")
+    if n > MAX_PROFILE_POINTS:
+        raise DomainError(f"{n} profile grid points exceed the cap of {MAX_PROFILE_POINTS}")
     if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
         raise DomainError(f"profile bounds must be finite, got [{g_lo}, {g_hi}]")
-    (q1, aw1), (q2, aw2) = _ports(record, weak_values)
     dg = (g_hi - g_lo) / (n - 1)
+    phase = max(abs(g_lo), abs(g_hi)) * float(np.max(record.omega))
+    if not (math.isfinite(dg) and math.isfinite(phase)):
+        raise DomainError(f"profile grid [{g_lo}, {g_hi}] overflows its step or phase")
+    (q1, aw1), (q2, aw2) = _ports(record, weak_values)
     values = _kernels.profile(g_lo, dg, n, record.omega, q1, q2, aw1, aw2)
     return g_lo + dg * np.arange(n), values
 

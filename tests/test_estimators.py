@@ -796,7 +796,8 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("g_lo, g_hi, n", [
         (0.0, 2e-17, 1), (0.0, 2e-17, 10.7), (0.0, np.nan, 11),
-        (-np.inf, 2e-17, 11), (0.0, np.inf, 11)])
+        (-np.inf, 2e-17, 11), (0.0, np.inf, 11), (0.0, 2e-17, 10**15),
+        (0.0, 1e300, 1000), (-1e308, 1e308, 11)])
     def test_profile_rejects_bad_grid(self, jwm_record, jwm_wv, g_lo, g_hi, n):
         with pytest.raises(DomainError):
             likelihood_profile(jwm_record, jwm_wv, g_lo, g_hi, n)
@@ -831,38 +832,51 @@ class TestProfileSeries:
 
     @staticmethod
     def _spy(monkeypatch):
-        # (grid points, nodes, Clenshaw points, coefficients) per _interpolate call
-        interpolate, chebyshev, clenshaw = (_kernels._interpolate, _kernels._chebyshev,
-                                            _kernels._clenshaw)
+        # per _interpolate call: grid points, sampled nodes, the fitted and
+        # the evaluated (chopped) series, the values the series added and
+        # the points of each Clenshaw run
+        interpolate, chop, chebyshev, clenshaw = (_kernels._interpolate, _kernels._chop,
+                                                  _kernels._chebyshev, _kernels._clenshaw)
         calls = []
 
         def counting_interpolate(lo, hi, p, nodes, *args):
-            calls.append({"n": hi - lo, "nodes": nodes, "points": [], "coef": None})
+            calls.append({"n": hi - lo, "nodes": nodes, "points": []})
             return interpolate(lo, hi, p, nodes, *args)
+
+        def capturing_chop(coef):
+            calls[-1]["fitted"] = coef.copy()
+            return chop(coef)
 
         def capturing_chebyshev(coef, n):
             calls[-1]["coef"] = coef.copy()
-            return chebyshev(coef, n)
+            calls[-1]["values"] = chebyshev(coef, n)
+            return calls[-1]["values"]
 
         def counting_clenshaw(coef, t):
             calls[-1]["points"].append(t.copy())
             return clenshaw(coef, t)
 
         monkeypatch.setattr(_kernels, "_interpolate", counting_interpolate)
+        monkeypatch.setattr(_kernels, "_chop", capturing_chop)
         monkeypatch.setattr(_kernels, "_chebyshev", capturing_chebyshev)
         monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)
         return calls
 
-    def _interpolated(self, monkeypatch, record, wv, n, nodes):
-        """_interpolate's values on an n-point range, chebval of the series it
-        fitted there, sum |c_k| and the points the recurrence ran on."""
+    @staticmethod
+    def _chebval(coef, n):
+        """sum_k coef[k] T_k(t) at the n uniform points of [-1, 1]."""
+        return np.polynomial.chebyshev.chebval(np.arange(n) / (0.5 * (n - 1)) - 1.0, coef)
+
+    def _evaluated(self, monkeypatch, record, wv, n, nodes):
+        """The whole series _interpolate fits on an n-point range at nodes
+        points, _chebyshev's values of it, unchopped, and the points its
+        recurrence ran on."""
         calls = self._spy(monkeypatch)
-        out = np.zeros(n)
         _kernels._interpolate(0, n, prepare_likelihood(record, wv), nodes,
-                              0.0, 2e-17 / (n - 1), out)
-        coef = calls[0]["coef"]
-        series = np.polynomial.chebyshev.chebval(np.arange(n) / (0.5 * (n - 1)) - 1.0, coef)
-        return out, series, np.abs(coef).sum(), calls[0]["points"][0]
+                              0.0, 2e-17 / (n - 1), np.zeros(n))
+        coef = calls[0]["fitted"]
+        calls[0]["points"].clear()
+        return coef, _kernels._chebyshev(coef, n), calls[0]["points"][0]
 
     @pytest.mark.parametrize("nodes", [8, 67, 133])
     @pytest.mark.parametrize("size", ["nodes+1", "one block", "partial block", "1e5"])
@@ -872,34 +886,76 @@ class TestProfileSeries:
         # one block, two blocks and a partial last one, and 1e5 points
         n = {"nodes+1": nodes + 1, "one block": 8 * nodes,
              "partial block": 16 * nodes + 37, "1e5": 100_000}[size]
-        out, series, scale, _ = self._interpolated(monkeypatch, jwm_record, jwm_wv, n, nodes)
-        assert np.max(np.abs(out - series)) <= 1e-14 * scale
+        coef, values, _ = self._evaluated(monkeypatch, jwm_record, jwm_wv, n, nodes)
+        assert coef.size == nodes
+        assert np.max(np.abs(values - self._chebval(coef, n))) <= 1e-14 * np.abs(coef).sum()
 
     def test_grid_point_on_a_block_node_reads_the_series(self, monkeypatch, jwm_record,
                                                          jwm_wv):
         # an odd block width and an odd node count put the middle grid
         # point exactly on the middle node, t = 0: the barycentric weights
         # divide by zero there
-        out, series, scale, points = self._interpolated(monkeypatch, jwm_record, jwm_wv,
-                                                        301, 67)
+        coef, values, points = self._evaluated(monkeypatch, jwm_record, jwm_wv, 301, 67)
+        assert coef.size == 67
         assert 0.0 in points
-        assert np.all(np.isfinite(out))
-        assert np.max(np.abs(out - series)) <= 1e-14 * scale
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - self._chebval(coef, 301))) <= 1e-14 * np.abs(coef).sum()
 
     def test_recurrence_runs_on_block_nodes_only(self, monkeypatch):
         # per interpolated range of n grid points, Clenshaw's recurrence
-        # runs once, on at most ceil(n / width) x nodes points (width =
-        # min(n, 8 nodes)), not on every grid point
+        # runs once, on at most ceil(n / width) x kept points (width =
+        # min(n, 8 kept), kept the evaluated length of the series), not on
+        # every grid point
         calls = self._spy(monkeypatch)
         n = 100_000
         for phi in (PHI_JWM, PHI_WVA):
             likelihood_profile(record_at(phi, 1e-17), ideal_weak_values(phi), 0.0, 2e-17, n)
         assert len(calls) > 2
         for call in calls:
-            width = min(call["n"], 8 * call["nodes"])
+            kept = call["coef"].size
+            width = min(call["n"], 8 * kept)
             assert len(call["points"]) == 1
-            assert 0 < call["points"][0].size <= -(-call["n"] // width) * call["nodes"]
+            assert 0 < call["points"][0].size <= -(-call["n"] // width) * kept
         assert sum(c["points"][0].size for c in calls) < sum(c["n"] for c in calls) / 4
+
+    def test_profile_evaluates_each_series_to_its_plateau(self, monkeypatch):
+        # on an unbalanced record some range's series is cut to at most half
+        # its sampled length; none is evaluated beyond it
+        calls = self._spy(monkeypatch)
+        likelihood_profile(record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA),
+                           0.0, 2e-17, 100_000)
+        assert all(c["fitted"].size == c["nodes"] for c in calls)
+        assert all(c["coef"].size <= c["nodes"] for c in calls)
+        assert any(2 * c["coef"].size <= c["nodes"] for c in calls)
+
+    def test_chop_cuts_at_the_rounding_plateau(self):
+        bound = _kernels._CHOP * np.finfo(float).eps
+        # geometric decay down to a plateau of 1e-17 from k = 29 on
+        k = np.arange(80)
+        coef = np.maximum(0.25 ** k, 1e-17) * np.where(k % 3, 1.0, -1.0)
+        kept = _kernels._chop(coef).size
+        assert np.array_equal(_kernels._chop(coef), coef[:kept])
+        assert 20 <= kept <= 29
+        scale = np.abs(coef).sum()
+        assert np.abs(coef[kept:]).sum() <= bound * scale
+        assert np.abs(coef[kept - 1:]).sum() > bound * scale
+        # nothing to keep but one term; nothing that decays is cut
+        assert _kernels._chop(np.zeros(10)).size == 1
+        assert _kernels._chop(np.ones(50)).size == 50
+        assert _kernels._chop(np.random.default_rng(3).standard_normal(133)).size == 133
+
+    def test_chopped_series_stays_within_the_dropped_sum(self, monkeypatch):
+        # where a range's series was cut, its values differ from the whole
+        # fitted series by at most the dropped sum |c_k|, plus rounding
+        calls = self._spy(monkeypatch)
+        likelihood_profile(record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA),
+                           0.0, 2e-17, 100_000)
+        chopped = [c for c in calls if c["coef"].size < c["fitted"].size]
+        assert chopped
+        for call in chopped:
+            fitted, kept = call["fitted"], call["coef"].size
+            error = np.max(np.abs(call["values"] - self._chebval(fitted, call["n"])))
+            assert error <= np.abs(fitted[kept:]).sum() + 1e-14 * np.abs(fitted).sum()
 
     def test_profile_is_deterministic(self):
         # the block products run through BLAS, with its threads unpinned
