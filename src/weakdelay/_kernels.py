@@ -82,15 +82,16 @@ E_sqrt(rho), inside which S is bounded)
 on the range, M the largest |S| on E_sqrt(rho): at most sum q times the
 largest |log zeta| there, which stays moderate as zeta has no zero in
 E_rho.  (Against :func:`weakdelay.estimators.log_likelihood`, 40 seeded
-records of all three analyzers agree to 1e-14 sum q, chop included.)
+records of all three analyzers agree to 1.5e-14 sum q, chop and nested
+sampling included, and 24 seeded windows of 1e3 to 1e6 points to 2e-15.)
 The degree rule m = max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) =
 max(8, ceil(40 / log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2
 keeps m <= 133.  S is sampled with :func:`zeta` through
 :meth:`Prepared.rows`, and its coefficients are sums against exact
 cosines cos(k theta_i) (a three-term recurrence for T_k loses ~k^2 eps),
-taken from one table of the 4 m distinct angles.
+taken from one table of the distinct angles.
 
-The rule for m is an a-priori bound; the coefficients mostly fall to a
+The rule for m is an a-priori cap; the coefficients mostly fall to a
 rounding plateau of 1e-16 to 1e-17 sum |c_k| well before it.  So the
 series is chopped (Aurentz & Trefethen, "Chopping a Chebyshev series",
 ACM Trans. Math. Softw. 43, 33 (2017)): the longest trailing run of
@@ -98,6 +99,19 @@ coefficients whose sum |c_k| is at most ``_CHOP`` eps sum |c_k| =
 32 eps sum |c_k| is dropped, keeping at least one.  As |T_k| <= 1 on the
 range, the chopped series p_kept differs from p_m by at most the dropped
 sum |c_k| there.  A series that never reaches its plateau is kept whole.
+
+S is also sampled only as far as its series converges, as Chebfun
+constructs a function (Battles & Trefethen, SIAM J. Sci. Comput. 25, 1743
+(2004)).  With third = ceil(m / 3), S is sampled first at third
+first-kind points, and the series through them is accepted when the chop
+drops a trailing run of at least ``_PLATEAU`` = 2 coefficients: the
+series has reached its plateau, and the coefficients it aliases onto the
+kept ones are below it too.  (One dropped coefficient may be an accidental
+zero.)  Otherwise S is sampled at the 2 third other points of the 3 third
+first-kind set and the series through all of them is fitted and chopped:
+3 third >= m keeps the a-priori bound.  First-kind points nest under
+tripling, the third points being every third of the 3 third from index 1,
+so no point is sampled twice.
 
 The range's grid points are cut into blocks of ``_BLOCK`` = 8 points per
 kept coefficient.  On each block p_kept is a polynomial of degree kept - 1
@@ -112,7 +126,7 @@ Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  A range of no more grid
 points than nodes is evaluated exactly, which is cheaper.
 
 The rest, the singular columns, stay with the range while it is halved:
-a range that still has singular columns and more than ``_LEAF`` = 2048
+a range that still has singular columns and more than ``_LEAF`` = 1024
 points is split in two, and each half interpolates the columns that are
 smooth on it (a column's rho only grows on a subrange).  So exact work
 stays on the stretch of grid around each column's null: none on a
@@ -145,7 +159,19 @@ _NULL = 2.0 * (32.0 * _EPS) ** 2
 _RHO_MIN = 2.0
 
 #: Grid points up to which a profile range with singular columns is not split.
-_LEAF = 2048
+#: Smaller leaves evaluate fewer elements exactly but interpolate more ranges
+#: of small rho.  On the 12 records of the benchmark's `profile` workload at
+#: seed 1, 1e5 points each, 2048 / 1024 / 512 evaluate 5.0 / 2.2 / 1.0M
+#: elements exactly and sample 1.50 / 1.64 / 1.77M; the 24 records of seeds
+#: 1 and 2 took 315 / 285 / 296 ms of CPU time, 294 with 768 (medians of 25
+#: interleaved rounds, one thread, 2-core Xeon, NumPy 2.4.6).
+_LEAF = 1024
+
+#: Trailing coefficients the chop must drop for a range's first sample, at a
+#: third of its a-priori points, to be accepted.  On the 12 seed-1 records
+#: above, 1 / 2 / 3 / 4 sample 1.33 / 1.64 / 1.83 / 1.94M elements, against
+#: 3.10M at the a-priori counts.
+_PLATEAU = 2
 
 #: Chebyshev nodes of an interpolated range: max(_MIN_NODES, ceil(_DIGITS / log10 rho)).
 _DIGITS = 40.0
@@ -366,26 +392,57 @@ def _log_rows(x, work, p) -> np.ndarray:
 def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float,
                  out: np.ndarray) -> None:
     """Add sum q log zeta over the columns of ``p`` to out[lo:hi] from its
-    Chebyshev interpolant at ``nodes`` points.
+    Chebyshev interpolant, sampled only as far as its series converges.
 
-    The columns are sampled at the nodes first-kind Chebyshev points of the
-    range and the series coefficients are sums against cos(k theta_i).
-    :func:`_chop` drops the series' rounding plateau, which moves no value
-    on the range by more than the dropped sum |c_k| <= ``_CHOP`` eps
-    sum |c_k|, and :func:`_chebyshev` evaluates the kept terms on the
-    range's grid points, block by block from the values at each block's
-    own Chebyshev points.
+    ``nodes`` is the a-priori count m.  With third = ceil(m / 3), the
+    columns are sampled at the third first-kind points that are every third
+    of the 3 third ones, from index 1, and the series through them is
+    fitted and chopped.  If :func:`_chop` drops at least ``_PLATEAU``
+    coefficients, the series has reached its rounding plateau and is
+    evaluated.  Otherwise the 2 third other points are sampled and the
+    series through all 3 third >= m is fitted and chopped: the same fit at
+    more points, within the a-priori bound, and no point sampled twice.
+    The chop moves no value on the range by more than the dropped sum
+    |c_k| <= ``_CHOP`` eps sum |c_k|, and :func:`_chebyshev` evaluates the
+    kept terms on the range's grid points, block by block from the values
+    at each block's own Chebyshev points.
     """
     centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
-    # cos(k theta_i) at theta_i = pi (2 i + 1) / (2 nodes), the angle reduced
-    # mod 2 pi in integers: a three-term recurrence for T_k lost ~k^2 eps.
-    # The 4 nodes distinct angles take one cosine each.
-    angle = np.outer(np.arange(nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
-    basis = np.cos(np.pi / (2 * nodes) * np.arange(4 * nodes))[angle]
-    values = p.rows(g0 + (centre + half * basis[1]) * dg, _log_rows)
-    coef = basis @ values * (2.0 / nodes)
+    third = -(-nodes // 3)
+    cosines = _cosines(3 * third)
+    g = g0 + (centre + half * cosines[1:6 * third:2]) * dg
+    values = np.empty(3 * third)
+    values[1::3] = p.rows(g[1::3], _log_rows)
+    coef = _chop(_fit(values[1::3], cosines, 3))
+    if coef.size > third - _PLATEAU:
+        new = np.arange(3 * third) % 3 != 1
+        values[new] = p.rows(g[new], _log_rows)
+        coef = _chop(_fit(values, cosines, 1))
+    out[lo:hi] += _chebyshev(coef, hi - lo)
+
+
+def _cosines(m: int) -> np.ndarray:
+    """cos(pi a / (2 m)) for a = 0 .. 4 m - 1.
+
+    At the m first-kind Chebyshev points x_i = cos theta_i, theta_i =
+    pi (2 i + 1) / (2 m), entry 2 i + 1 is x_i, entry |m - 1 - 2 i|
+    is sin theta_i and entry k (2 i + 1) mod 4 m is cos(k theta_i) = T_k(x_i),
+    the angle reduced in integers.  Each is taken as sin(pi (m - a) / (2 m)):
+    the points are exactly odd in i, and the middle one of an odd m is
+    exactly 0.
+    """
+    return np.sin(np.pi / (2 * m) * (m - np.arange(4 * m)))
+
+
+def _fit(values: np.ndarray, cosines: np.ndarray, step: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through ``values`` at the
+    values.size first-kind points, from ``cosines`` = _cosines(step *
+    values.size)."""
+    m = values.size
+    angle = step * np.outer(np.arange(m), 2 * np.arange(m) + 1) % cosines.size
+    coef = cosines[angle] @ values * (2.0 / m)
     coef[0] *= 0.5
-    out[lo:hi] += _chebyshev(_chop(coef), hi - lo)
+    return coef
 
 
 def _chop(coef: np.ndarray) -> np.ndarray:
@@ -420,10 +477,8 @@ def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
     nodes = coef.size
     width = min(n, _BLOCK * nodes)
     h, c = 0.5 * (width - 1), 0.5 * (n - 1)
-    theta = np.pi / (2 * nodes) * (2 * np.arange(nodes) + 1)
-    # cos theta_i as sin(pi/2 - theta_i): exactly odd in i, and the middle
-    # node of an odd count exactly 0
-    x = np.sin(np.pi / (2 * nodes) * (nodes - 1 - 2 * np.arange(nodes)))
+    cosines, odd = _cosines(nodes), 2 * np.arange(nodes) + 1
+    x = cosines[odd]
     starts = np.minimum(np.arange(0, n, width), n - width)
     node_values = _clenshaw(coef, ((starts[:, None] + (h - c)) + h * x) / c)
     # the block's points s_j and the nodes are symmetric about 0 in floating
@@ -434,7 +489,8 @@ def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
     w = np.empty((width, nodes))
     top = np.subtract.outer(s, x, out=w[:mid])
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.where(np.arange(nodes) % 2, -1.0, 1.0) * np.sin(theta), top, out=top)
+        np.divide(np.where(np.arange(nodes) % 2, -1.0, 1.0) * cosines[np.abs(nodes - odd)],
+                  top, out=top)
         total = top.sum(axis=1)
         top /= total[:, None]
     # a point on a node (1/0 makes its row sum infinite) takes that node's value

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 #: Vacuum speed of light [m/s] (CODATA exact value).
 C_VACUUM = 2.99792458e8
 
@@ -20,12 +22,14 @@ def wavelength_to_angular_frequency(lambda_nm):
     """Convert vacuum wavelength [nm] to angular frequency [rad/s].
 
     omega = 2 pi c / lambda.  Accepts scalars or arrays; rejects
-    nonpositive wavelengths.
+    nonpositive wavelengths and those so short that omega overflows.
     """
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-        from .errors import DomainError
         raise DomainError("wavelength must be positive and finite")
-    omega = 2.0 * np.pi * C_VACUUM / (lam * NM)
+    with np.errstate(over="ignore", divide="ignore"):
+        omega = 2.0 * np.pi * C_VACUUM / (lam * NM)
+    if not np.all(np.isfinite(omega)):
+        raise DomainError("wavelength too short: its angular frequency overflows")
     return float(omega) if np.isscalar(lambda_nm) else omega
 

@@ -276,7 +276,7 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     no zero nearby, and evaluated exactly, like :func:`log_likelihood`, on
     the stretch around its null.  Returns (grid, values), values offset
     by the same g-independent constant as :func:`log_likelihood` and
-    within 1e-10 times the record's total weight of it (1e-14 at most on
+    within 1e-10 times the record's total weight of it (1.5e-14 at most on
     40 seeded records).  The exact terms keep model probabilities at or
     above 1e-300 before the log, so a grid point sitting on a likelihood
     singularity reads a finite value far below its neighbours rather

@@ -128,6 +128,23 @@ class TestConfigBoundary:
         assert str(simulator.MAX_BINS) in err
 
 
+    @pytest.mark.parametrize("center_nm", [1e-300, 1e-320])
+    def test_overflowing_centre_frequency_exits_2(self, center_nm, tmp_path, capsys):
+        # 2 pi c / lambda overflows (1e-300 nm) or divides by an underflowed
+        # zero (1e-320 nm) when the dispersive plate takes its default tau0
+        doc = {"source": {"center_nm": center_nm}, "qwp": {"model": "dispersive"}}
+        with pytest.raises(FormatError, match="overflows"):
+            load_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():  # a Python warning would be a second line
+            warnings.simplefilter("error")
+            code, stdout, err = run(["simulate", "--config", str(cfg),
+                                     "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FormatError"
+
     @pytest.mark.parametrize("doc, key", [
         ({"tau_true_fs": float("nan"), "photons": 0}, "tau_true_fs"),
         ({"theta_rad": float("nan")}, "theta_rad"),
@@ -430,6 +447,8 @@ class TestFlagBoundary:
         ["estimate", "--records", "{record}", "--phi", "4"],
         ["estimate", "--records", "{record}", "--phi", "0"],
         ["estimate", "--records", "{record}", "--phi", "1", "--center-nm", "inf"],
+        ["estimate", "--records", "{record}", "--phi", "0.03", "--qwp", "dispersive",
+         "--center-nm", "1e-300"],
         ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
          "--phi-assumed", "nan", "--out", "{out}"],
         ["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "nan",
@@ -461,7 +480,8 @@ class TestFlagBoundary:
          "--steps", str(10 ** 15), "--out", "{out}"],
         ["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e-5",
          "--steps", "0", "--out", "{out}"],
-    ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "nan_phi_assumed",
+    ], ids=["jwm_nan_phi", "phi_4", "phi_0", "inf_center", "overflowing_center",
+            "nan_phi_assumed",
             "nan_phi_actual", "nan_alpha", "empty_alphas", "empty_phi_assumed",
             "nan_theta_min", "overflowing_theta", "nan_epsilon",
             "nan_uncertainty_alpha", "inf_lambda0", "few_trials", "negative_alpha",

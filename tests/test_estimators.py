@@ -780,6 +780,31 @@ class TestDiagnostics:
                 direct = log_likelihood(grid[idx], rec, wv)
                 assert vals[idx] == pytest.approx(direct, abs=tol), (k, idx)
 
+    def test_profile_matches_pointwise_likelihood_on_random_windows(self):
+        # random windows of 1e-19 to 1e-16 s anywhere within 2e-16 s of the
+        # delay, on grids of 1e3 to 1e6 points, over all three analyzers and
+        # three photon counts: every range length and rho the split makes
+        rng = np.random.default_rng(2718)
+        for k in range(24):
+            phi = rng.uniform(0.011, np.pi - 0.011)
+            tau = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-19, np.log10(2e-16)))
+            kind = ("ideal", "dispersive", "absent")[k % 3]
+            qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel(variant=kind)
+            photons = (0, 100_000, 10_000_000)[k // 3 % 3]
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=tau, photons=photons,
+                                            seed=k, qwp=qwp))
+            wv = port_projections(phi, rec.omega, qwp)[0]
+            width = 10 ** rng.uniform(-19, -16)
+            g_lo = tau + rng.uniform(-2e-16, 2e-16 - width)
+            n = int(10 ** rng.uniform(3, 6))
+            grid, vals = likelihood_profile(rec, wv, g_lo, g_lo + width, n)
+            tol = 1e-12 * rec.total_weight()
+            picks = np.unique(np.concatenate([[0, n - 1, int(np.argmax(vals))],
+                                              rng.integers(0, n, 40)]))
+            for idx in picks:
+                direct = log_likelihood(grid[idx], rec, wv)
+                assert vals[idx] == pytest.approx(direct, abs=tol), (k, n, idx)
+
     def test_profile_on_a_counted_null_reads_finite_and_low(self):
         # the dark port's weak value -i cot(phi/2) zeroes zeta at
         # w g = phi/2: a grid starting there reads a finite value far
@@ -832,16 +857,26 @@ class TestProfileSeries:
 
     @staticmethod
     def _spy(monkeypatch):
-        # per _interpolate call: grid points, sampled nodes, the fitted and
-        # the evaluated (chopped) series, the values the series added and
-        # the points of each Clenshaw run
+        # per _interpolate call: grid points, a-priori nodes, the delays of
+        # each sample, the last fitted and the evaluated (chopped) series,
+        # the values the series added and the points of each Clenshaw run
         interpolate, chop, chebyshev, clenshaw = (_kernels._interpolate, _kernels._chop,
                                                   _kernels._chebyshev, _kernels._clenshaw)
+        rows = _kernels.Prepared.rows
         calls = []
 
         def counting_interpolate(lo, hi, p, nodes, *args):
-            calls.append({"n": hi - lo, "nodes": nodes, "points": []})
-            return interpolate(lo, hi, p, nodes, *args)
+            calls.append({"n": hi - lo, "nodes": nodes, "columns": p.q.size,
+                          "samples": [], "points": []})
+            try:
+                return interpolate(lo, hi, p, nodes, *args)
+            finally:
+                calls[-1]["done"] = True
+
+        def sampling_rows(p, g, row_values):
+            if calls and "done" not in calls[-1]:
+                calls[-1]["samples"].append(np.array(g, dtype=float))
+            return rows(p, g, row_values)
 
         def capturing_chop(coef):
             calls[-1]["fitted"] = coef.copy()
@@ -857,6 +892,7 @@ class TestProfileSeries:
             return clenshaw(coef, t)
 
         monkeypatch.setattr(_kernels, "_interpolate", counting_interpolate)
+        monkeypatch.setattr(_kernels.Prepared, "rows", sampling_rows)
         monkeypatch.setattr(_kernels, "_chop", capturing_chop)
         monkeypatch.setattr(_kernels, "_chebyshev", capturing_chebyshev)
         monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)
@@ -868,15 +904,22 @@ class TestProfileSeries:
         return np.polynomial.chebyshev.chebval(np.arange(n) / (0.5 * (n - 1)) - 1.0, coef)
 
     def _evaluated(self, monkeypatch, record, wv, n, nodes):
-        """The whole series _interpolate fits on an n-point range at nodes
-        points, _chebyshev's values of it, unchopped, and the points its
+        """A series of exactly ``nodes`` terms, fitted by NumPy to the
+        record's likelihood at the nodes first-kind points of an n-point
+        range over [0, 2e-17], _chebyshev's values of it and the points its
         recurrence ran on."""
-        calls = self._spy(monkeypatch)
-        _kernels._interpolate(0, n, prepare_likelihood(record, wv), nodes,
-                              0.0, 2e-17 / (n - 1), np.zeros(n))
-        coef = calls[0]["fitted"]
-        calls[0]["points"].clear()
-        return coef, _kernels._chebyshev(coef, n), calls[0]["points"][0]
+        p, half = prepare_likelihood(record, wv), 0.5 * (n - 1)
+        coef = np.polynomial.chebyshev.chebinterpolate(
+            lambda t: p.rows((half + half * t) * (2e-17 / (n - 1)), _kernels._log_rows),
+            nodes - 1)
+        clenshaw, points = _kernels._clenshaw, []
+
+        def counting_clenshaw(c, t):
+            points.append(t.copy())
+            return clenshaw(c, t)
+
+        monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)
+        return coef, _kernels._chebyshev(coef, n), points[0]
 
     @pytest.mark.parametrize("nodes", [8, 67, 133])
     @pytest.mark.parametrize("size", ["nodes+1", "one block", "partial block", "1e5"])
@@ -901,6 +944,37 @@ class TestProfileSeries:
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values - self._chebval(coef, 301))) <= 1e-14 * np.abs(coef).sum()
 
+    def test_unconverged_first_sample_falls_back_to_the_nested_set(self, monkeypatch,
+                                                                   jwm_record, jwm_wv):
+        # 8 points cannot resolve the likelihood over [0, 2e-17]: the 16
+        # other points of the 24-point set are sampled, none twice, and the
+        # series through all 24 is the one a fresh 24-point fit gives
+        calls = self._spy(monkeypatch)
+        n, nodes = 10_000, 24
+        p, dg = prepare_likelihood(jwm_record, jwm_wv), 2e-17 / (n - 1)
+        _kernels._interpolate(0, n, p, nodes, 0.0, dg, np.zeros(n))
+        call = calls[0]
+        assert [g.size for g in call["samples"]] == [8, 16]
+        assert np.unique(np.concatenate(call["samples"])).size == 24
+        # the 24 delays formed as _interpolate forms them
+        cosines, half = _kernels._cosines(24), 0.5 * (n - 1)
+        g = 0.0 + (half + half * cosines[1:48:2]) * dg
+        fresh = _kernels._fit(p.rows(g, _kernels._log_rows), cosines, 1)
+        assert call["fitted"].size == 24
+        assert np.abs(call["fitted"] - fresh).sum() <= 1e-15 * np.abs(fresh).sum()
+
+    def test_converged_first_sample_is_accepted(self, monkeypatch, jwm_record, jwm_wv):
+        # 45 points resolve the likelihood over [0, 2e-17] to its rounding
+        # plateau: nothing more is sampled and at least _PLATEAU terms go
+        calls = self._spy(monkeypatch)
+        n = 10_000
+        _kernels._interpolate(0, n, prepare_likelihood(jwm_record, jwm_wv), 133, 0.0,
+                              2e-17 / (n - 1), np.zeros(n))
+        call = calls[0]
+        assert [g.size for g in call["samples"]] == [45]
+        assert call["fitted"].size == 45
+        assert call["coef"].size <= 45 - _kernels._PLATEAU
+
     def test_recurrence_runs_on_block_nodes_only(self, monkeypatch):
         # per interpolated range of n grid points, Clenshaw's recurrence
         # runs once, on at most ceil(n / width) x kept points (width =
@@ -919,14 +993,35 @@ class TestProfileSeries:
         assert sum(c["points"][0].size for c in calls) < sum(c["n"] for c in calls) / 4
 
     def test_profile_evaluates_each_series_to_its_plateau(self, monkeypatch):
-        # on an unbalanced record some range's series is cut to at most half
-        # its sampled length; none is evaluated beyond it
+        # on an unbalanced record each range's series is fitted at a third of
+        # its a-priori nodes or at the nested set of three times as many;
+        # none is evaluated beyond its fitted length, one fitted at the
+        # third is cut by at least _PLATEAU terms, and some range's series
+        # is cut to at most half its a-priori nodes
         calls = self._spy(monkeypatch)
         likelihood_profile(record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA),
                            0.0, 2e-17, 100_000)
-        assert all(c["fitted"].size == c["nodes"] for c in calls)
-        assert all(c["coef"].size <= c["nodes"] for c in calls)
+        for c in calls:
+            third = -(-c["nodes"] // 3)
+            assert c["fitted"].size in (third, 3 * third)
+            assert c["coef"].size <= c["fitted"].size
+            if c["fitted"].size == third:
+                assert c["coef"].size <= third - _kernels._PLATEAU
         assert any(2 * c["coef"].size <= c["nodes"] for c in calls)
+
+    def test_profile_samples_at_most_two_thirds_of_the_a_priori_nodes(self, monkeypatch):
+        # on the unbalanced 1e5-point profile most ranges stop at their first
+        # sample: sampled nodes x columns stay within 0.65 of the a-priori
+        # total, some ranges fall back, and no range samples a point twice
+        calls = self._spy(monkeypatch)
+        likelihood_profile(record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA),
+                           0.0, 2e-17, 100_000)
+        sampled = sum(sum(g.size for g in c["samples"]) * c["columns"] for c in calls)
+        assert sampled <= 0.65 * sum(c["nodes"] * c["columns"] for c in calls)
+        assert any(len(c["samples"]) == 2 for c in calls)
+        for c in calls:
+            g = np.concatenate(c["samples"])
+            assert np.unique(g).size == g.size
 
     def test_chop_cuts_at_the_rounding_plateau(self):
         bound = _kernels._CHOP * np.finfo(float).eps

@@ -35,6 +35,13 @@ class TestWavelengthConversion:
         with pytest.raises(DomainError):
             wavelength_to_angular_frequency(-5.0)
 
+    @pytest.mark.parametrize("lambda_nm", [1e-300, 1e-320, [780.0, 1e-300]],
+                             ids=["1e-300", "1e-320", "array"])
+    def test_rejects_overflowing_frequency(self, lambda_nm):
+        # 2 pi c / (lambda nm) overflows, or lambda nm underflows to 0
+        with pytest.raises(DomainError, match="overflows"):
+            wavelength_to_angular_frequency(lambda_nm)
+
 
 class TestZeta:
     def test_zero_coupling(self):
