@@ -22,31 +22,68 @@ for a frequency-independent analyzer; a prepared record holds one per column.
 of a cosine and a sine: with t = tan(g w) and h = u + v t,
 u cos + v sin = h cos(g w) and cos^2(g w) = 1/(1 + t^2), so
 
-    zeta  = floor + h^2 cos^2(g w),
-    zeta' = 2 h (v - u t) cos^2(g w)        (d/dx at x = g w),
-
-the slope only for derivative order 1: the likelihood and the profile ask
-for order 0, the score for order 1.
+    zeta = floor + h^2 cos^2(g w).
 
 The tangent's argument reduction is as exact as the cosine's, and even at
 the double nearest an odd multiple of pi/2, t^2 is far below overflow;
-both values stay within a few eps (floor + u^2 + v^2) of exact.
+the value stays within a few eps (floor + u^2 + v^2) of exact.
+
+The score reads d log zeta / dx from each column's null phase instead of
+forming zeta' and zeta and dividing.  With p = atan(-u / v) in
+[-pi/2, pi/2], the real phase of the column's nulls (delta + pi/2 up to a
+multiple of pi, without its cancellation next to x = 0), top = floor +
+u^2 + v^2 (the largest zeta, at least zeta(0) = 1), ratio = floor / top
+and S = tan(x - p),
+
+    zeta            = top (ratio + (1 - ratio) sin^2(x - p)),
+    d log zeta / dx = gain S / (S^2 + ratio),   gain = 2 (u^2 + v^2) / top,
+
+which is 2 cot(x - p) for floor = 0: one tangent and cheap passes per
+element (:func:`log_slope`), with the phase and both factors derived once
+per prepared record (:func:`slope_form`).  Every term of the denominator
+is nonnegative, so the value is as exact as S, whose one extra rounding is
+that of the phase x - p: eps |x - p| / 2 and a few eps from p.  Next to
+the peak m = p +- pi/2 of a column that rounding is large against the
+distance x - m that sets the slope: for an absent plate's real weak value
+|A| < 1, m = 0, so it costs eps / |x| of the slope at the small phases of
+the solver's roots, where a noise-free record's score is flat enough to
+move a root by 4e-7 relative.  So a column whose peak lies nearer x = 0
+than its null takes T = tan(x - m) = -1 / S,
+
+    d log zeta / dx = -(gain / ratio) T / (T^2 + 1 / ratio),
+
+the same passes with other factors, unless ratio is at or below
+``SCREEN``: 1 / ratio would overflow for floor = 0, and such a column may
+hold a model zero, which the screen below reads from the null form.  A
+constant zeta (u = v = 0, an exactly real |A| = 1) has gain 0, so its
+slope is 0 at every x.  In the null variables the curvature, for a Newton
+step on the score, is
+
+    d^2 log zeta / dx^2 = gain (1 + S^2) (ratio - S^2) / (S^2 + ratio)^2.
 
 Null rule: a counted bin whose zeta is at or below ``null`` =
 (32 eps)^2 (u^2 + v^2), the square of a generous bound on the roundoff of
 the phase sum u cos(g w) + v sin(g w), is a model zero: the likelihood
-reads -inf there and the score is undefined.
+reads -inf there and the score is undefined.  In null-phase variables the
+rule reads S^2 + ratio <= (32 eps)^2 (1 - ratio) (1 + S^2), which needs
+ratio < (32 eps)^2 and S^2 + ratio < 2 (32 eps)^2.  The score takes its
+mask from zeta itself, the likelihood's rule, and only on a block that
+holds a denominator at or below ``SCREEN`` (a peak-referenced column's
+is at least 1 / ratio >= 1): a zeta at or below null needs
+|sin(x - p)| <= 35 eps, and S is off from that by the rounding of x - p,
+so the screen is wide enough up to |x| = 8e6 rad.
 
 Prepared record: :func:`prepare` keeps the bins of both ports whose
 weight Q exceeds eps sum Q / (2 bins), stacked as one set of columns (port
-1 first): w, Q, Q w, the bin's weak value and its zeta terms.  The bins
-left out weigh at most eps sum Q together, so their terms add at most eps
-sum Q max |log zeta| to the likelihood, the order of the rounding of the
-sum itself.  On a count record they are exactly the bins without counts;
-on a noise-free record, the far spectral tail (weights down to 3e-60),
-whose nulls would make the likelihood -inf at delays where its counted
-terms are finite, and widen the profile's exact work.  The likelihood
-functions of :mod:`weakdelay.estimators` read the columns through
+1 first): w, Q, Q w, the bin's weak value, its zeta terms and the slope
+form of the score (the profile stacks the same columns without it).  The
+bins left out weigh at most eps sum Q together, so their terms add at
+most eps sum Q max |log zeta| to the likelihood, the order of the
+rounding of the sum itself.  On a count record they are exactly the bins
+without counts; on a noise-free record, the far spectral tail (weights
+down to 3e-60), whose nulls would make the likelihood -inf at delays where
+its counted terms are finite, and widen the profile's exact work.  The
+likelihood functions of :mod:`weakdelay.estimators` read the columns through
 :meth:`Prepared.rows`, in blocks of delays of about ``_CHUNK`` elements.  Each block is evaluated
 with ``out=`` ufuncs into one workspace that the call allocates once, so a
 block allocates nothing of its size; every row is reduced by the same
@@ -83,7 +120,12 @@ on the range, M the largest |S| on E_sqrt(rho): at most sum q times the
 largest |log zeta| there, which stays moderate as zeta has no zero in
 E_rho.  (Against :func:`weakdelay.estimators.log_likelihood`, 40 seeded
 records of all three analyzers agree to 1.5e-14 sum q, chop and nested
-sampling included, and 24 seeded windows of 1e3 to 1e6 points to 2e-15.)
+sampling included, and 24 seeded windows of 1e3 to 1e6 points to 2e-15.
+These figures hold away from the real-axis nulls of floor-0 columns, which
+every bin of an ideal plate has.  Next to such a null log zeta is
+ill-conditioned in the phase: the float64 phase g w alone moves a
+1e5-photon record's likelihood by about 4e-14 sum q, whatever evaluates
+it, long double included.)
 The degree rule m = max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) =
 max(8, ceil(40 / log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2
 keeps m <= 133.  S is sampled with :func:`zeta` through
@@ -154,6 +196,13 @@ _EPS = np.finfo(float).eps
 
 #: Model-zero bound per unit r: (32 eps)^2 (u^2 + v^2) = (32 eps)^2 2 r.
 _NULL = 2.0 * (32.0 * _EPS) ** 2
+
+#: Score denominator S^2 + ratio at or below which a block is checked for
+#: model zeros: |S| up to 2^-30 = 4.2e6 eps, which covers the 35 eps of a
+#: zeta at or below null plus the rounding eps |x| / 2 of x - p up to |x| =
+#: 8e6 rad, past the widest bracket of the solver (3e3 rad).  Only a column
+#: whose ratio exceeds it may take its peak phase, whose denominator is >= 1.
+SCREEN = 2.0 ** -60
 
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
 _RHO_MIN = 2.0
@@ -232,47 +281,90 @@ def zeta_terms(aw) -> ZetaTerms:
                      np.copysign(np.sqrt(v2), im), _NULL * r)
 
 
-def zeta(x, terms: ZetaTerms, order: int, out=None):
-    """Reshaping factor at phase x = g w and, for ``order`` 1, its slope d zeta / dx.
+def zeta(x, terms: ZetaTerms, out=None):
+    """Reshaping factor at phase x = g w.
 
     Tangent form: with t = tan x, h = u + v t and cos^2 x = 1/(1 + t^2),
-    zeta = floor + h^2 cos^2 x and zeta' = 2 h (v - u t) cos^2 x.  Returns
-    the tuple (zeta,) for order 0 and (zeta, zeta') for order 1.  ``out``,
-    a sequence of at least order + 1 float arrays of the result's shape,
-    takes the results without allocating; x, of the same shape, is then
-    overwritten as scratch.
+    zeta = floor + h^2 cos^2 x.  ``out``, a float array of the result's
+    shape, takes the result without allocating; x, of the same shape, is
+    then overwritten as scratch.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(x), np.shape(terms.u))
         x = np.array(np.broadcast_to(x, shape), dtype=float)
-        out = [np.empty(shape) for _ in range(order + 1)]
-    z = out[0]
-    t = np.tan(x, out=out[1] if order else x)
-    cos2 = np.square(t, out=z)
+        out = np.empty(shape)
+    t = np.tan(x, out=x)
+    cos2 = np.square(t, out=out)
     cos2 += 1.0
     np.reciprocal(cos2, out=cos2)
     h = np.multiply(t, terms.v, out=x)
     h += terms.u
-    if order:
-        slope = np.multiply(t, terms.u, out=t)
-        np.subtract(terms.v, slope, out=slope)
-        slope *= h
-        slope *= 2.0
-        slope *= cos2
     np.square(h, out=h)
-    np.multiply(h, cos2, out=z)
-    z += terms.floor
-    return tuple(out[:order + 1])
+    np.multiply(h, cos2, out=out)
+    out += terms.floor
+    return out
+
+
+class SlopeForm(NamedTuple):
+    """d log zeta / dx = gain A / (A^2 + level) with A = tan(x - phase)."""
+
+    phase: np.ndarray
+    level: np.ndarray
+    gain: np.ndarray
+
+
+def slope_form(terms: ZetaTerms) -> SlopeForm:
+    """Per column: the reference phase of :func:`log_slope` and its two factors.
+
+    With top = floor + u^2 + v^2 and ratio = floor / top, the reference is
+    the null phase p = atan(-u / v), where A = S = tan(x - p), level =
+    ratio and gain = 2 (u^2 + v^2) / top, or the peak phase m = atan(v / u)
+    = p +- pi/2, where A = T = tan(x - m) = -1 / S, level = 1 / ratio and
+    gain = -2 (u^2 + v^2) / floor.  The peak is the reference when it lies
+    nearer x = 0 and ratio exceeds ``SCREEN``; no model zero can lie in
+    such a column.  Both phases lie in [-pi/2, pi/2] and are formed by
+    arctan2 from a nonnegative second argument, so each is as exact
+    relative to itself as the terms.  A constant zeta (u = v = 0, an
+    exactly real |A| = 1) has phase 0, level 1 and gain 0: no slope.
+    """
+    u, v, floor = terms.u, terms.v, terms.floor
+    radius2 = u ** 2 + v ** 2
+    top = floor + radius2
+    # |m| < pi/4 < |p| exactly when |v| < u
+    at_peak = (floor > SCREEN * top) & (np.abs(v) < u)
+    phase = np.arctan2(np.where(at_peak, v, -np.copysign(u, v)), np.where(at_peak, u, np.abs(v)))
+    scale = np.where(at_peak, floor, top)
+    return SlopeForm(phase, np.where(at_peak, top, floor) / scale,
+                     np.where(at_peak, -2.0, 2.0) * radius2 / scale)
+
+
+def log_slope(x, form: SlopeForm, weight, out):
+    """weight d log zeta / dx at phase x = g w, and its denominator A^2 + level.
+
+    With A = tan(x - phase), d log zeta / dx = gain A / (A^2 + level) (see
+    :func:`slope_form`).  ``out``, two float arrays of x's shape, takes the
+    two results; x is left as it is.
+    """
+    a, den = out
+    np.subtract(x, form.phase, out=a)
+    np.tan(a, out=a)
+    np.square(a, out=den)
+    den += form.level
+    a /= den
+    a *= form.gain * weight
+    return a, den
 
 
 class Prepared(NamedTuple):
-    """Counted bins of both ports as columns: w, q, q w, weak value, zeta terms."""
+    """Counted bins of both ports as columns: w, q, q w, weak value, zeta
+    terms and slope form (None in the profile's records)."""
 
     omega: np.ndarray
     q: np.ndarray
     qw: np.ndarray
     aw: np.ndarray
     terms: ZetaTerms
+    form: SlopeForm | None
 
     @np.errstate(divide="ignore", invalid="ignore")
     def rows(self, g, row_values) -> float | np.ndarray:
@@ -297,7 +389,23 @@ class Prepared(NamedTuple):
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
-    """Stack the counted bins of both ports; the one place they are masked.
+    """Stack the counted bins of both ports, with the score's slope form."""
+    p = _stack(omega, q1, q2, aw1, aw2)
+    return p._replace(form=slope_form(p.terms))
+
+
+def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
+    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
+    stacked = _stack(omega, q1, q2, aw1, aw2)
+    out = np.zeros(int(n_g))
+    _bisect(0, out.size, stacked, _nulls(stacked.terms), float(g0), float(dg), out,
+            np.empty(out.size))
+    return out
+
+
+def _stack(omega, q1, q2, aw1, aw2) -> Prepared:
+    """The counted bins of both ports, without the slope form; the one
+    place they are masked.
 
     A bin is counted when its weight exceeds eps sum(q) / q.size over both
     ports, so the bins left out weigh at most eps sum(q) together.  On the
@@ -309,21 +417,14 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
     aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])
     live = q > _EPS * q.sum() / q.size
     w, q, aw = np.tile(omega, 2)[live], q[live], aw[live]
-    return Prepared(w, q, q * w, aw, zeta_terms(aw))
-
-
-def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
-    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
-    prepared = prepare(omega, q1, q2, aw1, aw2)
-    out = np.zeros(int(n_g))
-    _bisect(0, out.size, prepared, _nulls(prepared.terms), float(g0), float(dg), out)
-    return out
+    return Prepared(w, q, q * w, aw, zeta_terms(aw), None)
 
 
 def _take(p: Prepared, keep) -> Prepared:
-    """The columns ``keep`` (a mask or indices) of a prepared record."""
+    """The columns ``keep`` (a mask or indices) of a stacked record, for the
+    profile's log-likelihood, which reads no slope form."""
     return Prepared(p.omega[keep], p.q[keep], p.qw[keep], p.aw[keep],
-                    ZetaTerms(*(t[keep] for t in p.terms)))
+                    ZetaTerms(*(t[keep] for t in p.terms)), None)
 
 
 def _nulls(terms: ZetaTerms) -> np.ndarray:
@@ -353,26 +454,27 @@ def _bernstein(lo: int, hi: int, g0: float, dg: float, omega, nulls) -> np.ndarr
 
 
 def _bisect(lo: int, hi: int, p: Prepared, nulls, g0: float, dg: float,
-            out: np.ndarray) -> None:
+            out: np.ndarray, scratch: np.ndarray) -> None:
     """Add the columns of ``p`` to the grid range [lo, hi) of the output.
 
     Columns whose rho reaches ``_RHO_MIN`` are interpolated; the rest are
     split with the range while it holds more than ``_LEAF`` points, then
-    evaluated exactly.
+    evaluated exactly.  ``scratch``, a float array of at least hi - lo
+    elements, takes each interpolated range's values before they are added.
     """
     rho = _bernstein(lo, hi, g0, dg, p.omega, nulls)
     smooth = rho >= _RHO_MIN
     if smooth.any():
         nodes = max(_MIN_NODES, int(np.ceil(_DIGITS / np.log10(rho[smooth].min()))))
         if hi - lo > nodes:
-            _interpolate(lo, hi, _take(p, smooth), nodes, g0, dg, out)
+            _interpolate(lo, hi, _take(p, smooth), nodes, g0, dg, out, scratch)
             p, nulls = _take(p, ~smooth), nulls[:, ~smooth]
     if not p.q.size:
         return
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
-        _bisect(lo, mid, p, nulls, g0, dg, out)
-        _bisect(mid, hi, p, nulls, g0, dg, out)
+        _bisect(lo, mid, p, nulls, g0, dg, out, scratch)
+        _bisect(mid, hi, p, nulls, g0, dg, out, scratch)
         return
     _exact(lo, hi, p, g0, dg, out)
 
@@ -385,12 +487,12 @@ def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray)
 
 
 def _log_rows(x, work, p) -> np.ndarray:
-    z, = zeta(x, p.terms, 0, out=work)
+    z = zeta(x, p.terms, out=work[0])
     return np.log(z, out=z) @ p.q
 
 
 def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float,
-                 out: np.ndarray) -> None:
+                 out: np.ndarray, scratch: np.ndarray) -> None:
     """Add sum q log zeta over the columns of ``p`` to out[lo:hi] from its
     Chebyshev interpolant, sampled only as far as its series converges.
 
@@ -404,8 +506,8 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
     more points, within the a-priori bound, and no point sampled twice.
     The chop moves no value on the range by more than the dropped sum
     |c_k| <= ``_CHOP`` eps sum |c_k|, and :func:`_chebyshev` evaluates the
-    kept terms on the range's grid points, block by block from the values
-    at each block's own Chebyshev points.
+    kept terms on the range's grid points into ``scratch``, block by block
+    from the values at each block's own Chebyshev points.
     """
     centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
     third = -(-nodes // 3)
@@ -418,7 +520,7 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
         new = np.arange(3 * third) % 3 != 1
         values[new] = p.rows(g[new], _log_rows)
         coef = _chop(_fit(values, cosines, 1))
-    out[lo:hi] += _chebyshev(coef, hi - lo)
+    out[lo:hi] += _chebyshev(coef, hi - lo, scratch)
 
 
 def _cosines(m: int) -> np.ndarray:
@@ -459,8 +561,9 @@ def _chop(coef: np.ndarray) -> np.ndarray:
     return coef[:max(1, coef.size - drop)]
 
 
-def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
-    """sum_k coef[k] T_k(t) at the n uniform points t_j = 2 j / (n - 1) - 1.
+def _chebyshev(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t) at the n uniform points t_j = 2 j / (n - 1) - 1,
+    written into out[:n], which is returned.
 
     With nodes = coef.size (the kept length of a chopped series), the
     points are cut into blocks of width = min(n, ``_BLOCK`` * nodes)
@@ -497,7 +600,7 @@ def _chebyshev(coef: np.ndarray, n: int) -> np.ndarray:
     on_node = np.isinf(total)
     top[on_node] = np.equal.outer(s[on_node], x)
     w[mid:] = top[width - mid - 1::-1, ::-1]
-    values = np.empty(n)
+    values = out[:n]
     full = n // width
     np.dot(node_values[:full], w.T, out=values[:full * width].reshape(full, width))
     if full < starts.size:

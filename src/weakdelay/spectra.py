@@ -165,7 +165,7 @@ def zeta(omega, g: float, aw):
     reported as a model error.
     """
     om = np.asarray(omega, dtype=float)
-    out, = _kernels.zeta(g * om, _kernels.zeta_terms(aw), 0)
+    out = _kernels.zeta(g * om, _kernels.zeta_terms(aw))
     if not np.all(np.isfinite(out)):
         raise ModelError("zeta produced non-finite values; "
                          "inconsistent (omega, g, aw) inputs")

@@ -138,6 +138,66 @@ class TestArrayEvaluation:
             score_residual(g_wall, rec, wv)
 
 
+class TestNullPhaseScore:
+    """The score from each bin's null or peak phase against long double and
+    the likelihood's null rule."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64")
+    def test_accuracy_next_to_dark_port_null(self):
+        # the scan of test_accuracy_next_to_dark_port_null: d log zeta / dx
+        # is 2 cot(x - p) next to the amplified port's nulls, so it is as
+        # exact as the phase x - p there (with p = delta + pi/2 formed by
+        # an addition the error reads 2e-8)
+        rec = record_at(PHI_WVA, 5e-17)
+        wv = ideal_weak_values(PHI_WVA)
+        omega = rec.omega.astype(np.longdouble)
+        grid = np.linspace(0.0, 1e-16, 100_000)[4000:9001:7]
+        got = score_residual(grid, rec, wv)
+        for g, score in zip(grid, got):
+            ref = np.longdouble(0.0)
+            for port, aw in ((rec.port1, wv.aw1), (rec.port2, wv.aw2)):
+                x = np.longdouble(g) * omega
+                c, s = np.cos(x), np.sin(x)
+                im = np.longdouble(aw.imag)
+                q = port.weights.astype(np.longdouble)
+                live = q > 0
+                h = (c + s * im)[live]
+                ref += (q[live] * omega[live] * 2 * (c * im - s)[live] / h).sum()
+            assert score == pytest.approx(float(ref), rel=1e-9, abs=0), g
+
+    @pytest.mark.parametrize("photons", [0, 10_000_000])
+    def test_undefined_exactly_where_the_likelihood_is_minus_inf(self, photons):
+        # dense scans through the nulls of the dark port's five heaviest
+        # bins: g a few ulps apart across the null next to x = 0, and at
+        # x ~ 3e3 rad, the widest bracket, an ulp of g apart
+        wv = ideal_weak_values(PHI_WVA)
+        rec = simulate(ExperimentConfig(phi_actual=PHI_WVA, tau_true=5e-17,
+                                        photons=photons, seed=4))
+        x_null = np.arctan(np.tan(PHI_WVA / 2))
+        singular = total = 0
+        for j in np.argsort(rec.port2.weights)[-5:]:
+            for turns, ulps in ((0, 4), (950, 1)):
+                step = np.arange(-1000, 1001) * (ulps * np.finfo(float).eps)
+                g = (x_null + turns * np.pi) / rec.omega[j] * (1.0 + step)
+                ll, score = log_likelihood(g, rec, wv), score_residual(g, rec, wv)
+                np.testing.assert_array_equal(np.isnan(score), ll == -np.inf)
+                assert np.all(np.isfinite(score[ll > -np.inf]))
+                singular += np.count_nonzero(ll == -np.inf)
+                total += g.size
+        assert 0.1 * total < singular < 0.5 * total
+
+    def test_constant_zeta_column_has_no_slope(self):
+        # exactly real |A| = 1 in both ports: zeta = 1 at every delay, so
+        # the score is 0 everywhere, g = 0 included, never NaN
+        from weakdelay import WeakValuePair
+        rec = record_at(PHI_JWM, 1e-17)
+        wv = WeakValuePair(aw1=1.0 + 0.0j, aw2=-1.0 + 0.0j)
+        gs = np.concatenate([[0.0], np.linspace(-1e-12, 1e-12, 101)])
+        assert np.array_equal(score_residual(gs, rec, wv), np.zeros(gs.size))
+        assert score_residual(0.0, rec, wv) == 0.0
+
+
 class TestCountedBins:
     """A bin is counted when its weight exceeds eps sum(q) / (2 bins)."""
 
@@ -882,10 +942,11 @@ class TestProfileSeries:
             calls[-1]["fitted"] = coef.copy()
             return chop(coef)
 
-        def capturing_chebyshev(coef, n):
+        def capturing_chebyshev(coef, n, out):
             calls[-1]["coef"] = coef.copy()
-            calls[-1]["values"] = chebyshev(coef, n)
-            return calls[-1]["values"]
+            values = chebyshev(coef, n, out)
+            calls[-1]["values"] = values.copy()
+            return values
 
         def counting_clenshaw(coef, t):
             calls[-1]["points"].append(t.copy())
@@ -919,7 +980,7 @@ class TestProfileSeries:
             return clenshaw(c, t)
 
         monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)
-        return coef, _kernels._chebyshev(coef, n), points[0]
+        return coef, _kernels._chebyshev(coef, n, np.empty(n)), points[0]
 
     @pytest.mark.parametrize("nodes", [8, 67, 133])
     @pytest.mark.parametrize("size", ["nodes+1", "one block", "partial block", "1e5"])
@@ -952,7 +1013,7 @@ class TestProfileSeries:
         calls = self._spy(monkeypatch)
         n, nodes = 10_000, 24
         p, dg = prepare_likelihood(jwm_record, jwm_wv), 2e-17 / (n - 1)
-        _kernels._interpolate(0, n, p, nodes, 0.0, dg, np.zeros(n))
+        _kernels._interpolate(0, n, p, nodes, 0.0, dg, np.zeros(n), np.empty(n))
         call = calls[0]
         assert [g.size for g in call["samples"]] == [8, 16]
         assert np.unique(np.concatenate(call["samples"])).size == 24
@@ -969,7 +1030,7 @@ class TestProfileSeries:
         calls = self._spy(monkeypatch)
         n = 10_000
         _kernels._interpolate(0, n, prepare_likelihood(jwm_record, jwm_wv), 133, 0.0,
-                              2e-17 / (n - 1), np.zeros(n))
+                              2e-17 / (n - 1), np.zeros(n), np.empty(n))
         call = calls[0]
         assert [g.size for g in call["samples"]] == [45]
         assert call["fitted"].size == 45

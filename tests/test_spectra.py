@@ -85,18 +85,22 @@ class TestZeta:
         for g in (x_null + np.linspace(-1e-10, 1e-10, 20001)) / omega:
             assert zeta(omega, g, aw) >= 0.0
 
-    def test_order_zero_is_the_value_of_order_one(self):
-        # order 0 skips the slope but takes the same steps for zeta, also
-        # into caller buffers with x overwritten as scratch
+    def test_caller_buffers_hold_the_allocated_value(self):
+        # into caller buffers, with x overwritten as scratch, zeta takes the
+        # same steps as when it allocates; the log-slope leaves x as it is
         x = np.random.default_rng(3).uniform(-3e3, 3e3, 2000)
         for aw in (ideal_weak_values(0.03).aw2, ideal_weak_values(PHI_JWM).aw1):
             terms = _kernels.zeta_terms(aw)
-            z, slope = _kernels.zeta(x, terms, 1)
+            z = _kernels.zeta(x, terms)
             scratch, out = x.copy(), np.empty((2, x.size))
-            (z0,) = _kernels.zeta(scratch, terms, 0, out=out)
+            z0 = _kernels.zeta(scratch, terms, out=out[0])
             assert np.shares_memory(z0, out[0])
             assert np.array_equal(z0, z)
-            assert np.array_equal(_kernels.zeta(x, terms, 0)[0], z)
+            assert np.array_equal(_kernels.zeta(x, terms), z)
+            kept = x.copy()
+            slope, den = _kernels.log_slope(kept, _kernels.slope_form(terms), 1.0, out)
+            assert np.shares_memory(slope, out[0]) and np.shares_memory(den, out[1])
+            assert np.array_equal(kept, x)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
@@ -118,15 +122,61 @@ class TestZeta:
                        for aw in (pair.aw1, pair.aw2)]
         xl = x.astype(np.longdouble)
         c, s = np.cos(xl), np.sin(xl)
+        eps = np.finfo(float).eps
         for aw in weak_values:
             terms = _kernels.zeta_terms(aw)
-            z, slope = _kernels.zeta(x, terms, 1)
+            z = _kernels.zeta(x, terms)
+            form = _kernels.slope_form(terms)
+            slope, _ = _kernels.log_slope(x, form, 1.0, np.empty((2, x.size)))
             re, im = np.longdouble(aw.real), np.longdouble(aw.imag)
-            z_ref = (c + s * im) ** 2 + (s * re) ** 2
-            slope_ref = 2 * (c + s * im) * (c * im - s) + 2 * re * re * s * c
-            scale = 4 * np.finfo(float).eps * (terms.floor + terms.u ** 2 + terms.v ** 2)
+            h, dh = c + s * im, c * im - s
+            z_ref = h ** 2 + (s * re) ** 2
+            slope_ref = (2 * h * dh + 2 * re * re * s * c) / z_ref
+            curvature_ref = (2 * (dh ** 2 - h ** 2) + 2 * re * re * (c * c - s * s)) / z_ref \
+                - slope_ref ** 2
+            scale = 4 * eps * (terms.floor + terms.u ** 2 + terms.v ** 2)
             assert np.max(np.abs(z - z_ref)) <= scale, aw
-            assert np.max(np.abs(slope - slope_ref)) <= scale, aw
+            # the log-slope's one extra rounding is that of x - phase,
+            # eps |x - phase| / 2, with the null or peak phase off by a few
+            # eps: it moves the slope by the curvature times that, and the
+            # positive terms of A / (A^2 + level) add a few eps of the value
+            phase = eps * (np.abs(x - form.phase) / 2 + 4)
+            bound = np.abs(curvature_ref) * phase + 8 * eps * np.abs(slope_ref)
+            assert np.all(np.abs(slope - slope_ref) <= bound), aw
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    def test_log_slope_next_to_a_peak_or_null_at_zero(self):
+        # an absent plate's real weak values put the peak (|A| < 1) or the
+        # null (|A| > 1) of zeta at x = 0, where the solver's small delays
+        # sit: x - phase is then x itself, and the slope, proportional to x
+        # there, keeps its relative accuracy (from the other phase, pi/2
+        # away, the rounding of x - phase alone would cost eps / x of it)
+        x = np.concatenate([-np.logspace(-8, -1, 50), np.logspace(-8, -1, 50)])
+        xl = x.astype(np.longdouble)
+        c, s = np.cos(xl), np.sin(xl)
+        pair = port_projections(0.9, 2.4e15, QwpModel("absent"))[0]
+        for aw in (complex(pair.aw1), complex(pair.aw2)):
+            terms = _kernels.zeta_terms(aw)
+            form = _kernels.slope_form(terms)
+            assert form.phase == 0.0, aw
+            slope, _ = _kernels.log_slope(x, form, 1.0, np.empty((2, x.size)))
+            re = np.longdouble(aw.real)
+            ref = 2 * (re * re - 1) * s * c / (c * c + (s * re) ** 2)
+            assert np.max(np.abs(slope / ref - 1)) <= 8 * np.finfo(float).eps, aw
+
+    def test_constant_zeta_has_no_slope(self):
+        # an exactly real |A| = 1 gives u = v = 0 and zeta = 1 at every
+        # phase: its log-slope is 0 everywhere, x = 0 included, without a
+        # NaN or a RuntimeWarning (which fail the test)
+        x = np.concatenate([[0.0, np.pi / 2, -np.pi / 2], np.linspace(-3e3, 3e3, 1001)])
+        for aw in (1.0 + 0.0j, -1.0 + 0.0j):
+            terms = _kernels.zeta_terms(aw)
+            assert terms.u == 0.0 and terms.v == 0.0
+            assert np.array_equal(_kernels.zeta(x, terms), np.ones(x.size))
+            slope, _ = _kernels.log_slope(x, _kernels.slope_form(terms), 1.0,
+                                          np.empty((2, x.size)))
+            assert np.array_equal(slope, np.zeros(x.size))
 
 
 class TestPostselectedDistribution:
