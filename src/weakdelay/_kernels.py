@@ -53,7 +53,7 @@ than its null takes T = tan(x - m) = -1 / S,
     d log zeta / dx = -(gain / ratio) T / (T^2 + 1 / ratio),
 
 the same passes with other factors, unless ratio is at or below
-``SCREEN``: 1 / ratio would overflow for floor = 0, and such a column may
+``_SCREEN``: 1 / ratio would overflow for floor = 0, and such a column may
 hold a model zero, which the screen below reads from the null form.  A
 constant zeta (u = v = 0, an exactly real |A| = 1) has gain 0, so its
 slope is 0 at every x.  In the null variables the curvature, for a Newton
@@ -64,31 +64,35 @@ step on the score, is
 Null rule: a counted bin whose zeta is at or below ``null`` =
 (32 eps)^2 (u^2 + v^2), the square of a generous bound on the roundoff of
 the phase sum u cos(g w) + v sin(g w), is a model zero: the likelihood
-reads -inf there and the score is undefined.  In null-phase variables the
-rule reads S^2 + ratio <= (32 eps)^2 (1 - ratio) (1 + S^2), which needs
+reads -inf there (:func:`log_likelihood_rows`) and the score is undefined
+(:func:`score_rows` reads NaN).  In null-phase variables the rule reads
+S^2 + ratio <= (32 eps)^2 (1 - ratio) (1 + S^2), which needs
 ratio < (32 eps)^2 and S^2 + ratio < 2 (32 eps)^2.  The score takes its
 mask from zeta itself, the likelihood's rule, and only on a block that
-holds a denominator at or below ``SCREEN`` (a peak-referenced column's
+holds a denominator at or below ``_SCREEN`` (a peak-referenced column's
 is at least 1 / ratio >= 1): a zeta at or below null needs
 |sin(x - p)| <= 35 eps, and S is off from that by the rounding of x - p,
 so the screen is wide enough up to |x| = 8e6 rad.
 
-Prepared record: :func:`prepare` keeps the bins of both ports whose
-weight Q exceeds eps sum Q / (2 bins), stacked as one set of columns (port
-1 first): w, Q, Q w, the bin's weak value, its zeta terms and the slope
-form of the score (the profile stacks the same columns without it).  The
-bins left out weigh at most eps sum Q together, so their terms add at
-most eps sum Q max |log zeta| to the likelihood, the order of the
-rounding of the sum itself.  On a count record they are exactly the bins
-without counts; on a noise-free record, the far spectral tail (weights
-down to 3e-60), whose nulls would make the likelihood -inf at delays where
-its counted terms are finite, and widen the profile's exact work.  The
-likelihood functions of :mod:`weakdelay.estimators` read the columns through
-:meth:`Prepared.rows`, in blocks of delays of about ``_CHUNK`` elements.  Each block is evaluated
-with ``out=`` ufuncs into one workspace that the call allocates once, so a
-block allocates nothing of its size; every row is reduced by the same
-pairwise sum whether its delay came alone or in an array.  The dense
-profile reads the same columns.
+Prepared record: :func:`prepare`, the one constructor of :class:`Prepared`,
+keeps the bins of both ports whose weight Q exceeds eps sum Q / (2 bins),
+stacked as one set of columns (port 1 first): w, Q, Q w, the bin's weak
+value, its zeta terms and the slope form of the score.  The profile's
+:func:`_take` slices every field alike.  The bins left out weigh at most
+eps sum Q together, so their terms add at most eps sum Q max |log zeta|
+to the likelihood, the order of the rounding of the sum itself.  On a
+count record they are exactly the bins without counts; on a noise-free
+record, the far spectral tail (weights down to 3e-60), whose nulls would
+make the likelihood -inf at delays where its counted terms are finite, and
+widen the profile's exact work.  The
+likelihood functions of :mod:`weakdelay.estimators` hand the row functions
+:func:`log_likelihood_rows` and :func:`score_rows` to
+:meth:`Prepared.rows`, which evaluates them in blocks of delays of about
+``_CHUNK`` elements.  Each block is evaluated with ``out=`` ufuncs into
+one workspace that the call allocates once, so a block allocates nothing
+of its size; every row is reduced by the same pairwise sum whether its
+delay came alone or in an array.  The dense profile reads the same
+columns with its own row function, :func:`_log_rows`.
 
 The dense profile evaluates the source-free log-likelihood
 
@@ -96,13 +100,14 @@ The dense profile evaluates the source-free log-likelihood
 
 on a uniform g grid, interpolating the columns that are smooth over a
 stretch of grid and evaluating the others exactly.  A column's zeta =
-floor + (u^2 + v^2) cos^2(x - delta), delta = atan2(v, u), vanishes at
-the complex phases
+top (ratio + (1 - ratio) sin^2(x - p)) vanishes at the complex phases
 
-    x = delta + pi/2 + k pi +- i asinh(sqrt(floor / (u^2 + v^2))),
+    x = p + k pi +- i atanh(sqrt(ratio)),
 
-and log zeta is analytic everywhere else.  With a range of grid points
-mapped onto [-1, 1], a column is analytic inside the Bernstein ellipse
+and log zeta is analytic everywhere else.  :func:`_nulls` reads both from
+the slope form: p is its phase, or its peak phase plus pi/2, and ratio its
+level, or 1 / level for a peak-referenced column.  With a range of grid
+points mapped onto [-1, 1], a column is analytic inside the Bernstein ellipse
 E_rho (foci +-1, semi-axes (rho +- 1/rho)/2) through its nearest zero.  A
 column's zeros lie pi/w apart on a line of constant imaginary part, and
 rho grows along that line with the distance from the range's centre, so
@@ -175,10 +180,10 @@ stays on the stretch of grid around each column's null: none on a
 balanced record over [0, 2 tau], about 0.1-1% of the grid points x
 columns on an unbalanced one whose range holds the dark port's nulls.
 
-The exact columns of each final range are evaluated by :func:`zeta`
-through :meth:`Prepared.rows`, like every other likelihood, with the
-floor term raised to ``_Z_FLOOR``: every zeta stays at or above it, so a
-grid point on a likelihood singularity reads finite and far below its
+The exact columns of each final range are evaluated by the row function
+that samples the smooth ones, :func:`_log_rows` through
+:meth:`Prepared.rows`.  It keeps every zeta at or above ``_Z_FLOOR``, so
+a grid point on a likelihood singularity reads finite and far below its
 neighbours, never as -inf or as the largest.
 """
 
@@ -202,7 +207,7 @@ _NULL = 2.0 * (32.0 * _EPS) ** 2
 #: zeta at or below null plus the rounding eps |x| / 2 of x - p up to |x| =
 #: 8e6 rad, past the widest bracket of the solver (3e3 rad).  Only a column
 #: whose ratio exceeds it may take its peak phase, whose denominator is >= 1.
-SCREEN = 2.0 ** -60
+_SCREEN = 2.0 ** -60
 
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
 _RHO_MIN = 2.0
@@ -321,7 +326,7 @@ def slope_form(terms: ZetaTerms) -> SlopeForm:
     ratio and gain = 2 (u^2 + v^2) / top, or the peak phase m = atan(v / u)
     = p +- pi/2, where A = T = tan(x - m) = -1 / S, level = 1 / ratio and
     gain = -2 (u^2 + v^2) / floor.  The peak is the reference when it lies
-    nearer x = 0 and ratio exceeds ``SCREEN``; no model zero can lie in
+    nearer x = 0 and ratio exceeds ``_SCREEN``; no model zero can lie in
     such a column.  Both phases lie in [-pi/2, pi/2] and are formed by
     arctan2 from a nonnegative second argument, so each is as exact
     relative to itself as the terms.  A constant zeta (u = v = 0, an
@@ -331,7 +336,7 @@ def slope_form(terms: ZetaTerms) -> SlopeForm:
     radius2 = u ** 2 + v ** 2
     top = floor + radius2
     # |m| < pi/4 < |p| exactly when |v| < u
-    at_peak = (floor > SCREEN * top) & (np.abs(v) < u)
+    at_peak = (floor > _SCREEN * top) & (np.abs(v) < u)
     phase = np.arctan2(np.where(at_peak, v, -np.copysign(u, v)), np.where(at_peak, u, np.abs(v)))
     scale = np.where(at_peak, floor, top)
     return SlopeForm(phase, np.where(at_peak, top, floor) / scale,
@@ -357,14 +362,14 @@ def log_slope(x, form: SlopeForm, weight, out):
 
 class Prepared(NamedTuple):
     """Counted bins of both ports as columns: w, q, q w, weak value, zeta
-    terms and slope form (None in the profile's records)."""
+    terms and the score's slope form."""
 
     omega: np.ndarray
     q: np.ndarray
     qw: np.ndarray
     aw: np.ndarray
     terms: ZetaTerms
-    form: SlopeForm | None
+    form: SlopeForm
 
     @np.errstate(divide="ignore", invalid="ignore")
     def rows(self, g, row_values) -> float | np.ndarray:
@@ -389,23 +394,8 @@ class Prepared(NamedTuple):
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
-    """Stack the counted bins of both ports, with the score's slope form."""
-    p = _stack(omega, q1, q2, aw1, aw2)
-    return p._replace(form=slope_form(p.terms))
-
-
-def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
-    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
-    stacked = _stack(omega, q1, q2, aw1, aw2)
-    out = np.zeros(int(n_g))
-    _bisect(0, out.size, stacked, _nulls(stacked.terms), float(g0), float(dg), out,
-            np.empty(out.size))
-    return out
-
-
-def _stack(omega, q1, q2, aw1, aw2) -> Prepared:
-    """The counted bins of both ports, without the slope form; the one
-    place they are masked.
+    """The counted bins of both ports, stacked as columns with their zeta
+    terms and slope form; the one place a record's bins are masked.
 
     A bin is counted when its weight exceeds eps sum(q) / q.size over both
     ports, so the bins left out weigh at most eps sum(q) together.  On the
@@ -417,22 +407,79 @@ def _stack(omega, q1, q2, aw1, aw2) -> Prepared:
     aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])
     live = q > _EPS * q.sum() / q.size
     w, q, aw = np.tile(omega, 2)[live], q[live], aw[live]
-    return Prepared(w, q, q * w, aw, zeta_terms(aw), None)
+    terms = zeta_terms(aw)
+    return Prepared(w, q, q * w, aw, terms, slope_form(terms))
 
 
-def _take(p: Prepared, keep) -> Prepared:
-    """The columns ``keep`` (a mask or indices) of a stacked record, for the
-    profile's log-likelihood, which reads no slope form."""
-    return Prepared(p.omega[keep], p.q[keep], p.qw[keep], p.aw[keep],
-                    ZetaTerms(*(t[keep] for t in p.terms)), None)
+def _take(p: tuple, keep) -> tuple:
+    """The columns ``keep`` (a mask or indices) of a prepared record, or of
+    its zeta terms or slope form: every field is sliced alike."""
+    return type(p)(*(_take(f, keep) if isinstance(f, tuple) else f[keep] for f in p))
 
 
-def _nulls(terms: ZetaTerms) -> np.ndarray:
-    """Per column: the real phase delta + pi/2 of its zeta zeros and their
-    imaginary offset asinh(sqrt(floor / (u^2 + v^2)))."""
+def _model_zeros(x, z, mask, p: Prepared) -> np.ndarray:
+    """zeta into z and, into mask, the counted bins on a model zero; x is overwritten."""
+    zeta(x, p.terms, out=z)
+    return np.less_equal(z, p.terms.null, out=mask)
+
+
+def _singular(sums, mask, sentinel) -> np.ndarray:
+    """sums with ``sentinel`` at the rows that have a counted bin on a model zero."""
+    if mask.any():
+        sums[mask.any(axis=1)] = sentinel
+    return sums
+
+
+def log_likelihood_rows(x, work, p: Prepared) -> np.ndarray:
+    """sum q log zeta per row of :meth:`Prepared.rows`; -inf on a model zero."""
+    z, _, mask = work
+    _model_zeros(x, z, mask, p)
+    np.log(z, out=z)
+    z *= p.q
+    return _singular(z.sum(axis=1), mask, -np.inf)
+
+
+def score_rows(x, work, p: Prepared) -> np.ndarray:
+    """sum q w d log zeta / dx per row of :meth:`Prepared.rows`, from each
+    column's null or peak phase (:func:`log_slope`); NaN where the
+    likelihood is -inf.
+
+    Only a block that holds a denominator A^2 + level at or below
+    ``_SCREEN`` can hold a model zero; its mask is taken from zeta itself,
+    the rule of :func:`log_likelihood_rows`.
+    """
+    s, den, mask = work
+    log_slope(x, p.form, p.qw, out=(s, den))
+    sums = s.sum(axis=1)
+    if den.min() > _SCREEN:
+        return sums
+    return _singular(sums, _model_zeros(x, s, mask, p), np.nan)
+
+
+def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
+    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
+    p = prepare(omega, q1, q2, aw1, aw2)
+    out = np.zeros(int(n_g))
+    _bisect(0, out.size, p, _nulls(p.form), float(g0), float(dg), out, np.empty(out.size))
+    return out
+
+
+def _nulls(form: SlopeForm) -> np.ndarray:
+    """Per column: the real phase of its zeta zeros and their imaginary
+    offset, from its slope form.
+
+    zeta = top (ratio + (1 - ratio) sin^2(x - p)) vanishes at x = p + k pi
+    +- i atanh(sqrt(ratio)).  A null-referenced column (level = ratio <= 1)
+    has p as its phase; a peak-referenced one (level = 1 / ratio > 1) has
+    its peak m = p +- pi/2, so m + pi/2 is a null phase, the nulls being pi
+    apart.  So the phase is as exact as the score's, without the
+    cancellation of delta + pi/2 next to x = 0.  A floor-0 column (level 0)
+    has real zeros, offset 0; a constant zeta (u = v = 0, level 1) has none,
+    offset inf.
+    """
     with np.errstate(divide="ignore"):
-        offset = np.arcsinh(np.sqrt(terms.floor / (terms.u ** 2 + terms.v ** 2)))
-    return np.stack([np.arctan2(terms.v, terms.u) + 0.5 * np.pi, offset])
+        offset = np.arctanh(np.sqrt(np.minimum(form.level, 1.0 / form.level)))
+    return np.stack([np.where(form.level > 1.0, form.phase + 0.5 * np.pi, form.phase), offset])
 
 
 def _bernstein(lo: int, hi: int, g0: float, dg: float, omega, nulls) -> np.ndarray:
@@ -480,14 +527,14 @@ def _bisect(lo: int, hi: int, p: Prepared, nulls, g0: float, dg: float,
 
 
 def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray) -> None:
-    """Add sum q log zeta over the columns of ``p`` to out[lo:hi], with
-    every zeta kept at or above ``_Z_FLOOR``."""
-    p = p._replace(terms=p.terms._replace(floor=np.maximum(p.terms.floor, _Z_FLOOR)))
+    """Add sum q log zeta over the columns of ``p`` to out[lo:hi]."""
     out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg, _log_rows)
 
 
 def _log_rows(x, work, p) -> np.ndarray:
-    z = zeta(x, p.terms, out=work[0])
+    """sum q log zeta per row of the profile, every zeta kept at or above
+    ``_Z_FLOOR``."""
+    z = np.maximum(zeta(x, p.terms, out=work[0]), _Z_FLOOR, out=work[0])
     return np.log(z, out=z) @ p.q
 
 

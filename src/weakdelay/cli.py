@@ -22,8 +22,9 @@ JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
 library input from a flag, so a library ``DomainError`` there (too few
 or too many trials, a nonpositive alpha or length, a negative epsilon) is
 a format error too, and so are ``sweep --steps`` outside [1,
-``simulator.MAX_TRIALS``] and a ``sweep`` angle whose delay overflows a
-float.
+``simulator.MAX_TRIALS``], a ``sweep`` angle whose delay overflows the
+record's phases and an ``snr --alphas`` entry whose squared delay error
+could overflow the SNR; their messages name the flag.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, io, simulator
-from .constants import FS
+from .constants import FS, NM, wavelength_to_angular_frequency
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
 
@@ -122,23 +123,25 @@ def cmd_sweep(args) -> int:
     config, _ = io.load_config(args.config)
     if not 1 <= args.steps <= simulator.MAX_TRIALS:
         raise FormatError(f"--steps must lie in [1, {simulator.MAX_TRIALS}]")
-    from .waveplate import default_quartz_stack
-    stack = config.stack or default_quartz_stack(config.source.center_nm * 1e-9)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    from .waveplate import default_quartz_stack, pivot_delay
+    stack = config.stack or default_quartz_stack(config.source.center_nm * NM)
     with io._format_errors("invalid sweep angles"):
-        rows = simulator.sweep_theta(thetas, stack, config, mode=args.mode)
-    jwm_mode = Method.JWM_SIMPLIFIED.value in rows[0].estimates
-    header = "theta_rad,tau_theory_s,tau_exact_s,tau_first_order_s"
-    if jwm_mode:
-        header += ",tau_jwm_s"
-    lines = [header]
-    for row in rows:
-        fields = [f"{row.theta:.17g}", f"{row.tau_theory:.17g}",
-                  f"{row.estimates['exact']:.17g}",
-                  f"{row.estimates['first_order']:.17g}"]
-        if jwm_mode:
-            fields.append(f"{row.estimates['jwm_simplified']:.17g}")
-        lines.append(",".join(fields))
+        # an angle's delay is pivot_delay(1 rad) theta^2, and its largest
+        # phase that delay times the frequency of the grid's shortest wavelength
+        phase = float(pivot_delay(1.0, stack, config.source.center_nm * NM)) * float(
+            wavelength_to_angular_frequency(config.source.grid_min_nm))
+        for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+            if not math.isfinite(theta * theta * phase):
+                raise FormatError(f"{flag} = {theta!r} rad: its pivot delay overflows the phases")
+        rows = simulator.sweep_theta(np.linspace(args.theta_min, args.theta_max, args.steps),
+                                     stack, config, mode=args.mode)
+    columns = {"exact": "tau_exact_s", "first_order": "tau_first_order_s",
+               "jwm_simplified": "tau_jwm_s"}  # the last in jwm mode only
+    methods = [m for m in columns if m in rows[0].estimates]
+    lines = [",".join(["theta_rad", "tau_theory_s"] + [columns[m] for m in methods])]
+    lines += [",".join(f"{v:.17g}" for v in (row.theta, row.tau_theory,
+                                              *(row.estimates[m] for m in methods)))
+              for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(json.dumps({"rows": len(rows), "out": str(args.out),
                       "warnings": [w for row in rows for w in row.warnings]}))
@@ -186,11 +189,15 @@ def cmd_snr(args) -> int:
     phis = _parse_floats(args.phi_assumed, "--phi-assumed", _phi)
     config, _ = io.load_config(args.config)
     with io._format_errors("invalid snr flags"):
+        # the SNR's MSE sums up to MAX_TRIALS squared delay errors of about
+        # alpha / omega0 each; the limit leaves each error a factor of 2
+        limit = 0.5 * math.sqrt(sys.float_info.max / simulator.MAX_TRIALS) * config.source.omega0
+        for alpha in alphas:
+            if alpha > limit:
+                raise FormatError(f"--alphas entry {alpha!r}: its SNR's squared error overflows")
         points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
-    lines = ["alpha,phi_assumed,snr_db,trials"]
-    for pt in points:
-        lines.append(f"{pt.alpha:.17g},{pt.phi_assumed:.17g},"
-                     f"{pt.snr_db:.17g},{pt.trials}")
+    lines = ["alpha,phi_assumed,snr_db,trials"] + [
+        f"{pt.alpha:.17g},{pt.phi_assumed:.17g},{pt.snr_db:.17g},{pt.trials}" for pt in points]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(json.dumps({"points": len(points), "out": str(args.out)}))
     return 0

@@ -174,44 +174,6 @@ class _ScoreSeries:
         return EstimationResult(tau_hat=float(-c0 / c1), method=Method.FIRST_ORDER).tau_hat
 
 
-def _model_zeros(x, z, mask, p):
-    """zeta into z and, into mask, the counted bins on a model zero; x is overwritten."""
-    _kernels.zeta(x, p.terms, out=z)
-    return np.less_equal(z, p.terms.null, out=mask)
-
-
-def _singular(sums, mask, sentinel) -> np.ndarray:
-    """sums with ``sentinel`` at the rows that have a counted bin on a model zero."""
-    if mask.any():
-        sums[mask.any(axis=1)] = sentinel
-    return sums
-
-
-def _log_likelihood_rows(x, work, p) -> np.ndarray:
-    z, _, mask = work
-    _model_zeros(x, z, mask, p)
-    np.log(z, out=z)
-    z *= p.q
-    return _singular(z.sum(axis=1), mask, -np.inf)
-
-
-def _score_rows(x, work, p) -> np.ndarray:
-    """sum q w d log zeta / dx per row, from each column's null or peak
-    phase (:func:`weakdelay._kernels.log_slope`); NaN where the likelihood
-    is -inf.
-
-    Only a block that holds a denominator A^2 + level at or below
-    ``_kernels.SCREEN`` can hold a model zero; its mask is taken from zeta
-    itself, the rule :func:`log_likelihood` applies.
-    """
-    s, den, mask = work
-    _kernels.log_slope(x, p.form, p.qw, out=(s, den))
-    sums = s.sum(axis=1)
-    if den.min() > _kernels.SCREEN:
-        return sums
-    return _singular(sums, _model_zeros(x, s, mask, p), np.nan)
-
-
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
                    weak_values: WeakValuePair | None = None) -> float | np.ndarray:
     """Log-likelihood of delay g, up to a g-independent additive constant.
@@ -224,7 +186,7 @@ def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
     :mod:`weakdelay._kernels`) yields -inf (sentinel, not an exception).
     A 1-D array g gives an array of log-likelihoods.
     """
-    return prepare_likelihood(record, weak_values).rows(g, _log_likelihood_rows)
+    return prepare_likelihood(record, weak_values).rows(g, _kernels.log_likelihood_rows)
 
 
 def score_residual(g: float | np.ndarray, record: MeasurementRecord,
@@ -236,7 +198,7 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
     zero of its reshaping factor (the likelihood is singular there); a 1-D
     array g gives an array with NaN at such delays.
     """
-    out = prepare_likelihood(record, weak_values).rows(g, _score_rows)
+    out = prepare_likelihood(record, weak_values).rows(g, _kernels.score_rows)
     return _residual(g, out, "likelihood score singular")
 
 

@@ -15,9 +15,9 @@ carries its unit in the key name (``center_nm``, ``tau_true_fs``,
 the documented defaults (780 nm centre, 17.6 nm FWHM, 690-900 nm grid at
 0.1 nm).  Every other number must be finite (not NaN, not infinite, not a
 boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
-nonnegative, and the grid at most :data:`~weakdelay.simulator.MAX_BINS`
-bins.  Every rejected document or file raises
-:class:`~weakdelay.errors.FormatError`.
+nonnegative, the grid at most :data:`~weakdelay.simulator.MAX_BINS`
+bins and the source line (``fwhm_nm``) no narrower than its step.  Every
+rejected document or file raises :class:`~weakdelay.errors.FormatError`.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ MAX_TRIALS = 1_000_000
 class SourceConfig:
     """Source spectrum parameters; defaults model a broadband LED line.
 
-    The grid is limited to :data:`MAX_BINS` bins.
+    The grid is limited to :data:`MAX_BINS` bins, and the line is at least
+    one grid step wide.
     """
 
     center_nm: float = 780.0
@@ -61,8 +62,9 @@ class SourceConfig:
             raise DomainError("grid must be positive wavelengths of finite, positive extent")
         if self.n_bins() > MAX_BINS:
             raise DomainError(f"grid of {self.n_bins()} bins exceeds the cap of {MAX_BINS}")
-        if not 0.0 < self.fwhm_nm < np.inf:
-            raise DomainError("line width must be positive and finite")
+        if not self.grid_step_nm <= self.fwhm_nm < np.inf:
+            raise DomainError(f"line width fwhm_nm = {self.fwhm_nm!r} must be finite and "
+                              f"at least the grid step grid_step_nm = {self.grid_step_nm!r}")
         if self.shape not in ("gaussian", "lorentzian", "flat"):
             raise DomainError(f"unknown source shape {self.shape!r}")
 

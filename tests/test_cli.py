@@ -501,6 +501,31 @@ class TestFlagBoundary:
         assert json.loads(err)["error"] == "FormatError"
 
 
+    @pytest.mark.parametrize("argv, names", [
+        (["simulate", "--config", "{narrow}", "--out", "{out}"],
+         ["fwhm_nm = 1e-300", "grid_step_nm = 0.1"]),
+        (["snr", "--config", "{config}", "--alphas", "0.01,1e308", "--phi-actual", "0.03",
+          "--phi-assumed", "0.03", "--out", "{out}"], ["--alphas", "1e+308", "overflows"]),
+        (["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e308",
+          "--steps", "2", "--out", "{out}"], ["--theta-max", "delay overflows"]),
+    ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max"])
+    def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
+        # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
+        # record); the other two overflowed with an errno tuple as message
+        narrow, out = tmp_path / "narrow.json", tmp_path / "out.csv"
+        narrow.write_text(json.dumps({"source": {"fwhm_nm": 1e-300}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run([a.format(narrow=narrow, config=config_path, out=out)
+                                     for a in argv], capsys)
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "FormatError"
+        assert all(name in report["message"] for name in names)
+
+
 class TestRecordRoundTrip:
     def test_write_read_write_is_lossless(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -888,6 +888,38 @@ class TestDiagnostics:
             likelihood_profile(jwm_record, jwm_wv, g_lo, g_hi, n)
 
 
+class TestProfileNulls:
+    """The profile's complex zeta zeros, read from each column's slope form."""
+
+    @pytest.mark.parametrize("phi", [PHI_WVA, PHI_JWM, 2.4883])
+    def test_zeta_vanishes_at_every_column_null(self, phi):
+        # ideal plates give floor-0 null-referenced columns; dispersive and
+        # absent ones null- and peak-referenced columns with a floor
+        refs = set()
+        for qwp in (QwpModel(), default_dispersive_qwp(), QwpModel(variant="absent")):
+            rec = record_at(phi, 3e-18, qwp=qwp)
+            p = prepare_likelihood(rec, port_projections(phi, rec.omega, qwp)[0])
+            phase, offset = _kernels._nulls(p.form)
+            floor, u, v = p.terms.floor, p.terms.u, p.terms.v
+            top = floor + u ** 2 + v ** 2
+            for z in (phase + 1j * offset, phase - 1j * offset):
+                zeros = floor + (u * np.cos(z) + v * np.sin(z)) ** 2
+                assert np.max(np.abs(zeros) / top) <= 8 * np.finfo(float).eps
+            refs |= {("peak" if level > 1 else "null", bool(f > 0))
+                     for level, f in zip(p.form.level, floor)}
+        assert refs == {("null", False), ("null", True), ("peak", True)}
+
+    def test_constant_column_has_no_zero(self):
+        # |A| = 1 real: u = v = 0 and zeta = 1 everywhere, so no zero at any
+        # finite offset (and no RuntimeWarning from atanh(1) or 1 / level)
+        from weakdelay import WeakValuePair
+        rec = record_at(PHI_JWM, 1e-17)
+        p = prepare_likelihood(rec, WeakValuePair(aw1=1.0 + 0.0j, aw2=-1.0 + 0.0j))
+        assert not np.any(p.terms.u) and not np.any(p.terms.v)
+        _, offset = _kernels._nulls(p.form)
+        assert np.all(offset == np.inf)
+
+
 class TestProfileWorkers:
     """Where the profile's exact (not interpolated) work goes."""
 
