@@ -514,8 +514,9 @@ def _bisect(lo: int, hi: int, p: Prepared, nulls, g0: float, dg: float,
     if smooth.any():
         nodes = max(_MIN_NODES, int(np.ceil(_DIGITS / np.log10(rho[smooth].min()))))
         if hi - lo > nodes:
-            _interpolate(lo, hi, _take(p, smooth), nodes, g0, dg, out, scratch)
-            p, nulls = _take(p, ~smooth), nulls[:, ~smooth]
+            _interpolate(lo, hi, _take(p, np.flatnonzero(smooth)), nodes, g0, dg, out, scratch)
+            rough = np.flatnonzero(~smooth)
+            p, nulls = _take(p, rough), nulls[:, rough]
     if not p.q.size:
         return
     if hi - lo > _LEAF:

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, io, simulator
-from .constants import FS, NM, wavelength_to_angular_frequency
+from .constants import FS, NM
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
 
@@ -123,16 +123,11 @@ def cmd_sweep(args) -> int:
     config, _ = io.load_config(args.config)
     if not 1 <= args.steps <= simulator.MAX_TRIALS:
         raise FormatError(f"--steps must lie in [1, {simulator.MAX_TRIALS}]")
-    from .waveplate import default_quartz_stack, pivot_delay
+    from .waveplate import default_quartz_stack
     stack = config.stack or default_quartz_stack(config.source.center_nm * NM)
     with io._format_errors("invalid sweep angles"):
-        # an angle's delay is pivot_delay(1 rad) theta^2, and its largest
-        # phase that delay times the frequency of the grid's shortest wavelength
-        phase = float(pivot_delay(1.0, stack, config.source.center_nm * NM)) * float(
-            wavelength_to_angular_frequency(config.source.grid_min_nm))
         for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
-            if not math.isfinite(theta * theta * phase):
-                raise FormatError(f"{flag} = {theta!r} rad: its pivot delay overflows the phases")
+            io._check_pivot(flag, theta, stack, config.source)
         rows = simulator.sweep_theta(np.linspace(args.theta_min, args.theta_max, args.steps),
                                      stack, config, mode=args.mode)
     columns = {"exact": "tau_exact_s", "first_order": "tau_first_order_s",

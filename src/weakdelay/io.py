@@ -2,11 +2,16 @@
 
 Record files are plain CSV with header ``wavelength_nm,counts_port1,
 counts_port2``, one row per wavelength bin, wavelengths strictly
-increasing.  Values are written with 17 significant digits so that a
-write/read round trip is lossless for doubles.  The reader parses every
-field in one array conversion, which accepts exactly what ``float()``
-accepts, and runs its row checks as column masks; a rejected row is
-reported with its 1-based line number in the file, blank lines counted.
+increasing.  Each value is written as its shortest round-trip decimal,
+``repr`` of the float (``789.9``, not ``789.89999999999998``), so a
+write/read round trip is bit-lossless.  The reader skips blank lines and
+converts every body row in one ``np.loadtxt`` call, NumPy's C text reader.
+A field is a ``float()`` literal in ASCII without underscores (``1e5``,
+``+1``, ``1.``, ``.5``, ``inf``, ``nan``), with any surrounding whitespace
+(``str.isspace``); ``1_0``, ``１`` (a non-ASCII digit), ``0x10`` and an
+empty field are rejected.  The row checks run as column masks, and a
+rejected row is reported with its 1-based line number in the file, blank
+lines counted.
 
 Run configurations are JSON documents mirroring
 :class:`~weakdelay.simulator.ExperimentConfig`.  Every physical quantity
@@ -16,8 +21,11 @@ the documented defaults (780 nm centre, 17.6 nm FWHM, 690-900 nm grid at
 0.1 nm).  Every other number must be finite (not NaN, not infinite, not a
 boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
 nonnegative, the grid at most :data:`~weakdelay.simulator.MAX_BINS`
-bins and the source line (``fwhm_nm``) no narrower than its step.  Every
-rejected document or file raises :class:`~weakdelay.errors.FormatError`.
+bins and the source line (``fwhm_nm``) no narrower than its step nor, for
+a Lorentzian, so wide that its squared half-width overflows; a pivot
+angle (``theta_rad``) must not have a delay that overflows the phases of
+the grid.  Every rejected document or file raises
+:class:`~weakdelay.errors.FormatError`.
 """
 
 from __future__ import annotations
@@ -30,43 +38,47 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import FS, MM
+from .constants import FS, MM, NM, wavelength_to_angular_frequency
 from .errors import FormatError
 from .estimators import EstimationResult
 from .polarization import QwpModel
 from .simulator import ExperimentConfig, SourceConfig, default_dispersive_qwp
 from .spectra import MeasurementRecord, Spectrum
-from .waveplate import PlateStack, default_quartz_stack
+from .waveplate import PlateStack, default_quartz_stack, pivot_delay
 
 RECORD_HEADER = "wavelength_nm,counts_port1,counts_port2"
 
 
 def write_record(path, record: MeasurementRecord) -> None:
-    """Write a two-port record as CSV with full double precision."""
-    lines = [RECORD_HEADER]
-    for lam, c1, c2 in zip(record.grid_nm, record.port1.weights, record.port2.weights):
-        lines.append(f"{lam:.17g},{c1:.17g},{c2:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a two-port record as CSV, each value as its shortest round-trip
+    decimal (``repr`` of the float), so reading it back is bit-lossless."""
+    rows = zip(record.grid_nm.tolist(), record.port1.weights.tolist(),
+               record.port2.weights.tolist())
+    Path(path).write_text(RECORD_HEADER + "\n" +
+                          "".join([f"{lam!r},{c1!r},{c2!r}\n" for lam, c1, c2 in rows]))
 
 
 def read_record(path) -> MeasurementRecord:
-    """Parse a record CSV, rejecting malformed rows with their line number."""
+    """Parse a record CSV, rejecting malformed rows with their line number.
+
+    The body rows are converted by one ``np.loadtxt`` call; only when it
+    rejects them does a row-by-row pass look for the first bad line.
+    """
     lines = _read_text(path).splitlines()
-    kept = [ln for ln in lines if ln.strip()]
+    kept = list(filter(str.strip, lines))
     if not kept:
         raise FormatError("empty record file")
     if kept[0].strip() != RECORD_HEADER:
         raise FormatError(f"bad header; expected {RECORD_HEADER!r}",
                           row=_line_number(lines, 0))
     body = kept[1:]
-    try:
-        table = _parse_rows(body)
-    except ValueError:
+    table = _load_rows(body)
+    if table is None:
         # the rows before the first unparsable one parse, and an error
         # among them comes first
         k, why = _first_unparsable(body)
-        _check_rows(_parse_rows(body[:k]), lines)
-        raise FormatError(why, row=_line_number(lines, k + 1)) from None
+        _check_rows(_load_rows(body[:k]), lines)
+        raise FormatError(why, row=_line_number(lines, k + 1))
     _check_rows(table, lines)
     if len(body) < 2:
         raise FormatError("record needs at least 2 bins")
@@ -85,20 +97,17 @@ def _line_number(lines: list[str], k: int) -> int:
     return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
 
 
-def _parse_rows(body: list[str]) -> np.ndarray:
-    """Rows of three numbers as an n x 3 array; ValueError for any other row.
-
-    The rows are joined by a field of their own, "\n", which stays in every
-    fourth place only if each row has three fields; float() and the array
-    parse accept the same text.
-    """
+def _load_rows(body: list[str]) -> np.ndarray | None:
+    """Rows of three numbers as an n x 3 array, converted by NumPy's C text
+    reader with the correctly rounded ``PyOS_string_to_double`` of
+    ``float()``; None if a row is anything else."""
     if not body:
         return np.empty((0, 3))
-    fields = ",\n,".join(body).split(",")
-    if len(fields) != 4 * len(body) - 1 or fields[3::4] != ["\n"] * (len(body) - 1):
-        raise ValueError("a row without three fields")
-    del fields[3::4]
-    return np.array(fields, dtype=float).reshape(-1, 3)
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (len(body), 3) else None
 
 
 def _first_unparsable(body: list[str]) -> tuple[int, str]:
@@ -107,11 +116,21 @@ def _first_unparsable(body: list[str]) -> tuple[int, str]:
         parts = line.split(",")
         if len(parts) != 3:
             return k, f"expected 3 comma-separated fields, got {len(parts)}"
-        try:
-            list(map(float, parts))
-        except ValueError:
+        if not all(map(_is_number, parts)):
             return k, f"non-numeric field in {line!r}"
-    raise AssertionError("the array parse rejected rows that float() accepts")
+    raise AssertionError("the array parse rejected rows that _is_number accepts")
+
+
+def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads the field as a float: a ``float()``
+    literal in ASCII without underscores, with any surrounding whitespace
+    (``str.isspace``)."""
+    text = field.strip()
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
 
 
 def _check_rows(table: np.ndarray, lines: list[str]) -> None:
@@ -214,6 +233,20 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
         return QwpModel(variant=model, tau0=None if tau0_fs is None else tau0_fs * FS)
 
 
+def _check_pivot(name: str, theta: float, stack: PlateStack, source: SourceConfig) -> None:
+    """Reject a pivot angle whose delay overflows the phases of the grid.
+
+    An angle's delay is pivot_delay(1 rad) theta^2, and its largest phase
+    that delay times the frequency of the grid's shortest wavelength.  The
+    message names the input, ``name``.  Shared by the configuration loader
+    and the ``sweep`` flags.
+    """
+    phase = float(pivot_delay(1.0, stack, source.center_nm * NM)) * float(
+        wavelength_to_angular_frequency(source.grid_min_nm))
+    if not math.isfinite(theta * theta * phase):
+        raise FormatError(f"{name} = {theta!r} rad: its pivot delay overflows the phases")
+
+
 def load_config(source) -> tuple[ExperimentConfig, dict]:
     """Load a run configuration from a JSON file path or a parsed dict.
 
@@ -270,6 +303,8 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             stack=stack,
             noise=doc.get("noise", "multinomial"),
         )
+        if theta is not None:
+            _check_pivot("theta_rad", theta, stack, source_cfg)
     return config, resolved_config_dict(config)
 
 

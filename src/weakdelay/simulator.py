@@ -43,7 +43,8 @@ class SourceConfig:
     """Source spectrum parameters; defaults model a broadband LED line.
 
     The grid is limited to :data:`MAX_BINS` bins, and the line is at least
-    one grid step wide.
+    one grid step wide; a Lorentzian line's squared half-width must not
+    overflow.
     """
 
     center_nm: float = 780.0
@@ -67,6 +68,10 @@ class SourceConfig:
                               f"at least the grid step grid_step_nm = {self.grid_step_nm!r}")
         if self.shape not in ("gaussian", "lorentzian", "flat"):
             raise DomainError(f"unknown source shape {self.shape!r}")
+        gamma = self.fwhm_nm / 2.0
+        if self.shape == "lorentzian" and not gamma * gamma < np.inf:
+            raise DomainError(f"Lorentzian line width fwhm_nm = {self.fwhm_nm!r}: "
+                              f"its squared half-width overflows")
 
     @property
     def omega0(self) -> float:

@@ -508,15 +508,26 @@ class TestFlagBoundary:
           "--phi-assumed", "0.03", "--out", "{out}"], ["--alphas", "1e+308", "overflows"]),
         (["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e308",
           "--steps", "2", "--out", "{out}"], ["--theta-max", "delay overflows"]),
-    ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max"])
+        (["simulate", "--config", "{pivot}", "--out", "{out}"],
+         ["theta_rad = 1e+300", "delay overflows"]),
+        (["simulate", "--config", "{lorentzian}", "--out", "{out}"],
+         ["fwhm_nm = 1e+200", "overflows"]),
+    ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
+            "overflowing_theta_rad", "overflowing_lorentzian"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
-        # record); the other two overflowed with an errno tuple as message
-        narrow, out = tmp_path / "narrow.json", tmp_path / "out.csv"
-        narrow.write_text(json.dumps({"source": {"fwhm_nm": 1e-300}}))
+        # record); the others overflowed with an errno tuple as message, or
+        # (the two configurations) a raw OverflowError traceback
+        configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
+                   "pivot": {"theta_rad": 1e300},
+                   "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}}}
+        paths = {name: tmp_path / f"{name}.json" for name in configs}
+        for name, doc in configs.items():
+            paths[name].write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, stdout, err = run([a.format(narrow=narrow, config=config_path, out=out)
+            code, stdout, err = run([a.format(config=config_path, out=out, **paths)
                                      for a in argv], capsys)
         assert code == 2
         assert stdout == "" and not out.exists()

@@ -1,11 +1,13 @@
-"""Seeded mutation tests of the configuration and record file boundaries."""
+"""Tests of the configuration and record file boundaries: seeded mutations,
+the record grammar and the bit-lossless record round trip."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weakdelay import FormatError, load_config, read_record, simulate
+from weakdelay import FormatError, load_config, read_record, simulate, write_record
 from weakdelay.io import RECORD_HEADER
 
 #: Valid documents: every key of the schema appears in one of them.
@@ -186,3 +188,85 @@ class TestRecordMutations:
         path.write_text("\n" + "\n".join(lines[:4] + [""] + lines[4:]) + "\n")
         rec = read_record(path)
         assert rec.grid_nm.size == len(lines) - 1
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestLosslessRoundTrip:
+    @pytest.mark.parametrize("doc", [
+        {"phi_actual_rad": 0.03, "photons": 0, "tau_true_fs": 0.006},
+        {"phi_actual_rad": 1.6408, "photons": 0, "tau_true_fs": 0.01,
+         "qwp": {"model": "dispersive"}},
+        {"phi_actual_rad": 2.4883, "photons": 0, "tau_true_fs": -0.0459,
+         "qwp": {"model": "absent"}},
+        {"phi_actual_rad": 0.03, "photons": 10_000_000, "tau_true_fs": 0.006, "seed": 3},
+    ], ids=["ideal", "dispersive", "absent", "counts_1e7"])
+    def test_every_value_reads_back_bit_for_bit(self, doc, tmp_path):
+        record = simulate(load_config(doc)[0])
+        if not doc["photons"]:
+            # the far tails hold weights down to about 1e-60; add a subnormal
+            assert record.port1.weights.min() < 1e-50
+            w1 = record.port1.weights.copy()
+            w1[0] = 5e-324
+            record = replace(record, port1=replace(record.port1, weights=w1))
+        path = tmp_path / "r.csv"
+        write_record(path, record)
+        back = read_record(path)
+        for ours, theirs in ((back.grid_nm, record.grid_nm),
+                             (back.port1.weights, record.port1.weights),
+                             (back.port2.weights, record.port2.weights)):
+            assert np.array_equal(bits(ours), bits(theirs))
+        assert back.total_events == record.total_events
+        assert back.total_events == doc["photons"]
+        # the shortest round-trip decimal, not 17 digits
+        assert "\n789.9," in path.read_text()
+
+
+class TestRecordGrammar:
+    def rows(self, fields, ending="\n"):
+        lines = [RECORD_HEADER, "700.5,1,2", f"{fields[0]},{fields[1]},{fields[2]}", "702.5,3,4"]
+        return ending.join(lines) + ending
+
+    @pytest.mark.parametrize("field", ["1_0", "１", "0x10", "1d5", ""])
+    def test_rejected_field_is_named_with_its_line(self, field, tmp_path):
+        # underscores and non-ASCII digits pass float() but not the C reader
+        path = tmp_path / "r.csv"
+        for col in range(3):
+            fields = ["701.5", "5", "6"]
+            fields[col] = field
+            path.write_text(self.rows(fields), encoding="utf-8")
+            with pytest.raises(FormatError, match="non-numeric") as exc:
+                read_record(path)
+            assert exc.value.row == 3
+
+    def test_whitespace_and_crlf_are_accepted(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(self.rows([" 701.5\t", "　+5.", " .5e1 "], "\r\n").encode())
+        back = read_record(path)
+        assert back.grid_nm.tolist() == [700.5, 701.5, 702.5]
+        assert back.port1.weights.tolist() == [1.0, 5.0, 3.0]
+        assert back.port2.weights.tolist() == [2.0, 5.0, 4.0]
+        assert back.total_events == 20.0
+
+    def test_reader_and_line_search_accept_the_same_fields(self, tmp_path):
+        # a seeded field in the middle row either reads as float() of its
+        # stripped text or is reported on line 3; the row-by-row search never
+        # disagrees with the array reader
+        rng = np.random.default_rng(23)
+        alphabet = list("0123456789.eE+-_ ,\t\x1f\x00xjnaif") + [
+            "　", " ", "１", "١", "​", "inf", "nan", "1e5"]
+        path = tmp_path / "r.csv"
+        accepted = 0
+        for _ in range(1000):
+            field = "".join(rng.choice(alphabet, size=int(rng.integers(1, 6))))
+            path.write_text(self.rows(["701.5", field, "6"]), encoding="utf-8")
+            try:
+                back = read_record(path)
+            except FormatError as exc:
+                assert exc.row == 3, field
+                continue
+            accepted += 1
+            assert bits(back.port1.weights[1]) == bits(float(field.strip())), field
+        assert accepted > 50
