@@ -24,7 +24,10 @@ or too many trials, a nonpositive alpha or length, a negative epsilon) is
 a format error too, and so are ``sweep --steps`` outside [1,
 ``simulator.MAX_TRIALS``], a ``sweep`` angle whose delay overflows the
 record's phases and an ``snr --alphas`` entry whose squared delay error
-could overflow the SNR; their messages name the flag.
+could overflow the SNR; their messages name the flag.  A ``simulate``
+configuration whose source line leaves no weight on its grid (a
+``center_nm`` far off the grid) is a format error too, named in the
+message.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from . import estimators, io, simulator
 from .constants import FS, NM
 from .errors import FormatError, WeakDelayError
 from .estimators import Method
+from .polarization import QwpModel
+from .simulator import SourceConfig
 
 
 def _add_simulate(sub):
@@ -60,7 +65,8 @@ def cmd_simulate(args) -> int:
             raise FormatError("--seed must be nonnegative")
         config = replace(config, seed=args.seed)
         resolved["seed"] = args.seed
-    record = simulator.simulate(config)
+    with io._format_errors("invalid configuration"):
+        record = simulator.simulate(config)
     io.write_record(args.out, record)
     sidecar = Path(args.out).with_suffix(".config.json")
     sidecar.write_text(json.dumps(resolved, indent=2) + "\n")
@@ -78,11 +84,11 @@ def _add_estimate(sub):
                    choices=[m.value for m in Method] + ["all"])
     p.add_argument("--phi", type=float, required=True,
                    help="assumed postselection offset [rad]")
-    p.add_argument("--qwp", default="ideal", choices=["ideal", "dispersive", "absent"])
+    p.add_argument("--qwp", default=QwpModel.variant, choices=["ideal", "dispersive", "absent"])
     p.add_argument("--tau0-fs", type=float, default=None,
                    help="dispersive analyzer retardance time [fs] "
                         "(default pi/4 over the centre frequency)")
-    p.add_argument("--center-nm", type=float, default=780.0,
+    p.add_argument("--center-nm", type=float, default=SourceConfig.center_nm,
                    help="centre wavelength used for analyzer defaults")
     p.set_defaults(func=cmd_estimate)
 
@@ -114,7 +120,6 @@ def _add_sweep(sub):
     p.add_argument("--theta-min", type=float, required=True)
     p.add_argument("--theta-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--mode", default="auto", choices=["auto", "jwm", "wva"])
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -129,9 +134,9 @@ def cmd_sweep(args) -> int:
         for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
             io._check_pivot(flag, theta, stack, config.source)
         rows = simulator.sweep_theta(np.linspace(args.theta_min, args.theta_max, args.steps),
-                                     stack, config, mode=args.mode)
+                                     stack, config)
     columns = {"exact": "tau_exact_s", "first_order": "tau_first_order_s",
-               "jwm_simplified": "tau_jwm_s"}  # the last in jwm mode only
+               "jwm_simplified": "tau_jwm_s"}  # the last at balanced phi only
     methods = [m for m in columns if m in rows[0].estimates]
     lines = [",".join(["theta_rad", "tau_theory_s"] + [columns[m] for m in methods])]
     lines += [",".join(f"{v:.17g}" for v in (row.theta, row.tau_theory,
@@ -207,9 +212,9 @@ def _add_analytic(sub):
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--lambda0-nm", type=float, default=780.0)
-    p.add_argument("--delta-lambda-nm", type=float, default=17.6)
-    p.add_argument("--resolution-nm", type=float, default=0.1)
+    p.add_argument("--lambda0-nm", type=float, default=SourceConfig.center_nm)
+    p.add_argument("--delta-lambda-nm", type=float, default=SourceConfig.fwhm_nm)
+    p.add_argument("--resolution-nm", type=float, default=SourceConfig.grid_step_nm)
     p.set_defaults(func=cmd_analytic)
 
 

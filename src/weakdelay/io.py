@@ -5,21 +5,26 @@ counts_port2``, one row per wavelength bin, wavelengths strictly
 increasing.  Each value is written as its shortest round-trip decimal,
 ``repr`` of the float (``789.9``, not ``789.89999999999998``), so a
 write/read round trip is bit-lossless.  The reader skips blank lines and
-converts every body row in one ``np.loadtxt`` call, NumPy's C text reader.
-A field is a ``float()`` literal in ASCII without underscores (``1e5``,
-``+1``, ``1.``, ``.5``, ``inf``, ``nan``), with any surrounding whitespace
-(``str.isspace``); ``1_0``, ``１`` (a non-ASCII digit), ``0x10`` and an
-empty field are rejected.  The row checks run as column masks, and a
-rejected row is reported with its 1-based line number in the file, blank
-lines counted.
+converts every body row in one ``np.loadtxt`` call, NumPy's C text reader,
+and the grammar is what ``np.loadtxt`` accepts: three fields, each a
+``float()`` literal in ASCII without underscores (``1e5``, ``+1``, ``1.``,
+``.5``, ``inf``, ``nan``) with any surrounding whitespace; ``1_0``, ``１``
+(a non-ASCII digit), ``0x10`` and an empty field are rejected.  When the
+reader rejects the body, the first rejected row is found by bisection,
+the same reader run on prefixes of the body.  The row checks run as
+column masks, and a rejected row is reported with its 1-based line number
+in the file, blank lines counted.
 
 Run configurations are JSON documents mirroring
 :class:`~weakdelay.simulator.ExperimentConfig`.  Every physical quantity
 carries its unit in the key name (``center_nm``, ``tau_true_fs``,
-``theta_rad``).  Unknown keys are rejected; missing keys are filled from
-the documented defaults (780 nm centre, 17.6 nm FWHM, 690-900 nm grid at
-0.1 nm).  Every other number must be finite (not NaN, not infinite, not a
-boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
+``theta_rad``).  Unknown keys are rejected; missing keys take the field
+defaults of :class:`~weakdelay.simulator.SourceConfig`,
+:class:`~weakdelay.simulator.ExperimentConfig` and
+:class:`~weakdelay.polarization.QwpModel` (780 nm centre, 17.6 nm FWHM,
+690-900 nm grid at 0.1 nm, 1e7 photons, multinomial noise, seed 0, an
+ideal plate).  Every other number must be finite (not NaN, not infinite,
+not a boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
 nonnegative, the grid at most :data:`~weakdelay.simulator.MAX_BINS`
 bins and the source line (``fwhm_nm``) no narrower than its step nor, for
 a Lorentzian, so wide that its squared half-width overflows; a pivot
@@ -62,7 +67,7 @@ def read_record(path) -> MeasurementRecord:
     """Parse a record CSV, rejecting malformed rows with their line number.
 
     The body rows are converted by one ``np.loadtxt`` call; only when it
-    rejects them does a row-by-row pass look for the first bad line.
+    rejects them does a bisection over prefixes look for the first bad line.
     """
     lines = _read_text(path).splitlines()
     kept = list(filter(str.strip, lines))
@@ -111,26 +116,20 @@ def _load_rows(body: list[str]) -> np.ndarray | None:
 
 
 def _first_unparsable(body: list[str]) -> tuple[int, str]:
-    """Index and error of the first row that is not three numbers."""
-    for k, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != 3:
-            return k, f"expected 3 comma-separated fields, got {len(parts)}"
-        if not all(map(_is_number, parts)):
-            return k, f"non-numeric field in {line!r}"
-    raise AssertionError("the array parse rejected rows that _is_number accepts")
-
-
-def _is_number(field: str) -> bool:
-    """Whether ``np.loadtxt`` reads the field as a float: a ``float()``
-    literal in ASCII without underscores, with any surrounding whitespace
-    (``str.isspace``)."""
-    text = field.strip()
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return text.isascii() and "_" not in text
+    """Index and error of the first row of a body that ``_load_rows``
+    rejects, found by bisecting it on prefixes of the body."""
+    parsed, rejected = 0, len(body)  # body[:parsed] parses, body[:rejected] not
+    while rejected - parsed > 1:
+        mid = (parsed + rejected) // 2
+        if _load_rows(body[:mid]) is None:
+            rejected = mid
+        else:
+            parsed = mid
+    line = body[parsed]
+    fields = line.count(",") + 1
+    if fields != 3:
+        return parsed, f"expected 3 comma-separated fields, got {fields}"
+    return parsed, f"non-numeric field in {line!r}"
 
 
 def _check_rows(table: np.ndarray, lines: list[str]) -> None:
@@ -226,7 +225,7 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
     with _format_errors("invalid analyzer"):
         _reject_unknown(doc, _QWP_KEYS, "qwp")
         source = SourceConfig(center_nm=center_nm)
-        model = doc.get("model", "ideal")
+        model = doc.get("model", QwpModel.variant)
         tau0_fs = _finite_number(doc, "tau0_fs", None)
         if model == "dispersive" and tau0_fs is None:
             return default_dispersive_qwp(source)
@@ -296,12 +295,12 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             source=source_cfg,
             phi_assumed=_finite_number(doc, "phi_assumed_rad", None),
             qwp=qwp,
-            photons=_whole_number(doc, "photons", 10_000_000),
-            seed=_whole_number(doc, "seed", 0),
+            photons=_whole_number(doc, "photons", ExperimentConfig.photons),
+            seed=_whole_number(doc, "seed", ExperimentConfig.seed),
             tau_true=None if tau_fs is None else tau_fs * FS,
             theta=theta,
             stack=stack,
-            noise=doc.get("noise", "multinomial"),
+            noise=doc.get("noise", ExperimentConfig.noise),
         )
         if theta is not None:
             _check_pivot("theta_rad", theta, stack, source_cfg)

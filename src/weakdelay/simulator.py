@@ -42,6 +42,10 @@ MAX_TRIALS = 1_000_000
 class SourceConfig:
     """Source spectrum parameters; defaults model a broadband LED line.
 
+    These field defaults, with those of :class:`ExperimentConfig` and
+    :class:`~weakdelay.polarization.QwpModel`, are the one statement of
+    the default experiment; the configuration loader and the CLI read them.
+
     The grid is limited to :data:`MAX_BINS` bins, and the line is at least
     one grid step wide; a Lorentzian line's squared half-width must not
     overflow.
@@ -83,20 +87,26 @@ class SourceConfig:
 
 
 def make_source(cfg: SourceConfig) -> Spectrum:
-    """Normalized source histogram over the configured wavelength grid."""
+    """Normalized source histogram over the configured wavelength grid.
+
+    A squared offset that overflows weighs exactly 0.  Raises DomainError
+    when the line leaves no weight on the grid (a centre far off it).
+    """
     grid = np.linspace(cfg.grid_min_nm, cfg.grid_max_nm, cfg.n_bins())
     x = grid - cfg.center_nm
-    if cfg.shape == "gaussian":
-        sigma = cfg.fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        w = np.exp(-0.5 * (x / sigma) ** 2)
-    elif cfg.shape == "lorentzian":
-        gamma = cfg.fwhm_nm / 2.0
-        w = gamma ** 2 / (x ** 2 + gamma ** 2)
-    else:
-        w = np.where(np.abs(x) <= cfg.fwhm_nm / 2.0, 1.0, 0.0)
+    with np.errstate(over="ignore"):
+        if cfg.shape == "gaussian":
+            sigma = cfg.fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+            w = np.exp(-0.5 * (x / sigma) ** 2)
+        elif cfg.shape == "lorentzian":
+            gamma = cfg.fwhm_nm / 2.0
+            w = gamma ** 2 / (x ** 2 + gamma ** 2)
+        else:
+            w = np.where(np.abs(x) <= cfg.fwhm_nm / 2.0, 1.0, 0.0)
     total = w.sum()
     if total <= 0:
-        raise ModelError("source spectrum vanishes on the grid")
+        raise DomainError(f"source line at center_nm = {cfg.center_nm!r} with fwhm_nm = "
+                          f"{cfg.fwhm_nm!r} leaves no weight on the grid")
     return Spectrum(grid, w / total)
 
 
@@ -249,8 +259,7 @@ class SweepRow:
     warnings: tuple[str, ...] = ()
 
 
-def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
-                mode: str = "auto") -> list[SweepRow]:
+def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig) -> list[SweepRow]:
     """Reproduce the tilt-sweep comparison of estimators against theory.
 
     Each pivot angle and ``stack`` replace the configuration's delay, so
@@ -258,19 +267,14 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig,
     small-angle caveat in its metadata; the row reads both back from it
     (the caveat as data, not a Python warning).  The record is estimated
     with the exact solver and the first-order formula, plus the
-    balanced-postselection shortcut when the configuration is balanced
-    (``mode="jwm"``, or ``"auto"`` with phi within 0.35 rad of pi/2).
+    balanced-postselection shortcut ``jwm_simplified`` when the
+    configuration is balanced, phi_actual within 0.35 rad of pi/2.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.size == 0:
         raise DomainError("theta list must be nonempty")
-    if mode == "auto":
-        mode = "jwm" if abs(config.phi_actual - np.pi / 2) < 0.35 else "wva"
-    if mode not in ("jwm", "wva"):
-        raise DomainError(f"unknown sweep mode {mode!r}")
-
     methods = [Method.EXACT, Method.FIRST_ORDER]
-    if mode == "jwm":
+    if abs(config.phi_actual - np.pi / 2) < 0.35:
         methods.append(Method.JWM_SIMPLIFIED)
     rows = []
     for i, theta in enumerate(thetas):
@@ -357,13 +361,15 @@ def resolution_factor(lambda0_nm: float, delta_lambda_nm: float,
     return lambda0_nm * resolution_nm / (4.0 * delta_lambda_nm ** 2)
 
 
-def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = 780.0,
-                    delta_lambda_nm: float = 17.6,
-                    resolution_nm: float = 0.1) -> float:
+def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = SourceConfig.center_nm,
+                    delta_lambda_nm: float = SourceConfig.fwhm_nm,
+                    resolution_nm: float = SourceConfig.grid_step_nm) -> float:
     """Resolution-limited uncertainty of alpha in the amplification scheme.
 
     d(alpha) = [lam0/(4 dlam^2)] (alpha^2 + beta^2)^2 / (alpha beta^2) res,
-    minimized over the postselection offset beta at beta = alpha.
+    minimized over the postselection offset beta at beta = alpha.  The
+    lengths default to the default source's centre, FWHM and grid step
+    (its sampling resolution).
     """
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive (formula singular "
@@ -372,8 +378,9 @@ def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = 780.0,
     return c * (alpha ** 2 + beta ** 2) ** 2 / (alpha * beta ** 2)
 
 
-def alpha_min(epsilon: float, lambda0_nm: float = 780.0,
-              delta_lambda_nm: float = 17.6, resolution_nm: float = 0.1) -> float:
+def alpha_min(epsilon: float, lambda0_nm: float = SourceConfig.center_nm,
+              delta_lambda_nm: float = SourceConfig.fwhm_nm,
+              resolution_nm: float = SourceConfig.grid_step_nm) -> float:
     """Minimum detectable alpha under a residual misalignment epsilon.
 
     alpha_min = sqrt[(sqrt(1 - 4C) - 2C + 1) / (2C)] * epsilon with

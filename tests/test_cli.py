@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,34 @@ class TestSimulateCommand:
                                  "--out", str(tmp_path / "b.csv")], capsys)
         assert code == 0 and err == ""
         assert json.loads(stdout)["warnings"] == []
+
+    def test_seed_flag_overrides_config_and_sidecar(self, tmp_path, capsys):
+        doc = {"phi_actual_rad": PHI_JWM, "photons": 50_000, "tau_true_fs": 0.01, "seed": 3}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "rec.csv"
+        code, _, err = run(["simulate", "--config", str(cfg), "--seed", "5",
+                            "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads((tmp_path / "rec.config.json").read_text())["seed"] == 5
+        want = simulator.simulate(replace(load_config(doc)[0], seed=5))
+        got = read_record(out)
+        for a, b in ((got.grid_nm, want.grid_nm), (got.port1.weights, want.port1.weights),
+                     (got.port2.weights, want.port2.weights)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got.total_events == want.total_events
+
+    def test_overflowing_line_offsets_weigh_zero(self, tmp_path, capsys):
+        # a Lorentzian over a grid reaching past 1e154 nm: the squared
+        # offsets overflow to inf, which is a weight of exactly 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"source": {"shape": "lorentzian", "fwhm_nm": 1e152,
+                                              "grid_step_nm": 1e152, "grid_max_nm": 5e155}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["simulate", "--config", str(cfg),
+                                "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0 and err == ""
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -512,15 +541,19 @@ class TestFlagBoundary:
          ["theta_rad = 1e+300", "delay overflows"]),
         (["simulate", "--config", "{lorentzian}", "--out", "{out}"],
          ["fwhm_nm = 1e+200", "overflows"]),
+        (["simulate", "--config", "{far_centre}", "--out", "{out}"],
+         ["center_nm = 1e+300", "no weight on the grid"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
-            "overflowing_theta_rad", "overflowing_lorentzian"])
+            "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
-        # (the two configurations) a raw OverflowError traceback
+        # (the two configurations) a raw OverflowError traceback, or (the
+        # far centre) a RuntimeWarning and a ModelError
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
-                   "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}}}
+                   "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
+                   "far_centre": {"source": {"center_nm": 1e300}}}
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, doc in configs.items():
             paths[name].write_text(json.dumps(doc))

@@ -352,6 +352,24 @@ class TestSolveExact:
         if res.diagnostics["iterations"] == 0:
             assert res.diagnostics["likelihood_residual"] == 0.0
 
+    def test_null_band_records_reach_the_window_maximum(self):
+        # unbalanced delays in [4.5e-18, 8.5e-18] s put the dark port's
+        # nulls beside the maximum, where two ladder candidates in one null
+        # band bracket nothing; the candidates around the first-order hint
+        # find it here (without them 9 of these 24 records miss)
+        rng = np.random.default_rng(2024)
+        for k in range(24):
+            qwp = default_dispersive_qwp() if k % 2 else QwpModel()
+            cfg = ExperimentConfig(phi_actual=PHI_WVA, qwp=qwp, seed=k,
+                                   photons=(0, 10_000_000)[(k // 2) % 2],
+                                   tau_true=rng.uniform(4.5e-18, 8.5e-18))
+            rec = simulate(cfg)
+            wv = port_projections(PHI_WVA, rec.omega, qwp)[0]
+            tau = cfg.tau_true
+            _, window = likelihood_profile(rec, wv, 0.5 * tau, 1.5 * tau, 20_001)
+            found = log_likelihood(solve_exact(rec, wv).tau_hat, rec, wv)
+            assert found >= window.max() - 1e-9 * rec.total_weight(), (k, tau)
+
     @pytest.mark.parametrize("tau", [1.5e-15, -1.2e-15])
     def test_bracket_widens_once_past_default(self, tau, monkeypatch):
         # on a 1550 nm grid no root lies inside +-1e-15 s, so the ladder is

@@ -128,7 +128,7 @@ class TestSweepTheta:
         from weakdelay import theta_for_delay
         cfg = noise_free_config(PHI_JWM, 0.0)
         thetas = [theta_for_delay(t, stack, 780e-9) for t in (2e-18, 1e-17)]
-        rows = sweep_theta(thetas, stack, cfg, mode="jwm")
+        rows = sweep_theta(thetas, stack, cfg)
         for row in rows:
             assert row.estimates["exact"] == pytest.approx(row.tau_theory, rel=1e-6)
             assert row.estimates["first_order"] == pytest.approx(row.tau_theory, rel=1e-2)
@@ -156,7 +156,7 @@ class TestSweepTheta:
         from weakdelay import theta_for_delay
         cfg = noise_free_config(PHI_WVA, 0.0, qwp=default_dispersive_qwp())
         thetas = [theta_for_delay(t, stack, 780e-9) for t in (5e-18, 1e-17, 2e-17)]
-        rows = sweep_theta(thetas, stack, cfg, mode="wva")
+        rows = sweep_theta(thetas, stack, cfg)
         devs = [row.tau_theory - row.estimates["first_order"] for row in rows]
         assert devs[0] < devs[1] < devs[2]
 
