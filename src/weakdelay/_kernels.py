@@ -477,9 +477,31 @@ def _nulls(form: SlopeForm) -> np.ndarray:
     has real zeros, offset 0; a constant zeta (u = v = 0, level 1) has none,
     offset inf.
     """
+    phase, ratio = _null_phase(form)
     with np.errstate(divide="ignore"):
-        offset = np.arctanh(np.sqrt(np.minimum(form.level, 1.0 / form.level)))
-    return np.stack([np.where(form.level > 1.0, form.phase + 0.5 * np.pi, form.phase), offset])
+        return np.stack([phase, np.arctanh(np.sqrt(ratio))])
+
+
+def _null_phase(form: SlopeForm) -> tuple[np.ndarray, np.ndarray]:
+    """Per column: the real phase p of its zeta zeros and ratio = floor / top."""
+    with np.errstate(divide="ignore"):
+        ratio = np.minimum(form.level, 1.0 / form.level)
+    return np.where(form.level > 1.0, form.phase + 0.5 * np.pi, form.phase), ratio
+
+
+def rising_bands(form: SlopeForm) -> tuple[np.ndarray, np.ndarray]:
+    """Per column: the centre p and half-width of its rising bands
+    |x - p - k pi| < half, outside which its log zeta is strictly concave.
+
+    The curvature gain (1 + S^2) (ratio - S^2) / (S^2 + ratio)^2 (module
+    docstring) is negative where S^2 = tan^2(x - p) exceeds ratio, so the
+    half-width is atan(sqrt(ratio)), which is atan(tanh(offset)) for the
+    offset of :func:`_nulls`.  It is widened by 2^-30 rad, the tangent bound
+    sqrt(``_SCREEN``), so every model-zero neighbourhood lies inside a band.
+    A constant column (gain 0) has no slope, so its bands bound nothing.
+    """
+    phase, ratio = _null_phase(form)
+    return phase, np.arctan(np.sqrt(ratio)) + np.sqrt(_SCREEN)
 
 
 def _bernstein(lo: int, hi: int, g0: float, dg: float, omega, nulls) -> np.ndarray:

@@ -17,8 +17,11 @@ summary line lists that caveat of each of its angles under ``warnings``.
 Flags are checked before a command runs: every float flag and every entry
 of a float list must be finite, and the phi flags (``estimate --phi``,
 ``snr --phi-actual``, each ``snr --phi-assumed`` entry) must lie in
-(0, pi).  A flag that breaks the rule is a format error: exit 2 with one
-JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
+(0, pi); ``snr``'s, which it simulates and estimates with, must also give
+finite weak values, as a configuration's phi does (:mod:`weakdelay.io`).
+``estimate`` reports a phi whose weak values are singular as each failing
+method's error instead.  A flag that breaks the rule is a format error:
+exit 2 with one JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
 library input from a flag, so a library ``DomainError`` there (too few
 or too many trials, a nonpositive alpha or length, a negative epsilon) is
 a format error too, and so are ``sweep --steps`` outside [1,
@@ -183,10 +186,16 @@ def _parse_floats(text: str, flag: str, check=_finite) -> list[float]:
     return [check(v, flag) for v in values]
 
 
+def _weak_phi(value: float, flag: str) -> float:
+    """A phi flag the command simulates or estimates with: in (0, pi), and
+    with weak values that are not singular."""
+    return io._check_phi(flag, _phi(value, flag))
+
+
 def cmd_snr(args) -> int:
-    _phi(args.phi_actual, "--phi-actual")
+    _weak_phi(args.phi_actual, "--phi-actual")
     alphas = _parse_floats(args.alphas, "--alphas")
-    phis = _parse_floats(args.phi_assumed, "--phi-assumed", _phi)
+    phis = _parse_floats(args.phi_assumed, "--phi-assumed", _weak_phi)
     config, _ = io.load_config(args.config)
     with io._format_errors("invalid snr flags"):
         # the SNR's MSE sums up to MAX_TRIALS squared delay errors of about

@@ -140,8 +140,11 @@ class _ScoreSeries:
     port's are built once as an (order + 1) x bins matrix; calling the
     table on a record's port counts (q1, q2) is one matrix-vector product
     per port.  Zero-count bins add nothing, so every bin is summed unmasked.
+    A weight or coefficient that overflows (a large weak value at a high
+    order) reads inf or NaN, which its callers reject.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, omega: np.ndarray, weak_values: WeakValuePair, order: int):
         self.weak_values = weak_values
         powers = omega ** np.arange(1.0, order + 2)[:, None]
@@ -155,6 +158,7 @@ class _ScoreSeries:
                      for k in range(order + 1)]
             self.weights.append(powers * np.reshape(coefs, (order + 1, -1)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _require_events(q1, q2)
         return self.weights[0] @ q1, self.weights[1] @ q2
@@ -167,6 +171,8 @@ class _ScoreSeries:
         """
         (a0, a1, *_), (b0, b1, *_) = self(q1, q2)
         c0, c1 = a0 + b0, a1 + b1
+        if not (math.isfinite(c0) and math.isfinite(c1)):
+            raise DegenerateRecordError("first-order coefficients are not finite")
         if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
             raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
         if c0 == 0 and self.weak_values.is_real():
@@ -284,8 +290,9 @@ def general_first_order(record: MeasurementRecord,
     <w^2>_j, with sub-normalized moments; any weak values, frequency
     dependent ones included.  A c1 within roundoff (64 eps) of its two port
     terms, as real weak values give on a zero-delay record, is degenerate,
-    and so are real weak values, whose c0 is exactly 0 whatever the delay.
-    A non-finite ratio raises SolverError.
+    and so are real weak values, whose c0 is exactly 0 whatever the delay,
+    and coefficients that overflow (|A|^2 w^2 past the float range).  A
+    non-finite ratio raises SolverError.
     """
     return _ScoreSeries(record.omega, weak_values, 1).first_order(record.port1.weights,
                                                                   record.port2.weights)
@@ -303,15 +310,102 @@ def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
     return np.unique(np.concatenate([allc, [lo, hi]]))
 
 
+def _runs(marked: np.ndarray) -> np.ndarray:
+    """(first, last) candidate of each maximal run of unmarked ladder intervals."""
+    return np.flatnonzero(np.diff(np.concatenate([[True], marked, [True]]))).reshape(-1, 2)
+
+
+def _rising(cands: np.ndarray, prepared: _kernels.Prepared) -> np.ndarray:
+    """Per ladder interval [c_i, c_i+1]: whether it meets a rising band of a
+    counted column (:func:`_kernels.rising_bands`).  Columns of gain 0 have
+    no slope and are skipped, and so are columns whose bands are not finite,
+    whose score is NaN at every delay.
+
+    An interval wider than pi / min w spans more than pi of phase in every
+    column, so it is marked outright.  On a run [a, b] of narrower ones,
+    column j's bands run from the first whose upper edge passes a w_j to the
+    last whose lower edge falls short of b w_j.  Each band marks the
+    intervals that meet its edges (p + k pi +- half) / w, found by
+    searchsorted, through a bincount of their ends.
+    """
+    n = cands.size
+    phase, half = _kernels.rising_bands(prepared.form)
+    live = (prepared.form.gain != 0) & np.isfinite(phase + half)
+    if not live.any():
+        return np.zeros(n - 1, dtype=bool)
+    w, phase, half = prepared.omega[live], phase[live], half[live]
+    marked = np.diff(cands) > np.pi / w.min()
+    runs = _runs(marked)
+    if not runs.size:
+        return marked
+    a, b = cands[runs].T[:, :, None]
+    low = np.floor((a * w - phase - half) / np.pi) + 1.0
+    high = np.ceil((b * w - phase + half) / np.pi) - 1.0
+    orders = np.arange(max(int((high - low).max()) + 1, 0))
+    centre = phase + np.pi * (low[:, None] + orders[:, None])
+    # band (L, R) meets the intervals whose right ends are c[s] .. c[t],
+    # s = #(c <= L) and t = #(c < R): +1 at s and -1 past t in a running sum
+    s = np.searchsorted(cands, ((centre - half) / w).ravel(), "right")
+    t = np.searchsorted(cands, ((centre + half) / w).ravel(), "left")
+    ends = np.bincount(s, minlength=n + 2) - np.bincount(t + 1, minlength=n + 2)
+    return marked | (np.cumsum(ends)[1:n] > 0)
+
+
+def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared) -> np.ndarray:
+    """The score at every ladder candidate that can end a descending pair, NaN
+    at the others.
+
+    Outside every rising band (:func:`_rising`) each counted term of the
+    score falls strictly with g, so on a run of clean intervals the score
+    changes sign at most once, from + to -.  The first call scores both ends
+    of every marked interval and, on each clean run of len intervals, its
+    ends and every ceil(sqrt(len))-th candidate.  The second scores, per
+    run, the candidates from its last probe above 0 to the first probe
+    below 0, or the whole run if its probes do not fall from + to - (only
+    rounding next to a root can make them).  So every descending pair of
+    the full ladder, exact zeros included, has both ends scored, and an
+    unscored candidate ends none.
+    """
+    marked = _rising(cands, prepared)
+    runs = _runs(marked)
+    take = np.zeros(cands.size, dtype=bool)
+    take[:-1] |= marked
+    take[1:] |= marked
+    for s, e in runs:
+        take[s:e:math.isqrt(e - s - 1) + 1] = True  # a stride of ceil(sqrt(e - s))
+        take[e] = True
+    vals = np.full(cands.size, np.nan)
+    probed = np.flatnonzero(take)
+    vals[probed] = score_residual(cands[probed], prepared)
+    more = np.zeros(cands.size, dtype=bool)
+    for s, e in runs:
+        probes = probed[np.searchsorted(probed, s):np.searchsorted(probed, e, "right")]
+        sign = np.sign(vals[probes])
+        if np.all(sign[:-1] >= sign[1:]):
+            above, below = np.count_nonzero(sign > 0), np.count_nonzero(sign >= 0)
+            s, e = probes[max(above - 1, 0)], probes[min(below, probes.size - 1)]
+        more[s:e + 1] = True
+    more &= ~take
+    if more.any():
+        rest = np.flatnonzero(more)
+        vals[rest] = score_residual(cands[rest], prepared)
+    return vals
+
+
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
-    The residual is evaluated once over a candidate ladder inside
+    The residual is scanned over a candidate ladder inside
     ``DEFAULT_BRACKET``, widened tenfold up to three times while no root is
     bracketed.  At a likelihood maximum the score falls through
     zero, while a likelihood singularity jumps the other way (-inf to
     +inf), so every descending sign change between neighbouring candidates
-    brackets a local maximum.  Each is refined to width ``DEFAULT_TOL`` by the
+    brackets a local maximum.  The scan (:func:`_ladder_scores`) scores
+    every candidate whose interval meets a counted bin's rising band, where
+    its log zeta may curve up, and only probes the clean runs between the
+    bands, where the score falls strictly and changes sign at most once; it
+    finds the same descending pairs, with the same end scores, as scoring
+    the whole ladder.  Each is refined to width ``DEFAULT_TOL`` by the
     Illinois method, and the root with the highest likelihood wins.  The
     counted bins are prepared once per solve; frequency-dependent weak
     values stay inside the bin sums.  Real weak values (an even likelihood)
@@ -332,7 +426,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         if expansion:
             lo, hi = lo * 10.0, hi * 10.0
         cands = _candidate_ladder(lo, hi, hint)
-        vals = res(cands)
+        vals = _ladder_scores(cands, prepared)
         a, b = vals[:-1], vals[1:]
         down = np.flatnonzero(np.isfinite(a) & np.isfinite(b)
                               & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))

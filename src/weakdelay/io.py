@@ -27,10 +27,12 @@ ideal plate).  Every other number must be finite (not NaN, not infinite,
 not a boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
 nonnegative, the grid at most :data:`~weakdelay.simulator.MAX_BINS`
 bins and the source line (``fwhm_nm``) no narrower than its step nor, for
-a Lorentzian, so wide that its squared half-width overflows; a pivot
-angle (``theta_rad``) must not have a delay that overflows the phases of
-the grid.  Every rejected document or file raises
-:class:`~weakdelay.errors.FormatError`.
+a Lorentzian, so wide that its squared half-width overflows; neither a
+pivot angle (``theta_rad``) nor a direct delay (``tau_true_fs``) may have
+a delay that overflows the phases of the grid, and ``phi_actual_rad`` and
+``phi_assumed_rad`` must give finite weak values (twice cot^2(phi/2)
+finite, so phi above about 1.5e-154 rad).  Every rejected document or
+file raises :class:`~weakdelay.errors.FormatError`.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from .constants import FS, MM, NM, wavelength_to_angular_frequency
-from .errors import FormatError
+from .errors import FormatError, SingularWeakValueError
 from .estimators import EstimationResult
-from .polarization import QwpModel
+from .polarization import QwpModel, ideal_weak_values
 from .simulator import ExperimentConfig, SourceConfig, default_dispersive_qwp
 from .spectra import MeasurementRecord, Spectrum
 from .waveplate import PlateStack, default_quartz_stack, pivot_delay
@@ -232,18 +234,34 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
         return QwpModel(variant=model, tau0=None if tau0_fs is None else tau0_fs * FS)
 
 
+def _grid_phase(delay: float, source: SourceConfig) -> float:
+    """The largest phase of ``delay`` on the grid: times the frequency of
+    its shortest wavelength."""
+    return delay * float(wavelength_to_angular_frequency(source.grid_min_nm))
+
+
 def _check_pivot(name: str, theta: float, stack: PlateStack, source: SourceConfig) -> None:
     """Reject a pivot angle whose delay overflows the phases of the grid.
 
     An angle's delay is pivot_delay(1 rad) theta^2, and its largest phase
-    that delay times the frequency of the grid's shortest wavelength.  The
-    message names the input, ``name``.  Shared by the configuration loader
-    and the ``sweep`` flags.
+    :func:`_grid_phase` of it.  The message names the input, ``name``.
+    Shared by the configuration loader and the ``sweep`` flags.
     """
-    phase = float(pivot_delay(1.0, stack, source.center_nm * NM)) * float(
-        wavelength_to_angular_frequency(source.grid_min_nm))
+    phase = _grid_phase(float(pivot_delay(1.0, stack, source.center_nm * NM)), source)
     if not math.isfinite(theta * theta * phase):
         raise FormatError(f"{name} = {theta!r} rad: its pivot delay overflows the phases")
+
+
+def _check_phi(name: str, phi: float) -> float:
+    """phi, unless its weak values are singular (see
+    :func:`~weakdelay.polarization.ideal_weak_values`); the message names
+    the input, ``name``.  Shared by the configuration loader and the ``snr``
+    flags."""
+    try:
+        ideal_weak_values(phi)
+    except SingularWeakValueError as exc:
+        raise FormatError(f"{name}: {exc}") from None
+    return phi
 
 
 def load_config(source) -> tuple[ExperimentConfig, dict]:
@@ -304,6 +322,11 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
         )
         if theta is not None:
             _check_pivot("theta_rad", theta, stack, source_cfg)
+        elif not math.isfinite(_grid_phase(config.tau_true, source_cfg)):
+            raise FormatError(f"tau_true_fs = {tau_fs!r}: its delay overflows the phases")
+        _check_phi("phi_actual_rad", config.phi_actual)
+        if config.phi_assumed is not None:
+            _check_phi("phi_assumed_rad", config.phi_assumed)
     return config, resolved_config_dict(config)
 
 

@@ -82,12 +82,21 @@ class QwpModel:
 
 
 def _weak_values(phi: float, phase) -> WeakValuePair:
-    """The analyzer law (tan(phi/2) phase, -cot(phi/2) phase)."""
+    """The analyzer law (tan(phi/2) phase, -cot(phi/2) phase).
+
+    phi must lie in (0, pi), and 2 cot^2(phi/2) must be finite: the score's
+    slope form (:mod:`weakdelay._kernels`) holds twice the squared modulus
+    of each weak value, so a phi below about 1.5e-154 rad is singular too.
+    """
     if not 0.0 < phi < np.pi:
         raise SingularWeakValueError(
             f"phi = {phi!r} outside (0, pi): postselection degenerate or weak value singular"
         )
     t = np.tan(0.5 * phi)
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(2.0 * np.square(1.0 / t)):
+            raise SingularWeakValueError(
+                f"phi = {phi!r}: twice the squared weak value cot^2(phi/2) overflows")
     return WeakValuePair(aw1=phase * t, aw2=-phase / t)
 
 

@@ -530,6 +530,26 @@ class TestFlagBoundary:
         assert json.loads(err)["error"] == "FormatError"
 
 
+    @pytest.mark.parametrize("phi, failing", [
+        ("1e-50", {"quartic": "DegenerateRecordError"}),
+        ("1e-200", {method: "SingularWeakValueError"
+                    for method in ("exact", "quartic", "first_order", "wva_mean_shift")}),
+    ])
+    def test_estimate_at_a_near_zero_phi_reports_typed_errors(self, phi, failing, tmp_path,
+                                                              capsys):
+        # the quartic's order-4 series overflowed with RuntimeWarnings at
+        # 1e-50 rad; at 1e-200 rad cot^2(phi/2) itself overflows
+        config, record = tmp_path / "run.json", tmp_path / "rec.csv"
+        config.write_text(json.dumps({"photons": 100000, "tau_true_fs": 0.01}))
+        run(["simulate", "--config", str(config), "--out", str(record)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(["estimate", "--records", str(record), "--phi", phi],
+                                    capsys)
+        assert code == 0 and err == ""
+        errors = {r["method"]: r["error"]["type"] for r in json.loads(stdout) if "error" in r}
+        assert errors == failing
+
     @pytest.mark.parametrize("argv, names", [
         (["simulate", "--config", "{narrow}", "--out", "{out}"],
          ["fwhm_nm = 1e-300", "grid_step_nm = 0.1"]),
@@ -543,17 +563,30 @@ class TestFlagBoundary:
          ["fwhm_nm = 1e+200", "overflows"]),
         (["simulate", "--config", "{far_centre}", "--out", "{out}"],
          ["center_nm = 1e+300", "no weight on the grid"]),
+        (["simulate", "--config", "{far_delay}", "--out", "{out}"],
+         ["tau_true_fs = 1e+308", "delay overflows"]),
+        (["simulate", "--config", "{tiny_phi}", "--out", "{out}"],
+         ["phi_actual_rad", "1e-200", "overflows"]),
+        (["sweep", "--config", "{tiny_phi}", "--theta-min", "0", "--theta-max", "0.05",
+          "--steps", "3", "--out", "{out}"], ["phi_actual_rad", "1e-200", "overflows"]),
+        (["snr", "--config", "{config}", "--alphas", "0.002", "--phi-actual", "0.03",
+          "--phi-assumed", "0.03,1e-200", "--out", "{out}"],
+         ["--phi-assumed", "1e-200", "overflows"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
-            "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre"])
+            "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
+            "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
         # (the two configurations) a raw OverflowError traceback, or (the
-        # far centre) a RuntimeWarning and a ModelError
+        # far centre, a direct delay whose phases overflow, and a phi whose
+        # weak value overflows) RuntimeWarnings and an exit 1
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
-                   "far_centre": {"source": {"center_nm": 1e300}}}
+                   "far_centre": {"source": {"center_nm": 1e300}},
+                   "far_delay": {"tau_true_fs": 1e308, "photons": 0},
+                   "tiny_phi": {"phi_actual_rad": 1e-200, "photons": 1000}}
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, doc in configs.items():
             paths[name].write_text(json.dumps(doc))
