@@ -18,7 +18,8 @@ from .estimators import (EstimationResult, Method, estimate, first_order,
                          general_first_order, jwm_simplified,
                          likelihood_equation_residual, likelihood_profile,
                          log_likelihood, prepare_likelihood, quartic,
-                         score_residual, solve_exact, strubi_reference,
+                         score_curvature, score_residual, solve_exact,
+                         strubi_reference,
                          wva_first_order, wva_mean_shift)
 from .polarization import (QwpModel, WeakValuePair, ideal_weak_values,
                            port_projections)

@@ -56,10 +56,14 @@ the same passes with other factors, unless ratio is at or below
 ``_SCREEN``: 1 / ratio would overflow for floor = 0, and such a column may
 hold a model zero, which the screen below reads from the null form.  A
 constant zeta (u = v = 0, an exactly real |A| = 1) has gain 0, so its
-slope is 0 at every x.  In the null variables the curvature, for a Newton
-step on the score, is
+slope is 0 at every x.  The slope's derivative, for a Newton step on the
+score, follows from dA/dx = 1 + A^2 whichever phase is the reference:
 
-    d^2 log zeta / dx^2 = gain (1 + S^2) (ratio - S^2) / (S^2 + ratio)^2.
+    d^2 log zeta / dx^2 = gain (1 + A^2) (level - A^2) / (A^2 + level)^2
+
+(:func:`score_curvature_rows`).  With |A| below 2^61 (the double nearest an
+odd multiple of pi/2 lies at least 4.7e-19 from it) and level at most
+2^60, no factor of it overflows.
 
 Null rule: a counted bin whose zeta is at or below ``null`` =
 (32 eps)^2 (u^2 + v^2), the square of a generous bound on the roundoff of
@@ -86,7 +90,8 @@ record, the far spectral tail (weights down to 3e-60), whose nulls would
 make the likelihood -inf at delays where its counted terms are finite, and
 widen the profile's exact work.  The
 likelihood functions of :mod:`weakdelay.estimators` hand the row functions
-:func:`log_likelihood_rows` and :func:`score_rows` to
+:func:`log_likelihood_rows`, :func:`score_rows` and
+:func:`score_curvature_rows` to
 :meth:`Prepared.rows`, which evaluates them in blocks of delays of about
 ``_CHUNK`` elements.  Each block is evaluated with ``out=`` ufuncs into
 one workspace that the call allocates once, so a block allocates nothing
@@ -372,12 +377,14 @@ class Prepared(NamedTuple):
     form: SlopeForm
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def rows(self, g, row_values) -> float | np.ndarray:
-        """row_values(x, work, self) per block of delays of g; a float for scalar g.
+    def rows(self, g, row_values) -> float | tuple | np.ndarray:
+        """row_values(x, work, self) per block of delays of g.
 
         x is the block's phase g w (delays x columns) and work two float
         arrays and a bool array of its shape: one workspace, allocated once
-        per call, that row_values may overwrite.
+        per call, that row_values may overwrite.  row_values gives one value
+        per delay, or a row of values per delay; scalar g gives a float, or
+        a tuple of floats.
         """
         g = np.asarray(g, dtype=float)
         gs = g.reshape(-1)
@@ -385,12 +392,15 @@ class Prepared(NamedTuple):
         step = max(1, min(gs.size, _CHUNK // max(n, 1)))
         x, z, slope = np.empty((3, step, n))
         mask = np.empty((step, n), dtype=bool)
-        out = np.empty(gs.size)
+        blocks = []
         for lo in range(0, gs.size, step):
             m = min(step, gs.size - lo)
             np.multiply(gs[lo:lo + m, None], self.omega, out=x[:m])
-            out[lo:lo + m] = row_values(x[:m], (z[:m], slope[:m], mask[:m]), self)
-        return out if g.ndim else float(out[0])
+            blocks.append(row_values(x[:m], (z[:m], slope[:m], mask[:m]), self))
+        out = np.concatenate(blocks) if blocks else np.empty(0)
+        if g.ndim:
+            return out
+        return float(out[0]) if out.ndim == 1 else tuple(out[0].tolist())
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
@@ -454,6 +464,41 @@ def score_rows(x, work, p: Prepared) -> np.ndarray:
     if den.min() > _SCREEN:
         return sums
     return _singular(sums, _model_zeros(x, s, mask, p), np.nan)
+
+
+def score_curvature_rows(x, work, p: Prepared) -> np.ndarray:
+    """Per row of :meth:`Prepared.rows`: the score sum q w d log zeta / dx,
+    bit for bit that of :func:`score_rows`, the curvature sum q w^2
+    d^2 log zeta / dx^2 and the score's scale sum |q w d log zeta / dx|,
+    all from the one tangent A = tan(x - phase) per element; NaN rows
+    where the likelihood is -inf, found by the screen of :func:`score_rows`.
+
+    The curvature term is gain (1 + A^2) (level - A^2) / (A^2 + level)^2
+    (module docstring), with A^2 formed on its own so that neither factor
+    loses digits to cancellation against level.
+    """
+    a, den, mask = work
+    form = p.form
+    np.subtract(x, form.phase, out=a)
+    np.tan(a, out=a)
+    np.square(a, out=den)
+    den += form.level
+    zeros = _model_zeros(x, np.empty_like(x), mask, p) if den.min() <= _SCREEN else None
+    gain = form.gain * p.qw
+    term = np.divide(a, den, out=x)
+    term *= gain
+    out = np.empty((x.shape[0], 3))
+    out[:, 0] = term.sum(axis=1)
+    out[:, 2] = np.abs(term, out=term).sum(axis=1)
+    sq = np.square(a, out=a)
+    np.subtract(form.level, sq, out=term)
+    sq += 1.0
+    term *= sq
+    term /= den
+    term /= den
+    term *= np.multiply(gain, p.omega, out=gain)
+    out[:, 1] = term.sum(axis=1)
+    return out if zeros is None else _singular(out, zeros, np.nan)
 
 
 def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:

@@ -9,8 +9,9 @@ record (and the assumed postselection parameters), never P_0.
 Estimator family, from most to least rigorous:
 
 * ``solve_exact``      - bracketed root of the exact trigonometric score
-  d/dg sum Q_j log zeta_j.  The rationalized small-(g w) form of the score
-  is :func:`likelihood_equation_residual`.
+  d/dg sum Q_j log zeta_j, refined by Newton steps on its curvature.  The
+  rationalized small-(g w) form of the score is
+  :func:`likelihood_equation_residual`.
 * ``quartic``          - the rationalized score N/D with 1/D expanded as a
   power series in g w, truncated at fourth order in g; solved by
   companion-matrix eigenvalues.
@@ -48,9 +49,14 @@ from .spectra import MeasurementRecord, pooled_variance, record_moments
 #: Search bracket for the score root [s], widened tenfold up to three times.
 DEFAULT_BRACKET = (-1e-15, 1e-15)
 
-#: Root tolerance on the bracket width [s] of ``solve_exact``.  Chosen so
-#: that a zero-delay record resolves to zero at the 1e-12/omega0 level.
+#: Root tolerance on the bracket width [s] of ``solve_exact``, which also
+#: stops once its Newton step lies inside the score's rounding band.  Chosen
+#: so that a zero-delay record resolves to zero at the 1e-12/omega0 level.
 DEFAULT_TOL = 1e-30
+
+#: The score's rounding band as a share of sum |Q w d log zeta / dx|, the
+#: size of the terms it sums: 4 eps.  A score this small reads rounding noise.
+_BAND = 4.0 * np.finfo(float).eps
 
 #: Sign constant of the balanced-postselection shortcut estimator.  The raw
 #: moment combination (P_f1 <w>_2 - P_f2 <w>_1)/Var(w) evaluates to -tau on
@@ -206,6 +212,23 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
     """
     out = prepare_likelihood(record, weak_values).rows(g, _kernels.score_rows)
     return _residual(g, out, "likelihood score singular")
+
+
+def score_curvature(g: float | np.ndarray, record: MeasurementRecord,
+                    weak_values: WeakValuePair | None = None) -> tuple:
+    """(score, curvature, scale) of the log-likelihood at delay g.
+
+    The score is :func:`score_residual`'s, bit for bit; the curvature is
+    its derivative sum Q w^2 d^2 log zeta / dx^2, and the scale sum |Q w
+    d log zeta / dx| the size of the terms the score sums, which sets its
+    rounding.  All three come from one tangent per bin.  Raises ModelError
+    where a counted bin sits on a model zero; a 1-D array g gives three
+    arrays, NaN at such delays.
+    """
+    out = prepare_likelihood(record, weak_values).rows(g, _kernels.score_curvature_rows)
+    if isinstance(out, tuple):
+        return _residual(g, out[0], "likelihood score singular"), out[1], out[2]
+    return tuple(out.T)
 
 
 def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecord,
@@ -405,18 +428,22 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     its log zeta may curve up, and only probes the clean runs between the
     bands, where the score falls strictly and changes sign at most once; it
     finds the same descending pairs, with the same end scores, as scoring
-    the whole ladder.  Each is refined to width ``DEFAULT_TOL`` by the
-    Illinois method, and the root with the highest likelihood wins.  The
-    counted bins are prepared once per solve; frequency-dependent weak
-    values stay inside the bin sums.  Real weak values (an even likelihood)
-    give the nonnegative member of the mirror pair, with a caveat.
+    the whole ladder.  Each is refined by safeguarded Newton steps on the
+    curvature (:func:`_newton`), and the root with the highest likelihood
+    wins.  The counted bins are prepared once per solve; frequency-dependent
+    weak values stay inside the bin sums.  Real weak values (an even
+    likelihood) give the nonnegative member of the mirror pair, with a
+    caveat.
+
+    The diagnostics read the score, its curvature and its scale at the
+    root: ``convergence_s`` is the score's rounding band 4 eps scale /
+    |curvature| in seconds, and ``se_s`` the standard error
+    1 / sqrt(-curvature) of the observed information on a count record
+    (None on a noise-free one, whose weights are not counts; inf where the
+    curvature is not negative).
     """
     lo, hi = DEFAULT_BRACKET
     prepared = prepare_likelihood(record, weak_values)
-
-    def res(g):
-        return score_residual(g, prepared)
-
     try:
         hint = general_first_order(record, weak_values)
     except ModelError:
@@ -436,7 +463,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         raise BracketingError("could not bracket a score root inside the search range",
                               lo, hi, float("nan"), float("nan"))
 
-    refined = [_illinois(res, cands[i], cands[i + 1], a[i], b[i], DEFAULT_TOL)
+    refined = [_newton(prepared, cands[i], cands[i + 1], a[i], b[i], DEFAULT_TOL)
                for i in down]
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
     (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
@@ -445,15 +472,21 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         root = abs(root)
         caveats = (f"real weak values: the delay's sign is not identifiable "
                    f"(mirror pair +-{root:.6g} s)",)
+    score, curvature, scale = (float(v[0]) for v in score_curvature(np.array([root]), prepared))
+    se = None
+    if record.total_events > 0:
+        se = 1.0 / math.sqrt(-curvature) if curvature < 0 else math.inf
     mom1, mom2 = record_moments(record)
     return EstimationResult(
         tau_hat=root,
         method=Method.EXACT,
         diagnostics={
-            "likelihood_residual": float(res(np.array([root]))[0]),  # NaN if singular
+            "likelihood_residual": score,  # NaN if singular
             "iterations": iters,
             "bracket_width": width,
             "final_width": DEFAULT_TOL,
+            "convergence_s": _BAND * scale / abs(curvature) if curvature else math.inf,
+            "se_s": se,
             "candidate_roots": len(refined),
             "port_probabilities": (mom1.p0, mom2.p0),
         },
@@ -461,42 +494,73 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     )
 
 
-def _illinois(res, a, b, fa, fb, tol, max_iter=100):
-    """Root of res between a < b, where fa and fb differ in sign or vanish.
+def _newton(prepared: _kernels.Prepared, a, b, fa, fb, tol, max_iter=100):
+    """Root of the score between a < b, where fa and fb differ in sign or vanish.
 
-    False position, halving the residual of an end that is kept twice in a
-    row (the Illinois rule) so both ends close in.  A step closer than
-    tol/2 to an end is moved to tol/2 from it, so a root next to an end
-    ends the search in one more step; a step that still leaves (a, b) is
-    replaced by the midpoint.  Returns (root, steps) once b - a <= tol.
+    Starting from the bracket's false-position point, each step reads the
+    score s, curvature c and scale of :func:`score_curvature`, keeps the
+    bracket end on the side of the sign of s, and takes the Newton step
+    d = -s / c.  Where c is not negative, the step leaves the bracket or it
+    is longer than half the step before it (the first: than half the
+    bracket), as it can be where the counted bins' rising bands make the
+    score wiggle, it takes the Illinois step instead: false position,
+    halving the residual of an end kept twice in a row, moved to tol/2 from
+    an end it comes closer to, or the midpoint if that still leaves the
+    bracket.
+
+    Stops once the Newton step lies inside the score's rounding band,
+    band = 4 eps scale / |c| (``_BAND``), and returns its end point g + d.
+    Newton steps shrink quadratically, the next one to about |d|^3 / d'^2
+    for the Newton step d' just before d, so it also returns g + d without
+    scoring it when that predicted step lies inside the band.  Otherwise it
+    stops once b - a <= tol and returns the midpoint.  Returns (root, steps).
     """
     if fa == 0:
         return a, 0
     if fb == 0:
         return b, 0
     steps, moved = 0, None
-    while b - a > tol and steps < max_iter:
-        # a false-position step, kept at least tol/2 inside the bracket
-        g = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
-        if not a < g < b:
-            g = 0.5 * (a + b)
-            if not a < g < b:
-                break
-        fg = res(g)
+    g, prev, newton = _false_position(a, b, fa, fb, tol), b - a, 0.0
+    while g is not None and steps < max_iter:
+        s, c, scale = score_curvature(g, prepared)
         steps += 1
-        if fg == 0:
+        if s == 0:
             return g, steps
-        if (fg > 0) == (fa > 0):
-            a, fa = g, fg
+        if (s > 0) == (fa > 0):
+            a, fa = g, s
             if moved == "a":
                 fb *= 0.5
             moved = "a"
         else:
-            b, fb = g, fg
+            b, fb = g, s
             if moved == "b":
                 fa *= 0.5
             moved = "b"
+        if b - a <= tol:
+            break
+        d = -s / c if c < 0 else math.inf
+        if a < g + d < b:
+            band = _BAND * scale / -c
+            if abs(d) <= band or abs(d) ** 3 <= band * newton ** 2:
+                return g + d, steps
+            if abs(d) <= 0.5 * prev:
+                g, prev, newton = g + d, abs(d), abs(d)
+                continue
+        nxt = _false_position(a, b, fa, fb, tol)
+        if nxt is None:
+            break
+        g, prev, newton = nxt, abs(nxt - g), 0.0
     return 0.5 * (a + b), steps
+
+
+def _false_position(a, b, fa, fb, tol):
+    """The false-position point of [a, b], kept tol/2 inside it, or the
+    midpoint if that leaves (a, b); None if (a, b) holds no double."""
+    g = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+    if a < g < b:
+        return g
+    g = 0.5 * (a + b)
+    return g if a < g < b else None
 
 
 def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:

@@ -31,7 +31,8 @@ a Lorentzian, so wide that its squared half-width overflows; neither a
 pivot angle (``theta_rad``) nor a direct delay (``tau_true_fs``) may have
 a delay that overflows the phases of the grid, and ``phi_actual_rad`` and
 ``phi_assumed_rad`` must give finite weak values (twice cot^2(phi/2)
-finite, so phi above about 1.5e-154 rad).  Every rejected document or
+times the largest squared tangent of a phase, 2^122, finite, so phi
+above about 4.9e-136 rad).  Every rejected document or
 file raises :class:`~weakdelay.errors.FormatError`.
 """
 

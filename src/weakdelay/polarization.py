@@ -81,12 +81,21 @@ class QwpModel:
             raise DomainError(f"tau0 is only meaningful for the dispersive variant")
 
 
+#: Bound on tan^2 x for every double x: the double nearest an odd multiple
+#: of pi/2 lies at least 4.7e-19 from it (Muller, Elementary Functions,
+#: worst cases of argument reduction), so |tan x| < 2^61.
+_TAN2_MAX = 2.0 ** 122
+
+
 def _weak_values(phi: float, phase) -> WeakValuePair:
     """The analyzer law (tan(phi/2) phase, -cot(phi/2) phase).
 
-    phi must lie in (0, pi), and 2 cot^2(phi/2) must be finite: the score's
-    slope form (:mod:`weakdelay._kernels`) holds twice the squared modulus
-    of each weak value, so a phi below about 1.5e-154 rad is singular too.
+    phi must lie in (0, pi), and 2 cot^2(phi/2) ``_TAN2_MAX`` must be
+    finite.  The tangent form of zeta (:mod:`weakdelay._kernels`) squares
+    v tan(g w), with v^2 up to twice the squared modulus of the weak value
+    and |tan| below 2^61; the per-bin first-order score weight |A|^2 w^2
+    stays finite too, w being below 2^61 rad/s on any grid down to 1 nm.
+    So a phi below about 4.9e-136 rad is singular too.
     """
     if not 0.0 < phi < np.pi:
         raise SingularWeakValueError(
@@ -94,9 +103,10 @@ def _weak_values(phi: float, phase) -> WeakValuePair:
         )
     t = np.tan(0.5 * phi)
     with np.errstate(divide="ignore", over="ignore"):
-        if not np.isfinite(2.0 * np.square(1.0 / t)):
+        if not np.isfinite(2.0 * np.square(1.0 / t) * _TAN2_MAX):
             raise SingularWeakValueError(
-                f"phi = {phi!r}: twice the squared weak value cot^2(phi/2) overflows")
+                f"phi = {phi!r}: the squared weak value cot^2(phi/2) overflows "
+                f"against the largest squared tangent of a phase, 2^122")
     return WeakValuePair(aw1=phase * t, aw2=-phase / t)
 
 

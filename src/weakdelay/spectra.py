@@ -70,7 +70,9 @@ class MeasurementRecord:
 
     For raw photon-count records ``total_events`` equals the summed counts
     of both ports; noise-free (expected-value) records carry total weight 1
-    and ``total_events == 0`` as a sentinel.
+    and ``total_events == 0`` as a sentinel.  A record is immutable once
+    built: its moments are computed once and held on it, as its spectra
+    hold their frequencies.
     """
 
     port1: Spectrum
@@ -99,6 +101,31 @@ class MeasurementRecord:
     def total_weight(self) -> float:
         """Normalizer for the sub-normalized measures Q_j (counts or mass)."""
         return self.port1.total() + self.port2.total()
+
+    @cached_property
+    def port_moments(self) -> tuple[SpectralMoments, SpectralMoments]:
+        """Both ports' moments against the two-port total, computed once:
+        every estimator reads the same values (see :func:`record_moments`)."""
+        total = self.total_weight()
+        return moments(self.port1, total), moments(self.port2, total)
+
+    @cached_property
+    def pooled_variance(self) -> float:
+        """Frequency variance of both ports pooled, computed once (see
+        :func:`pooled_variance`).
+
+        The moments are taken of the offsets from the most heavily weighted
+        bin, so E[d^2] - E[d]^2 keeps its digits (E[w^2] ~ 6e30 would leave
+        a rounding residue of order 1e15) and a one-bin record gives
+        exactly 0.
+        """
+        w = self.port1.weights + self.port2.weights
+        tot = w.sum()
+        if tot <= 0:
+            raise DegenerateRecordError("empty record")
+        d = self.omega - self.omega[np.argmax(w)]
+        mean = (w * d).sum() / tot
+        return float((w * d ** 2).sum() / tot - mean ** 2)
 
 
 @dataclass(frozen=True)
@@ -135,25 +162,15 @@ def moments(port: Spectrum, normalize_by_total: float) -> SpectralMoments:
 
 
 def record_moments(record: MeasurementRecord) -> tuple[SpectralMoments, SpectralMoments]:
-    """Moments of both ports against the shared two-port normalizer."""
-    tot = record.total_weight()
-    return moments(record.port1, tot), moments(record.port2, tot)
+    """Moments of both ports against the shared two-port normalizer, held
+    on the record once computed (``MeasurementRecord.port_moments``)."""
+    return record.port_moments
 
 
 def pooled_variance(record: MeasurementRecord) -> float:
-    """Frequency variance of the two ports pooled into one spectrum.
-
-    The moments are taken of the offsets from the most heavily weighted
-    bin, so E[d^2] - E[d]^2 keeps its digits (E[w^2] ~ 6e30 would leave a
-    rounding residue of order 1e15) and a one-bin record gives exactly 0.
-    """
-    w = record.port1.weights + record.port2.weights
-    tot = w.sum()
-    if tot <= 0:
-        raise DegenerateRecordError("empty record")
-    d = record.omega - record.omega[np.argmax(w)]
-    mean = (w * d).sum() / tot
-    return float((w * d ** 2).sum() / tot - mean ** 2)
+    """Frequency variance of the two ports pooled into one spectrum, held
+    on the record once computed (``MeasurementRecord.pooled_variance``)."""
+    return record.pooled_variance
 
 
 def zeta(omega, g: float, aw):

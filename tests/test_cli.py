@@ -220,6 +220,21 @@ class TestEstimateCommand:
         assert result["method"] == "exact"
         assert result["tau_s"] == pytest.approx(1e-17, rel=1e-4)
         assert result["tau_fs"] == pytest.approx(0.01, rel=1e-4)
+        # a noise-free record's weights are not counts: no standard error
+        assert result["diagnostics"]["se_s"] is None
+
+    def test_exact_reports_its_standard_error_and_convergence(self, tmp_path, capsys):
+        # a count record's SE is 1 / sqrt(-curvature) at the root
+        config, record = tmp_path / "counts.json", tmp_path / "counts.csv"
+        config.write_text(json.dumps({"phi_actual_rad": PHI_JWM, "photons": 10_000_000,
+                                      "tau_true_fs": 0.01, "seed": 42}))
+        run(["simulate", "--config", str(config), "--out", str(record)], capsys)
+        code, stdout, err = run(["estimate", "--records", str(record), "--method", "exact",
+                                 "--phi", str(PHI_JWM)], capsys)
+        assert code == 0 and err == ""
+        diagnostics = json.loads(stdout)["diagnostics"]
+        assert diagnostics["se_s"] == pytest.approx(6.55e-20, rel=0.05, abs=0)
+        assert 0 < diagnostics["convergence_s"] < 1e-30
 
     def test_all_methods_emits_seven_results(self, record_path, capsys):
         code, stdout, _ = run(["estimate", "--records", str(record_path),
@@ -532,13 +547,16 @@ class TestFlagBoundary:
 
     @pytest.mark.parametrize("phi, failing", [
         ("1e-50", {"quartic": "DegenerateRecordError"}),
+        ("1e-150", {method: "SingularWeakValueError"
+                    for method in ("exact", "quartic", "first_order", "wva_mean_shift")}),
         ("1e-200", {method: "SingularWeakValueError"
                     for method in ("exact", "quartic", "first_order", "wva_mean_shift")}),
     ])
     def test_estimate_at_a_near_zero_phi_reports_typed_errors(self, phi, failing, tmp_path,
                                                               capsys):
         # the quartic's order-4 series overflowed with RuntimeWarnings at
-        # 1e-50 rad; at 1e-200 rad cot^2(phi/2) itself overflows
+        # 1e-50 rad; at 1e-200 rad cot^2(phi/2) itself overflows, and at
+        # 1e-150 rad zeta's tangent form overflowed with a RuntimeWarning
         config, record = tmp_path / "run.json", tmp_path / "rec.csv"
         config.write_text(json.dumps({"photons": 100000, "tau_true_fs": 0.01}))
         run(["simulate", "--config", str(config), "--out", str(record)], capsys)
@@ -572,15 +590,20 @@ class TestFlagBoundary:
         (["snr", "--config", "{config}", "--alphas", "0.002", "--phi-actual", "0.03",
           "--phi-assumed", "0.03,1e-200", "--out", "{out}"],
          ["--phi-assumed", "1e-200", "overflows"]),
+        (["snr", "--config", "{config}", "--alphas", "0.005", "--phi-actual", "0.03",
+          "--phi-assumed", "1e-140", "--trials", "30", "--out", "{out}"],
+         ["--phi-assumed", "1e-140", "overflows"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
             "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
-            "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr"])
+            "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
+            "tiny_phi_snr_tangent_band"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
         # (the two configurations) a raw OverflowError traceback, or (the
         # far centre, a direct delay whose phases overflow, and a phi whose
-        # weak value overflows) RuntimeWarnings and an exit 1
+        # weak value overflows) RuntimeWarnings and an exit 1; an assumed
+        # phi of 1e-140 rad gave DegenerateRecordError and an exit 1
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},

@@ -13,8 +13,8 @@ from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        jwm_simplified, likelihood_equation_residual,
                        likelihood_profile, log_likelihood,
                        pooled_variance, port_projections, prepare_likelihood,
-                       quartic, record_moments, score_residual, simulate,
-                       solve_exact, strubi_reference, wva_first_order,
+                       quartic, record_moments, score_curvature, score_residual,
+                       simulate, solve_exact, strubi_reference, wva_first_order,
                        wva_mean_shift)
 from weakdelay.estimators import _ScoreSeries
 
@@ -538,6 +538,120 @@ class TestSolveExact:
         self._scans(calls, [est._candidate_ladder(lo * f, hi * f, hint) for f in (1.0, 10.0)])
 
 
+def _bisect(p, a, b, fa, fb, tol=1e-30):
+    """The root of score_residual in a bracket [a, b] of a descending pair,
+    by bisection to width tol."""
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = score_residual(m, p)
+        if fm == 0:
+            return m
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+class TestScoreCurvature:
+    def test_score_is_score_residual_and_curvature_its_slope(self):
+        # the score bit for bit, NaN rows included (a dense scan through a
+        # dark-port null), and the curvature against a central difference
+        for k, (qwp, phi) in enumerate([(QwpModel(), PHI_WVA), (default_dispersive_qwp(), 1.2),
+                                        (QwpModel("absent"), 2.3)]):
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=5e-17, qwp=qwp,
+                                            photons=(0, 10_000_000)[k % 2], seed=k))
+            p = prepare_likelihood(rec, port_projections(phi, rec.omega, qwp)[0])
+            x_null = np.arctan(np.tan(phi / 2))
+            g = np.concatenate([np.linspace(-2e-16, 2e-16, 77),
+                                x_null / rec.omega[np.argmax(rec.port2.weights)]
+                                * (1.0 + np.arange(-300, 301) * 4 * np.finfo(float).eps)])
+            score, curvature, scale = score_curvature(g, p)
+            np.testing.assert_array_equal(score, score_residual(g, p))
+            assert np.all(scale[np.isfinite(score)] >= np.abs(score[np.isfinite(score)]))
+            h = 1e-22
+            for g0 in g[:77:7]:
+                slope = (score_residual(g0 + h, p) - score_residual(g0 - h, p)) / (2 * h)
+                assert curvature[g == g0][0] == pytest.approx(slope, rel=1e-5, abs=0)
+            s0, c0, m0 = score_curvature(float(g[3]), p)
+            assert (s0, c0, m0) == (score[3], curvature[3], scale[3])
+            assert all(type(v) is float for v in (s0, c0, m0))
+
+    def test_model_zero_raises_for_a_scalar_delay(self):
+        rec = record_at(PHI_WVA, 5e-17)
+        wv = ideal_weak_values(PHI_WVA)
+        g = np.arctan(np.tan(PHI_WVA / 2)) / rec.omega[np.argmax(rec.port2.weights)]
+        g = g * (1.0 + np.arange(-400, 401) * np.finfo(float).eps)
+        singular = g[np.isnan(score_curvature(g, rec, wv)[0])]
+        assert singular.size
+        with pytest.raises(ModelError):
+            score_curvature(float(singular[0]), rec, wv)
+
+
+class TestNewtonRefiner:
+    @staticmethod
+    def _records(n, seed=26):
+        # ideal, dispersive and absent plates x noise-free, 1e5 and 1e7
+        # photons; every other record at phi = 0.03 with its delay outside
+        # the null band [4.5e-18, 8.5e-18] s of test_null_band_records_...
+        rng = np.random.default_rng(seed)
+        for k in range(n):
+            kind = ("ideal", "dispersive", "absent")[k % 3]
+            phi = PHI_WVA if k % 2 else float(rng.uniform(0.1, np.pi - 0.1))
+            while True:
+                tau = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-19, -15.5))
+                if phi != PHI_WVA or not 4.5e-18 <= abs(tau) <= 8.5e-18:
+                    break
+            qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel(variant=kind)
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=tau, qwp=qwp,
+                                            photons=(0, 100_000, 10_000_000)[(k // 3) % 3],
+                                            seed=k))
+            yield rec, port_projections(phi, rec.omega, qwp)[0]
+
+    def test_returned_roots_equal_a_bisection_of_the_score(self):
+        # the root each solve returns, against a bisection of score_residual
+        # to 1e-30 s on the ladder bracket it was refined in.  (A bracket far
+        # from the maximum may hold several roots where the bins' rising
+        # bands make the score wiggle; each method then finds one of them.)
+        import weakdelay.estimators as est
+        for rec, wv in self._records(63):
+            p = prepare_likelihood(rec, wv)
+            try:
+                hint = general_first_order(rec, wv)
+            except ModelError:
+                hint = None
+            cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
+            vals = est._ladder_scores(cands, p)
+            tau = solve_exact(rec, wv).tau_hat
+            found = 0
+            for i in _descending(vals):
+                a, b, fa, fb = cands[i], cands[i + 1], vals[i], vals[i + 1]
+                root, steps = est._newton(p, a, b, fa, fb, est.DEFAULT_TOL)
+                assert a <= root <= b and steps <= 8
+                if root == tau or (wv.is_real() and root == -tau):
+                    assert root == pytest.approx(_bisect(p, a, b, fa, fb), rel=1e-9, abs=4e-28)
+                    found += 1
+            assert found >= 1  # both members of a mirror pair tie on an absent plate
+
+    def test_offset_error_moves_the_root_by_half_over_the_mean_frequency(self):
+        # L1: p1 = cos^2(phi/2 - g w), so a solve at phi + dphi returns the
+        # delay + dphi / (2 w) of each bin, dphi / (2 w_mean) on the record
+        for phi, tau in [(0.3, 2e-18), (PHI_JWM, -5e-17), (2.5, 1e-17), (PHI_WVA, 2e-18)]:
+            rec = record_at(phi, tau)
+            m1, m2 = record_moments(rec)
+            base = solve_exact(rec, ideal_weak_values(phi)).tau_hat
+            for dphi in (-2e-3, 1e-3):
+                moved = solve_exact(rec, ideal_weak_values(phi + dphi)).tau_hat
+                assert moved - base == pytest.approx(dphi / (2 * (m1.m1 + m2.m1)),
+                                                     rel=1e-3, abs=0), (phi, tau, dphi)
+
+
 class TestQuartic:
     def test_linear_ratio_matches_first_order(self, jwm_record, jwm_wv):
         # the root-selection hint is -e/d
@@ -952,6 +1066,27 @@ class TestDiagnostics:
         for r in (res, off_ladder):
             assert np.isfinite(r.diagnostics["likelihood_residual"])
             assert r.diagnostics["final_width"] <= 1e-30
+
+    def test_noise_free_record_has_no_standard_error(self, jwm_record, jwm_wv):
+        # the weights of a noise-free record are probabilities, not counts
+        res = solve_exact(jwm_record, jwm_wv)
+        assert res.diagnostics["se_s"] is None
+        assert 0 < res.diagnostics["convergence_s"] < 1e-30
+
+    @pytest.mark.parametrize("phi", [PHI_WVA, np.pi / 2], ids=["unbalanced", "balanced"])
+    def test_standard_error_meets_the_information_bound(self, phi):
+        # L4: two ports hold 4 <w^2> per photon whatever phi, so at 1e7
+        # photons the observed information at the root gives an SE within
+        # 5% of 1 / sqrt(N 4 <w^2>) = 6.55e-20 s
+        for seed in range(3):
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=3e-18,
+                                            photons=10_000_000, seed=seed))
+            res = solve_exact(rec, ideal_weak_values(phi))
+            m1, m2 = record_moments(rec)
+            bound = 1.0 / np.sqrt(rec.total_events * 4.0 * (m1.m2 + m2.m2))
+            assert bound == pytest.approx(6.55e-20, rel=2e-3, abs=0)
+            assert res.diagnostics["se_s"] == pytest.approx(bound, rel=0.05, abs=0)
+            assert 0 < res.diagnostics["convergence_s"] < 1e-30
 
     def test_profile_matches_pointwise_likelihood(self, jwm_record, jwm_wv):
         # interpolated and exact columns must agree with the plain evaluator

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakdelay import _kernels
 from weakdelay import (DomainError, QwpModel, SingularWeakValueError,
                        ideal_weak_values, port_projections)
 
@@ -71,6 +72,21 @@ class TestDispersiveWeakValues:
         # gamma = pi/4 is phi = 0: port 2 orthogonal to the preselection
         with pytest.raises(SingularWeakValueError):
             port_projections(0.0, 2.4e15, QwpModel("dispersive", 1e-16))
+
+    @pytest.mark.parametrize("phi", [1e-136, 1e-140, 1e-150])
+    def test_weak_value_whose_tangent_form_overflows_is_singular(self, phi):
+        # zeta = floor + (u + v tan x)^2 cos^2 x squares v tan x, with |tan x|
+        # up to 2^61 and v^2 up to 2 cot^2(phi/2)
+        with pytest.raises(SingularWeakValueError, match="2\\^122"):
+            ideal_weak_values(phi)
+
+    def test_smallest_regular_phi_keeps_every_zeta_finite(self):
+        # the double nearest pi/2 is 6e-17 from it: tan is 1.6e16 there
+        wv = ideal_weak_values(1e-134)
+        x = np.array([np.pi / 2, -np.pi / 2, 1e3 * np.pi + np.pi / 2])
+        with np.errstate(all="raise"):
+            z = _kernels.zeta(x, _kernels.zeta_terms(wv.aw2))
+        assert np.all(np.isfinite(z))
 
     def test_negative_gamma_for_phi_beyond_half_pi(self):
         # phi = 2.5 > pi/2 maps to gamma = pi/4 - 1.25 < 0

@@ -257,6 +257,18 @@ class TestMoments:
         assert m2.p0 == pytest.approx(0.5, abs=1e-12)
         assert m1.m1_bar == pytest.approx(m2.m1_bar, rel=1e-14)
 
+    def test_moments_are_computed_once_per_record(self, source):
+        # every estimator reads the moments and the pooled variance held on
+        # the record, so they agree bit for bit
+        rec = MeasurementRecord(port1=Spectrum(source.grid_nm, 0.3 * source.weights),
+                                port2=Spectrum(source.grid_nm, 0.7 * source.weights),
+                                total_events=0)
+        first = record_moments(rec)
+        assert record_moments(rec) is first
+        total = rec.total_weight()
+        assert first == (moments(rec.port1, total), moments(rec.port2, total))
+        assert pooled_variance(rec) is pooled_variance(rec)
+
     def test_empty_port_barred_undefined(self, source):
         m = moments(Spectrum(source.grid_nm, np.zeros_like(source.weights)), 1.0)
         assert m.p0 == 0.0
