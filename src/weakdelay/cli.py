@@ -26,11 +26,13 @@ library input from a flag, so a library ``DomainError`` there (too few
 or too many trials, a nonpositive alpha or length, a negative epsilon) is
 a format error too, and so are ``sweep --steps`` outside [1,
 ``simulator.MAX_TRIALS``], a ``sweep`` angle whose delay overflows the
-record's phases and an ``snr --alphas`` entry whose squared delay error
-could overflow the SNR; their messages name the flag.  A ``simulate``
-configuration whose source line leaves no weight on its grid (a
-``center_nm`` far off the grid) is a format error too, named in the
-message.
+record's phases, an ``snr --alphas`` entry whose squared delay error
+could overflow the SNR and an ``snr --phi-assumed`` entry whose
+first-order coefficient could overflow (cot^2(phi/2) times the grid's
+largest w^2 times ``max(photons, 1)`` not finite); their messages name
+the flag.  A ``simulate`` configuration whose source line leaves no
+weight on its grid (a ``center_nm`` far off the grid) is a format error
+too, named in the message.
 """
 
 from __future__ import annotations
@@ -204,6 +206,12 @@ def cmd_snr(args) -> int:
         for alpha in alphas:
             if alpha > limit:
                 raise FormatError(f"--alphas entry {alpha!r}: its SNR's squared error overflows")
+        # the first-order estimate sums cot^2(phi/2) w^2 over up to
+        # max(photons, 1) dark-port events, most at the smallest phi
+        phi = min(phis)
+        cot_w = io._grid_phase(1.0, config.source) / math.tan(phi / 2)
+        if not math.isfinite(cot_w * cot_w * max(config.photons, 1)):
+            raise FormatError(f"--phi-assumed entry {phi!r}: its first-order coefficient overflows")
         points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
     lines = ["alpha,phi_assumed,snr_db,trials"] + [
         f"{pt.alpha:.17g},{pt.phi_assumed:.17g},{pt.snr_db:.17g},{pt.trials}" for pt in points]

@@ -374,45 +374,21 @@ def _rising(cands: np.ndarray, prepared: _kernels.Prepared) -> np.ndarray:
     return marked | (np.cumsum(ends)[1:n] > 0)
 
 
-def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared) -> np.ndarray:
-    """The score at every ladder candidate that can end a descending pair, NaN
-    at the others.
+def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared):
+    """The ladder candidates that end a marked interval or a clean run, and
+    their scores, in one call.
 
     Outside every rising band (:func:`_rising`) each counted term of the
-    score falls strictly with g, so on a run of clean intervals the score
-    changes sign at most once, from + to -.  The first call scores both ends
-    of every marked interval and, on each clean run of len intervals, its
-    ends and every ceil(sqrt(len))-th candidate.  The second scores, per
-    run, the candidates from its last probe above 0 to the first probe
-    below 0, or the whole run if its probes do not fall from + to - (only
-    rounding next to a root can make them).  So every descending pair of
-    the full ladder, exact zeros included, has both ends scored, and an
-    unscored candidate ends none.
+    score falls strictly with g, so a run of clean intervals holds at most
+    one root: exactly one when its end scores fall from + to -, an exact
+    zero at an end included.  A candidate inside a run is not scored, so
+    neighbouring scored candidates span one marked interval or one whole
+    clean run, and each descending pair of them holds a descending pair of
+    the full ladder.  Returns (candidates, scores).
     """
-    marked = _rising(cands, prepared)
-    runs = _runs(marked)
-    take = np.zeros(cands.size, dtype=bool)
-    take[:-1] |= marked
-    take[1:] |= marked
-    for s, e in runs:
-        take[s:e:math.isqrt(e - s - 1) + 1] = True  # a stride of ceil(sqrt(e - s))
-        take[e] = True
-    vals = np.full(cands.size, np.nan)
-    probed = np.flatnonzero(take)
-    vals[probed] = score_residual(cands[probed], prepared)
-    more = np.zeros(cands.size, dtype=bool)
-    for s, e in runs:
-        probes = probed[np.searchsorted(probed, s):np.searchsorted(probed, e, "right")]
-        sign = np.sign(vals[probes])
-        if np.all(sign[:-1] >= sign[1:]):
-            above, below = np.count_nonzero(sign > 0), np.count_nonzero(sign >= 0)
-            s, e = probes[max(above - 1, 0)], probes[min(below, probes.size - 1)]
-        more[s:e + 1] = True
-    more &= ~take
-    if more.any():
-        rest = np.flatnonzero(more)
-        vals[rest] = score_residual(cands[rest], prepared)
-    return vals
+    marked = np.concatenate([[True], _rising(cands, prepared), [True]])
+    points = cands[marked[:-1] | marked[1:]]
+    return points, score_residual(points, prepared)
 
 
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
@@ -422,25 +398,27 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     ``DEFAULT_BRACKET``, widened tenfold up to three times while no root is
     bracketed.  At a likelihood maximum the score falls through
     zero, while a likelihood singularity jumps the other way (-inf to
-    +inf), so every descending sign change between neighbouring candidates
-    brackets a local maximum.  The scan (:func:`_ladder_scores`) scores
-    every candidate whose interval meets a counted bin's rising band, where
-    its log zeta may curve up, and only probes the clean runs between the
-    bands, where the score falls strictly and changes sign at most once; it
-    finds the same descending pairs, with the same end scores, as scoring
-    the whole ladder.  Each is refined by safeguarded Newton steps on the
-    curvature (:func:`_newton`), and the root with the highest likelihood
+    +inf), so every descending sign change between neighbouring scored
+    candidates brackets a local maximum.  The scan (:func:`_ladder_scores`)
+    scores, in one call, both ends of every interval that meets a counted
+    bin's rising band, where its log zeta may curve up, and both ends of
+    every clean run between the bands, where the score falls strictly and
+    holds at most one root.  The brackets, marked intervals and whole clean
+    runs, are refined together by safeguarded Newton steps on the curvature
+    (:func:`_newton`, :func:`_refine`), the one that holds the first-order
+    hint starting at the hint, and the root with the highest likelihood
     wins.  The counted bins are prepared once per solve; frequency-dependent
     weak values stay inside the bin sums.  Real weak values (an even
     likelihood) give the nonnegative member of the mirror pair, with a
     caveat.
 
     The diagnostics read the score, its curvature and its scale at the
-    root: ``convergence_s`` is the score's rounding band 4 eps scale /
-    |curvature| in seconds, and ``se_s`` the standard error
-    1 / sqrt(-curvature) of the observed information on a count record
-    (None on a noise-free one, whose weights are not counts; inf where the
-    curvature is not negative).
+    root: ``bracket_width`` is the width of the scored pair it was refined
+    in (a marked interval or a whole clean run), ``convergence_s`` the
+    score's rounding band 4 eps scale / |curvature| in seconds, and
+    ``se_s`` the standard error 1 / sqrt(-curvature) of the observed
+    information on a count record (None on a noise-free one, whose weights
+    are not counts; inf where the curvature is not negative).
     """
     lo, hi = DEFAULT_BRACKET
     prepared = prepare_likelihood(record, weak_values)
@@ -452,8 +430,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     for expansion in range(4):
         if expansion:
             lo, hi = lo * 10.0, hi * 10.0
-        cands = _candidate_ladder(lo, hi, hint)
-        vals = _ladder_scores(cands, prepared)
+        points, vals = _ladder_scores(_candidate_ladder(lo, hi, hint), prepared)
         a, b = vals[:-1], vals[1:]
         down = np.flatnonzero(np.isfinite(a) & np.isfinite(b)
                               & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))
@@ -463,10 +440,9 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         raise BracketingError("could not bracket a score root inside the search range",
                               lo, hi, float("nan"), float("nan"))
 
-    refined = [_newton(prepared, cands[i], cands[i + 1], a[i], b[i], DEFAULT_TOL)
-               for i in down]
+    refined = _refine(prepared, [(points[i], points[i + 1], a[i], b[i]) for i in down], hint)
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
-    (root, iters), width = refined[best], cands[down[best] + 1] - cands[down[best]]
+    (root, iters), width = refined[best], points[down[best] + 1] - points[down[best]]
     caveats = ()
     if weak_values.is_real():
         root = abs(root)
@@ -494,35 +470,66 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     )
 
 
-def _newton(prepared: _kernels.Prepared, a, b, fa, fb, tol, max_iter=100):
+def _refine(prepared: _kernels.Prepared, brackets, start=None) -> list:
+    """(root, steps) of :func:`_newton` on each bracket (a, b, fa, fb), all
+    in lockstep: each round scores the point of every bracket still open in
+    one :func:`score_curvature` call.  :meth:`~weakdelay._kernels.Prepared.rows`
+    sums each delay's row alike alone or in an array, so every bracket takes
+    the steps it takes alone.  A point where the score is singular raises
+    ModelError.
+    """
+    refiners = [_newton(*bracket, DEFAULT_TOL, start) for bracket in brackets]
+    results, replies = [None] * len(refiners), [None] * len(refiners)
+    while True:
+        live, points = [], []
+        for i, refiner in enumerate(refiners):
+            if results[i] is None:
+                try:
+                    points.append(refiner.send(replies[i]))
+                    live.append(i)
+                except StopIteration as done:
+                    results[i] = done.value
+        if not live:
+            return results
+        scored = score_curvature(np.array(points), prepared)
+        for i, g, (s, c, scale) in zip(live, points, zip(*(v.tolist() for v in scored))):
+            replies[i] = _residual(g, s, "likelihood score singular"), c, scale
+
+
+def _newton(a, b, fa, fb, tol, start=None, max_iter=100):
     """Root of the score between a < b, where fa and fb differ in sign or vanish.
 
-    Starting from the bracket's false-position point, each step reads the
-    score s, curvature c and scale of :func:`score_curvature`, keeps the
-    bracket end on the side of the sign of s, and takes the Newton step
-    d = -s / c.  Where c is not negative, the step leaves the bracket or it
-    is longer than half the step before it (the first: than half the
-    bracket), as it can be where the counted bins' rising bands make the
-    score wiggle, it takes the Illinois step instead: false position,
-    halving the residual of an end kept twice in a row, moved to tol/2 from
-    an end it comes closer to, or the midpoint if that still leaves the
-    bracket.
+    A generator: it yields each delay it needs scored and is sent back the
+    (score, curvature, scale) of :func:`score_curvature` there, so that
+    :func:`_refine` can score many brackets in one call; it returns
+    (root, steps).  It starts at ``start`` when that lies inside (a, b),
+    else at the bracket's false-position point.  Each step reads the score
+    s and curvature c, keeps the bracket end on the side of the sign of s,
+    and takes the Newton step d = -s / c.  Where c is not negative, the
+    step leaves the bracket or it is longer than half the step before it
+    (the first: than half the bracket), as it can be where the counted
+    bins' rising bands make the score wiggle, it takes the Illinois step
+    instead: false position, halving the residual of an end kept twice in a
+    row, moved to tol/2 from an end it comes closer to, or the midpoint if
+    that still leaves the bracket.
 
     Stops once the Newton step lies inside the score's rounding band,
     band = 4 eps scale / |c| (``_BAND``), and returns its end point g + d.
     Newton steps shrink quadratically, the next one to about |d|^3 / d'^2
     for the Newton step d' just before d, so it also returns g + d without
     scoring it when that predicted step lies inside the band.  Otherwise it
-    stops once b - a <= tol and returns the midpoint.  Returns (root, steps).
+    stops once b - a <= tol and returns the midpoint.  A bracket end whose
+    score is exactly 0 is returned at step 0.
     """
     if fa == 0:
         return a, 0
     if fb == 0:
         return b, 0
     steps, moved = 0, None
-    g, prev, newton = _false_position(a, b, fa, fb, tol), b - a, 0.0
+    g = start if start is not None and a < start < b else _false_position(a, b, fa, fb, tol)
+    prev, newton = b - a, 0.0
     while g is not None and steps < max_iter:
-        s, c, scale = score_curvature(g, prepared)
+        s, c, scale = yield g
         steps += 1
         if s == 0:
             return g, steps

@@ -593,23 +593,29 @@ class TestFlagBoundary:
         (["snr", "--config", "{config}", "--alphas", "0.005", "--phi-actual", "0.03",
           "--phi-assumed", "1e-140", "--trials", "30", "--out", "{out}"],
          ["--phi-assumed", "1e-140", "overflows"]),
+        (["snr", "--config", "{bright}", "--alphas", "0.005", "--phi-actual", "0.5",
+          "--phi-assumed", "2e-135", "--trials", "30", "--out", "{out}"],
+         ["--phi-assumed", "2e-135", "overflows"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
             "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
             "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
-            "tiny_phi_snr_tangent_band"])
+            "tiny_phi_snr_tangent_band",
+            "tiny_phi_snr_bright_record"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
         # (the two configurations) a raw OverflowError traceback, or (the
         # far centre, a direct delay whose phases overflow, and a phi whose
         # weak value overflows) RuntimeWarnings and an exit 1; an assumed
-        # phi of 1e-140 rad gave DegenerateRecordError and an exit 1
+        # phi of 1e-140 rad, and one of 2e-135 rad on a 1e10-photon
+        # record, gave DegenerateRecordError and an exit 1
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
                    "far_centre": {"source": {"center_nm": 1e300}},
                    "far_delay": {"tau_true_fs": 1e308, "photons": 0},
-                   "tiny_phi": {"phi_actual_rad": 1e-200, "photons": 1000}}
+                   "tiny_phi": {"phi_actual_rad": 1e-200, "photons": 1000},
+                   "bright": {"photons": 10_000_000_000}}
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, doc in configs.items():
             paths[name].write_text(json.dumps(doc))

@@ -16,6 +16,7 @@ from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        quartic, record_moments, score_curvature, score_residual,
                        simulate, solve_exact, strubi_reference, wva_first_order,
                        wva_mean_shift)
+import weakdelay.estimators as est
 from weakdelay.estimators import _ScoreSeries
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
@@ -280,6 +281,23 @@ def _descending(vals):
                           & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))
 
 
+def _scan(rec, wv):
+    """A solve's first ladder scan: (prepared record, first-order hint,
+    ladder, scored candidates, their scores)."""
+    p = prepare_likelihood(rec, wv)
+    try:
+        hint = general_first_order(rec, wv)
+    except ModelError:
+        hint = None
+    cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
+    return (p, hint, cands, *est._ladder_scores(cands, p))
+
+
+def _pairs(points, vals):
+    """The brackets (a, b, fa, fb) that solve_exact refines: a scan's descending pairs."""
+    return [(points[i], points[i + 1], vals[i], vals[i + 1]) for i in _descending(vals)]
+
+
 class TestRisingBands:
     """L6: outside every counted bin's rising band |x - p - k pi| <
     atan(sqrt(ratio)) its log zeta is strictly concave, so the score falls
@@ -351,27 +369,40 @@ class TestRisingBands:
                 stretches += 1
         assert gainless == 1 and stretches > 27
 
+    @staticmethod
+    def _brackets(cands, points, vals):
+        """(first, last) ladder index of each descending pair of the scored
+        candidates, the brackets solve_exact refines."""
+        ends = np.searchsorted(cands, points)
+        return np.stack([ends[:-1], ends[1:]], axis=1)[_descending(vals)]
+
+    @staticmethod
+    def _unmatched(down, brackets, full):
+        """The full ladder's descending pairs that lie in no bracket, or in a
+        bracket that holds more than one sign change: one whose full-ladder
+        scores do not fall in sign (a stretch of exact zeros is one change)."""
+        inside = (brackets[:, :1] <= down) & (down + 1 <= brackets[:, 1:])
+        falls = np.array([np.all(np.diff(np.sign(full[lo:hi + 1])) <= 0) for lo, hi in brackets])
+        return down[~inside.any(axis=0) | (inside & ~falls[:, None]).any(axis=0)]
+
     def test_pruned_scan_finds_the_full_ladders_descending_pairs(self):
-        # exact on every record, except where two candidates lie within the
-        # score's rounding band of one root (none on these 306 records)
-        import weakdelay.estimators as est
+        # each descending pair of the full ladder lies in a refined bracket
+        # that holds one sign change, except where the score is
+        # rounding-level next to a root (none on these 306 records)
         near_root = 0
         for rec, wv in self._records(306):
-            p = prepare_likelihood(rec, wv)
-            try:
-                hint = general_first_order(rec, wv)
-            except ModelError:
-                hint = None
-            cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
-            full, pruned = score_residual(cands, p), est._ladder_scores(cands, p)
-            scored = np.isfinite(pruned)
-            assert np.array_equal(pruned[scored], full[scored])
-            down = _descending(full)
-            if np.array_equal(_descending(pruned), down):
+            p, _, cands, points, vals = _scan(rec, wv)
+            full = score_residual(cands, p)
+            assert np.isin(points, cands).all() and points[[0, -1]].tolist() == \
+                cands[[0, -1]].tolist()
+            np.testing.assert_array_equal(vals, full[np.isin(cands, points)])
+            brackets = self._brackets(cands, points, vals)
+            assert brackets.size
+            differ = self._unmatched(_descending(full), brackets, full)
+            if not differ.size:
                 continue
-            # a pair that only one scan finds must have an end whose score is
-            # rounding-level against the sum of its terms' sizes
-            differ = np.setxor1d(down, _descending(pruned))
+            # such a pair must have an end whose score is rounding-level
+            # against the sum of its terms' sizes
             ends = cands[np.stack([differ, differ + 1])]
             x = np.multiply.outer(ends, p.omega)
             terms, _ = _kernels.log_slope(x, p.form, p.qw, out=np.empty((2,) + x.shape))
@@ -386,19 +417,46 @@ class TestRisingBands:
         # no candidate of a seeded record is known to score exactly 0 (the
         # 1e-17 s one of this record scores -0.5), so the score is replaced
         # by c_j - g, exactly 0 at candidate j and falling, and then by 0
-        import weakdelay.estimators as est
         p = prepare_likelihood(jwm_record, jwm_wv)
         cands = est._candidate_ladder(*est.DEFAULT_BRACKET,
                                       general_first_order(jwm_record, jwm_wv))
         for j in range(cands.size):
             monkeypatch.setattr(est, "score_residual", lambda g, _, root=cands[j]: root - g)
-            down = _descending(est._ladder_scores(cands, p))
-            assert np.array_equal(down, _descending(cands[j] - cands)), j
-        # the last root is the top candidate: the solver returns it at step 0
+            points, vals = est._ladder_scores(cands, p)
+            full = cands[j] - cands
+            brackets = self._brackets(cands, points, vals)
+            assert brackets.size
+            assert self._unmatched(_descending(full), brackets, full).size == 0, j
+        # the last root is the top candidate, a run end: the solver returns
+        # it at step 0
         res = solve_exact(jwm_record, jwm_wv)
         assert res.tau_hat == cands[-1] and res.diagnostics["iterations"] == 0
         monkeypatch.setattr(est, "score_residual", lambda g, _: np.zeros_like(g))
-        assert _descending(est._ladder_scores(cands, p)).size == 0
+        assert _descending(est._ladder_scores(cands, p)[1]).size == 0
+
+    def test_lockstep_refinement_matches_each_bracket_alone(self):
+        # each bracket's (root, steps) bit for bit, refined with the others
+        # or alone
+        several = 0
+        for rec, wv in self._records(306):
+            p, hint, _, points, vals = _scan(rec, wv)
+            pairs = _pairs(points, vals)
+            together = est._refine(p, pairs, hint)
+            alone = [est._refine(p, [pair], hint)[0] for pair in pairs]
+            assert [(r.hex(), s) for r, s in together] == [(r.hex(), s) for r, s in alone]
+            several += len(pairs) > 1
+        assert several > 300
+
+    def test_lockstep_refinement_raises_on_a_singular_score(self):
+        # the second bracket starts on a dark-port null
+        rec = record_at(PHI_WVA, 5e-17)
+        p = prepare_likelihood(rec, ideal_weak_values(PHI_WVA))
+        g = np.arctan(np.tan(PHI_WVA / 2)) / rec.omega[np.argmax(rec.port2.weights)]
+        g = g * (1.0 + np.arange(-400, 401) * np.finfo(float).eps)
+        singular = float(g[np.isnan(score_curvature(g, p)[0])][0])
+        pairs = [(0.0, 1e-18, 1.0, -1.0), (0.5 * singular, 2.0 * singular, 1.0, -1.0)]
+        with pytest.raises(ModelError):
+            est._refine(p, pairs, singular)
 
 
 class TestSolveExact:
@@ -616,28 +674,24 @@ class TestNewtonRefiner:
 
     def test_returned_roots_equal_a_bisection_of_the_score(self):
         # the root each solve returns, against a bisection of score_residual
-        # to 1e-30 s on the ladder bracket it was refined in.  (A bracket far
-        # from the maximum may hold several roots where the bins' rising
-        # bands make the score wiggle; each method then finds one of them.)
-        import weakdelay.estimators as est
+        # to 1e-30 s on the bracket it was refined in: a marked ladder
+        # interval or a whole clean run.  (A marked interval far from the
+        # maximum may hold several roots where the bins' rising bands make
+        # the score wiggle; each method then finds one of them.)
+        worst = 0
         for rec, wv in self._records(63):
-            p = prepare_likelihood(rec, wv)
-            try:
-                hint = general_first_order(rec, wv)
-            except ModelError:
-                hint = None
-            cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
-            vals = est._ladder_scores(cands, p)
+            p, hint, _, points, vals = _scan(rec, wv)
+            pairs = _pairs(points, vals)
             tau = solve_exact(rec, wv).tau_hat
             found = 0
-            for i in _descending(vals):
-                a, b, fa, fb = cands[i], cands[i + 1], vals[i], vals[i + 1]
-                root, steps = est._newton(p, a, b, fa, fb, est.DEFAULT_TOL)
-                assert a <= root <= b and steps <= 8
+            for (a, b, fa, fb), (root, steps) in zip(pairs, est._refine(p, pairs, hint)):
+                assert a <= root <= b
+                worst = max(worst, steps)
                 if root == tau or (wv.is_real() and root == -tau):
                     assert root == pytest.approx(_bisect(p, a, b, fa, fb), rel=1e-9, abs=4e-28)
                     found += 1
             assert found >= 1  # both members of a mirror pair tie on an absent plate
+        assert worst <= 10  # 8 on one-interval brackets
 
     def test_offset_error_moves_the_root_by_half_over_the_mean_frequency(self):
         # L1: p1 = cos^2(phi/2 - g w), so a solve at phi + dphi returns the
