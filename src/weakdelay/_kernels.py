@@ -81,7 +81,10 @@ so the screen is wide enough up to |x| = 8e6 rad.
 Prepared record: :func:`prepare`, the one constructor of :class:`Prepared`,
 keeps the bins of both ports whose weight Q exceeds eps sum Q / (2 bins),
 stacked as one set of columns (port 1 first): w, Q, Q w, the bin's weak
-value, its zeta terms and the slope form of the score.  The profile's
+value, its zeta terms and the slope form of the score.  The terms and the
+slope form are computed once per weak value: when both ports' weak values
+are scalars (an ideal or absent plate), once per port and gathered to the
+columns by port; for per-bin weak values, once per column.  The profile's
 :func:`_take` slices every field alike.  The bins left out weigh at most
 eps sum Q together, so their terms add at most eps sum Q max |log zeta|
 to the likelihood, the order of the rounding of the sum itself.  On a
@@ -414,9 +417,16 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
     """
     omega = np.asarray(omega, dtype=float)
     q = np.concatenate([q1, q2]).astype(float)
-    aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])
     live = q > _EPS * q.sum() / q.size
-    w, q, aw = np.tile(omega, 2)[live], q[live], aw[live]
+    w, q = np.tile(omega, 2)[live], q[live]
+    if np.ndim(aw1) == np.ndim(aw2) == 0:
+        # one weak value per port: its terms are gathered to the columns
+        aw = np.concatenate([np.broadcast_to(a, (1,)) for a in (aw1, aw2)])
+        terms = zeta_terms(aw)
+        form = slope_form(terms)
+        port = np.repeat([0, 1], omega.size)[live]
+        return Prepared(w, q, q * w, aw[port], _take(terms, port), _take(form, port))
+    aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])[live]
     terms = zeta_terms(aw)
     return Prepared(w, q, q * w, aw, terms, slope_form(terms))
 

@@ -32,6 +32,7 @@ are never absorbed silently (see ``JWM_SIGN``).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -321,16 +322,29 @@ def general_first_order(record: MeasurementRecord,
                                                                   record.port2.weights)
 
 
-def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
-    """Global localization grid: log ladders both signs, zero, hint window."""
+#: The hint window of the candidate ladder, as multiples of the hint.
+_HINT_WINDOW = np.linspace(0.2, 5.0, 49)
+
+
+@functools.lru_cache(maxsize=8)
+def _bracket_ladder(lo: float, hi: float) -> np.ndarray:
+    """The fixed part of the candidate ladder of a bracket, built once per
+    bracket and read-only: zero, log ladders both signs and the ends."""
     top = max(abs(lo), abs(hi))
     ladder = np.logspace(-21, np.log10(top), 61)
-    cands = [np.array([0.0]), ladder, -ladder]
-    if hint is not None and np.isfinite(hint) and hint != 0.0:
-        cands.append(hint * np.linspace(0.2, 5.0, 49))
-    allc = np.concatenate(cands)
-    allc = allc[(allc >= lo) & (allc <= hi)]
-    return np.unique(np.concatenate([allc, [lo, hi]]))
+    cands = np.concatenate([[0.0], ladder, -ladder])
+    cands = np.unique(np.concatenate([cands[(cands >= lo) & (cands <= hi)], [lo, hi]]))
+    cands.flags.writeable = False
+    return cands
+
+
+def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
+    """Global localization grid: log ladders both signs, zero, hint window."""
+    cands = _bracket_ladder(lo, hi)
+    if hint is None or not np.isfinite(hint) or hint == 0.0:
+        return cands
+    window = hint * _HINT_WINDOW
+    return np.union1d(cands, window[(window >= lo) & (window <= hi)])
 
 
 def _runs(marked: np.ndarray) -> np.ndarray:

@@ -4,16 +4,23 @@ Record files are plain CSV with header ``wavelength_nm,counts_port1,
 counts_port2``, one row per wavelength bin, wavelengths strictly
 increasing.  Each value is written as its shortest round-trip decimal,
 ``repr`` of the float (``789.9``, not ``789.89999999999998``), so a
-write/read round trip is bit-lossless.  The reader skips blank lines and
-converts every body row in one ``np.loadtxt`` call, NumPy's C text reader,
-and the grammar is what ``np.loadtxt`` accepts: three fields, each a
-``float()`` literal in ASCII without underscores (``1e5``, ``+1``, ``1.``,
-``.5``, ``inf``, ``nan``) with any surrounding whitespace; ``1_0``, ``１``
-(a non-ASCII digit), ``0x10`` and an empty field are rejected.  When the
-reader rejects the body, the first rejected row is found by bisection,
-the same reader run on prefixes of the body.  The row checks run as
-column masks, and a rejected row is reported with its 1-based line number
-in the file, blank lines counted.
+write/read round trip is bit-lossless.  The reader converts every body
+row in one ``np.loadtxt`` call, NumPy's C text reader, and the grammar is
+what ``np.loadtxt`` accepts: three fields, each a ``float()`` literal in
+ASCII without underscores (``1e5``, ``+1``, ``1.``, ``.5``, ``inf``,
+``nan``) with any surrounding whitespace; ``1_0``, ``１`` (a non-ASCII
+digit), ``0x10`` and an empty field are rejected.  Blank lines are
+skipped.  The lines after a header on the first line are parsed as they
+are; only when that parse is rejected or gives fewer rows than lines
+(NumPy skips empty lines and rejects whitespace-only ones) are the blank
+lines filtered out and the rest parsed again.  When the reader rejects
+the body, the first rejected row is found by bisection, the same reader
+run on prefixes of the body.  The row checks run as one column mask, and
+a rejected row is reported with its 1-based line number in the file,
+blank lines counted.  A record holds counts when every weight lies within
+1e-9 of a whole number and the weights sum to at least 1; its
+``total_events`` is then that sum, and otherwise 0, the noise-free
+sentinel.
 
 Run configurations are JSON documents mirroring
 :class:`~weakdelay.simulator.ExperimentConfig`.  Every physical quantity
@@ -69,10 +76,34 @@ def write_record(path, record: MeasurementRecord) -> None:
 def read_record(path) -> MeasurementRecord:
     """Parse a record CSV, rejecting malformed rows with their line number.
 
-    The body rows are converted by one ``np.loadtxt`` call; only when it
-    rejects them does a bisection over prefixes look for the first bad line.
+    The lines after a header on the first line are converted by one
+    ``np.loadtxt`` call.  Only when it rejects them or skips a blank line
+    are the blank lines filtered out and the rest converted again, and only
+    when that is rejected does a bisection over prefixes look for the first
+    bad line.
     """
     lines = _read_text(path).splitlines()
+    # a table here has a row for every line after the header: none is blank
+    table = _load_rows(lines[1:]) if lines and lines[0].strip() == RECORD_HEADER else None
+    if table is None:
+        table = _load_nonblank(lines)
+    columns = table.T.copy()
+    _check_rows(columns, lines)
+    if len(table) < 2:
+        raise FormatError("record needs at least 2 bins")
+    grid, w1, w2 = columns
+    total = w1.sum() + w2.sum()
+    counts = columns[1:]
+    integral = np.abs(counts - np.round(counts)).max() <= 1e-9
+    total_events = total if (integral and total >= 1.0) else 0
+    return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
+                             total_events=total_events,
+                             metadata={"path": str(path)})
+
+
+def _load_nonblank(lines: list[str]) -> np.ndarray:
+    """The table of a record's non-blank lines after its header; raises for
+    a bad header or the first unparsable row."""
     kept = list(filter(str.strip, lines))
     if not kept:
         raise FormatError("empty record file")
@@ -85,19 +116,9 @@ def read_record(path) -> MeasurementRecord:
         # the rows before the first unparsable one parse, and an error
         # among them comes first
         k, why = _first_unparsable(body)
-        _check_rows(_load_rows(body[:k]), lines)
+        _check_rows(_load_rows(body[:k]).T, lines)
         raise FormatError(why, row=_line_number(lines, k + 1))
-    _check_rows(table, lines)
-    if len(body) < 2:
-        raise FormatError("record needs at least 2 bins")
-    grid, w1, w2 = table.T.copy()
-    total = w1.sum() + w2.sum()
-    integral = np.allclose(w1, np.round(w1), atol=1e-9) and \
-        np.allclose(w2, np.round(w2), atol=1e-9)
-    total_events = total if (integral and total >= 1.0) else 0
-    return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
-                             total_events=total_events,
-                             metadata={"path": str(path)})
+    return table
 
 
 def _line_number(lines: list[str], k: int) -> int:
@@ -108,7 +129,8 @@ def _line_number(lines: list[str], k: int) -> int:
 def _load_rows(body: list[str]) -> np.ndarray | None:
     """Rows of three numbers as an n x 3 array, converted by NumPy's C text
     reader with the correctly rounded ``PyOS_string_to_double`` of
-    ``float()``; None if a row is anything else."""
+    ``float()``; None if a row is anything else or an empty line was
+    skipped."""
     if not body:
         return np.empty((0, 3))
     try:
@@ -135,23 +157,28 @@ def _first_unparsable(body: list[str]) -> tuple[int, str]:
     return parsed, f"non-numeric field in {line!r}"
 
 
-def _check_rows(table: np.ndarray, lines: list[str]) -> None:
-    """Raise for the first bad row of a parsed table, its first failed check."""
-    lam, c1, c2 = table.T
-    prev = np.concatenate([[-np.inf], lam[:-1]])
-    checks = [
-        (~np.isfinite(table).all(axis=1), lambda k: "NaN or infinite value"),
-        (lam <= 0, lambda k: f"nonpositive wavelength {float(lam[k])!r}"),
-        ((c1 < 0) | (c2 < 0), lambda k: "negative count"),
-        (lam <= prev, lambda k: f"wavelength {float(lam[k])!r} not strictly "
-                                f"increasing (previous {float(prev[k])!r})"),
-    ]
-    failed = np.array([mask for mask, _ in checks])
-    bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        k = int(bad[0])
-        message = checks[int(np.argmax(failed[:, k]))][1]
-        raise FormatError(message(k), row=_line_number(lines, k + 1))
+def _check_rows(columns: np.ndarray, lines: list[str]) -> None:
+    """Raise for the first bad row of a parsed table, given as its three
+    columns, its first failed check."""
+    lam, c1, c2 = columns
+    bad = ~np.isfinite(columns).all(axis=0)
+    bad |= lam <= 0
+    bad |= c1 < 0
+    bad |= c2 < 0
+    bad[1:] |= lam[1:] <= lam[:-1]
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if not np.isfinite(columns[:, k]).all():
+        message = "NaN or infinite value"
+    elif lam[k] <= 0:
+        message = f"nonpositive wavelength {float(lam[k])!r}"
+    elif c1[k] < 0 or c2[k] < 0:
+        message = "negative count"
+    else:
+        message = (f"wavelength {float(lam[k])!r} not strictly increasing "
+                   f"(previous {float(lam[k - 1])!r})")
+    raise FormatError(message, row=_line_number(lines, k + 1))
 
 
 _QWP_KEYS = {"model", "tau0_fs"}

@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from weakdelay import _kernels
 from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        MeasurementRecord, Method, ModelError, QwpModel,
-                       SolverError, SourceConfig, Spectrum,
+                       SolverError, SourceConfig, Spectrum, WeakValuePair,
                        default_dispersive_qwp, estimate, first_order,
                        general_first_order, ideal_weak_values,
                        jwm_simplified, likelihood_equation_residual,
@@ -231,6 +232,92 @@ class TestCountedBins:
         _, vals = likelihood_profile(rec, wv, g, g + 1e-19, 101)
         assert np.isfinite(direct)
         assert vals[0] == pytest.approx(direct, rel=0, abs=1e-10 * rec.total_weight())
+
+
+class TestPortWeakValues:
+    """prepare computes the terms of scalar weak values once per port and
+    gathers them to the columns by port; the same weak values broadcast to
+    per-bin arrays take the per-column path and give the same prepared
+    record, solve and profile bit for bit."""
+
+    CASES = [("ideal", PHI_WVA), ("ideal", PHI_JWM), ("absent", 2.4883), ("gainless", PHI_JWM)]
+
+    @staticmethod
+    def _forms(kind, phi, photons):
+        variant = "absent" if kind == "absent" else "ideal"
+        rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=7e-18, photons=photons,
+                                        qwp=QwpModel(variant=variant), seed=5))
+        if kind == "gainless":
+            # exactly real |A| = 1: every column has a constant zeta and gain 0
+            wv = WeakValuePair(1.0 + 0j, -1.0 + 0j)
+        else:
+            wv = port_projections(phi, rec.omega, QwpModel(variant=variant))[0]
+        assert np.ndim(wv.aw1) == np.ndim(wv.aw2) == 0
+        per_bin = WeakValuePair(*(np.full(rec.omega.shape, a) for a in (wv.aw1, wv.aw2)))
+        return rec, wv, per_bin
+
+    @staticmethod
+    def _fields(p):
+        return [(f.dtype, f.shape, f.tobytes())
+                for f in (p.omega, p.q, p.qw, p.aw, *p.terms, *p.form)]
+
+    @staticmethod
+    def _solve(rec, wv):
+        try:
+            res = solve_exact(rec, wv)
+        except ModelError as exc:
+            return type(exc), str(exc)
+        return res.tau_hat.hex(), repr(res.diagnostics), res.warnings
+
+    @pytest.mark.parametrize("photons", [10_000_000, 0], ids=["counts", "noise_free"])
+    @pytest.mark.parametrize("kind,phi", CASES, ids=[f"{k}-{phi:.3f}" for k, phi in CASES])
+    def test_scalar_weak_values_equal_their_per_bin_arrays(self, kind, phi, photons):
+        rec, wv, per_bin = self._forms(kind, phi, photons)
+        scalar, columns = prepare_likelihood(rec, wv), prepare_likelihood(rec, per_bin)
+        assert self._fields(scalar) == self._fields(columns)
+        if kind == "gainless":
+            assert not scalar.form.gain.any()
+        assert self._solve(rec, wv) == self._solve(rec, per_bin)
+        _, ours = likelihood_profile(rec, wv, -2e-17, 2e-17, 2001)
+        _, theirs = likelihood_profile(rec, per_bin, -2e-17, 2e-17, 2001)
+        assert ours.tobytes() == theirs.tobytes()
+
+
+class TestCandidateLadder:
+    """The fixed part of a bracket's candidate ladder is built once, read-only;
+    each solve merges only its hint window into it."""
+
+    @staticmethod
+    def _fresh(lo, hi, hint):
+        top = max(abs(lo), abs(hi))
+        ladder = np.logspace(-21, np.log10(top), 61)
+        cands = [np.array([0.0]), ladder, -ladder]
+        if hint is not None and np.isfinite(hint) and hint != 0.0:
+            cands.append(hint * np.linspace(0.2, 5.0, 49))
+        allc = np.concatenate(cands)
+        allc = allc[(allc >= lo) & (allc <= hi)]
+        return np.unique(np.concatenate([allc, [lo, hi]]))
+
+    def test_memo_equals_a_fresh_ladder(self):
+        lo, hi = est.DEFAULT_BRACKET
+        for widening in range(4):
+            if widening:
+                # the widenings of solve_exact
+                lo, hi = lo * 10.0, hi * 10.0
+            # none, zero, NaN, two inside the bracket, one across its end
+            # and one wholly outside it
+            for hint in (None, 0.0, math.nan, 3.7e-18, -0.31 * hi, 3.0 * hi, -10.0 * hi):
+                for _ in range(2):
+                    got = est._candidate_ladder(lo, hi, hint)
+                    want = self._fresh(lo, hi, hint)
+                    assert got.tobytes() == want.tobytes(), (lo, hint)
+
+    def test_cached_ladder_is_read_only(self):
+        cands = est._candidate_ladder(*est.DEFAULT_BRACKET, None)
+        assert cands is est._candidate_ladder(*est.DEFAULT_BRACKET, math.nan)
+        with pytest.raises(ValueError):
+            cands[0] = 1.0
+        assert est._candidate_ladder(*est.DEFAULT_BRACKET, 3.7e-18).flags.writeable
 
 
 class TestRationalResidual:

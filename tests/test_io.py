@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakdelay import FormatError, load_config, read_record, simulate, write_record
+from weakdelay import (FormatError, ideal_weak_values, load_config, read_record, simulate,
+                       solve_exact, write_record)
 from weakdelay.io import RECORD_HEADER
 
 #: Valid documents: every key of the schema appears in one of them.
@@ -270,3 +271,88 @@ class TestRecordGrammar:
             accepted += 1
             assert bits(back.port1.weights[1]) == bits(float(field.strip())), field
         assert accepted > 50
+
+
+class TestCountRule:
+    """A record holds counts when every weight lies within 1e-9 of a whole
+    number and the weights sum to at least 1; otherwise its total_events is
+    0, the noise-free sentinel, and the exact solve reports no se_s."""
+
+    @staticmethod
+    def _with_peak_weights(path, w1, w2):
+        """A seeded count record whose port-1 peak bin holds the weights
+        (w1, w2), as written; returns its phi."""
+        phi = 1.6407963267948966
+        record = simulate(load_config({"phi_actual_rad": phi, "photons": 1_000_000,
+                                       "tau_true_fs": 0.01, "seed": 2})[0])
+        write_record(path, record)
+        lines = path.read_text().splitlines()
+        k = int(np.argmax(record.port1.weights)) + 1
+        lines[k] = f"{lines[k].split(',')[0]},{w1},{w2}"
+        path.write_text("\n".join(lines) + "\n")
+        return phi
+
+    def test_fractional_weights_are_not_counts(self, tmp_path):
+        # both lie within rtol 1e-5 of a whole number, but 0.3 and 0.4 off it
+        path = tmp_path / "r.csv"
+        phi = self._with_peak_weights(path, "123456.7", "200000.4")
+        record = read_record(path)
+        assert record.total_events == 0
+        res = solve_exact(record, ideal_weak_values(phi))
+        assert res.diagnostics["se_s"] is None
+
+    @pytest.mark.parametrize("w1,w2", [("123457", "200000"), ("123457.0000000005", "2e5")])
+    def test_whole_numbers_within_1e_9_are_counts(self, w1, w2, tmp_path):
+        path = tmp_path / "r.csv"
+        phi = self._with_peak_weights(path, w1, w2)
+        record = read_record(path)
+        assert record.total_events > 0
+        assert record.total_events == record.port1.weights.sum() + record.port2.weights.sum()
+        se = solve_exact(record, ideal_weak_values(phi)).diagnostics["se_s"]
+        assert isinstance(se, float) and 0 < se < 1e-18
+
+
+class TestReaderPaths:
+    """A file whose first line is the header and that holds no blank line is
+    parsed in one call; any other is parsed again without its blank lines.
+    Both paths give the written record bit for bit."""
+
+    @staticmethod
+    def _variants(lines):
+        """(name, lines, has a blank line) of a record file's lines."""
+        mid = len(lines) // 2
+        yield "clean", lines, False
+        yield "blank_before_header", ["", "\t "] + lines, True
+        yield "blank_inside", lines[:mid] + [""] + lines[mid:], True
+        yield "spaces_inside", lines[:mid] + ["  ", "\t"] + lines[mid:], True
+        yield "blank_at_end", lines + ["", " "], True
+        yield "all_three", ["  "] + lines[:mid] + ["", " "] + lines[mid:] + [""], True
+
+    @pytest.mark.parametrize("photons", [10_000_000, 0], ids=["counts", "noise_free"])
+    def test_blank_lines_and_crlf_read_as_the_clean_record(self, photons, tmp_path,
+                                                           monkeypatch):
+        import weakdelay.io as wio
+        record = simulate(load_config({"phi_actual_rad": 0.03, "photons": photons,
+                                       "tau_true_fs": 0.006, "seed": 7})[0])
+        path = tmp_path / "r.csv"
+        write_record(path, record)
+        lines = path.read_text().splitlines()
+        if not photons:
+            digits = [len(f.split("e")[0].replace(".", "").lstrip("-0"))
+                      for ln in lines[1:] for f in ln.split(",")[1:]]
+            assert max(digits) == 17
+        filtered = []
+        load_nonblank = wio._load_nonblank
+        monkeypatch.setattr(wio, "_load_nonblank",
+                            lambda ls: filtered.append(1) or load_nonblank(ls))
+        for name, variant, blank in self._variants(lines):
+            for ending in ("\n", "\r\n"):
+                path.write_bytes((ending.join(variant) + ending).encode())
+                filtered.clear()
+                back = read_record(path)
+                for ours, theirs in ((back.grid_nm, record.grid_nm),
+                                     (back.port1.weights, record.port1.weights),
+                                     (back.port2.weights, record.port2.weights)):
+                    assert np.array_equal(bits(ours), bits(theirs)), (name, ending)
+                assert back.total_events == record.total_events, (name, ending)
+                assert bool(filtered) == blank, (name, ending)
