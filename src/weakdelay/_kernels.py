@@ -132,13 +132,15 @@ E_sqrt(rho), inside which S is bounded)
 on the range, M the largest |S| on E_sqrt(rho): at most sum q times the
 largest |log zeta| there, which stays moderate as zeta has no zero in
 E_rho.  (Against :func:`weakdelay.estimators.log_likelihood`, 40 seeded
-records of all three analyzers agree to 1.5e-14 sum q, chop and nested
-sampling included, and 24 seeded windows of 1e3 to 1e6 points to 2e-15.
-These figures hold away from the real-axis nulls of floor-0 columns, which
-every bin of an ideal plate has.  Next to such a null log zeta is
+records of all three analyzers agree to 2.0e-14 sum q, chop, nested
+sampling and near field included, and 24 seeded windows of 1e3 to 1e6
+points to 1.8e-15.  The worst of these sit next to the real-axis nulls of
+floor-0 columns, which every bin of an ideal plate has.  There log zeta is
 ill-conditioned in the phase: the float64 phase g w alone moves a
 1e5-photon record's likelihood by about 4e-14 sum q, whatever evaluates
-it, long double included.)
+it, long double included, and the pointwise likelihood's own tangent form
+carries a rounding of about eps |x| / |x - x0| relative at a distance
+x - x0 from the null.)
 The degree rule m = max(``_MIN_NODES``, ceil(``_DIGITS`` / log10 rho)) =
 max(8, ceil(40 / log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2
 keeps m <= 133.  S is sampled with :func:`zeta` through
@@ -180,19 +182,50 @@ points is forward stable (Higham, IMA J. Numer. Anal. 24, 547 (2004);
 Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  A range of no more grid
 points than nodes is evaluated exactly, which is cheaper.
 
-The rest, the singular columns, stay with the range while it is halved:
-a range that still has singular columns and more than ``_LEAF`` = 1024
-points is split in two, and each half interpolates the columns that are
-smooth on it (a column's rho only grows on a subrange).  So exact work
-stays on the stretch of grid around each column's null: none on a
-balanced record over [0, 2 tau], about 0.1-1% of the grid points x
-columns on an unbalanced one whose range holds the dark port's nulls.
+A column that is not smooth on a range has a zero near it.  When only
+its nearest null x0 = p + k pi is (the zeros pi beyond it give rho >=
+``_RHO_MIN``), the column is split, a singularity subtracted ahead of the
+interpolation (Trefethen, Approximation Theory and Approximation Practice,
+2013; Boyd, Chebyshev and Fourier Spectral Methods, 2001).  With y = x -
+x0 and eta = atanh(sqrt(ratio)), zeta = (u^2 + v^2) (sin^2 y + sinh^2 eta),
+whose zeros x0 +- i eta are those of the kernel y^2 + eta^2, so
 
-The exact columns of each final range are evaluated by the row function
-that samples the smooth ones, :func:`_log_rows` through
-:meth:`Prepared.rows`.  It keeps every zeta at or above ``_Z_FLOOR``, so
-a grid point on a likelihood singularity reads finite and far below its
-neighbours, never as -inf or as the largest.
+    log zeta = log(y^2 + eta^2)
+             + [log(u^2 + v^2) + log((sin^2 y + sinh^2 eta) / (y^2 + eta^2))].
+
+The bracket, the column's regular part, is analytic out to the zeros pi
+away and is sampled into the range's one series with the smooth columns:
+one fit, one chop, one evaluation.  Taken as that ratio it keeps its
+digits next to x0 too, where zeta's tangent form carries its rounding,
+which a Chebyshev point there would spread over the range.  The kernel
+goes on as a column of its own with its one zero x0 + i eta: it is
+interpolated like any column on the stretches of grid away from x0 and
+evaluated exactly only on the final ranges around it, by a subtraction, a
+square, an addition and a log per element (:func:`_near`) in place of
+zeta's tangent, log and nine other passes.  x0 is the null phase plus k
+pi: a zero reduced about the range's centre is off by that reduction's
+rounding, about eps pi, which moves the column's null (kernel and regular
+part add up to zeta about x0) and left 1.0e-13 sum q on the 40 records
+above.  The kernel's offset is eta, where zeta vanishes, not sinh eta:
+sin^2 y + sinh^2 eta vanishes at y = +- i eta, and a kernel with zeros at
++- i sinh eta leaves the regular part a pair of singularities (3.5e-7 sum
+q on those records).
+
+Columns neither smooth nor split, a zeta column with two zeros near the
+range or a kernel whose zero is near, stay with the range while it is
+halved: a range that still has such columns and more than ``_LEAF`` =
+1024 points is split in two, and each half interpolates or splits the
+columns that are smooth on it (a column's rho only grows on a subrange).
+So exact work stays on the stretch of grid around each column's null:
+none on a balanced record over [0, 2 tau], about 0.1-1% of the grid
+points x columns on an unbalanced one whose range holds the dark port's
+nulls, and all of it on kernels.  A final range evaluates its kernels with
+:func:`_near` and its zeta columns (two zeros near, or all of a range of
+no more points than nodes) with the row function that samples the smooth
+ones, :func:`_log_rows` through :meth:`Prepared.rows`.  Every zeta is kept
+at or above ``_Z_FLOOR``, and so is each kernel's eta^2, so a grid point
+on a likelihood singularity reads finite and far below its neighbours,
+never as -inf or as the largest.
 """
 
 from __future__ import annotations
@@ -220,13 +253,15 @@ _SCREEN = 2.0 ** -60
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
 _RHO_MIN = 2.0
 
-#: Grid points up to which a profile range with singular columns is not split.
-#: Smaller leaves evaluate fewer elements exactly but interpolate more ranges
-#: of small rho.  On the 12 records of the benchmark's `profile` workload at
-#: seed 1, 1e5 points each, 2048 / 1024 / 512 evaluate 5.0 / 2.2 / 1.0M
-#: elements exactly and sample 1.50 / 1.64 / 1.77M; the 24 records of seeds
-#: 1 and 2 took 315 / 285 / 296 ms of CPU time, 294 with 768 (medians of 25
-#: interleaved rounds, one thread, 2-core Xeon, NumPy 2.4.6).
+#: Grid points up to which a profile range with columns neither smooth nor
+#: split is not split.  Smaller leaves evaluate fewer kernel elements exactly
+#: but interpolate more ranges of small rho.  On the 12 records of the
+#: benchmark's `profile` workload at seed 1, 1e5 points each, 4096 / 2048 /
+#: 1024 / 512 evaluate 11.4 / 5.0 / 2.2 / 1.0M kernel elements exactly and
+#: sample 1.21 / 1.35 / 1.49 / 1.61M; the 24 records of seeds 1 and 2 took
+#: 1.091 / 0.877 / 0.837 / 0.910 of the time of the full-zeta near field
+#: with 1024 (sums of per-record medians of 15 interleaved calls, one
+#: thread, 2-core Xeon, NumPy 2.4.6).
 _LEAF = 1024
 
 #: Trailing coefficients the chop must drop for a range's first sample, at a
@@ -515,7 +550,9 @@ def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarr
     """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
     p = prepare(omega, q1, q2, aw1, aw2)
     out = np.zeros(int(n_g))
-    _bisect(0, out.size, p, _nulls(p.form), float(g0), float(dg), out, np.empty(out.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _bisect(0, out.size, p, _nulls(p.form), np.arange(p.q.size),
+                (np.arange(0), np.empty(0)), float(g0), float(dg), out, np.empty(out.size))
     return out
 
 
@@ -559,54 +596,106 @@ def rising_bands(form: SlopeForm) -> tuple[np.ndarray, np.ndarray]:
     return phase, np.arctan(np.sqrt(ratio)) + np.sqrt(_SCREEN)
 
 
-def _bernstein(lo: int, hi: int, g0: float, dg: float, omega, nulls) -> np.ndarray:
-    """Per column: rho of the smallest Bernstein ellipse of the grid range
-    [lo, hi) that reaches a zeta zero.
+def _bernstein(d, offset, half) -> np.ndarray:
+    """Per column: rho of the smallest Bernstein ellipse of a grid range that
+    reaches the zero d + i offset, d its phase from the range's centre and
+    ``half`` the range's half-width in phase.
 
-    The zeros of a column lie pi/w apart on one line of constant imaginary
-    part, and rho grows along such a line with the distance from the
-    range's centre, so the zero whose real part is nearest the centre
-    decides.
+    In the range's coordinate t = (d + i offset) / half the ellipse E_rho
+    through t has foci +-1, so its semi-major axis is s = (|t - 1| +
+    |t + 1|) / 2 and rho = s + sqrt(s^2 - 1).
     """
-    centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
-    phase, offset = nulls
-    d = np.remainder(phase - (g0 + centre * dg) * omega + 0.5 * np.pi, np.pi) - 0.5 * np.pi
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (d + 1j * offset) / (half * abs(dg) * omega)
-        root = np.sqrt(t * t - 1.0)
-        return np.fmax(np.abs(t + root), np.abs(t - root))
+    a, b2 = d / half, np.square(offset / half)
+    s = np.sqrt(np.square(a - 1.0) + b2)
+    s += np.sqrt(np.square(a + 1.0) + b2)
+    s *= 0.5
+    return s + np.sqrt(s * s - 1.0)
 
 
-def _bisect(lo: int, hi: int, p: Prepared, nulls, g0: float, dg: float,
+def _bisect(lo: int, hi: int, p: Prepared, nulls, zetas, kernels, g0: float, dg: float,
             out: np.ndarray, scratch: np.ndarray) -> None:
-    """Add the columns of ``p`` to the grid range [lo, hi) of the output.
+    """Add the zeta columns ``zetas`` and the kernel columns ``kernels`` of
+    ``p`` to the grid range [lo, hi) of the output.
 
-    Columns whose rho reaches ``_RHO_MIN`` are interpolated; the rest are
-    split with the range while it holds more than ``_LEAF`` points, then
-    evaluated exactly.  ``scratch``, a float array of at least hi - lo
-    elements, takes each interpolated range's values before they are added.
+    ``nulls`` holds the null phase and offset of every column of ``p``
+    (:func:`_nulls`); ``kernels`` is the kernel columns and the zero x0 of
+    each kernel log((x - x0)^2 + offset^2).  Columns whose rho reaches
+    ``_RHO_MIN`` are interpolated.  A zeta column that falls short of it
+    only through its nearest null x0 = phase + k pi is split into its
+    kernel and its regular part, whose nearest zeros lie pi away: the
+    regular part is interpolated, the kernel goes on as a kernel column.
+    The other columns are split with the range while it holds more than
+    ``_LEAF`` points, then evaluated exactly.  ``scratch``, a float array
+    of at least hi - lo elements, takes each interpolated range's values
+    before they are added.
     """
-    rho = _bernstein(lo, hi, g0, dg, p.omega, nulls)
+    centre = g0 + 0.5 * (lo + hi - 1) * dg
+    half = 0.5 * (hi - 1 - lo) * abs(dg)
+    # one set of columns, the zeta columns first, each with its zero
+    # nearest the centre: a kernel's x0, or a zeta column's null phase plus
+    # whole turns of pi (reduced about the centre, it would be off by that
+    # reduction's rounding, and split the column about a moved null)
+    columns, centres = kernels
+    count = zetas.size
+    if count:
+        phase = nulls[0, zetas]
+        turns = np.rint((centre * p.omega[zetas] - phase) / np.pi)
+        columns = np.concatenate([zetas, columns])
+        centres = np.concatenate([phase + turns * np.pi, centres])
+    w, offset = p.omega[columns], nulls[1, columns]
+    d = centres - centre * w
+    rho = _bernstein(d, offset, half * w)
     smooth = rho >= _RHO_MIN
-    if smooth.any():
-        nodes = max(_MIN_NODES, int(np.ceil(_DIGITS / np.log10(rho[smooth].min()))))
+    rough = np.flatnonzero(~smooth[:count])
+    # the rough zeta columns' regular parts: their next zeros lie pi beyond
+    regular = np.empty(0)
+    if rough.size:
+        regular = _bernstein(d[rough] - np.copysign(np.pi, d[rough]), offset[rough],
+                             half * w[rough])
+    lone = regular >= _RHO_MIN
+    rho_min = min(rho.min(initial=np.inf, where=smooth),
+                  regular.min(initial=np.inf, where=lone))
+    # per-column temporaries, not to be held through the series and halves
+    del w, d, rho, regular
+    if rho_min < np.inf:
+        nodes = max(_MIN_NODES, int(np.ceil(_DIGITS / np.log10(rho_min))))
         if hi - lo > nodes:
-            _interpolate(lo, hi, _take(p, np.flatnonzero(smooth)), nodes, g0, dg, out, scratch)
-            rough = np.flatnonzero(~smooth)
-            p, nulls = _take(p, rough), nulls[:, rough]
-    if not p.q.size:
+            split = rough[lone]
+            # sampled: smooth zeta columns, split ones, smooth kernels
+            near = np.concatenate([split, count + np.flatnonzero(smooth[count:])])
+            sampled = np.concatenate([np.flatnonzero(smooth[:count]), near])
+            rows = _log_rows
+            if near.size:
+                rows = _split_rows(sampled.size - near.size, split.size, centres[near],
+                                   offset[near])
+            _interpolate(lo, hi, _take(p, columns[sampled]), nodes, g0, dg, out, scratch,
+                         rows)
+            keep = np.concatenate([split, count + np.flatnonzero(~smooth[count:])])
+            zetas, kernels = columns[rough[~lone]], (columns[keep], centres[keep])
+    if not (zetas.size or kernels[0].size):
         return
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
-        _bisect(lo, mid, p, nulls, g0, dg, out, scratch)
-        _bisect(mid, hi, p, nulls, g0, dg, out, scratch)
+        _bisect(lo, mid, p, nulls, zetas, kernels, g0, dg, out, scratch)
+        _bisect(mid, hi, p, nulls, zetas, kernels, g0, dg, out, scratch)
         return
-    _exact(lo, hi, p, g0, dg, out)
+    if zetas.size:
+        _exact(lo, hi, _take(p, zetas), g0, dg, out)
+    if kernels[0].size:
+        _near(lo, hi, _take(p, kernels[0]), kernels[1], nulls[1, kernels[0]], g0, dg, out)
 
 
 def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray) -> None:
     """Add sum q log zeta over the columns of ``p`` to out[lo:hi]."""
     out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg, _log_rows)
+
+
+def _near(lo: int, hi: int, p: Prepared, centre, offset, g0: float, dg: float,
+          out: np.ndarray) -> None:
+    """Add the kernels sum q log((x - centre)^2 + offset^2) over the columns
+    of ``p`` to out[lo:hi]: subtract, square, add and log per element."""
+    out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg,
+                         _split_rows(0, 0, centre, offset))
 
 
 def _log_rows(x, work, p) -> np.ndarray:
@@ -616,9 +705,46 @@ def _log_rows(x, work, p) -> np.ndarray:
     return np.log(z, out=z) @ p.q
 
 
+def _split_rows(zetas: int, splits: int, centre, offset):
+    """Row function of the profile over three runs of columns: the first
+    ``zetas`` take log zeta, kept at or above ``_Z_FLOOR``; the next
+    ``splits`` their regular part, log zeta less their kernel; the rest
+    their kernel log((x - centre)^2 + offset^2).  ``centre`` and ``offset``
+    hold the last two runs' x0 and offset.
+
+    With y = x - x0 and s = floor / (u^2 + v^2) = sinh^2 offset, the
+    regular part is log((u^2 + v^2) (sin^2 y + s) / (y^2 + offset^2)): zeta
+    in its null form over the kernel, a ratio that keeps its digits next to
+    x0, where zeta's tangent form carries a rounding of about eps |x| / |y|
+    relative.  s and offset^2 are kept at or above ``_Z_FLOOR``, so a
+    kernel on a real null reads finite and the ratio u^2 + v^2 there.
+    """
+    eta2 = np.maximum(np.square(offset), _Z_FLOOR)
+
+    def rows(x, work, p) -> np.ndarray:
+        y = np.subtract(x[:, zetas:], centre, out=work[0][:, zetas:])
+        value = np.square(y, out=work[1][:, zetas:])
+        value += eta2
+        if splits:
+            terms = _take(p.terms, slice(zetas, zetas + splits))
+            r2 = np.square(terms.u) + np.square(terms.v)
+            ratio = np.sin(y[:, :splits], out=y[:, :splits])
+            np.square(ratio, out=ratio)
+            ratio += np.maximum(terms.floor / r2, _Z_FLOOR)
+            ratio *= r2
+            np.divide(ratio, value[:, :splits], out=value[:, :splits])
+        total = np.log(value, out=value) @ p.q[zetas:]
+        if zetas:
+            total += _log_rows(x[:, :zetas], (work[1][:, :zetas],), _take(p, slice(zetas)))
+        return total
+
+    return rows
+
+
 def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float,
-                 out: np.ndarray, scratch: np.ndarray) -> None:
-    """Add sum q log zeta over the columns of ``p`` to out[lo:hi] from its
+                 out: np.ndarray, scratch: np.ndarray, row_values=_log_rows) -> None:
+    """Add the columns of ``p``, as ``row_values`` reads them (sum q log
+    zeta with the default :func:`_log_rows`), to out[lo:hi] from their
     Chebyshev interpolant, sampled only as far as its series converges.
 
     ``nodes`` is the a-priori count m.  With third = ceil(m / 3), the
@@ -639,11 +765,11 @@ def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float
     cosines = _cosines(3 * third)
     g = g0 + (centre + half * cosines[1:6 * third:2]) * dg
     values = np.empty(3 * third)
-    values[1::3] = p.rows(g[1::3], _log_rows)
+    values[1::3] = p.rows(g[1::3], row_values)
     coef = _chop(_fit(values[1::3], cosines, 3))
     if coef.size > third - _PLATEAU:
         new = np.arange(3 * third) % 3 != 1
-        values[new] = p.rows(g[new], _log_rows)
+        values[new] = p.rows(g[new], row_values)
         coef = _chop(_fit(values, cosines, 1))
     out[lo:hi] += _chebyshev(coef, hi - lo, scratch)
 

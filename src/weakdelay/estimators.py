@@ -274,15 +274,18 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     Suitable for dense grids (1e5 points): the profile of
     :mod:`weakdelay._kernels` over counted bins only.  A bin's term is
     interpolated (Chebyshev) on the stretches of grid where its zeta has
-    no zero nearby, and evaluated exactly, like :func:`log_likelihood`, on
-    the stretch around its null.  Returns (grid, values), values offset
-    by the same g-independent constant as :func:`log_likelihood` and
-    within 1e-10 times the record's total weight of it (1.5e-14 at most on
-    40 seeded records, away from the real-axis nulls of an ideal plate's
-    bins; next to one, the float64 phase g w alone moves a 1e5-photon
-    record's likelihood by about 4e-14 of its total weight).  The exact
-    terms keep model probabilities at or above 1e-300 before the log, so a
-    grid point sitting on a likelihood singularity reads a finite value far
+    no zero nearby; around its null, only the log of its distance to that
+    zero, log((w g - x0)^2 + eta^2), is evaluated exactly, and the rest of
+    the term is interpolated.  Returns (grid, values), values offset by the
+    same g-independent constant as :func:`log_likelihood` and within 1e-10
+    times the record's total weight of it (at most 2.0e-14 on 40 seeded
+    records and 1.8e-15 on 24 seeded windows, the worst next to the
+    real-axis nulls of an ideal plate's bins, where the float64 phase g w
+    alone moves a 1e5-photon record's likelihood by about 4e-14 of its
+    total weight; 1.5e-16 on 12 unbalanced records over [0, 2 tau] with the
+    dark port's nulls inside).  The exact terms keep model probabilities,
+    and the kernels' eta^2, at or above 1e-300 before the log, so a grid
+    point sitting on a likelihood singularity reads a finite value far
     below its neighbours rather than -inf.  ``n`` must be an integer in [2, :data:`MAX_PROFILE_POINTS`]
     and the bounds, the grid step and the largest phase |g| w finite,
     else DomainError.

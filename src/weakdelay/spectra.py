@@ -47,9 +47,10 @@ class Spectrum:
             raise DomainError("spectrum grid needs at least 2 samples")
         if weights.shape != grid.shape:
             raise DomainError("weights and grid must have equal length")
-        if not np.all(np.diff(grid) > 0):
+        # a NaN fails these comparisons, so it is rejected with the other bad values
+        if not (grid[1:] > grid[:-1]).all():
             raise DomainError("wavelength grid must be strictly increasing")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        if not (weights.min() >= 0 and weights.max() < np.inf):
             raise DomainError("weights must be finite and nonnegative")
 
     @cached_property
@@ -81,7 +82,8 @@ class MeasurementRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.array_equal(self.port1.grid_nm, self.port2.grid_nm):
+        if (self.port1.grid_nm is not self.port2.grid_nm
+                and not np.array_equal(self.port1.grid_nm, self.port2.grid_nm)):
             raise DomainError("port spectra must share one wavelength grid")
         if self.total_events:
             counted = self.port1.total() + self.port2.total()
@@ -107,7 +109,8 @@ class MeasurementRecord:
         """Both ports' moments against the two-port total, computed once:
         every estimator reads the same values (see :func:`record_moments`)."""
         total = self.total_weight()
-        return moments(self.port1, total), moments(self.port2, total)
+        return (_moments(self.port1.weights, self.omega, total),
+                _moments(self.port2.weights, self.omega, total))
 
     @cached_property
     def pooled_variance(self) -> float:
@@ -147,10 +150,14 @@ class SpectralMoments:
 
 def moments(port: Spectrum, normalize_by_total: float) -> SpectralMoments:
     """Moments of one port spectrum, sub-normalized by the two-port total."""
+    return _moments(port.weights, port.omega, normalize_by_total)
+
+
+def _moments(weights, omega, normalize_by_total: float) -> SpectralMoments:
+    """Moments of one port's weights on the frequencies ``omega``."""
     if not normalize_by_total > 0:
         raise DegenerateRecordError("total event count must be positive")
-    q = port.weights / normalize_by_total
-    omega = port.omega
+    q = weights / normalize_by_total
     p0 = float(q.sum())
     m1 = float((q * omega).sum())
     m2 = float((q * omega ** 2).sum())

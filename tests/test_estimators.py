@@ -1367,23 +1367,104 @@ class TestProfileWorkers:
 
     def test_profile_exact_kernel_only_near_nulls(self, monkeypatch):
         # grid points x columns evaluated exactly: none for a balanced
-        # record, about 1% for an unbalanced one, around its dark port's
-        # nulls (w g = 0.015: 5.5e-18 to 7.2e-18 s)
-        exact, work = _kernels._exact, []
+        # record; for an unbalanced one, around its dark port's nulls (w g =
+        # 0.015: 5.5e-18 to 7.2e-18 s), under 5% of them, all by the log
+        # kernel of the near field and none by a column's whole zeta
+        work = {"_near": 0, "_exact": 0}
 
-        def counting(lo, hi, p, *args):
-            work.append((hi - lo) * p.q.size)
-            return exact(lo, hi, p, *args)
+        def counting(name):
+            evaluate = getattr(_kernels, name)
 
-        monkeypatch.setattr(_kernels, "_exact", counting)
+            def count(lo, hi, p, *args):
+                work[name] += (hi - lo) * p.q.size
+                return evaluate(lo, hi, p, *args)
+
+            monkeypatch.setattr(_kernels, name, count)
+
+        counting("_near")
+        counting("_exact")
         n = 100_000
         likelihood_profile(record_at(PHI_JWM, 1e-17), ideal_weak_values(PHI_JWM),
                            0.0, 2e-17, n)
-        assert sum(work) == 0
+        assert work == {"_near": 0, "_exact": 0}
         rec = record_at(PHI_WVA, 1e-17)
         columns = np.count_nonzero(rec.port1.weights) + np.count_nonzero(rec.port2.weights)
         likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 2e-17, n)
-        assert 0 < sum(work) < 0.05 * n * columns
+        assert work["_exact"] == 0
+        assert 0 < work["_near"] < 0.05 * n * columns
+
+
+class TestProfileNearField:
+    """A column with one zeta zero near a range: its kernel log((x - x0)^2 +
+    eta^2) and the regular rest, log zeta less the kernel."""
+
+    @pytest.mark.parametrize("kind", ["ideal", "dispersive"])
+    def test_regular_part_interpolant_matches_its_row(self, monkeypatch, kind):
+        # the dark port's central bin at phi = 0.03 alone (offset 0 on the
+        # ideal plate, 4.4e-4 on the dispersive one), profiled over +-0.01
+        # rad of phase about its null: the whole range interpolates the
+        # bin's regular part, which must match that part's own row within
+        # 1e-14 of the bin's weight.  That needs the kernel's offset to be
+        # atanh(sqrt(ratio)), where zeta vanishes, not sinh of it.  The
+        # kernel plus the series must match log zeta's own row as closely
+        # wherever that row keeps its digits (it carries a rounding of
+        # about eps |x| / |x - x0|, so 1e-3 rad or more from the null).
+        # That needs the kernel's zero x0 to be the null phase itself, not
+        # one reduced about the range's centre, which is off by about eps pi.
+        qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel()
+        rec = record_at(PHI_WVA, 1e-17, qwp=qwp)
+        wv = port_projections(PHI_WVA, rec.omega, qwp)[0]
+        mid = rec.omega.size // 2
+        q1, q2 = np.zeros(rec.omega.size), np.zeros(rec.omega.size)
+        q2[mid] = rec.port2.weights[mid]
+        p = _kernels.prepare(rec.omega, q1, q2, wv.aw1, wv.aw2)
+        (x0,), (eta,) = _kernels._nulls(p.form)
+        assert p.q.size == 1 and 0 < x0 < 0.02
+        assert (eta == 0) if kind == "ideal" else (4e-4 < eta < 5e-4)
+        interpolate, calls = _kernels._interpolate, []
+
+        def capturing(lo, hi, p, nodes, g0, dg, out, scratch, row_values=_kernels._log_rows):
+            before = out[lo:hi].copy()
+            interpolate(lo, hi, p, nodes, g0, dg, out, scratch, row_values)
+            calls.append((lo, hi, row_values, out[lo:hi] - before))
+
+        monkeypatch.setattr(_kernels, "_interpolate", capturing)
+        n, w = 2001, p.omega[0]
+        dg = 0.02 / w / (n - 1)
+        g0 = (x0 - 0.01) / w + 0.37 * dg
+        values = _kernels.profile(g0, dg, n, rec.omega, q1, q2, wv.aw1, wv.aw2)
+        (lo, hi, row_values, series), = calls
+        assert (lo, hi) == (0, n) and row_values is not _kernels._log_rows
+        g = g0 + np.arange(n) * dg
+        tol = 1e-14 * p.q[0]
+        assert np.max(np.abs(series - p.rows(g, row_values))) <= tol
+        outside = np.abs(g * w - x0) >= 1e-3
+        assert np.count_nonzero(outside) > 0.8 * n
+        assert np.max(np.abs(values - p.rows(g, _kernels._log_rows))[outside]) <= tol
+
+    def test_profile_matches_pointwise_likelihood_next_to_nulls(self):
+        # 12 unbalanced records (phi = 0.03) over [0, 2 tau] with tau from
+        # 4e-18 to 2e-17 s, so the dark port's nulls (5.5e-18 to 7.2e-18 s)
+        # lie inside: ideal, dispersive and absent plates x noise-free, 1e5
+        # and 1e7 photons, at 60 random grid points and the argmax +- 1
+        rng = np.random.default_rng(3030)
+        for k in range(12):
+            tau = float(10 ** rng.uniform(np.log10(4e-18), np.log10(2e-17)))
+            kind = ("ideal", "dispersive", "absent")[k % 3]
+            qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel(variant=kind)
+            photons = (0, 100_000, 10_000_000)[k // 3 % 3]
+            rec = simulate(ExperimentConfig(phi_actual=PHI_WVA, tau_true=tau, photons=photons,
+                                            seed=k, qwp=qwp))
+            wv = port_projections(PHI_WVA, rec.omega, qwp)[0]
+            n = 100_000
+            grid, vals = likelihood_profile(rec, wv, 0.0, 2.0 * tau, n)
+            top = int(np.argmax(vals))
+            picks = np.unique(np.concatenate([[max(top - 1, 0), top, min(top + 1, n - 1)],
+                                              rng.integers(0, n, 60)]))
+            tol = 1e-13 * rec.total_weight()
+            for idx in picks:
+                direct = log_likelihood(grid[idx], rec, wv)
+                assert vals[idx] == pytest.approx(direct, abs=tol), (k, idx)
 
 
 class TestProfileSeries:

@@ -176,6 +176,25 @@ class TestRecordMutations:
                 read_record(path)
             assert exc.value.row == 4, (early, late)
 
+    @pytest.mark.parametrize("field, message", [
+        ("nan", "NaN or infinite value"), ("inf", "NaN or infinite value"),
+        ("-inf", "NaN or infinite value"), ("-2", "negative count"),
+        (None, "not strictly increasing")],
+        ids=["nan", "inf", "-inf", "negative", "repeated"])
+    def test_bad_value_names_its_line(self, tmp_path, field, message):
+        # a count of NaN, +-inf or below zero, or a wavelength repeated from
+        # the line before, on line 5
+        lines = record_text(np.random.default_rng(14))
+        wavelength, a, _ = lines[4].split(",")
+        if field is None:
+            wavelength = lines[3].split(",")[0]
+        lines[4] = ",".join([wavelength, a, field or "1"])
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            read_record(path)
+        assert exc.value.row == 5
+
     def test_blank_lines_count_in_the_line_number(self, tmp_path):
         rng = np.random.default_rng(13)
         lines = record_text(rng)
@@ -356,3 +375,21 @@ class TestReaderPaths:
                     assert np.array_equal(bits(ours), bits(theirs)), (name, ending)
                 assert back.total_events == record.total_events, (name, ending)
                 assert bool(filtered) == blank, (name, ending)
+
+    def test_a_read_record_and_its_moments_convert_the_grid_once(self, tmp_path, monkeypatch):
+        # both ports share the grid array read_record parses, and both
+        # ports' moments read the record's one frequency conversion
+        from weakdelay import spectra
+        record = simulate(load_config({"phi_actual_rad": 0.03, "photons": 10_000_000,
+                                       "tau_true_fs": 0.006, "seed": 7})[0])
+        path = tmp_path / "r.csv"
+        write_record(path, record)
+        convert, calls = spectra.wavelength_to_angular_frequency, []
+        monkeypatch.setattr(spectra, "wavelength_to_angular_frequency",
+                            lambda grid: calls.append(1) or convert(grid))
+        back = read_record(path)
+        assert back.port1.grid_nm is back.port2.grid_nm
+        m1, m2 = spectra.record_moments(back)
+        assert len(calls) == 1
+        total = back.total_weight()
+        assert (m1, m2) == (spectra.moments(back.port1, total), spectra.moments(back.port2, total))

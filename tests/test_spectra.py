@@ -345,6 +345,24 @@ class TestSpectrumValidation:
         with pytest.raises(DomainError):
             Spectrum(np.array([700.0, 701.0]), np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("grid, weights, message", [
+        ([700.0, 701.0, 702.0], [1.0, np.nan, 1.0], "finite and nonnegative"),
+        ([700.0, 701.0, 702.0], [1.0, np.inf, 1.0], "finite and nonnegative"),
+        ([700.0, 701.0, 702.0], [1.0, -np.inf, 1.0], "finite and nonnegative"),
+        ([700.0, 701.0, 702.0], [1.0, -0.5, 1.0], "finite and nonnegative"),
+        ([700.0, 701.0, 701.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([700.0, np.nan, 702.0], [1.0, 1.0, 1.0], "strictly increasing"),
+    ], ids=["nan", "inf", "-inf", "negative", "repeated", "nan-wavelength"])
+    def test_rejects_bad_values(self, grid, weights, message):
+        with pytest.raises(DomainError, match=message):
+            Spectrum(np.array(grid), np.array(weights))
+
+    def test_accepts_zero_weights_and_a_shared_grid(self):
+        grid = np.array([700.0, 701.0, 702.0])
+        one, two = Spectrum(grid, np.zeros(3)), Spectrum(grid, np.array([0.0, 2.0, 1.0]))
+        assert one.grid_nm is two.grid_nm
+        assert MeasurementRecord(port1=one, port2=two, total_events=3.0).total_weight() == 3.0
+
     def test_record_grid_mismatch(self, source):
         other = Spectrum(source.grid_nm + 0.05, source.weights)
         with pytest.raises(DomainError):
