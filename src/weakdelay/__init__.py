@@ -16,8 +16,8 @@ from .io import (load_config, read_record, resolved_config_dict,
                  result_to_dict, write_record)
 from .estimators import (EstimationResult, Method, estimate, first_order,
                          general_first_order, jwm_simplified,
-                         likelihood_equation_residual, likelihood_profile,
-                         log_likelihood, prepare_likelihood, quartic,
+                         likelihood_profile, log_likelihood,
+                         prepare_likelihood, quartic,
                          score_curvature, score_residual, solve_exact,
                          strubi_reference,
                          wva_first_order, wva_mean_shift)

@@ -80,11 +80,11 @@ so the screen is wide enough up to |x| = 8e6 rad.
 
 Prepared record: :func:`prepare`, the one constructor of :class:`Prepared`,
 keeps the bins of both ports whose weight Q exceeds eps sum Q / (2 bins),
-stacked as one set of columns (port 1 first): w, Q, Q w, the bin's weak
-value, its zeta terms and the slope form of the score.  The terms and the
-slope form are computed once per weak value: when both ports' weak values
-are scalars (an ideal or absent plate), once per port and gathered to the
-columns by port; for per-bin weak values, once per column.  The profile's
+stacked as one set of columns (port 1 first): w, Q, Q w, the bin's zeta
+terms and the slope form of the score.  The terms and the slope form are
+computed once per weak value: when both ports' weak values are scalars
+(an ideal or absent plate), once per port and gathered to the columns by
+port; for per-bin weak values, once per column.  The profile's
 :func:`_take` slices every field alike.  The bins left out weigh at most
 eps sum Q together, so their terms add at most eps sum Q max |log zeta|
 to the likelihood, the order of the rounding of the sum itself.  On a
@@ -404,13 +404,12 @@ def log_slope(x, form: SlopeForm, weight, out):
 
 
 class Prepared(NamedTuple):
-    """Counted bins of both ports as columns: w, q, q w, weak value, zeta
-    terms and the score's slope form."""
+    """Counted bins of both ports as columns: w, q, q w, zeta terms and the
+    score's slope form."""
 
     omega: np.ndarray
     q: np.ndarray
     qw: np.ndarray
-    aw: np.ndarray
     terms: ZetaTerms
     form: SlopeForm
 
@@ -460,10 +459,10 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
         terms = zeta_terms(aw)
         form = slope_form(terms)
         port = np.repeat([0, 1], omega.size)[live]
-        return Prepared(w, q, q * w, aw[port], _take(terms, port), _take(form, port))
+        return Prepared(w, q, q * w, _take(terms, port), _take(form, port))
     aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])[live]
     terms = zeta_terms(aw)
-    return Prepared(w, q, q * w, aw, terms, slope_form(terms))
+    return Prepared(w, q, q * w, terms, slope_form(terms))
 
 
 def _take(p: tuple, keep) -> tuple:

@@ -9,15 +9,17 @@ record (and the assumed postselection parameters), never P_0.
 Estimator family, from most to least rigorous:
 
 * ``solve_exact``      - bracketed root of the exact trigonometric score
-  d/dg sum Q_j log zeta_j, refined by Newton steps on its curvature.  The
-  rationalized small-(g w) form of the score is
-  :func:`likelihood_equation_residual`.
-* ``quartic``          - the rationalized score N/D with 1/D expanded as a
-  power series in g w, truncated at fourth order in g; solved by
-  companion-matrix eigenvalues.
+  d/dg sum Q_j log zeta_j, refined by Newton steps on its curvature; it
+  reads only the likelihood core, :mod:`weakdelay._kernels`.
+* ``quartic``          - the rationalized score N/D (``_ScoreSeries``), a
+  rational small-(g w) form of the exact score that is half of it through
+  first order in g, with 1/D expanded as a power series in g w, truncated
+  at fourth order in g; solved by companion-matrix eigenvalues.
 * ``general_first_order`` / ``first_order`` - the same series truncated at
   first order in g, for any weak values or at the ideal-analyzer ones.
-  Both read the series from one per-port weight table, ``_ScoreSeries``.
+  Its ratio -c0/c1 is therefore one Newton step from zero on the exact
+  score.  Every truncation reads the series from one per-port weight
+  table, ``_ScoreSeries``.
 * ``jwm_simplified``   - balanced-postselection shortcut that needs no
   knowledge of phi, only the pooled spectral variance.
 * ``strubi_reference`` - a published alternative balanced-port formula kept
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,8 +66,10 @@ _BAND = 4.0 * np.finfo(float).eps
 #: calibrated estimator flips it.  Fixed once against the simulator.
 JWM_SIGN = -1.0
 
-#: Weak-measurement regime guard for the rationalized residual: warn when
-#: max |g| omega exceeds this.
+#: Weak-measurement regime bound on the phase max |A| |g| w: the power
+#: series of the rationalized score that ``quartic`` truncates is taken to
+#: hold below it.  The package enforces no bound; ``wdbench`` reads this one
+#: to pick the records whose quartic it checks.
 WEAK_REGIME_MAX_GW = 0.5
 
 
@@ -126,22 +129,13 @@ def prepare_likelihood(record, weak_values=None) -> _kernels.Prepared:
     return _kernels.prepare(record.omega, q1, q2, aw1, aw2)
 
 
-def _rational_terms(aw):
-    """Per-bin terms of the rationalized score, u1 = 2 Im A and u2 = |A|^2 - 1.
-
-    At x = g w the score of a bin is Q w N/D with N = n0 + n1 x + n2 x^2,
-    n = (Im A, u2, -u1), and D = 1 + u1 x + u2 x^2.  Returns (n, (u1, u2)).
-    """
-    im = np.imag(aw)
-    u1, u2 = 2.0 * im, np.abs(aw) ** 2 - 1.0
-    return (im, u2, -u1), (u1, u2)
-
-
 class _ScoreSeries:
     """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
 
-    Port j's coefficient of g^k is sum_w Q_j w^(k+1) sum_i n_i r_(k-i), with
-    n from :func:`_rational_terms` and 1/D = sum_k r_k x^k: r_0 = 1,
+    At x = g w the rationalized score of a bin is Q w N/D with
+    N = n0 + n1 x + n2 x^2, n = (Im A, u2, -u1), D = 1 + u1 x + u2 x^2,
+    u1 = 2 Im A and u2 = |A|^2 - 1.  Port j's coefficient of g^k is
+    sum_w Q_j w^(k+1) sum_i n_i r_(k-i), with 1/D = sum_k r_k x^k: r_0 = 1,
     r_1 = -u1, r_k = -u1 r_(k-1) - u2 r_(k-2).  The weights depend on the
     grid and the weak values only (per bin for dispersive ones), so each
     port's are built once as an (order + 1) x bins matrix; calling the
@@ -157,7 +151,9 @@ class _ScoreSeries:
         powers = omega ** np.arange(1.0, order + 2)[:, None]
         self.weights = []
         for aw in (weak_values.aw1, weak_values.aw2):
-            n, (u1, u2) = _rational_terms(aw)
+            im = np.imag(aw)
+            u1, u2 = 2.0 * im, np.abs(aw) ** 2 - 1.0
+            n = (im, u2, -u1)
             r = [1.0, -u1]
             while len(r) <= order:
                 r.append(-u1 * r[-1] - u2 * r[-2])
@@ -230,36 +226,6 @@ def score_curvature(g: float | np.ndarray, record: MeasurementRecord,
     if isinstance(out, tuple):
         return _residual(g, out[0], "likelihood score singular"), out[1], out[2]
     return tuple(out.T)
-
-
-def likelihood_equation_residual(g: float | np.ndarray, record: MeasurementRecord,
-                                 weak_values: WeakValuePair | None = None
-                                 ) -> float | np.ndarray:
-    """Rationalized likelihood-equation residual (small g w expansion).
-
-    Polynomial-over-quadratic integrand sum Q w N/D (see
-    :func:`_rational_terms`) obtained by expanding the exact score to
-    second order in g w; zero at the estimate.  Valid only in the
-    weak-measurement regime (warns when max |g| omega over the counted
-    bins exceeds ``WEAK_REGIME_MAX_GW``) and raises ModelError when any
-    counted bin's quadratic denominator is nonpositive; a 1-D array g gives
-    an array with NaN at such delays.
-    """
-    prepared = prepare_likelihood(record, weak_values)
-    # a bare residual has no result to carry a caveat, so it warns
-    if np.max(np.abs(g)) * prepared.omega.max() > WEAK_REGIME_MAX_GW:
-        warnings.warn("rational residual evaluated outside the weak-measurement regime",
-                      stacklevel=2)
-    (n0, n1, n2), (u1, u2) = _rational_terms(prepared.aw)
-
-    def rows(x, work, p):
-        num = n0 + n1 * x + n2 * x * x
-        den = 1.0 + u1 * x + u2 * x * x
-        return np.where(np.any(den <= 0, axis=1), np.nan,
-                        (p.q * p.omega * num / den).sum(axis=1))
-
-    out = prepared.rows(g, rows)
-    return _residual(g, out, "rational residual outside validity region")
 
 
 #: Most grid points of a likelihood profile; a million keep the grid, the
@@ -408,6 +374,18 @@ def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared):
     return points, score_residual(points, prepared)
 
 
+def _hint(prepared: _kernels.Prepared) -> float | None:
+    """The first-order hint of :func:`solve_exact`: -score(0) / curvature(0),
+    one Newton step from zero on the exact score.  Through first order in
+    g the series of :func:`general_first_order` is half the score, so this
+    is its -c0/c1 up to rounding.  None where the ratio is zero or not
+    finite, as for real weak values, whose score at zero is exactly 0.
+    """
+    score, curvature, _ = (float(v[0]) for v in score_curvature(np.zeros(1), prepared))
+    hint = -score / curvature if curvature else math.nan
+    return hint if math.isfinite(hint) and hint != 0.0 else None
+
+
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
     """Maximum-likelihood delay as a bracketed root of the score.
 
@@ -423,11 +401,11 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     holds at most one root.  The brackets, marked intervals and whole clean
     runs, are refined together by safeguarded Newton steps on the curvature
     (:func:`_newton`, :func:`_refine`), the one that holds the first-order
-    hint starting at the hint, and the root with the highest likelihood
-    wins.  The counted bins are prepared once per solve; frequency-dependent
-    weak values stay inside the bin sums.  Real weak values (an even
-    likelihood) give the nonnegative member of the mirror pair, with a
-    caveat.
+    hint (:func:`_hint`) starting at the hint, and the root with the
+    highest likelihood wins.  The counted bins are prepared once per solve;
+    frequency-dependent weak values stay inside the bin sums.  Real weak
+    values (an even likelihood) give the nonnegative member of the mirror
+    pair, with a caveat.
 
     The diagnostics read the score, its curvature and its scale at the
     root: ``bracket_width`` is the width of the scored pair it was refined
@@ -439,10 +417,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     """
     lo, hi = DEFAULT_BRACKET
     prepared = prepare_likelihood(record, weak_values)
-    try:
-        hint = general_first_order(record, weak_values)
-    except ModelError:
-        hint = None
+    hint = _hint(prepared)
 
     for expansion in range(4):
         if expansion:
@@ -592,7 +567,7 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
 
     The coefficients e + d g + c g^2 + b g^3 + a g^4 are the first five
     terms of the series of :class:`_ScoreSeries`, so the quartic agrees with
-    :func:`likelihood_equation_residual` through g^4 and its ratio -e/d is
+    the rationalized score N/D through g^4 and its ratio -e/d is
     :func:`general_first_order`.  Requires frequency-independent weak
     values.  The root nearest the hint -e/d wins; the polynomial is
     rescaled by |hint| (1e-18 s when the hint is zero or not finite) before

@@ -259,6 +259,13 @@ class SweepRow:
     warnings: tuple[str, ...] = ()
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """DomainError naming the first non-finite entry of ``values``."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise DomainError(f"{name} = {float(bad[0])!r} is not finite")
+
+
 def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig) -> list[SweepRow]:
     """Reproduce the tilt-sweep comparison of estimators against theory.
 
@@ -268,11 +275,13 @@ def sweep_theta(thetas, stack: PlateStack, config: ExperimentConfig) -> list[Swe
     (the caveat as data, not a Python warning).  The record is estimated
     with the exact solver and the first-order formula, plus the
     balanced-postselection shortcut ``jwm_simplified`` when the
-    configuration is balanced, phi_actual within 0.35 rad of pi/2.
+    configuration is balanced, phi_actual within 0.35 rad of pi/2.  An
+    empty or non-finite theta list raises DomainError before any simulation.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.size == 0:
         raise DomainError("theta list must be nonempty")
+    _require_finite(thetas, "theta")
     methods = [Method.EXACT, Method.FIRST_ORDER]
     if abs(config.phi_actual - np.pi / 2) < 0.35:
         methods.append(Method.JWM_SIMPLIFIED)
@@ -317,7 +326,8 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     noise-free configuration (``photons`` 0) has one error per point, the
     first-order bias on the expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
-    +inf.  ``trials`` must lie in [30, :data:`MAX_TRIALS`].
+    +inf.  ``trials`` must lie in [30, :data:`MAX_TRIALS`] and every alpha
+    be finite and positive, else DomainError before any simulation.
     """
     if trials < 30:
         raise DomainError("at least 30 trials per point are required")
@@ -326,6 +336,7 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if alphas.size == 0 or len(phi_assumed_list) == 0:
         raise DomainError("alpha and phi lists must be nonempty")
+    _require_finite(alphas, "alpha")
     if np.any(alphas <= 0):
         raise DomainError("alpha values must be positive (alpha = 0 is excluded)")
     omega0 = config.source.omega0

@@ -11,8 +11,7 @@ from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        SolverError, SourceConfig, Spectrum, WeakValuePair,
                        default_dispersive_qwp, estimate, first_order,
                        general_first_order, ideal_weak_values,
-                       jwm_simplified, likelihood_equation_residual,
-                       likelihood_profile, log_likelihood,
+                       jwm_simplified, likelihood_profile, log_likelihood,
                        pooled_variance, port_projections, prepare_likelihood,
                        quartic, record_moments, score_curvature, score_residual,
                        simulate, solve_exact, strubi_reference, wva_first_order,
@@ -116,7 +115,7 @@ class TestArrayEvaluation:
         wv = port_projections(phi, rec.omega, qwp)[0]
         gs = np.concatenate([[0.0], np.linspace(-3e-17, 3e-17, 21), [1e-17]])
         prepared = prepare_likelihood(rec, wv)
-        for fn in (log_likelihood, score_residual, likelihood_equation_residual):
+        for fn in (log_likelihood, score_residual):
             got = fn(gs, rec, wv)
             want = np.array([self._scalar(fn, g, rec, wv) for g in gs])
             assert got.shape == gs.shape
@@ -259,7 +258,7 @@ class TestPortWeakValues:
     @staticmethod
     def _fields(p):
         return [(f.dtype, f.shape, f.tobytes())
-                for f in (p.omega, p.q, p.qw, p.aw, *p.terms, *p.form)]
+                for f in (p.omega, p.q, p.qw, *p.terms, *p.form)]
 
     @staticmethod
     def _solve(rec, wv):
@@ -321,44 +320,55 @@ class TestCandidateLadder:
 
 
 class TestRationalResidual:
+    """The rationalized series behind the truncated estimators against the
+    exact score: through first order in g it is half the score, so
+    -score(0) / curvature(0), the solver's hint, is general_first_order."""
+
     def test_zero_at_zero_delay_symmetric_record(self, jwm_wv):
         rec = record_at(PHI_JWM, 0.0)
-        scale = OMEGA0  # residual scale of one fully unbalanced event
-        assert abs(likelihood_equation_residual(0.0, rec, jwm_wv)) < 1e-12 * scale
+        scale = OMEGA0  # score scale of one fully unbalanced event
+        assert abs(score_residual(0.0, rec, jwm_wv)) < 1e-12 * scale
 
     def test_residual_at_zero_equals_linear_coefficient(self, jwm_record, jwm_wv):
         (e1,), (e2,) = _ScoreSeries(jwm_record.omega, jwm_wv, 0)(jwm_record.port1.weights,
                                                                   jwm_record.port2.weights)
-        res0 = likelihood_equation_residual(0.0, jwm_record, jwm_wv)
-        assert res0 == pytest.approx(e1 + e2, rel=1e-12)
+        res0 = score_residual(0.0, jwm_record, jwm_wv)
+        assert res0 == pytest.approx(2.0 * (e1 + e2), rel=1e-12)
 
     def test_sign_change_brackets_truth(self, jwm_record, jwm_wv):
         tau = 1e-17
-        lo = likelihood_equation_residual(0.8 * tau, jwm_record, jwm_wv)
-        hi = likelihood_equation_residual(1.2 * tau, jwm_record, jwm_wv)
+        lo = score_residual(0.8 * tau, jwm_record, jwm_wv)
+        hi = score_residual(1.2 * tau, jwm_record, jwm_wv)
         assert lo > 0 > hi
 
     def test_first_order_nearly_zeroes_residual(self, jwm_record, jwm_wv):
         est = first_order(jwm_record, PHI_JWM).tau_hat
-        r_fo = likelihood_equation_residual(est, jwm_record, jwm_wv)
-        r_0 = likelihood_equation_residual(0.0, jwm_record, jwm_wv)
+        r_fo = score_residual(est, jwm_record, jwm_wv)
+        r_0 = score_residual(0.0, jwm_record, jwm_wv)
         assert abs(r_fo) < 1e-2 * abs(r_0)
 
-    def test_warns_outside_weak_regime(self):
-        # pick a (phi, g) where max g*omega > 0.5 but every quadratic
-        # denominator is still positive, so only the warning fires
-        rec = record_at(0.5, 0.0)
-        with pytest.warns(UserWarning):
-            likelihood_equation_residual(3e-16, rec, ideal_weak_values(0.5))
-
-    def test_model_error_in_forbidden_band(self):
-        # for strongly unbalanced postselection the quadratic denominator of
-        # the dark port crosses zero near g w = tan(phi/2)
-        rec = record_at(PHI_WVA, 1e-17)
-        wv = ideal_weak_values(PHI_WVA)
-        g_band = np.tan(PHI_WVA / 2) / OMEGA0
-        with pytest.raises(ModelError):
-            likelihood_equation_residual(g_band, rec, wv)
+    @pytest.mark.parametrize("photons", [0, 100_000, 10_000_000])
+    @pytest.mark.parametrize("plate", ["ideal", "dispersive", "absent"])
+    def test_newton_step_from_zero_is_general_first_order(self, plate, photons):
+        qwp = {"ideal": QwpModel(), "dispersive": default_dispersive_qwp(),
+               "absent": QwpModel(variant="absent")}[plate]
+        rng = np.random.default_rng(photons + len(plate))
+        for seed in range(3):
+            phi = rng.uniform(0.02, np.pi - 0.02)
+            tau = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-19, -16)
+            rec = simulate(ExperimentConfig(phi_actual=phi, tau_true=tau, photons=photons,
+                                            qwp=qwp, seed=seed))
+            wv = port_projections(phi, rec.omega, qwp)[0]
+            p = prepare_likelihood(rec, wv)
+            score, curvature, _ = score_curvature(0.0, p)
+            if plate == "absent":
+                # real weak values: the score is odd in g, and the solver
+                # takes no hint
+                assert score == 0.0 and est._hint(p) is None
+                continue
+            assert -score / curvature == pytest.approx(general_first_order(rec, wv),
+                                                       rel=1e-12, abs=0)
+            assert est._hint(p) == -score / curvature
 
 
 def _descending(vals):
@@ -372,10 +382,7 @@ def _scan(rec, wv):
     """A solve's first ladder scan: (prepared record, first-order hint,
     ladder, scored candidates, their scores)."""
     p = prepare_likelihood(rec, wv)
-    try:
-        hint = general_first_order(rec, wv)
-    except ModelError:
-        hint = None
+    hint = est._hint(p)
     cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
     return (p, hint, cands, *est._ladder_scores(cands, p))
 
@@ -505,8 +512,7 @@ class TestRisingBands:
         # 1e-17 s one of this record scores -0.5), so the score is replaced
         # by c_j - g, exactly 0 at candidate j and falling, and then by 0
         p = prepare_likelihood(jwm_record, jwm_wv)
-        cands = est._candidate_ladder(*est.DEFAULT_BRACKET,
-                                      general_first_order(jwm_record, jwm_wv))
+        cands = est._candidate_ladder(*est.DEFAULT_BRACKET, est._hint(p))
         for j in range(cands.size):
             monkeypatch.setattr(est, "score_residual", lambda g, _, root=cands[j]: root - g)
             points, vals = est._ladder_scores(cands, p)
@@ -632,7 +638,7 @@ class TestSolveExact:
         res = est.solve_exact(jwm_record, jwm_wv)
         assert [name for name, _ in calls].count("prepare") == 1
         # the scan scores the ladder in at most two calls, on distinct candidates
-        hint = general_first_order(jwm_record, jwm_wv)
+        hint = est._hint(prepare_likelihood(jwm_record, jwm_wv))
         self._scans([g for name, g in calls if name == "score_residual"],
                     [est._candidate_ladder(*est.DEFAULT_BRACKET, hint)])
         assert [g.size for name, g in calls if name == "log_likelihood"] == \
@@ -678,7 +684,7 @@ class TestSolveExact:
         monkeypatch.setattr(est, "score_residual", counting)
         res = est.solve_exact(rec, ideal_weak_values(0.3))
         assert res.tau_hat == pytest.approx(tau, rel=1e-6, abs=0)
-        hint = general_first_order(rec, ideal_weak_values(0.3))
+        hint = est._hint(prepare_likelihood(rec, ideal_weak_values(0.3)))
         lo, hi = est.DEFAULT_BRACKET
         self._scans(calls, [est._candidate_ladder(lo * f, hi * f, hint) for f in (1.0, 10.0)])
 
@@ -830,7 +836,18 @@ class TestQuartic:
         aw_max = max(abs(wv.aw1), abs(wv.aw2))
         h = 0.05 / (rec.omega.max() * (aw_max + 1.0))
         t = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
-        vals = [likelihood_equation_residual(h * ti, rec, wv) for ti in t]
+
+        def rational(g):
+            # sum Q w N/D at x = g w: N = Im A + u2 x - u1 x^2,
+            # D = 1 + u1 x + u2 x^2, u1 = 2 Im A, u2 = |A|^2 - 1
+            total, x = 0.0, g * rec.omega
+            for q, aw in ((rec.port1.weights, wv.aw1), (rec.port2.weights, wv.aw2)):
+                u1, u2 = 2.0 * aw.imag, abs(aw) ** 2 - 1.0
+                total += np.sum(q * rec.omega * (aw.imag + u2 * x - u1 * x * x)
+                                / (1.0 + u1 * x + u2 * x * x))
+            return total
+
+        vals = [rational(h * ti) for ti in t]
         taylor = np.polynomial.polynomial.polyfit(t, vals, 10)[:5] / h ** np.arange(5)
         p1, p2 = _ScoreSeries(rec.omega, wv, 4)(rec.port1.weights, rec.port2.weights)
         coeffs = (p1 + p2).tolist()
@@ -1098,8 +1115,7 @@ class TestEstimatorFamilyProperties:
         # estimating function may even accept one
         for fn in (solve_exact, quartic, first_order, jwm_simplified,
                    strubi_reference, wva_first_order, wva_mean_shift,
-                   general_first_order, log_likelihood,
-                   likelihood_equation_residual, score_residual):
+                   general_first_order, log_likelihood, score_residual):
             params = set(inspect.signature(fn).parameters)
             assert not params & {"source", "source_spectrum", "p0"}, fn.__name__
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,26 @@ class TestSweepTheta:
     def test_empty_theta_list_rejected(self, stack):
         with pytest.raises(DomainError):
             sweep_theta([], stack, noise_free_config(PHI_JWM, 0.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("sweep", ["snr_sweep", "sweep_theta"])
+def test_non_finite_sweep_values_rejected_before_simulating(sweep, value, stack, monkeypatch):
+    # a NaN passes alpha <= 0, and an inf alpha reached zeta's tangent
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated a non-finite sweep value")
+
+    monkeypatch.setattr(simulator, "simulate", simulating)
+    monkeypatch.setattr(simulator, "expected_record", simulating)
+    cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
+    name = "alpha" if sweep == "snr_sweep" else "theta"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{name} = {value!r} is not finite"):
+            if sweep == "snr_sweep":
+                snr_sweep([0.01, value], PHI_WVA, [PHI_WVA], 30, cfg)
+            else:
+                sweep_theta([0.0, value], stack, cfg)
 
 
 def explicit_loop_snr(cfg, alphas, phis, trials):
