@@ -84,8 +84,9 @@ stacked as one set of columns (port 1 first): w, Q, Q w, the bin's zeta
 terms and the slope form of the score.  The terms and the slope form are
 computed once per weak value: when both ports' weak values are scalars
 (an ideal or absent plate), once per port and gathered to the columns by
-port; for per-bin weak values, once per column.  The profile's
-:func:`_take` slices every field alike.  The bins left out weigh at most
+port; for per-bin weak values, once per column.  The profile's recursion
+reads only w, q and the zeta terms floor, u and v (:class:`Columns`),
+and :func:`_take` slices every field alike.  The bins left out weigh at most
 eps sum Q together, so their terms add at most eps sum Q max |log zeta|
 to the likelihood, the order of the rounding of the sum itself.  On a
 count record they are exactly the bins without counts; on a noise-free
@@ -465,6 +466,20 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
     return Prepared(w, q, q * w, terms, slope_form(terms))
 
 
+class Columns(NamedTuple):
+    """What the profile's recursion reads of a prepared record: w, q and
+    the zeta terms floor, u and v, which are also its ``terms``."""
+
+    omega: np.ndarray
+    q: np.ndarray
+    floor: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    rows = Prepared.rows
+    terms = property(lambda self: self)
+
+
 def _take(p: tuple, keep) -> tuple:
     """The columns ``keep`` (a mask or indices) of a prepared record, or of
     its zeta terms or slope form: every field is sliced alike."""
@@ -546,11 +561,17 @@ def score_curvature_rows(x, work, p: Prepared) -> np.ndarray:
 
 
 def profile(g0: float, dg: float, n_g: int, omega, q1, q2, aw1, aw2) -> np.ndarray:
-    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g."""
+    """Source-free log-likelihood on the uniform grid g0 + k*dg, k < n_g.
+
+    The nulls are taken from the prepared record's slope form; the
+    recursion gets only the :class:`Columns` it reads.
+    """
     p = prepare(omega, q1, q2, aw1, aw2)
+    nulls = _nulls(p.form)
+    columns = Columns(p.omega, p.q, p.terms.floor, p.terms.u, p.terms.v)
     out = np.zeros(int(n_g))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _bisect(0, out.size, p, _nulls(p.form), np.arange(p.q.size),
+        _bisect(0, out.size, columns, nulls, np.arange(p.q.size),
                 (np.arange(0), np.empty(0)), float(g0), float(dg), out, np.empty(out.size))
     return out
 
@@ -611,7 +632,7 @@ def _bernstein(d, offset, half) -> np.ndarray:
     return s + np.sqrt(s * s - 1.0)
 
 
-def _bisect(lo: int, hi: int, p: Prepared, nulls, zetas, kernels, g0: float, dg: float,
+def _bisect(lo: int, hi: int, p: Columns, nulls, zetas, kernels, g0: float, dg: float,
             out: np.ndarray, scratch: np.ndarray) -> None:
     """Add the zeta columns ``zetas`` and the kernel columns ``kernels`` of
     ``p`` to the grid range [lo, hi) of the output.
@@ -684,12 +705,12 @@ def _bisect(lo: int, hi: int, p: Prepared, nulls, zetas, kernels, g0: float, dg:
         _near(lo, hi, _take(p, kernels[0]), kernels[1], nulls[1, kernels[0]], g0, dg, out)
 
 
-def _exact(lo: int, hi: int, p: Prepared, g0: float, dg: float, out: np.ndarray) -> None:
+def _exact(lo: int, hi: int, p: Columns, g0: float, dg: float, out: np.ndarray) -> None:
     """Add sum q log zeta over the columns of ``p`` to out[lo:hi]."""
     out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg, _log_rows)
 
 
-def _near(lo: int, hi: int, p: Prepared, centre, offset, g0: float, dg: float,
+def _near(lo: int, hi: int, p: Columns, centre, offset, g0: float, dg: float,
           out: np.ndarray) -> None:
     """Add the kernels sum q log((x - centre)^2 + offset^2) over the columns
     of ``p`` to out[lo:hi]: subtract, square, add and log per element."""
@@ -740,7 +761,7 @@ def _split_rows(zetas: int, splits: int, centre, offset):
     return rows
 
 
-def _interpolate(lo: int, hi: int, p: Prepared, nodes: int, g0: float, dg: float,
+def _interpolate(lo: int, hi: int, p: Columns, nodes: int, g0: float, dg: float,
                  out: np.ndarray, scratch: np.ndarray, row_values=_log_rows) -> None:
     """Add the columns of ``p``, as ``row_values`` reads them (sum q log
     zeta with the default :func:`_log_rows`), to out[lo:hi] from their

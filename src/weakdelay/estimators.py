@@ -138,16 +138,17 @@ class _ScoreSeries:
     sum_w Q_j w^(k+1) sum_i n_i r_(k-i), with 1/D = sum_k r_k x^k: r_0 = 1,
     r_1 = -u1, r_k = -u1 r_(k-1) - u2 r_(k-2).  The weights depend on the
     grid and the weak values only (per bin for dispersive ones), so each
-    port's are built once as an (order + 1) x bins matrix; calling the
-    table on a record's port counts (q1, q2) is one matrix-vector product
-    per port.  Zero-count bins add nothing, so every bin is summed unmasked.
-    A weight or coefficient that overflows (a large weak value at a high
-    order) reads inf or NaN, which its callers reject.
+    port's are built once as an (order + 1) x bins matrix, and so is the
+    flag of real weak values; calling the table on a record's port counts
+    (q1, q2) is one matrix-vector product per port, after the record's one
+    check, that it holds events.  Zero-count bins add nothing, so every bin
+    is summed unmasked.  A weight or coefficient that overflows (a large
+    weak value at a high order) reads inf or NaN, which its callers reject.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, omega: np.ndarray, weak_values: WeakValuePair, order: int):
-        self.weak_values = weak_values
+        self.real = weak_values.is_real()
         powers = omega ** np.arange(1.0, order + 2)[:, None]
         self.weights = []
         for aw in (weak_values.aw1, weak_values.aw2):
@@ -166,21 +167,30 @@ class _ScoreSeries:
         _require_events(q1, q2)
         return self.weights[0] @ q1, self.weights[1] @ q2
 
+    @np.errstate(over="ignore", invalid="ignore")
     def first_order(self, q1: np.ndarray, q2: np.ndarray) -> float:
-        """:func:`general_first_order` of the counts (q1, q2): -c0/c1 after its checks.
+        """-c0/c1 of the counts (q1, q2), which must hold events: the step
+        of :func:`general_first_order`, which checks that, and of the Monte
+        Carlo trials, whose draws hold events by construction.
 
-        Monte Carlo loops use it to estimate sampled counts without
-        building a record per trial.
+        One product per port, then Python floats: coefficients that are not
+        finite, a c1 within roundoff (64 eps) of its two port terms, real
+        weak values (c0 is then exactly 0) and a ratio that is not finite
+        are rejected.
         """
-        (a0, a1, *_), (b0, b1, *_) = self(q1, q2)
+        a0, a1, *_ = (self.weights[0] @ q1).tolist()
+        b0, b1, *_ = (self.weights[1] @ q2).tolist()
         c0, c1 = a0 + b0, a1 + b1
         if not (math.isfinite(c0) and math.isfinite(c1)):
             raise DegenerateRecordError("first-order coefficients are not finite")
         if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
             raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
-        if c0 == 0 and self.weak_values.is_real():
+        if c0 == 0 and self.real:
             raise DegenerateRecordError("real weak values: the constant score term vanishes")
-        return EstimationResult(tau_hat=float(-c0 / c1), method=Method.FIRST_ORDER).tau_hat
+        tau = -c0 / c1
+        if not math.isfinite(tau):
+            raise SolverError(f"estimator {Method.FIRST_ORDER} produced non-finite tau")
+        return tau
 
 
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
@@ -272,7 +282,10 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
         raise DomainError(f"profile grid [{g_lo}, {g_hi}] overflows its step or phase")
     (q1, aw1), (q2, aw2) = _ports(record, weak_values)
     values = _kernels.profile(g_lo, dg, n, record.omega, q1, q2, aw1, aw2)
-    return g_lo + dg * np.arange(n), values
+    grid = np.arange(n, dtype=float)
+    grid *= dg
+    grid += g_lo
+    return grid, values
 
 
 def general_first_order(record: MeasurementRecord,
@@ -285,10 +298,14 @@ def general_first_order(record: MeasurementRecord,
     terms, as real weak values give on a zero-delay record, is degenerate,
     and so are real weak values, whose c0 is exactly 0 whatever the delay,
     and coefficients that overflow (|A|^2 w^2 past the float range).  A
-    non-finite ratio raises SolverError.
+    non-finite ratio raises SolverError.  The record's one check, that it
+    holds events, runs here; the coefficients' checks run in the table's
+    step, :meth:`_ScoreSeries.first_order`, which the Monte Carlo trials
+    share.
     """
-    return _ScoreSeries(record.omega, weak_values, 1).first_order(record.port1.weights,
-                                                                  record.port2.weights)
+    q1, q2 = record.port1.weights, record.port2.weights
+    _require_events(q1, q2)
+    return _ScoreSeries(record.omega, weak_values, 1).first_order(q1, q2)
 
 
 #: The hint window of the candidate ladder, as multiples of the hint.

@@ -17,6 +17,7 @@ package; see the README.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -321,14 +322,20 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     first-order score table (every alpha shares the source grid).  Trial
     k of point (ia, ip) is then a draw with the generator
     ``default_rng((seed, ia, ip, k))``, as ``simulate`` would make it, and
-    the table's products with the drawn counts: the same delay as
-    ``first_order(simulate(...), phi)``, with no record built.  A
+    the table's step (:meth:`_ScoreSeries.first_order`) on the drawn
+    counts: the same delay as ``first_order(simulate(...), phi)``, with no
+    record built.  A trial checks no record: a multinomial draw holds
+    ``photons`` events and an empty Poisson draw raises ModelError.  A
     noise-free configuration (``photons`` 0) has one error per point, the
     first-order bias on the expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
-    +inf.  ``trials`` must lie in [30, :data:`MAX_TRIALS`] and every alpha
-    be finite and positive, else DomainError before any simulation.
+    +inf.  ``trials`` must be an integer in [30, :data:`MAX_TRIALS`] and
+    every alpha finite and positive, else DomainError before any simulation.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got {trials!r}") from None
     if trials < 30:
         raise DomainError("at least 30 trials per point are required")
     if trials > MAX_TRIALS:

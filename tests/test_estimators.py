@@ -958,6 +958,35 @@ class TestFirstOrder:
         with pytest.raises(DegenerateRecordError, match="real weak values"):
             general_first_order(rec, wv)
 
+    # one bin at w = 2e15 rad/s per port: the weak values and counts each
+    # reach one rejection of the step; "ratio" sets c0 = 1e300, c1 = 1e-300
+    @pytest.mark.parametrize("aw, q, weights, error, message", [
+        ((1e150j, -1j), (1.0, 1.0), None, DegenerateRecordError,
+         "first-order coefficients are not finite"),
+        ((2.0, 0.0), (1.0, 3.0), None, DegenerateRecordError,
+         "degenerate record: linear score coefficient vanishes"),
+        ((2.0, 0.0), (1.0, 1.0), None, DegenerateRecordError,
+         "real weak values: the constant score term vanishes"),
+        ((1j, -1j), (1.0, 0.0), ([[1e300], [1e-300]], [[0.0], [0.0]]), SolverError,
+         "estimator Method.FIRST_ORDER produced non-finite tau"),
+    ], ids=["non_finite_coefficients", "vanishing_linear_coefficient", "real_weak_values",
+            "non_finite_ratio"])
+    def test_step_rejections(self, aw, q, weights, error, message):
+        table = _ScoreSeries(np.array([2e15]), WeakValuePair(*aw), 1)
+        if weights is not None:
+            table.weights = [np.array(w) for w in weights]
+        with pytest.raises(error) as raised:
+            table.first_order(np.array([q[0]]), np.array([q[1]]))
+        assert str(raised.value) == message
+
+    def test_general_form_rejects_an_empty_record(self, jwm_wv):
+        grid = np.linspace(700.0, 860.0, 11)
+        empty = MeasurementRecord(port1=Spectrum(grid, np.zeros(11)),
+                                  port2=Spectrum(grid, np.zeros(11)), total_events=0)
+        with pytest.raises(DegenerateRecordError) as raised:
+            general_first_order(empty, jwm_wv)
+        assert str(raised.value) == "record holds no events"
+
 
 class TestJwmSimplified:
     def test_zero_delay(self):
@@ -1345,6 +1374,13 @@ class TestDiagnostics:
         with pytest.raises(DomainError):
             likelihood_profile(jwm_record, jwm_wv, g_lo, g_hi, n)
 
+    @pytest.mark.parametrize("n", [1000, 12345, 100_000])
+    def test_profile_grid_is_the_uniform_formula(self, jwm_record, jwm_wv, n):
+        g_lo, g_hi = -3.7e-18, 2.1e-17
+        grid, _ = likelihood_profile(jwm_record, jwm_wv, g_lo, g_hi, n)
+        want = g_lo + (g_hi - g_lo) / (n - 1) * np.arange(n)
+        assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+
 
 class TestProfileNulls:
     """The profile's complex zeta zeros, read from each column's slope form."""
@@ -1525,6 +1561,7 @@ class TestProfileSeries:
 
         monkeypatch.setattr(_kernels, "_interpolate", counting_interpolate)
         monkeypatch.setattr(_kernels.Prepared, "rows", sampling_rows)
+        monkeypatch.setattr(_kernels.Columns, "rows", sampling_rows)
         monkeypatch.setattr(_kernels, "_chop", capturing_chop)
         monkeypatch.setattr(_kernels, "_chebyshev", capturing_chebyshev)
         monkeypatch.setattr(_kernels, "_clenshaw", counting_clenshaw)

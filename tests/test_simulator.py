@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakdelay import (DomainError, ExperimentConfig, ModelError,
-                       SourceConfig, alpha_min, default_dispersive_qwp,
-                       default_quartz_stack, first_order, make_source,
+from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
+                       ModelError, QwpModel, SourceConfig, alpha_min,
+                       default_dispersive_qwp, default_quartz_stack,
+                       first_order, make_source,
                        pivot_delay, postselection_probabilities_exact,
                        resolution_factor, simulate, snr_sweep, sweep_theta,
                        wva_uncertainty)
@@ -208,17 +209,22 @@ class TestSnrSweep:
         assert len(pts_a) == 4
         assert [p.snr_db for p in pts_a] == [p.snr_db for p in pts_b]
 
-    def test_equals_explicit_loop_of_simulate(self):
+    @pytest.mark.parametrize("qwp", [QwpModel(), default_dispersive_qwp()],
+                             ids=["ideal", "dispersive"])
+    def test_equals_explicit_loop_of_simulate(self, qwp):
         # one forward model per alpha must draw exactly what a fresh
-        # simulate per trial draws from the same substream
-        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
+        # simulate per trial draws from the same substream; a dispersive
+        # actual analyzer pins per-bin weak values too
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, qwp=qwp,
                                photons=100_000, seed=5, noise="poisson")
         alphas, phis, trials = [0.004, 0.012], [PHI_WVA, 0.05], 30
         pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
         assert [p.snr_db for p in pts] == explicit_loop_snr(cfg, alphas, phis, trials)
 
-    def test_multinomial_equals_explicit_loop_of_simulate(self):
-        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
+    @pytest.mark.parametrize("qwp", [QwpModel(), default_dispersive_qwp()],
+                             ids=["ideal", "dispersive"])
+    def test_multinomial_equals_explicit_loop_of_simulate(self, qwp):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, qwp=qwp,
                                photons=200_000, seed=11)
         alphas, phis, trials = [0.003, 0.015], [PHI_WVA, 0.06], 30
         pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
@@ -248,6 +254,34 @@ class TestSnrSweep:
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
         with pytest.raises(DomainError):
             snr_sweep([0.005], PHI_WVA, [PHI_WVA], 10, cfg)
+
+    @pytest.mark.parametrize("trials", [30.0, 30.5, "30", None])
+    @pytest.mark.parametrize("photons", [0, 1000])
+    def test_non_integer_trials_rejected_before_simulating(self, trials, photons, monkeypatch):
+        # 30.0 and 30.5 reached np.empty (or, noise-free, the returned
+        # points); "30" and None failed the comparison with 30
+        def simulating(*args, **kwargs):
+            raise AssertionError("simulated with non-integer trials")
+
+        monkeypatch.setattr(simulator, "_sampler", simulating)
+        monkeypatch.setattr(simulator, "expected_record", simulating)
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=photons)
+        with pytest.raises(DomainError) as raised:
+            snr_sweep([0.005], PHI_WVA, [PHI_WVA], trials, cfg)
+        assert str(raised.value) == f"trials must be an integer, got {trials!r}"
+
+    def test_integer_like_trials_is_an_int(self):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000, seed=4)
+        point, = snr_sweep([0.005], PHI_WVA, [PHI_WVA], np.int64(30), cfg)
+        assert point.trials == 30 and type(point.trials) is int
+
+    def test_overflowing_coefficients_raise_on_the_first_trial(self):
+        # cot^2(phi/2) w^2 times ~1e10 dark-port events passes the float
+        # range; the CLI rejects such a flag before it gets here
+        cfg = ExperimentConfig(phi_actual=0.5, tau_true=0.0, photons=10**10, seed=1)
+        with pytest.raises(DegenerateRecordError) as raised:
+            snr_sweep([0.005], 0.5, [2e-135], 30, cfg)
+        assert str(raised.value) == "first-order coefficients are not finite"
 
     def test_noise_free_point_is_the_first_order_bias(self, monkeypatch):
         # photons 0: every trial would draw the expected counts, so each
