@@ -39,8 +39,10 @@ and S = tan(x - p),
     d log zeta / dx = gain S / (S^2 + ratio),   gain = 2 (u^2 + v^2) / top,
 
 which is 2 cot(x - p) for floor = 0: one tangent and cheap passes per
-element (:func:`log_slope`), with the phase and both factors derived once
-per prepared record (:func:`slope_form`).  Every term of the denominator
+element (:func:`_tangent`, which both score row functions call), with the
+phase and both factors derived once per prepared record
+(:func:`slope_form`), as are the weights gain Q w of the score and gain
+Q w^2 of its curvature (:func:`prepare`).  Every term of the denominator
 is nonnegative, so the value is as exact as S, whose one extra rounding is
 that of the phase x - p: eps |x - p| / 2 and a few eps from p.  Next to
 the peak m = p +- pi/2 of a column that rounding is large against the
@@ -80,8 +82,9 @@ so the screen is wide enough up to |x| = 8e6 rad.
 
 Prepared record: :func:`prepare`, the one constructor of :class:`Prepared`,
 keeps the bins of both ports whose weight Q exceeds eps sum Q / (2 bins),
-stacked as one set of columns (port 1 first): w, Q, Q w, the bin's zeta
-terms and the slope form of the score.  The terms and the slope form are
+stacked as one set of columns (port 1 first): w, Q, the score weight
+gain Q w and the curvature weight gain Q w^2, the bin's zeta terms and the
+slope form of the score.  The terms and the slope form are
 computed once per weak value: when both ports' weak values are scalars
 (an ideal or absent plate), once per port and gathered to the columns by
 port; for per-bin weak values, once per column.  The profile's recursion
@@ -202,8 +205,8 @@ which a Chebyshev point there would spread over the range.  The kernel
 goes on as a column of its own with its one zero x0 + i eta: it is
 interpolated like any column on the stretches of grid away from x0 and
 evaluated exactly only on the final ranges around it, by a subtraction, a
-square, an addition and a log per element (:func:`_near`) in place of
-zeta's tangent, log and nine other passes.  x0 is the null phase plus k
+square, an addition and a log per element (:func:`_split_rows`) in place
+of zeta's tangent, log and nine other passes.  x0 is the null phase plus k
 pi: a zero reduced about the range's centre is off by that reduction's
 rounding, about eps pi, which moves the column's null (kernel and regular
 part add up to zeta about x0) and left 1.0e-13 sum q on the 40 records
@@ -220,10 +223,12 @@ columns that are smooth on it (a column's rho only grows on a subrange).
 So exact work stays on the stretch of grid around each column's null:
 none on a balanced record over [0, 2 tau], about 0.1-1% of the grid
 points x columns on an unbalanced one whose range holds the dark port's
-nulls, and all of it on kernels.  A final range evaluates its kernels with
-:func:`_near` and its zeta columns (two zeros near, or all of a range of
-no more points than nodes) with the row function that samples the smooth
-ones, :func:`_log_rows` through :meth:`Prepared.rows`.  Every zeta is kept
+nulls, and all of it on kernels.  A final range evaluates its zeta
+columns (two zeros near, or all of a range of no more points than nodes)
+and its kernels in one :meth:`Prepared.rows` call, through the row
+function :func:`_split_rows` that samples split ranges, with no split
+columns: log zeta by :func:`_log_rows`, the row function that samples the
+smooth ones, and the kernels by their log.  Every zeta is kept
 at or above ``_Z_FLOOR``, and so is each kernel's eta^2, so a grid point
 on a likelihood singularity reads finite and far below its neighbours,
 never as -inf or as the largest.
@@ -363,7 +368,7 @@ class SlopeForm(NamedTuple):
 
 
 def slope_form(terms: ZetaTerms) -> SlopeForm:
-    """Per column: the reference phase of :func:`log_slope` and its two factors.
+    """Per column: the reference phase of :func:`_tangent` and its two factors.
 
     With top = floor + u^2 + v^2 and ratio = floor / top, the reference is
     the null phase p = atan(-u / v), where A = S = tan(x - p), level =
@@ -387,30 +392,14 @@ def slope_form(terms: ZetaTerms) -> SlopeForm:
                      np.where(at_peak, -2.0, 2.0) * radius2 / scale)
 
 
-def log_slope(x, form: SlopeForm, weight, out):
-    """weight d log zeta / dx at phase x = g w, and its denominator A^2 + level.
-
-    With A = tan(x - phase), d log zeta / dx = gain A / (A^2 + level) (see
-    :func:`slope_form`).  ``out``, two float arrays of x's shape, takes the
-    two results; x is left as it is.
-    """
-    a, den = out
-    np.subtract(x, form.phase, out=a)
-    np.tan(a, out=a)
-    np.square(a, out=den)
-    den += form.level
-    a /= den
-    a *= form.gain * weight
-    return a, den
-
-
 class Prepared(NamedTuple):
-    """Counted bins of both ports as columns: w, q, q w, zeta terms and the
-    score's slope form."""
+    """Counted bins of both ports as columns: w, q, the score weight gain q w
+    and the curvature weight gain q w^2, zeta terms and the score's slope form."""
 
     omega: np.ndarray
     q: np.ndarray
-    qw: np.ndarray
+    score_weight: np.ndarray
+    curvature_weight: np.ndarray
     terms: ZetaTerms
     form: SlopeForm
 
@@ -442,8 +431,9 @@ class Prepared(NamedTuple):
 
 
 def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
-    """The counted bins of both ports, stacked as columns with their zeta
-    terms and slope form; the one place a record's bins are masked.
+    """The counted bins of both ports, stacked as columns with the score
+    and curvature weights, zeta terms and slope form; the one place a
+    record's bins are masked.
 
     A bin is counted when its weight exceeds eps sum(q) / q.size over both
     ports, so the bins left out weigh at most eps sum(q) together.  On the
@@ -457,13 +447,14 @@ def prepare(omega, q1, q2, aw1, aw2) -> Prepared:
     if np.ndim(aw1) == np.ndim(aw2) == 0:
         # one weak value per port: its terms are gathered to the columns
         aw = np.concatenate([np.broadcast_to(a, (1,)) for a in (aw1, aw2)])
-        terms = zeta_terms(aw)
-        form = slope_form(terms)
-        port = np.repeat([0, 1], omega.size)[live]
-        return Prepared(w, q, q * w, _take(terms, port), _take(form, port))
-    aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])[live]
+        entry = np.repeat([0, 1], omega.size)[live]
+    else:
+        aw = np.concatenate([np.broadcast_to(a, omega.shape) for a in (aw1, aw2)])[live]
+        entry = slice(None)
     terms = zeta_terms(aw)
-    return Prepared(w, q, q * w, terms, slope_form(terms))
+    form = _take(slope_form(terms), entry)
+    score_weight = form.gain * (q * w)
+    return Prepared(w, q, score_weight, score_weight * w, _take(terms, entry), form)
 
 
 class Columns(NamedTuple):
@@ -508,54 +499,61 @@ def log_likelihood_rows(x, work, p: Prepared) -> np.ndarray:
     return _singular(z.sum(axis=1), mask, -np.inf)
 
 
-def score_rows(x, work, p: Prepared) -> np.ndarray:
-    """sum q w d log zeta / dx per row of :meth:`Prepared.rows`, from each
-    column's null or peak phase (:func:`log_slope`); NaN where the
-    likelihood is -inf.
+def _tangent(x, work, p: Prepared):
+    """A = tan(x - phase) and its denominator den = A^2 + level per element
+    (see :func:`slope_form`), into work[0] and work[1], and the mask of the
+    counted bins on a model zero, or None when no den is at or below
+    ``_SCREEN``.
 
-    Only a block that holds a denominator A^2 + level at or below
-    ``_SCREEN`` can hold a model zero; its mask is taken from zeta itself,
-    the rule of :func:`log_likelihood_rows`.
+    Only a block that holds such a den can hold a model zero; its mask is
+    taken from zeta itself, the rule of :func:`log_likelihood_rows`, into
+    work[2], with x overwritten as scratch.
     """
-    s, den, mask = work
-    log_slope(x, p.form, p.qw, out=(s, den))
-    sums = s.sum(axis=1)
+    a, den, mask = work
+    np.subtract(x, p.form.phase, out=a)
+    np.tan(a, out=a)
+    np.square(a, out=den)
+    den += p.form.level
     if den.min() > _SCREEN:
-        return sums
-    return _singular(sums, _model_zeros(x, s, mask, p), np.nan)
+        return a, den, None
+    return a, den, _model_zeros(x, np.empty_like(x), mask, p)
+
+
+def score_rows(x, work, p: Prepared) -> np.ndarray:
+    """sum q w d log zeta / dx per row of :meth:`Prepared.rows`, gain A / den
+    times q w from each column's null or peak phase (:func:`_tangent`); NaN
+    where the likelihood is -inf."""
+    a, den, zeros = _tangent(x, work, p)
+    a /= den
+    a *= p.score_weight
+    sums = a.sum(axis=1)
+    return sums if zeros is None else _singular(sums, zeros, np.nan)
 
 
 def score_curvature_rows(x, work, p: Prepared) -> np.ndarray:
     """Per row of :meth:`Prepared.rows`: the score sum q w d log zeta / dx,
     bit for bit that of :func:`score_rows`, the curvature sum q w^2
     d^2 log zeta / dx^2 and the score's scale sum |q w d log zeta / dx|,
-    all from the one tangent A = tan(x - phase) per element; NaN rows
-    where the likelihood is -inf, found by the screen of :func:`score_rows`.
+    all from the one tangent of :func:`_tangent` per element; NaN rows
+    where the likelihood is -inf.
 
     The curvature term is gain (1 + A^2) (level - A^2) / (A^2 + level)^2
     (module docstring), with A^2 formed on its own so that neither factor
     loses digits to cancellation against level.
     """
-    a, den, mask = work
-    form = p.form
-    np.subtract(x, form.phase, out=a)
-    np.tan(a, out=a)
-    np.square(a, out=den)
-    den += form.level
-    zeros = _model_zeros(x, np.empty_like(x), mask, p) if den.min() <= _SCREEN else None
-    gain = form.gain * p.qw
+    a, den, zeros = _tangent(x, work, p)
     term = np.divide(a, den, out=x)
-    term *= gain
+    term *= p.score_weight
     out = np.empty((x.shape[0], 3))
     out[:, 0] = term.sum(axis=1)
     out[:, 2] = np.abs(term, out=term).sum(axis=1)
     sq = np.square(a, out=a)
-    np.subtract(form.level, sq, out=term)
+    np.subtract(p.form.level, sq, out=term)
     sq += 1.0
     term *= sq
     term /= den
     term /= den
-    term *= np.multiply(gain, p.omega, out=gain)
+    term *= p.curvature_weight
     out[:, 1] = term.sum(axis=1)
     return out if zeros is None else _singular(out, zeros, np.nan)
 
@@ -699,23 +697,8 @@ def _bisect(lo: int, hi: int, p: Columns, nulls, zetas, kernels, g0: float, dg: 
         _bisect(lo, mid, p, nulls, zetas, kernels, g0, dg, out, scratch)
         _bisect(mid, hi, p, nulls, zetas, kernels, g0, dg, out, scratch)
         return
-    if zetas.size:
-        _exact(lo, hi, _take(p, zetas), g0, dg, out)
-    if kernels[0].size:
-        _near(lo, hi, _take(p, kernels[0]), kernels[1], nulls[1, kernels[0]], g0, dg, out)
-
-
-def _exact(lo: int, hi: int, p: Columns, g0: float, dg: float, out: np.ndarray) -> None:
-    """Add sum q log zeta over the columns of ``p`` to out[lo:hi]."""
-    out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg, _log_rows)
-
-
-def _near(lo: int, hi: int, p: Columns, centre, offset, g0: float, dg: float,
-          out: np.ndarray) -> None:
-    """Add the kernels sum q log((x - centre)^2 + offset^2) over the columns
-    of ``p`` to out[lo:hi]: subtract, square, add and log per element."""
-    out[lo:hi] += p.rows(g0 + np.arange(lo, hi) * dg,
-                         _split_rows(0, 0, centre, offset))
+    out[lo:hi] += _take(p, np.concatenate([zetas, kernels[0]])).rows(
+        g0 + np.arange(lo, hi) * dg, _split_rows(zetas.size, 0, kernels[1], nulls[1, kernels[0]]))
 
 
 def _log_rows(x, work, p) -> np.ndarray:

@@ -23,16 +23,19 @@ finite weak values, as a configuration's phi does (:mod:`weakdelay.io`).
 method's error instead.  A flag that breaks the rule is a format error:
 exit 2 with one JSON line on stderr.  The ``snr`` and ``analytic`` commands take every
 library input from a flag, so a library ``DomainError`` there (too few
-or too many trials, a nonpositive alpha or length, a negative epsilon) is
-a format error too, and so are ``sweep --steps`` outside [1,
+or too many trials, a nonpositive alpha or length, a negative epsilon,
+an uncertainty or alpha_min out of the float range) is a format error
+too, and so are ``sweep --steps`` outside [1,
 ``simulator.MAX_TRIALS``], a ``sweep`` angle whose delay overflows the
 record's phases, an ``snr --alphas`` entry whose squared delay error
-could overflow the SNR and an ``snr --phi-assumed`` entry whose
+could overflow the SNR or whose squared delay underflows, and an ``snr
+--phi-assumed`` entry whose
 first-order coefficient could overflow (cot^2(phi/2) times the grid's
 largest w^2 times ``max(photons, 1)`` not finite); their messages name
 the flag.  A ``simulate`` configuration whose source line leaves no
 weight on its grid (a ``center_nm`` far off the grid) is a format error
-too, named in the message.
+too, named in the message, and so is an ``estimate`` record whose weights
+sum past the float range, named by its path.
 """
 
 from __future__ import annotations
@@ -201,11 +204,15 @@ def cmd_snr(args) -> int:
     config, _ = io.load_config(args.config)
     with io._format_errors("invalid snr flags"):
         # the SNR's MSE sums up to MAX_TRIALS squared delay errors of about
-        # alpha / omega0 each; the limit leaves each error a factor of 2
-        limit = 0.5 * math.sqrt(sys.float_info.max / simulator.MAX_TRIALS) * config.source.omega0
+        # alpha / omega0 each; the limit leaves each error a factor of 2.
+        # The squared delay the MSE divides must not underflow either
+        omega0 = config.source.omega0
+        limit = 0.5 * math.sqrt(sys.float_info.max / simulator.MAX_TRIALS) * omega0
         for alpha in alphas:
             if alpha > limit:
                 raise FormatError(f"--alphas entry {alpha!r}: its SNR's squared error overflows")
+            if 0 < alpha and (alpha / omega0) ** 2 < sys.float_info.min:
+                raise FormatError(f"--alphas entry {alpha!r}: its squared delay underflows")
         # the first-order estimate sums cot^2(phi/2) w^2 over up to
         # max(photons, 1) dark-port events, most at the smallest phi
         phi = min(phis)

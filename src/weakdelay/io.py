@@ -17,7 +17,8 @@ lines filtered out and the rest parsed again.  When the reader rejects
 the body, the first rejected row is found by bisection, the same reader
 run on prefixes of the body.  The row checks run as one column mask, and
 a rejected row is reported with its 1-based line number in the file,
-blank lines counted.  A record holds counts when every weight lies within
+blank lines counted.  The weights of both ports must sum to a finite
+total.  A record holds counts when every weight lies within
 1e-9 of a whole number and the weights sum to at least 1; its
 ``total_events`` is then that sum, and otherwise 0, the noise-free
 sentinel.
@@ -92,13 +93,15 @@ def read_record(path) -> MeasurementRecord:
     if len(table) < 2:
         raise FormatError("record needs at least 2 bins")
     grid, w1, w2 = columns
-    total = w1.sum() + w2.sum()
+    with np.errstate(over="ignore"):
+        total = w1.sum() + w2.sum()
     counts = columns[1:]
     integral = np.abs(counts - np.round(counts)).max() <= 1e-9
     total_events = total if (integral and total >= 1.0) else 0
-    return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
-                             total_events=total_events,
-                             metadata={"path": str(path)})
+    with _format_errors(f"invalid record {path}"):
+        return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
+                                 total_events=total_events,
+                                 metadata={"path": str(path)})
 
 
 def _load_nonblank(lines: list[str]) -> np.ndarray:

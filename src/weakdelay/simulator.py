@@ -17,6 +17,7 @@ package; see the README.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -330,7 +331,9 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     first-order bias on the expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
     +inf.  ``trials`` must be an integer in [30, :data:`MAX_TRIALS`] and
-    every alpha finite and positive, else DomainError before any simulation.
+    every alpha finite and positive, with a squared delay (alpha / w0)^2
+    that does not underflow (at or above the smallest normal double), else
+    DomainError before any simulation.
     """
     try:
         trials = operator.index(trials)
@@ -347,6 +350,9 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     if np.any(alphas <= 0):
         raise DomainError("alpha values must be positive (alpha = 0 is excluded)")
     omega0 = config.source.omega0
+    tiny = alphas[np.square(alphas / omega0) < np.finfo(float).tiny]
+    if tiny.size:
+        raise DomainError(f"alpha = {float(tiny[0])!r}: its squared delay underflows")
     points, tables = [], []
     for ia, alpha in enumerate(alphas):
         tau = float(alpha) / omega0
@@ -387,13 +393,24 @@ def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = SourceConfig.
     d(alpha) = [lam0/(4 dlam^2)] (alpha^2 + beta^2)^2 / (alpha beta^2) res,
     minimized over the postselection offset beta at beta = alpha.  The
     lengths default to the default source's centre, FWHM and grid step
-    (its sampling resolution).
+    (its sampling resolution).  A denominator alpha beta^2 that underflows
+    to 0 or a result that is not finite raises DomainError.
     """
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive (formula singular "
                           "otherwise; use alpha_min for the beta -> 0 limit)")
     c = resolution_factor(lambda0_nm, delta_lambda_nm, resolution_nm)
-    return c * (alpha ** 2 + beta ** 2) ** 2 / (alpha * beta ** 2)
+    den = alpha * beta ** 2
+    if den == 0:
+        raise DomainError(f"alpha beta^2 underflows to 0 at alpha = {alpha!r}, beta = {beta!r}")
+    try:
+        value = c * (alpha ** 2 + beta ** 2) ** 2 / den
+    except OverflowError:  # a float power past the range raises
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"d(alpha) = {value!r} is not finite at alpha = {alpha!r}, "
+                          f"beta = {beta!r}")
+    return value
 
 
 def alpha_min(epsilon: float, lambda0_nm: float = SourceConfig.center_nm,
@@ -403,11 +420,15 @@ def alpha_min(epsilon: float, lambda0_nm: float = SourceConfig.center_nm,
 
     alpha_min = sqrt[(sqrt(1 - 4C) - 2C + 1) / (2C)] * epsilon with
     C the resolution factor; it is the fixed point alpha = d(alpha) of the
-    uncertainty formula at beta = epsilon, and requires C < 1/4.
+    uncertainty formula at beta = epsilon, and requires C < 1/4.  A
+    product that is not finite raises DomainError.
     """
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
     c = resolution_factor(lambda0_nm, delta_lambda_nm, resolution_nm)
     if c >= 0.25:
         raise ModelError(f"resolution factor C = {c:.4f} >= 1/4: formula invalid")
-    return float(np.sqrt((np.sqrt(1.0 - 4.0 * c) - 2.0 * c + 1.0) / (2.0 * c)) * epsilon)
+    value = float(np.sqrt((np.sqrt(1.0 - 4.0 * c) - 2.0 * c + 1.0) / (2.0 * c))) * float(epsilon)
+    if not math.isfinite(value):
+        raise DomainError(f"alpha_min = {value!r} is not finite at epsilon = {epsilon!r}")
+    return value

@@ -71,9 +71,9 @@ class MeasurementRecord:
 
     For raw photon-count records ``total_events`` equals the summed counts
     of both ports; noise-free (expected-value) records carry total weight 1
-    and ``total_events == 0`` as a sentinel.  A record is immutable once
-    built: its moments are computed once and held on it, as its spectra
-    hold their frequencies.
+    and ``total_events == 0`` as a sentinel.  The two ports' weights must
+    sum to a finite total.  A record is immutable once built: its moments
+    are computed once and held on it, as its spectra hold their frequencies.
     """
 
     port1: Spectrum
@@ -85,8 +85,11 @@ class MeasurementRecord:
         if (self.port1.grid_nm is not self.port2.grid_nm
                 and not np.array_equal(self.port1.grid_nm, self.port2.grid_nm)):
             raise DomainError("port spectra must share one wavelength grid")
-        if self.total_events:
+        with np.errstate(over="ignore"):
             counted = self.port1.total() + self.port2.total()
+        if not np.isfinite(counted):
+            raise DomainError("the two ports' weights sum past the float range")
+        if self.total_events:
             if abs(counted - self.total_events) > 1e-6 * max(1.0, self.total_events):
                 raise DomainError(
                     f"count mismatch: ports sum to {counted}, expected {self.total_events}"

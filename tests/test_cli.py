@@ -596,11 +596,20 @@ class TestFlagBoundary:
         (["snr", "--config", "{bright}", "--alphas", "0.005", "--phi-actual", "0.5",
           "--phi-assumed", "2e-135", "--trials", "30", "--out", "{out}"],
          ["--phi-assumed", "2e-135", "overflows"]),
+        (["snr", "--config", "{dim}", "--alphas", "1e-300", "--phi-actual", "0.5",
+          "--phi-assumed", "0.5", "--trials", "30", "--out", "{out}"],
+         ["--alphas", "1e-300", "underflows"]),
+        (["estimate", "--records", "{big}", "--phi", "1.0", "--method", "all"],
+         ["big.csv", "sum past the float range"]),
+        (["analytic", "--uncertainty", "--alpha", "1e-300", "--beta", "1e-300"],
+         ["alpha", "beta", "underflows"]),
+        (["analytic", "--alpha-min", "--epsilon", "1e308"], ["epsilon = 1e+308", "not finite"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
             "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
             "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
             "tiny_phi_snr_tangent_band",
-            "tiny_phi_snr_bright_record"])
+            "tiny_phi_snr_bright_record", "underflowing_alpha", "record_past_float_range",
+            "underflowing_uncertainty", "overflowing_alpha_min"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
@@ -608,17 +617,26 @@ class TestFlagBoundary:
         # far centre, a direct delay whose phases overflow, and a phi whose
         # weak value overflows) RuntimeWarnings and an exit 1; an assumed
         # phi of 1e-140 rad, and one of 2e-135 rad on a 1e10-photon
-        # record, gave DegenerateRecordError and an exit 1
+        # record, gave DegenerateRecordError and an exit 1.  An snr alpha
+        # whose squared delay underflows wrote an SNR of -inf with a
+        # RuntimeWarning; a record whose weights sum past the float range
+        # gave a raw ValueError, the uncertainty at alpha = beta = 1e-300 a
+        # raw ZeroDivisionError, and alpha_min at epsilon = 1e308 a
+        # RuntimeWarning and "Infinity", which is not JSON
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
                    "far_centre": {"source": {"center_nm": 1e300}},
                    "far_delay": {"tau_true_fs": 1e308, "photons": 0},
                    "tiny_phi": {"phi_actual_rad": 1e-200, "photons": 1000},
-                   "bright": {"photons": 10_000_000_000}}
+                   "bright": {"photons": 10_000_000_000},
+                   "dim": {"photons": 1000}}
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, doc in configs.items():
             paths[name].write_text(json.dumps(doc))
+        paths["big"] = tmp_path / "big.csv"
+        paths["big"].write_text("wavelength_nm,counts_port1,counts_port2\n"
+                                "780,1e308,1e308\n781,1e308,1e308\n")
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

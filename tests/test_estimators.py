@@ -258,7 +258,8 @@ class TestPortWeakValues:
     @staticmethod
     def _fields(p):
         return [(f.dtype, f.shape, f.tobytes())
-                for f in (p.omega, p.q, p.qw, *p.terms, *p.form)]
+                for f in (p.omega, p.q, p.score_weight, p.curvature_weight, *p.terms,
+                          *p.form)]
 
     @staticmethod
     def _solve(rec, wv):
@@ -387,6 +388,14 @@ def _scan(rec, wv):
     return (p, hint, cands, *est._ladder_scores(cands, p))
 
 
+def _score_terms(x, p):
+    """The terms q w d log zeta / dx that the score sums, at the phases x
+    (delays x columns of p), from the score's tangent."""
+    work = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool))
+    tangent, den, _ = _kernels._tangent(x.copy(), work, p)
+    return tangent / den * p.score_weight
+
+
 def _pairs(points, vals):
     """The brackets (a, b, fa, fb) that solve_exact refines: a scan's descending pairs."""
     return [(points[i], points[i + 1], vals[i], vals[i + 1]) for i in _descending(vals)]
@@ -439,8 +448,7 @@ class TestRisingBands:
             p = prepare_likelihood(rec, wv)
             meets, live = self._meets(grid, p)
             x = np.multiply.outer(grid, p.omega[live])
-            terms, _ = _kernels.log_slope(x, _kernels._take(p.form, live), p.qw[live],
-                                          out=np.empty((2,) + x.shape))
+            terms = _score_terms(x, _kernels._take(p, live))
             rise = np.diff(terms, axis=0) > 0
             assert not np.any(rise & ~meets)
             assert np.any(meets)
@@ -499,7 +507,7 @@ class TestRisingBands:
             # against the sum of its terms' sizes
             ends = cands[np.stack([differ, differ + 1])]
             x = np.multiply.outer(ends, p.omega)
-            terms, _ = _kernels.log_slope(x, p.form, p.qw, out=np.empty((2,) + x.shape))
+            terms = _score_terms(x, p)
             band = 1e3 * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
             assert np.all(np.any(np.abs(full[np.stack([differ, differ + 1])]) <= band, axis=0))
             near_root += 1
@@ -1421,29 +1429,38 @@ class TestProfileWorkers:
         # grid points x columns evaluated exactly: none for a balanced
         # record; for an unbalanced one, around its dark port's nulls (w g =
         # 0.015: 5.5e-18 to 7.2e-18 s), under 5% of them, all by the log
-        # kernel of the near field and none by a column's whole zeta
-        work = {"_near": 0, "_exact": 0}
+        # kernel of the near field and none by a column's whole zeta.  The
+        # final ranges evaluate through _split_rows without split columns;
+        # the row functions handed to _interpolate only sample
+        work = {"kernel": 0, "zeta": 0}
+        split_rows, interpolate = _kernels._split_rows, _kernels._interpolate
 
-        def counting(name):
-            evaluate = getattr(_kernels, name)
+        def counting(zetas, splits, centre, offset):
+            rows = split_rows(zetas, splits, centre, offset)
 
-            def count(lo, hi, p, *args):
-                work[name] += (hi - lo) * p.q.size
-                return evaluate(lo, hi, p, *args)
+            def count(x, scratch, p):
+                work["zeta"] += x.shape[0] * zetas
+                work["kernel"] += x.shape[0] * (x.shape[1] - zetas)
+                return rows(x, scratch, p)
 
-            monkeypatch.setattr(_kernels, name, count)
+            count.sampled = rows
+            return count
 
-        counting("_near")
-        counting("_exact")
+        def sampling(*args):
+            *args, rows = args
+            return interpolate(*args, getattr(rows, "sampled", rows))
+
+        monkeypatch.setattr(_kernels, "_split_rows", counting)
+        monkeypatch.setattr(_kernels, "_interpolate", sampling)
         n = 100_000
         likelihood_profile(record_at(PHI_JWM, 1e-17), ideal_weak_values(PHI_JWM),
                            0.0, 2e-17, n)
-        assert work == {"_near": 0, "_exact": 0}
+        assert work == {"kernel": 0, "zeta": 0}
         rec = record_at(PHI_WVA, 1e-17)
         columns = np.count_nonzero(rec.port1.weights) + np.count_nonzero(rec.port2.weights)
         likelihood_profile(rec, ideal_weak_values(PHI_WVA), 0.0, 2e-17, n)
-        assert work["_exact"] == 0
-        assert 0 < work["_near"] < 0.05 * n * columns
+        assert work["zeta"] == 0
+        assert 0 < work["kernel"] < 0.05 * n * columns
 
 
 class TestProfileNearField:

@@ -2,6 +2,7 @@
 the record grammar and the bit-lossless record round trip."""
 
 import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,15 @@ class TestCountRule:
         assert record.total_events == record.port1.weights.sum() + record.port2.weights.sum()
         se = solve_exact(record, ideal_weak_values(phi)).diagnostics["se_s"]
         assert isinstance(se, float) and 0 < se < 1e-18
+
+
+    def test_total_past_the_float_range_is_a_format_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{RECORD_HEADER}\n780,1e308,1e308\n781,1e308,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=f"{path}: .*sum past the float range"):
+                read_record(path)
 
 
 class TestReaderPaths:

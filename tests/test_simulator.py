@@ -324,6 +324,18 @@ class TestSnrSweep:
         with pytest.raises(DomainError):
             snr_sweep([0.0], PHI_WVA, [PHI_WVA], 30, cfg)
 
+    def test_underflowing_squared_delay_rejected_before_simulating(self, monkeypatch):
+        # tau^2 read 0, and the SNR -inf with a RuntimeWarning
+        def simulating(*args, **kwargs):
+            raise AssertionError("simulated an underflowing alpha")
+
+        monkeypatch.setattr(simulator, "expected_record", simulating)
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="alpha = 1e-300: its squared delay underflows"):
+                snr_sweep([0.01, 1e-300], PHI_WVA, [PHI_WVA], 30, cfg)
+
     def test_snr_flatness_guard_matched_phi(self):
         # regression guard: with matched phi the SNR curve should stay
         # within a 5 dB band over alpha in [0.002, 0.02].
@@ -389,6 +401,21 @@ class TestAnalyticFormulas:
             wva_uncertainty(0.0, 0.01)
         with pytest.raises(DomainError):
             wva_uncertainty(0.01, 0.0)
+
+    @pytest.mark.parametrize("formula, args, message", [
+        (wva_uncertainty, (1e-300, 1e-300), "underflows to 0"),
+        (wva_uncertainty, (1e-320, 1.0), "is not finite"),
+        (wva_uncertainty, (1e200, 1.0), "is not finite"),
+        (alpha_min, (1e308,), "epsilon = 1e[+]308"),
+    ], ids=["underflowing_denominator", "overflowing_uncertainty", "overflowing_square",
+            "overflowing_alpha_min"])
+    def test_closed_forms_reject_results_out_of_range(self, formula, args, message):
+        # a raw ZeroDivisionError; inf; a raw OverflowError; inf with a
+        # RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                formula(*args)
 
     def test_default_dispersive_qwp_design(self):
         qwp = default_dispersive_qwp()

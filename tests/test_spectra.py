@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,21 @@ from weakdelay import (DegenerateRecordError, DomainError, MeasurementRecord,
                        postselection_probabilities_exact, record_moments,
                        wavelength_to_angular_frequency, zeta)
 from conftest import PHI_JWM, noise_free_config
+
+
+def _one_column(x, aw):
+    """A prepared record of one column of weight 1 at w = 1, whose score
+    is d log zeta / dx itself, and a workspace for phases x as its rows."""
+    p = _kernels.prepare(np.ones(1), np.ones(1), np.zeros(1), aw, aw)
+    shape = (np.size(x), 1)
+    return p, (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+
+
+def _slope(x, aw):
+    """d log zeta / dx at the phases x by the score's row function, and
+    the slope form it reads."""
+    p, work = _one_column(x, aw)
+    return _kernels.score_rows(np.reshape(x, (-1, 1)).copy(), work, p), p.form
 
 
 class TestWavelengthConversion:
@@ -87,7 +104,8 @@ class TestZeta:
 
     def test_caller_buffers_hold_the_allocated_value(self):
         # into caller buffers, with x overwritten as scratch, zeta takes the
-        # same steps as when it allocates; the log-slope leaves x as it is
+        # same steps as when it allocates; the score's tangent goes into its
+        # workspace and leaves x as it is
         x = np.random.default_rng(3).uniform(-3e3, 3e3, 2000)
         for aw in (ideal_weak_values(0.03).aw2, ideal_weak_values(PHI_JWM).aw1):
             terms = _kernels.zeta_terms(aw)
@@ -97,10 +115,12 @@ class TestZeta:
             assert np.shares_memory(z0, out[0])
             assert np.array_equal(z0, z)
             assert np.array_equal(_kernels.zeta(x, terms), z)
-            kept = x.copy()
-            slope, den = _kernels.log_slope(kept, _kernels.slope_form(terms), 1.0, out)
-            assert np.shares_memory(slope, out[0]) and np.shares_memory(den, out[1])
-            assert np.array_equal(kept, x)
+            p, work = _one_column(x, aw)
+            kept = x.reshape(-1, 1).copy()
+            tangent, den, zeros = _kernels._tangent(kept, work, p)
+            assert zeros is None
+            assert np.shares_memory(tangent, work[0]) and np.shares_memory(den, work[1])
+            assert np.array_equal(kept[:, 0], x)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than float64 here")
@@ -126,8 +146,7 @@ class TestZeta:
         for aw in weak_values:
             terms = _kernels.zeta_terms(aw)
             z = _kernels.zeta(x, terms)
-            form = _kernels.slope_form(terms)
-            slope, _ = _kernels.log_slope(x, form, 1.0, np.empty((2, x.size)))
+            slope, form = _slope(x, aw)
             re, im = np.longdouble(aw.real), np.longdouble(aw.imag)
             h, dh = c + s * im, c * im - s
             z_ref = h ** 2 + (s * re) ** 2
@@ -157,10 +176,8 @@ class TestZeta:
         c, s = np.cos(xl), np.sin(xl)
         pair = port_projections(0.9, 2.4e15, QwpModel("absent"))[0]
         for aw in (complex(pair.aw1), complex(pair.aw2)):
-            terms = _kernels.zeta_terms(aw)
-            form = _kernels.slope_form(terms)
+            slope, form = _slope(x, aw)
             assert form.phase == 0.0, aw
-            slope, _ = _kernels.log_slope(x, form, 1.0, np.empty((2, x.size)))
             re = np.longdouble(aw.real)
             ref = 2 * (re * re - 1) * s * c / (c * c + (s * re) ** 2)
             assert np.max(np.abs(slope / ref - 1)) <= 8 * np.finfo(float).eps, aw
@@ -174,8 +191,7 @@ class TestZeta:
             terms = _kernels.zeta_terms(aw)
             assert terms.u == 0.0 and terms.v == 0.0
             assert np.array_equal(_kernels.zeta(x, terms), np.ones(x.size))
-            slope, _ = _kernels.log_slope(x, _kernels.slope_form(terms), 1.0,
-                                          np.empty((2, x.size)))
+            slope, _ = _slope(x, aw)
             assert np.array_equal(slope, np.zeros(x.size))
 
 
@@ -371,6 +387,20 @@ class TestSpectrumValidation:
     def test_record_count_mismatch(self, source):
         with pytest.raises(DomainError):
             MeasurementRecord(port1=source, port2=source, total_events=5.0)
+
+    @pytest.mark.parametrize("w1, w2, total_events", [
+        ([1e308, 1e308], [1e308, 1e308], np.inf), ([1e308, 1e308], [0.0, 1.0], 0),
+        ([1e308, 0.0], [1e308, 0.0], 0)], ids=["counts", "one_port", "two_ports"])
+    def test_record_total_past_the_float_range(self, w1, w2, total_events):
+        # the count check read inf - inf with a RuntimeWarning, and prepare
+        # then counted no bin: the solver's screen raised a raw ValueError
+        grid = np.array([780.0, 781.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sum past the float range"):
+                MeasurementRecord(port1=Spectrum(grid, np.array(w1)),
+                                  port2=Spectrum(grid, np.array(w2)),
+                                  total_events=total_events)
 
     def test_pooled_variance_matches_direct(self, source):
         rec = MeasurementRecord(
