@@ -24,18 +24,7 @@ class ModelError(WeakDelayError):
 
 
 class BracketingError(ModelError):
-    """Root bracketing failed; carries the residuals at the bracket ends."""
-
-    def __init__(self, message: str, g_lo: float, g_hi: float,
-                 res_lo: float, res_hi: float):
-        super().__init__(
-            f"{message} (residual({g_lo:.3e}) = {res_lo:.6e}, "
-            f"residual({g_hi:.3e}) = {res_hi:.6e})"
-        )
-        self.g_lo = g_lo
-        self.g_hi = g_hi
-        self.res_lo = res_lo
-        self.res_hi = res_hi
+    """No score root was bracketed; the message names the searched range."""
 
 
 class DegenerateRecordError(ModelError):

@@ -34,7 +34,6 @@ are never absorbed silently (see ``JWM_SIGN``).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -110,10 +109,11 @@ def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
     return (q1, weak_values.aw1), (q2, weak_values.aw2)
 
 
-def _residual(g, out, what: str):
-    """Scalar g: ModelError where singular (NaN); array g: NaN marks kept."""
+def _residual(g, out):
+    """Scalar g: ModelError where the score is singular (NaN); array g: NaN
+    marks kept."""
     if isinstance(out, float) and math.isnan(out):
-        raise ModelError(f"{what} at g = {g!r}")
+        raise ModelError(f"likelihood score singular at g = {g!r}")
     return out
 
 
@@ -218,7 +218,7 @@ def score_residual(g: float | np.ndarray, record: MeasurementRecord,
     array g gives an array with NaN at such delays.
     """
     out = prepare_likelihood(record, weak_values).rows(g, _kernels.score_rows)
-    return _residual(g, out, "likelihood score singular")
+    return _residual(g, out)
 
 
 def score_curvature(g: float | np.ndarray, record: MeasurementRecord,
@@ -234,7 +234,7 @@ def score_curvature(g: float | np.ndarray, record: MeasurementRecord,
     """
     out = prepare_likelihood(record, weak_values).rows(g, _kernels.score_curvature_rows)
     if isinstance(out, tuple):
-        return _residual(g, out[0], "likelihood score singular"), out[1], out[2]
+        return _residual(g, out[0]), out[1], out[2]
     return tuple(out.T)
 
 
@@ -312,25 +312,18 @@ def general_first_order(record: MeasurementRecord,
 _HINT_WINDOW = np.linspace(0.2, 5.0, 49)
 
 
-@functools.lru_cache(maxsize=8)
-def _bracket_ladder(lo: float, hi: float) -> np.ndarray:
-    """The fixed part of the candidate ladder of a bracket, built once per
-    bracket and read-only: zero, log ladders both signs and the ends."""
-    top = max(abs(lo), abs(hi))
-    ladder = np.logspace(-21, np.log10(top), 61)
-    cands = np.concatenate([[0.0], ladder, -ladder])
-    cands = np.unique(np.concatenate([cands[(cands >= lo) & (cands <= hi)], [lo, hi]]))
-    cands.flags.writeable = False
-    return cands
-
-
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
-    """Global localization grid: log ladders both signs, zero, hint window."""
-    cands = _bracket_ladder(lo, hi)
-    if hint is None or not np.isfinite(hint) or hint == 0.0:
-        return cands
-    window = hint * _HINT_WINDOW
-    return np.union1d(cands, window[(window >= lo) & (window <= hi)])
+    """Global localization grid of the bracket [lo, hi], sorted and unique:
+    zero, 61-point log ladders of both signs from 1e-21 s to the larger
+    end, the hint window (the hint, ``None`` or finite as :func:`_hint`
+    returns it, times :data:`_HINT_WINDOW`) and both ends, each candidate
+    inside the bracket."""
+    ladder = np.logspace(-21, np.log10(max(abs(lo), abs(hi))), 61)
+    cands = [[0.0, lo, hi], ladder, -ladder]
+    if hint is not None:
+        cands.append(hint * _HINT_WINDOW)
+    cands = np.concatenate(cands)
+    return np.unique(cands[(cands >= lo) & (cands <= hi)])
 
 
 def _runs(marked: np.ndarray) -> np.ndarray:
@@ -446,8 +439,8 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         if down.size:
             break
     if not down.size:
-        raise BracketingError("could not bracket a score root inside the search range",
-                              lo, hi, float("nan"), float("nan"))
+        raise BracketingError(f"could not bracket a score root inside the searched "
+                              f"range [{lo:.3e}, {hi:.3e}] s")
 
     refined = _refine(prepared, [(points[i], points[i + 1], a[i], b[i]) for i in down], hint)
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
@@ -479,7 +472,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     )
 
 
-def _refine(prepared: _kernels.Prepared, brackets, start=None) -> list:
+def _refine(prepared: _kernels.Prepared, brackets, start) -> list:
     """(root, steps) of :func:`_newton` on each bracket (a, b, fa, fb), all
     in lockstep: each round scores the point of every bracket still open in
     one :func:`score_curvature` call.  :meth:`~weakdelay._kernels.Prepared.rows`
@@ -487,7 +480,7 @@ def _refine(prepared: _kernels.Prepared, brackets, start=None) -> list:
     the steps it takes alone.  A point where the score is singular raises
     ModelError.
     """
-    refiners = [_newton(*bracket, DEFAULT_TOL, start) for bracket in brackets]
+    refiners = [_newton(*bracket, start) for bracket in brackets]
     results, replies = [None] * len(refiners), [None] * len(refiners)
     while True:
         live, points = [], []
@@ -502,10 +495,10 @@ def _refine(prepared: _kernels.Prepared, brackets, start=None) -> list:
             return results
         scored = score_curvature(np.array(points), prepared)
         for i, g, (s, c, scale) in zip(live, points, zip(*(v.tolist() for v in scored))):
-            replies[i] = _residual(g, s, "likelihood score singular"), c, scale
+            replies[i] = _residual(g, s), c, scale
 
 
-def _newton(a, b, fa, fb, tol, start=None, max_iter=100):
+def _newton(a, b, fa, fb, start):
     """Root of the score between a < b, where fa and fb differ in sign or vanish.
 
     A generator: it yields each delay it needs scored and is sent back the
@@ -519,25 +512,25 @@ def _newton(a, b, fa, fb, tol, start=None, max_iter=100):
     (the first: than half the bracket), as it can be where the counted
     bins' rising bands make the score wiggle, it takes the Illinois step
     instead: false position, halving the residual of an end kept twice in a
-    row, moved to tol/2 from an end it comes closer to, or the midpoint if
-    that still leaves the bracket.
+    row, moved to DEFAULT_TOL/2 from an end it comes closer to, or the
+    midpoint if that still leaves the bracket.
 
     Stops once the Newton step lies inside the score's rounding band,
     band = 4 eps scale / |c| (``_BAND``), and returns its end point g + d.
     Newton steps shrink quadratically, the next one to about |d|^3 / d'^2
     for the Newton step d' just before d, so it also returns g + d without
     scoring it when that predicted step lies inside the band.  Otherwise it
-    stops once b - a <= tol and returns the midpoint.  A bracket end whose
-    score is exactly 0 is returned at step 0.
+    stops once b - a <= DEFAULT_TOL, or after 100 steps, and returns the
+    midpoint.  A bracket end whose score is exactly 0 is returned at step 0.
     """
     if fa == 0:
         return a, 0
     if fb == 0:
         return b, 0
     steps, moved = 0, None
-    g = start if start is not None and a < start < b else _false_position(a, b, fa, fb, tol)
+    g = start if start is not None and a < start < b else _false_position(a, b, fa, fb)
     prev, newton = b - a, 0.0
-    while g is not None and steps < max_iter:
+    while g is not None and steps < 100:
         s, c, scale = yield g
         steps += 1
         if s == 0:
@@ -552,7 +545,7 @@ def _newton(a, b, fa, fb, tol, start=None, max_iter=100):
             if moved == "b":
                 fa *= 0.5
             moved = "b"
-        if b - a <= tol:
+        if b - a <= DEFAULT_TOL:
             break
         d = -s / c if c < 0 else math.inf
         if a < g + d < b:
@@ -562,17 +555,17 @@ def _newton(a, b, fa, fb, tol, start=None, max_iter=100):
             if abs(d) <= 0.5 * prev:
                 g, prev, newton = g + d, abs(d), abs(d)
                 continue
-        nxt = _false_position(a, b, fa, fb, tol)
+        nxt = _false_position(a, b, fa, fb)
         if nxt is None:
             break
         g, prev, newton = nxt, abs(nxt - g), 0.0
     return 0.5 * (a + b), steps
 
 
-def _false_position(a, b, fa, fb, tol):
-    """The false-position point of [a, b], kept tol/2 inside it, or the
-    midpoint if that leaves (a, b); None if (a, b) holds no double."""
-    g = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+def _false_position(a, b, fa, fb):
+    """The false-position point of [a, b], kept DEFAULT_TOL/2 inside it, or
+    the midpoint if that leaves (a, b); None if (a, b) holds no double."""
+    g = min(max(a - fa * (b - a) / (fb - fa), a + 0.5 * DEFAULT_TOL), b - 0.5 * DEFAULT_TOL)
     if a < g < b:
         return g
     g = 0.5 * (a + b)
@@ -636,12 +629,9 @@ def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     numerator regardless of the spectrum.
     """
     tau = general_first_order(record, ideal_weak_values(phi))
-    p1, p2 = record.port1.total(), record.port2.total()
-    return EstimationResult(
-        tau_hat=tau,
-        method=Method.FIRST_ORDER,
-        diagnostics={"port_probabilities": (p1 / (p1 + p2), p2 / (p1 + p2))},
-    )
+    m1, m2 = record_moments(record)
+    return EstimationResult(tau_hat=tau, method=Method.FIRST_ORDER,
+                            diagnostics={"port_probabilities": (m1.p0, m2.p0)})
 
 
 def _balanced_regime(record: MeasurementRecord, m1, m2) -> tuple[float, tuple[str, ...]]:

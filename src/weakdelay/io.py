@@ -99,9 +99,11 @@ def read_record(path) -> MeasurementRecord:
     integral = np.abs(counts - np.round(counts)).max() <= 1e-9
     total_events = total if (integral and total >= 1.0) else 0
     with _format_errors(f"invalid record {path}"):
-        return MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
-                                 total_events=total_events,
-                                 metadata={"path": str(path)})
+        record = MeasurementRecord(port1=Spectrum(grid, w1), port2=Spectrum(grid, w2),
+                                   total_events=total_events,
+                                   metadata={"path": str(path)})
+        record.omega  # the frequencies, formed here: one past the float range is bad input
+    return record
 
 
 def _load_nonblank(lines: list[str]) -> np.ndarray:
@@ -391,8 +393,6 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
     return value

@@ -307,10 +307,6 @@ class SnrPoint:
     trials: int
     phi_assumed: float
 
-    def __post_init__(self):
-        if self.trials < 30:
-            raise DomainError("reported SNR points need at least 30 trials")
-
 
 def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
               config: ExperimentConfig) -> list[SnrPoint]:
@@ -379,10 +375,22 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
 
 def resolution_factor(lambda0_nm: float, delta_lambda_nm: float,
                       resolution_nm: float) -> float:
-    """Dimensionless spectrometer-resolution factor lam0 res / (4 dlam^2)."""
-    if min(lambda0_nm, delta_lambda_nm, resolution_nm) <= 0:
-        raise DomainError("all lengths must be positive")
-    return lambda0_nm * resolution_nm / (4.0 * delta_lambda_nm ** 2)
+    """Dimensionless spectrometer-resolution factor lam0 res / (4 dlam^2).
+
+    A length that is not positive, or a factor that is not positive and
+    finite (a product past the float range or one that underflows to 0),
+    raises DomainError naming the three lengths.
+    """
+    try:  # a float power past the range raises, and so does dividing by 0
+        c = lambda0_nm * resolution_nm / (4.0 * delta_lambda_nm ** 2)
+    except (OverflowError, ZeroDivisionError):
+        c = math.nan
+    if min(lambda0_nm, delta_lambda_nm, resolution_nm) <= 0 or not 0 < c < math.inf:
+        raise DomainError(f"lengths must be positive with a positive, finite resolution "
+                          f"factor, got lambda0_nm = {lambda0_nm!r}, delta_lambda_nm = "
+                          f"{delta_lambda_nm!r}, resolution_nm = {resolution_nm!r} "
+                          f"(factor {c!r})")
+    return c
 
 
 def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = SourceConfig.center_nm,
@@ -400,12 +408,13 @@ def wva_uncertainty(alpha: float, beta: float, lambda0_nm: float = SourceConfig.
         raise DomainError("alpha and beta must be positive (formula singular "
                           "otherwise; use alpha_min for the beta -> 0 limit)")
     c = resolution_factor(lambda0_nm, delta_lambda_nm, resolution_nm)
-    den = alpha * beta ** 2
-    if den == 0:
-        raise DomainError(f"alpha beta^2 underflows to 0 at alpha = {alpha!r}, beta = {beta!r}")
-    try:
+    try:  # a float power past the range raises
+        den = alpha * beta ** 2
+        if den == 0:
+            raise DomainError(f"alpha beta^2 underflows to 0 at alpha = {alpha!r}, "
+                              f"beta = {beta!r}")
         value = c * (alpha ** 2 + beta ** 2) ** 2 / den
-    except OverflowError:  # a float power past the range raises
+    except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"d(alpha) = {value!r} is not finite at alpha = {alpha!r}, "
@@ -428,7 +437,7 @@ def alpha_min(epsilon: float, lambda0_nm: float = SourceConfig.center_nm,
     c = resolution_factor(lambda0_nm, delta_lambda_nm, resolution_nm)
     if c >= 0.25:
         raise ModelError(f"resolution factor C = {c:.4f} >= 1/4: formula invalid")
-    value = float(np.sqrt((np.sqrt(1.0 - 4.0 * c) - 2.0 * c + 1.0) / (2.0 * c))) * float(epsilon)
+    value = math.sqrt((math.sqrt(1.0 - 4.0 * c) - 2.0 * c + 1.0) / (2.0 * c)) * float(epsilon)
     if not math.isfinite(value):
         raise DomainError(f"alpha_min = {value!r} is not finite at epsilon = {epsilon!r}")
     return value

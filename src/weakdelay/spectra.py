@@ -61,8 +61,9 @@ class Spectrum:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.total() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        """Whether the weights sum to 1 within 1e-9."""
+        return abs(self.total() - 1.0) <= 1e-9
 
 
 @dataclass(frozen=True)

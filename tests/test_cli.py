@@ -545,6 +545,24 @@ class TestFlagBoundary:
         assert json.loads(err)["error"] == "FormatError"
 
 
+    @pytest.mark.parametrize("argv, error, words", [
+        (["snr", "--config", "{config}", "--alphas", "abc", "--phi-actual", "0.03",
+          "--phi-assumed", "0.03", "--out", "{out}"], "FormatError", "--alphas list 'abc'"),
+        (["analytic", "--alpha-min", "--uncertainty"], "FormatError", "exactly one"),
+        (["analytic"], "FormatError", "exactly one"),
+        (["estimate", "--records", "{missing}", "--phi", "1.0"], "IOError", "missing.csv"),
+    ], ids=["unparsable_alphas", "both_modes", "no_mode", "missing_record"])
+    def test_unreadable_input_exits_2(self, argv, error, words, config_path, tmp_path,
+                                      capsys):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run([a.format(config=config_path, out=out,
+                                          missing=tmp_path / "missing.csv") for a in argv],
+                                capsys)
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        report = json.loads(err)
+        assert report["error"] == error and words in report["message"]
+
     @pytest.mark.parametrize("phi, failing", [
         ("1e-50", {"quartic": "DegenerateRecordError"}),
         ("1e-150", {method: "SingularWeakValueError"
@@ -604,12 +622,24 @@ class TestFlagBoundary:
         (["analytic", "--uncertainty", "--alpha", "1e-300", "--beta", "1e-300"],
          ["alpha", "beta", "underflows"]),
         (["analytic", "--alpha-min", "--epsilon", "1e308"], ["epsilon = 1e+308", "not finite"]),
+        (["analytic", "--alpha-min", "--delta-lambda-nm", "1e-200"],
+         ["delta_lambda_nm = 1e-200", "positive, finite resolution factor"]),
+        (["analytic", "--alpha-min", "--lambda0-nm", "1e-10", "--resolution-nm", "1e-320"],
+         ["resolution_nm = 1e-320", "(factor 0.0)"]),
+        (["analytic", "--alpha-min", "--lambda0-nm", "1e308", "--resolution-nm", "1e308"],
+         ["lambda0_nm = 1e+308", "(factor inf)"]),
+        (["analytic", "--uncertainty", "--alpha", "1e-10", "--beta", "1e300"],
+         ["alpha = 1e-10", "beta = 1e+300", "not finite"]),
+        (["estimate", "--records", "{tiny}", "--phi", "1.0", "--method", "exact"],
+         ["tiny.csv", "wavelength too short"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
             "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
             "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
             "tiny_phi_snr_tangent_band",
             "tiny_phi_snr_bright_record", "underflowing_alpha", "record_past_float_range",
-            "underflowing_uncertainty", "overflowing_alpha_min"])
+            "underflowing_uncertainty", "overflowing_alpha_min", "underflowing_line_square",
+            "underflowing_factor", "overflowing_factor", "overflowing_beta_square",
+            "overflowing_record_frequency"])
     def test_overflowing_input_is_named(self, argv, names, config_path, tmp_path, capsys):
         # a sub-step line overflowed the source's Gaussian (exit 0, one-bin
         # record); the others overflowed with an errno tuple as message, or
@@ -622,7 +652,11 @@ class TestFlagBoundary:
         # RuntimeWarning; a record whose weights sum past the float range
         # gave a raw ValueError, the uncertainty at alpha = beta = 1e-300 a
         # raw ZeroDivisionError, and alpha_min at epsilon = 1e308 a
-        # RuntimeWarning and "Infinity", which is not JSON
+        # RuntimeWarning and "Infinity", which is not JSON.  A line width
+        # whose square underflows gave a raw ZeroDivisionError, a factor
+        # that underflows a RuntimeWarning, one that overflows a ModelError
+        # and an exit 1, a beta whose square overflows an errno tuple, and
+        # a record whose frequencies overflow a DomainError and an exit 1
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
@@ -637,6 +671,9 @@ class TestFlagBoundary:
         paths["big"] = tmp_path / "big.csv"
         paths["big"].write_text("wavelength_nm,counts_port1,counts_port2\n"
                                 "780,1e308,1e308\n781,1e308,1e308\n")
+        paths["tiny"] = tmp_path / "tiny.csv"
+        paths["tiny"].write_text("wavelength_nm,counts_port1,counts_port2\n"
+                                 "1e-300,1,1\n1e-299,1,1\n")
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from weakdelay import _kernels
-from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
-                       MeasurementRecord, Method, ModelError, QwpModel,
+from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
+                       ExperimentConfig, MeasurementRecord, Method, ModelError, QwpModel,
                        SolverError, SourceConfig, Spectrum, WeakValuePair,
                        default_dispersive_qwp, estimate, first_order,
                        general_first_order, ideal_weak_values,
@@ -284,8 +284,8 @@ class TestPortWeakValues:
 
 
 class TestCandidateLadder:
-    """The fixed part of a bracket's candidate ladder is built once, read-only;
-    each solve merges only its hint window into it."""
+    """A bracket's candidate ladder is its formula: zero, both log ladders,
+    the hint window and the ends, inside the bracket, sorted and unique."""
 
     @staticmethod
     def _fresh(lo, hi, hint):
@@ -298,7 +298,7 @@ class TestCandidateLadder:
         allc = allc[(allc >= lo) & (allc <= hi)]
         return np.unique(np.concatenate([allc, [lo, hi]]))
 
-    def test_memo_equals_a_fresh_ladder(self):
+    def test_ladder_equals_its_formula(self):
         lo, hi = est.DEFAULT_BRACKET
         for widening in range(4):
             if widening:
@@ -311,13 +311,6 @@ class TestCandidateLadder:
                     got = est._candidate_ladder(lo, hi, hint)
                     want = self._fresh(lo, hi, hint)
                     assert got.tobytes() == want.tobytes(), (lo, hint)
-
-    def test_cached_ladder_is_read_only(self):
-        cands = est._candidate_ladder(*est.DEFAULT_BRACKET, None)
-        assert cands is est._candidate_ladder(*est.DEFAULT_BRACKET, math.nan)
-        with pytest.raises(ValueError):
-            cands[0] = 1.0
-        assert est._candidate_ladder(*est.DEFAULT_BRACKET, 3.7e-18).flags.writeable
 
 
 class TestRationalResidual:
@@ -581,6 +574,14 @@ class TestSolveExact:
         rec = record_at(PHI_JWM, 0.0)
         res = solve_exact(rec, ideal_weak_values(PHI_JWM))
         assert abs(res.tau_hat) < ZERO_FLOOR
+
+    def test_unbracketed_score_names_the_searched_range(self, jwm_record):
+        # weak values +-1 make every zeta 1, so the score is 0 at every
+        # delay of every widening and brackets no root
+        with pytest.raises(BracketingError) as info:
+            solve_exact(jwm_record, WeakValuePair(1.0, -1.0))
+        assert str(info.value) == ("could not bracket a score root inside the "
+                                   "searched range [-1.000e-12, 1.000e-12] s")
 
     def test_dispersive_weak_values_recover_where_ideal_biased(self):
         # analyzer wavelength dependence: the exact solver fed the matching

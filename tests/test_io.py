@@ -341,6 +341,27 @@ class TestCountRule:
                 read_record(path)
 
 
+class TestBadFiles:
+    @pytest.mark.parametrize("name, text, load, message", [
+        ("r.csv", "", read_record, "empty record file"),
+        ("r.csv", RECORD_HEADER + "\n", read_record, "at least 2 bins"),
+        ("r.csv", "wavelength,a,b\n780,1,1\n781,1,1\n", read_record, "row 1: bad header"),
+        ("r.csv", f"{RECORD_HEADER}\n0,1,1\n781,1,1\n", read_record,
+         "row 2: nonpositive wavelength 0.0"),
+        # the frequencies overflow: a DomainError of the lazy conversion
+        ("tiny.csv", f"{RECORD_HEADER}\n1e-300,1,1\n1e-299,1,1\n", read_record,
+         "tiny.csv: wavelength too short"),
+        ("c.json", "{", load_config, "invalid JSON"),
+        ("c.json", "[]", load_config, "must be a JSON object"),
+    ], ids=["empty", "header_only", "wrong_header", "zero_wavelength",
+            "overflowing_frequency", "invalid_json", "json_list"])
+    def test_bad_file_is_a_format_error(self, name, text, load, message, tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+
 class TestReaderPaths:
     """A file whose first line is the header and that holds no blank line is
     parsed in one call; any other is parsed again without its blank lines.

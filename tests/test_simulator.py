@@ -407,11 +407,21 @@ class TestAnalyticFormulas:
         (wva_uncertainty, (1e-320, 1.0), "is not finite"),
         (wva_uncertainty, (1e200, 1.0), "is not finite"),
         (alpha_min, (1e308,), "epsilon = 1e[+]308"),
+        (wva_uncertainty, (1e-10, 1e300), "alpha = 1e-10, beta = 1e[+]300"),
+        (resolution_factor, (780.0, 1e-200, 0.1), "delta_lambda_nm = 1e-200"),
+        (resolution_factor, (780.0, 1e200, 0.1), "delta_lambda_nm = 1e[+]200"),
+        (resolution_factor, (1e-10, 17.6, 1e-320), "resolution_nm = 1e-320 [(]factor 0.0[)]"),
+        (resolution_factor, (1e308, 17.6, 1e308), "lambda0_nm = 1e[+]308, .*[(]factor inf[)]"),
+        (alpha_min, (1.0, 1.0, 17.6, 1e-320), "epsilon = 1.0"),
     ], ids=["underflowing_denominator", "overflowing_uncertainty", "overflowing_square",
-            "overflowing_alpha_min"])
+            "overflowing_alpha_min", "overflowing_beta_square", "underflowing_line_square",
+            "overflowing_line_square", "underflowing_factor", "overflowing_factor",
+            "subnormal_factor"])
     def test_closed_forms_reject_results_out_of_range(self, formula, args, message):
         # a raw ZeroDivisionError; inf; a raw OverflowError; inf with a
-        # RuntimeWarning
+        # RuntimeWarning; an errno tuple as message; a raw ZeroDivisionError;
+        # a raw OverflowError; a factor of 0 (a RuntimeWarning in alpha_min);
+        # an infinite factor (a ModelError in alpha_min); and a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):

@@ -368,7 +368,10 @@ class TestSpectrumValidation:
         ([700.0, 701.0, 702.0], [1.0, -0.5, 1.0], "finite and nonnegative"),
         ([700.0, 701.0, 701.0], [1.0, 1.0, 1.0], "strictly increasing"),
         ([700.0, np.nan, 702.0], [1.0, 1.0, 1.0], "strictly increasing"),
-    ], ids=["nan", "inf", "-inf", "negative", "repeated", "nan-wavelength"])
+        ([700.0], [1.0], "at least 2 samples"),
+        ([700.0, 701.0, 702.0], [1.0, 1.0], "equal length"),
+    ], ids=["nan", "inf", "-inf", "negative", "repeated", "nan-wavelength", "one-sample",
+            "mismatched-lengths"])
     def test_rejects_bad_values(self, grid, weights, message):
         with pytest.raises(DomainError, match=message):
             Spectrum(np.array(grid), np.array(weights))

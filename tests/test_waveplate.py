@@ -157,6 +157,20 @@ class TestDispersionModel:
         with pytest.raises(DomainError):
             quartz_indices(50e-9)
 
+    @pytest.mark.parametrize("call, message", [
+        # sin(xi) rounds to 1 at the double below pi/2
+        (lambda stack: TiltAngles(xi=np.nextafter(np.pi / 2, 0), psi=np.nextafter(np.pi / 2, 0)),
+         "degenerate tilt"),
+        # y^2 underflows, so the exit point reads as the origin
+        (lambda stack: effective_path_length(0.0, 1e-200, 0.0), "at the origin"),
+        (lambda stack: single_plate_retardance(LAM, 0.0, TiltAngles()), "must be positive"),
+        (lambda stack: pivot_delay(0.01, stack, LAM, sign=0), "sign must be"),
+        (lambda stack: theta_for_delay(-1e-18, stack, LAM), "must be nonnegative"),
+    ], ids=["degenerate_tilt", "origin", "zero_thickness", "sign", "negative_delay"])
+    def test_domain_errors(self, call, message, stack):
+        with pytest.raises(DomainError, match=message):
+            call(stack)
+
     def test_stack_validation(self):
         with pytest.raises(DomainError):
             PlateStack(h1=-1e-3, h2=1e-3)
