@@ -216,7 +216,7 @@ def cmd_snr(args) -> int:
         # the first-order estimate sums cot^2(phi/2) w^2 over up to
         # max(photons, 1) dark-port events, most at the smallest phi
         phi = min(phis)
-        cot_w = io._grid_phase(1.0, config.source) / math.tan(phi / 2)
+        cot_w = config.source.largest_phase(1.0) / math.tan(phi / 2)
         if not math.isfinite(cot_w * cot_w * max(config.photons, 1)):
             raise FormatError(f"--phi-assumed entry {phi!r}: its first-order coefficient overflows")
         points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)

@@ -11,15 +11,19 @@ Estimator family, from most to least rigorous:
 * ``solve_exact``      - bracketed root of the exact trigonometric score
   d/dg sum Q_j log zeta_j, refined by Newton steps on its curvature; it
   reads only the likelihood core, :mod:`weakdelay._kernels`.
-* ``quartic``          - the rationalized score N/D (``_ScoreSeries``), a
-  rational small-(g w) form of the exact score that is half of it through
-  first order in g, with 1/D expanded as a power series in g w, truncated
-  at fourth order in g; solved by companion-matrix eigenvalues.
-* ``general_first_order`` / ``first_order`` - the same series truncated at
-  first order in g, for any weak values or at the ideal-analyzer ones.
-  Its ratio -c0/c1 is therefore one Newton step from zero on the exact
-  score.  Every truncation reads the series from one per-port weight
-  table, ``_ScoreSeries``.
+* ``quartic``          - the rationalized score N/D, a rational
+  small-(g w) form of the exact score that is half of it through first
+  order in g, with 1/D expanded as a power series in g w, truncated at
+  fourth order in g; solved by companion-matrix eigenvalues.  Only scalar
+  weak values use the series: each port's term of order k is a scalar
+  coefficient times the port's power sum sum Q w^(k+1) (``_series_sums``).
+* ``first_order``      - the same series truncated at first order in g, at
+  the ideal-analyzer weak values: its ratio -c0/c1 is the tan/cot moment
+  ratio.
+* ``general_first_order`` - -score(0) / curvature(0) of the exact score
+  for any weak values, frequency-dependent ones included: one Newton step
+  from zero, which is -c0/c1 up to rounding and is also the hint of
+  ``solve_exact``.
 * ``jwm_simplified``   - balanced-postselection shortcut that needs no
   knowledge of phi, only the pooled spectral variance.
 * ``strubi_reference`` - a published alternative balanced-port formula kept
@@ -96,16 +100,12 @@ class EstimationResult:
             raise SolverError(f"estimator {self.method} produced non-finite tau")
 
 
-def _require_events(q1: np.ndarray, q2: np.ndarray) -> None:
-    """An empty record (no counts or mass in either port) is degenerate."""
+def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
+    """(counts, weak value) of port 1 and of port 2; an empty record (no
+    counts or mass in either port) is degenerate."""
+    q1, q2 = record.port1.weights, record.port2.weights
     if float(q1.sum()) + float(q2.sum()) <= 0:
         raise DegenerateRecordError("record holds no events")
-
-
-def _ports(record: MeasurementRecord, weak_values: WeakValuePair):
-    """(counts, weak value) of port 1 and of port 2; an empty record is degenerate."""
-    q1, q2 = record.port1.weights, record.port2.weights
-    _require_events(q1, q2)
     return (q1, weak_values.aw1), (q2, weak_values.aw2)
 
 
@@ -129,68 +129,65 @@ def prepare_likelihood(record, weak_values=None) -> _kernels.Prepared:
     return _kernels.prepare(record.omega, q1, q2, aw1, aw2)
 
 
-class _ScoreSeries:
-    """Per-port coefficients c_0..c_order of the rationalized score in powers of g.
+def _series(aw, order: int) -> list[float]:
+    """Scalar coefficients s_0..s_order of one port's rationalized score.
 
     At x = g w the rationalized score of a bin is Q w N/D with
     N = n0 + n1 x + n2 x^2, n = (Im A, u2, -u1), D = 1 + u1 x + u2 x^2,
-    u1 = 2 Im A and u2 = |A|^2 - 1.  Port j's coefficient of g^k is
-    sum_w Q_j w^(k+1) sum_i n_i r_(k-i), with 1/D = sum_k r_k x^k: r_0 = 1,
-    r_1 = -u1, r_k = -u1 r_(k-1) - u2 r_(k-2).  The weights depend on the
-    grid and the weak values only (per bin for dispersive ones), so each
-    port's are built once as an (order + 1) x bins matrix, and so is the
-    flag of real weak values; calling the table on a record's port counts
-    (q1, q2) is one matrix-vector product per port, after the record's one
-    check, that it holds events.  Zero-count bins add nothing, so every bin
-    is summed unmasked.  A weight or coefficient that overflows (a large
-    weak value at a high order) reads inf or NaN, which its callers reject.
+    u1 = 2 Im A and u2 = |A|^2 - 1.  For a scalar weak value A the port's
+    coefficient of g^k factors as s_k sum_w Q w^(k+1), with
+    s_k = sum_i n_i r_(k-i) and 1/D = sum_k r_k x^k: r_0 = 1, r_1 = -u1,
+    r_k = -u1 r_(k-1) - u2 r_(k-2).  Python floats: a coefficient that
+    overflows reads inf or NaN, which its callers reject.
     """
+    aw = complex(aw)
+    u1, u2 = 2.0 * aw.imag, abs(aw) * abs(aw) - 1.0
+    n = (aw.imag, u2, -u1)
+    r = [1.0, -u1]
+    while len(r) <= order:
+        r.append(-u1 * r[-1] - u2 * r[-2])
+    return [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1)) for k in range(order + 1)]
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, omega: np.ndarray, weak_values: WeakValuePair, order: int):
-        self.real = weak_values.is_real()
-        powers = omega ** np.arange(1.0, order + 2)[:, None]
-        self.weights = []
-        for aw in (weak_values.aw1, weak_values.aw2):
-            im = np.imag(aw)
-            u1, u2 = 2.0 * im, np.abs(aw) ** 2 - 1.0
-            n = (im, u2, -u1)
-            r = [1.0, -u1]
-            while len(r) <= order:
-                r.append(-u1 * r[-1] - u2 * r[-2])
-            coefs = [sum(n[i] * r[k - i] for i in range(min(k, 2) + 1))
-                     for k in range(order + 1)]
-            self.weights.append(powers * np.reshape(coefs, (order + 1, -1)))
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def __call__(self, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _require_events(q1, q2)
-        return self.weights[0] @ q1, self.weights[1] @ q2
+@np.errstate(over="ignore")
+def _powers(omega: np.ndarray, order: int) -> np.ndarray:
+    """The (order + 1) x bins matrix of w^1 .. w^(order + 1): times a port's
+    counts, its power sums sum Q w^(k+1)."""
+    return omega ** np.arange(1.0, order + 2)[:, None]
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def first_order(self, q1: np.ndarray, q2: np.ndarray) -> float:
-        """-c0/c1 of the counts (q1, q2), which must hold events: the step
-        of :func:`general_first_order`, which checks that, and of the Monte
-        Carlo trials, whose draws hold events by construction.
 
-        One product per port, then Python floats: coefficients that are not
-        finite, a c1 within roundoff (64 eps) of its two port terms, real
-        weak values (c0 is then exactly 0) and a ratio that is not finite
-        are rejected.
-        """
-        a0, a1, *_ = (self.weights[0] @ q1).tolist()
-        b0, b1, *_ = (self.weights[1] @ q2).tolist()
-        c0, c1 = a0 + b0, a1 + b1
-        if not (math.isfinite(c0) and math.isfinite(c1)):
-            raise DegenerateRecordError("first-order coefficients are not finite")
-        if abs(c1) <= 2.0 ** -46 * (abs(a1) + abs(b1)):  # 64 eps
-            raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
-        if c0 == 0 and self.real:
-            raise DegenerateRecordError("real weak values: the constant score term vanishes")
-        tau = -c0 / c1
-        if not math.isfinite(tau):
-            raise SolverError(f"estimator {Method.FIRST_ORDER} produced non-finite tau")
-        return tau
+@np.errstate(over="ignore", invalid="ignore")
+def _series_sums(record: MeasurementRecord, weak_values: WeakValuePair, order: int) -> list:
+    """Per port, (coefficients s_0..s_order of :func:`_series`, power sums
+    sum Q w^(k+1)) as Python floats, for scalar weak values; an empty
+    record is degenerate."""
+    powers = _powers(record.omega, order)
+    return [(_series(aw, order), (powers @ q).tolist()) for q, aw in _ports(record, weak_values)]
+
+
+def _first_order(port1, port2) -> float:
+    """-c0/c1 of the series truncated at g^1, c_k = sum_j s_jk P_jk, from
+    each port's (coefficients s_j, power sums P_j) of :func:`_series_sums`:
+    the step of :func:`first_order` and of each Monte Carlo trial of
+    :func:`weakdelay.simulator.snr_sweep`, in Python floats (:func:`_ratio`,
+    c1 against its two port terms)."""
+    (s1, p1), (s2, p2) = port1, port2
+    a1, b1 = s1[1] * p1[1], s2[1] * p2[1]
+    return _ratio(s1[0] * p1[0] + s2[0] * p2[0], a1 + b1, abs(a1) + abs(b1))
+
+
+def _ratio(c0: float, c1: float, size: float) -> float:
+    """-c0/c1 of a first-order step.  Coefficients that are not finite and a
+    c1 within roundoff (64 eps) of ``size``, the summed size of its terms,
+    are degenerate; a ratio that is not finite raises SolverError."""
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise DegenerateRecordError("first-order coefficients are not finite")
+    if abs(c1) <= 2.0 ** -46 * size:  # 64 eps
+        raise DegenerateRecordError("degenerate record: linear score coefficient vanishes")
+    tau = -c0 / c1
+    if not math.isfinite(tau):
+        raise SolverError(f"estimator {Method.FIRST_ORDER} produced non-finite tau")
+    return tau
 
 
 def log_likelihood(g: float | np.ndarray, record: MeasurementRecord,
@@ -288,24 +285,29 @@ def likelihood_profile(record: MeasurementRecord, weak_values: WeakValuePair,
     return grid, values
 
 
-def general_first_order(record: MeasurementRecord,
-                        weak_values: WeakValuePair) -> float:
-    """First-order estimate -c0/c1: the rationalized score truncated at g^1.
+def general_first_order(record: MeasurementRecord, weak_values: WeakValuePair) -> float:
+    """First-order estimate: one Newton step from zero on the exact score.
 
-    c0 = sum_j Im A_j <w>_j and c1 = sum_j [(|A_j|^2 - 1) - 2 (Im A_j)^2]
-    <w^2>_j, with sub-normalized moments; any weak values, frequency
-    dependent ones included.  A c1 within roundoff (64 eps) of its two port
-    terms, as real weak values give on a zero-delay record, is degenerate,
-    and so are real weak values, whose c0 is exactly 0 whatever the delay,
-    and coefficients that overflow (|A|^2 w^2 past the float range).  A
-    non-finite ratio raises SolverError.  The record's one check, that it
-    holds events, runs here; the coefficients' checks run in the table's
-    step, :meth:`_ScoreSeries.first_order`, which the Monte Carlo trials
-    share.
+    -score(0) / curvature(0) of the likelihood core, for any weak values,
+    frequency-dependent ones included (:func:`_newton_from_zero`, which the
+    hint of :func:`solve_exact` also takes).  Through first order in g the
+    rationalized score is half the exact one, so this is its -c0/c1, c0 =
+    sum_j Im A_j <w>_j and c1 = sum_j [(|A_j|^2 - 1) - 2 (Im A_j)^2]
+    <w^2>_j with sub-normalized moments, up to rounding.  Real weak values,
+    whose score at zero is exactly 0 whatever the delay, are degenerate,
+    and so is a record without events.
     """
-    q1, q2 = record.port1.weights, record.port2.weights
-    _require_events(q1, q2)
-    return _ScoreSeries(record.omega, weak_values, 1).first_order(q1, q2)
+    if weak_values.is_real():
+        raise DegenerateRecordError("real weak values: the constant score term vanishes")
+    return _newton_from_zero(prepare_likelihood(record, weak_values))
+
+
+def _newton_from_zero(prepared: _kernels.Prepared) -> float:
+    """-score(0) / curvature(0) from one :func:`score_curvature` call at g =
+    0, through :func:`_ratio`: a score or curvature that is not finite, or a
+    curvature of exactly 0, is degenerate."""
+    score, curvature, _ = (float(v[0]) for v in score_curvature(np.zeros(1), prepared))
+    return _ratio(score, curvature, abs(curvature))
 
 
 #: The hint window of the candidate ladder, as multiples of the hint.
@@ -385,15 +387,15 @@ def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared):
 
 
 def _hint(prepared: _kernels.Prepared) -> float | None:
-    """The first-order hint of :func:`solve_exact`: -score(0) / curvature(0),
-    one Newton step from zero on the exact score.  Through first order in
-    g the series of :func:`general_first_order` is half the score, so this
-    is its -c0/c1 up to rounding.  None where the ratio is zero or not
-    finite, as for real weak values, whose score at zero is exactly 0.
+    """The first-order hint of :func:`solve_exact`: the step of
+    :func:`general_first_order` (:func:`_newton_from_zero`).  None where
+    that step is zero or raises, as for real weak values, whose score at
+    zero is exactly 0.
     """
-    score, curvature, _ = (float(v[0]) for v in score_curvature(np.zeros(1), prepared))
-    hint = -score / curvature if curvature else math.nan
-    return hint if math.isfinite(hint) and hint != 0.0 else None
+    try:
+        return _newton_from_zero(prepared) or None
+    except (DegenerateRecordError, SolverError):
+        return None
 
 
 def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> EstimationResult:
@@ -576,13 +578,14 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     """Real root of the fourth-order truncation of the rationalized score.
 
     The coefficients e + d g + c g^2 + b g^3 + a g^4 are the first five
-    terms of the series of :class:`_ScoreSeries`, so the quartic agrees with
-    the rationalized score N/D through g^4 and its ratio -e/d is
-    :func:`general_first_order`.  Requires frequency-independent weak
-    values.  The root nearest the hint -e/d wins; the polynomial is
-    rescaled by |hint| (1e-18 s when the hint is zero or not finite) before
-    the companion-matrix eigenvalue solve to keep the wildly mixed
-    coefficient units conditioned.
+    terms of the series, each a sum over the ports of a scalar coefficient
+    times a power sum (:func:`_series_sums`), so the quartic agrees with
+    the rationalized score N/D through g^4 and its ratio -e/d is the step
+    of :func:`first_order`.  Requires frequency-independent weak values.
+    The root nearest the hint -e/d wins; the polynomial is rescaled by
+    |hint| (1e-18 s when the hint is zero or not finite) before the
+    companion-matrix eigenvalue solve to keep the wildly mixed coefficient
+    units conditioned.
 
     Real weak values (no analyzer plate) make the score odd in g: e = 0,
     the root 0 is exact and the record cannot tell the sign of the delay,
@@ -591,9 +594,8 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     """
     if weak_values.is_frequency_dependent():
         raise DomainError("quartic coefficients need frequency-independent weak values")
-    p1, p2 = _ScoreSeries(record.omega, weak_values, 4)(record.port1.weights,
-                                                        record.port2.weights)
-    e, d, c, b, a = (p1 + p2).tolist()
+    port1, port2 = _series_sums(record, weak_values, 4)
+    e, d, c, b, a = (s1 * p1 + s2 * p2 for s1, p1, s2, p2 in zip(*port1, *port2))
     arr = np.array([a, b, c, d, e])
     if not np.all(np.isfinite(arr)):
         raise DegenerateRecordError("quartic coefficients are not finite")
@@ -619,16 +621,17 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
 def first_order(record: MeasurementRecord, phi: float) -> EstimationResult:
     """First-order delay estimate for an ideal analyzer at offset phi.
 
-    :func:`general_first_order` at the weak values (i tan(phi/2),
-    -i cot(phi/2)), which reads
+    -c0/c1 of the rationalized series (:func:`_first_order`) at the weak
+    values (i tan(phi/2), -i cot(phi/2)), which reads
 
     tau = [sin^2(phi/2) <w>_1 - cos^2(phi/2) <w>_2]
           / [tan(phi/2) <w^2>_1 + cot(phi/2) <w^2>_2]
 
     with sub-normalized per-port moments, so a zero-delay record cancels the
-    numerator regardless of the spectrum.
+    numerator regardless of the spectrum.  It equals
+    :func:`general_first_order` at those weak values up to rounding.
     """
-    tau = general_first_order(record, ideal_weak_values(phi))
+    tau = _first_order(*_series_sums(record, ideal_weak_values(phi), 1))
     m1, m2 = record_moments(record)
     return EstimationResult(tau_hat=tau, method=Method.FIRST_ORDER,
                             diagnostics={"port_probabilities": (m1.p0, m2.p0)})

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import FS, MM, NM, wavelength_to_angular_frequency
+from .constants import FS, MM, NM
 from .errors import FormatError, SingularWeakValueError
 from .estimators import EstimationResult
 from .polarization import QwpModel, ideal_weak_values
@@ -267,20 +267,14 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
         return QwpModel(variant=model, tau0=None if tau0_fs is None else tau0_fs * FS)
 
 
-def _grid_phase(delay: float, source: SourceConfig) -> float:
-    """The largest phase of ``delay`` on the grid: times the frequency of
-    its shortest wavelength."""
-    return delay * float(wavelength_to_angular_frequency(source.grid_min_nm))
-
-
 def _check_pivot(name: str, theta: float, stack: PlateStack, source: SourceConfig) -> None:
     """Reject a pivot angle whose delay overflows the phases of the grid.
 
     An angle's delay is pivot_delay(1 rad) theta^2, and its largest phase
-    :func:`_grid_phase` of it.  The message names the input, ``name``.
+    :meth:`~weakdelay.simulator.SourceConfig.largest_phase` of it.  The message names the input, ``name``.
     Shared by the configuration loader and the ``sweep`` flags.
     """
-    phase = _grid_phase(float(pivot_delay(1.0, stack, source.center_nm * NM)), source)
+    phase = source.largest_phase(pivot_delay(1.0, stack, source.center_nm * NM))
     if not math.isfinite(theta * theta * phase):
         raise FormatError(f"{name} = {theta!r} rad: its pivot delay overflows the phases")
 
@@ -338,8 +332,12 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
         tau_fs = _finite_number(doc, "tau_true_fs", None)
         if theta is None and tau_fs is None:
             tau_fs = 0.0
-        if theta is not None and stack is None:
-            stack = default_quartz_stack(source_cfg.center_nm * 1e-9)
+        if theta is not None:
+            if stack is None:
+                stack = default_quartz_stack(source_cfg.center_nm * 1e-9)
+            _check_pivot("theta_rad", theta, stack, source_cfg)
+        elif not math.isfinite(source_cfg.largest_phase(tau_fs * FS)):
+            raise FormatError(f"tau_true_fs = {tau_fs!r}: its delay overflows the phases")
 
         config = ExperimentConfig(
             phi_actual=_finite_number(doc, "phi_actual_rad", np.pi / 2 + 0.071),
@@ -353,10 +351,6 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             stack=stack,
             noise=doc.get("noise", ExperimentConfig.noise),
         )
-        if theta is not None:
-            _check_pivot("theta_rad", theta, stack, source_cfg)
-        elif not math.isfinite(_grid_phase(config.tau_true, source_cfg)):
-            raise FormatError(f"tau_true_fs = {tau_fs!r}: its delay overflows the phases")
         _check_phi("phi_actual_rad", config.phi_actual)
         if config.phi_assumed is not None:
             _check_phi("phi_assumed_rad", config.phi_assumed)

@@ -93,8 +93,9 @@ def _weak_values(phi: float, phase) -> WeakValuePair:
     phi must lie in (0, pi), and 2 cot^2(phi/2) ``_TAN2_MAX`` must be
     finite.  The tangent form of zeta (:mod:`weakdelay._kernels`) squares
     v tan(g w), with v^2 up to twice the squared modulus of the weak value
-    and |tan| below 2^61; the per-bin first-order score weight |A|^2 w^2
-    stays finite too, w being below 2^61 rad/s on any grid down to 1 nm.
+    and |tan| below 2^61; a port's first-order series coefficient, of size
+    |A|^2, stays finite too, and so does its product with w^2, w being
+    below 2^61 rad/s on any grid down to 1 nm.
     So a phi below about 4.9e-136 rad is singular too.
     """
     if not 0.0 < phi < np.pi:

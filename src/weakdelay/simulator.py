@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import NM, wavelength_to_angular_frequency
 from .errors import DomainError, ModelError
-from .estimators import Method, _ScoreSeries, estimate
+from .estimators import Method, _first_order, _powers, _series, estimate
 from .polarization import QwpModel, ideal_weak_values, port_projections
 from .spectra import MeasurementRecord, Spectrum, postselected_distribution
 from .waveplate import PlateStack, pivot_caveats, pivot_delay
@@ -84,6 +84,11 @@ class SourceConfig:
         """Angular frequency of the centre wavelength [rad/s]."""
         return wavelength_to_angular_frequency(self.center_nm)
 
+    def largest_phase(self, delay: float) -> float:
+        """The largest phase of ``delay`` on the grid: times the frequency of
+        its shortest wavelength, in Python floats (inf past the float range)."""
+        return float(delay) * wavelength_to_angular_frequency(self.grid_min_nm)
+
     def n_bins(self) -> int:
         return int(round((self.grid_max_nm - self.grid_min_nm) / self.grid_step_nm)) + 1
 
@@ -120,7 +125,10 @@ class ExperimentConfig:
     pivot (``theta`` [rad] plus ``stack``), in which case the tilt-to-delay
     map supplies the ground truth at the source centre wavelength.
     ``photons == 0`` is the noise-free sentinel: the record then holds the
-    expected per-bin weights instead of sampled counts.
+    expected per-bin weights instead of sampled counts.  The delay's
+    largest phase on the grid (:meth:`SourceConfig.largest_phase`) must be
+    finite: a ``tau_true`` or ``theta`` that is not finite, or whose delay
+    overflows the phases, raises DomainError naming the field.
     """
 
     phi_actual: float
@@ -149,6 +157,10 @@ class ExperimentConfig:
             raise DomainError("specify exactly one of tau_true or theta")
         if self.theta is not None and self.stack is None:
             raise DomainError("theta requires a plate stack")
+        name = "tau_true" if self.theta is None else "theta"
+        if not math.isfinite(self.source.largest_phase(self.delay())):
+            raise DomainError(f"{name} = {getattr(self, name)!r}: its delay or its largest "
+                              f"phase is not finite")
 
     @property
     def phi_for_estimation(self) -> float:
@@ -197,7 +209,7 @@ def _sampler(expected: MeasurementRecord, config: ExperimentConfig):
     """Shot-noise sampler of ``config.photons`` events over the expected ports.
 
     The event probabilities are normalized once.  The returned ``draw(rng)``
-    gives (counts of port 1 then of port 2, total events) from one
+    gives (counts as two rows, port 1 then port 2, total events) from one
     generator: multinomial at the fixed total, or Poisson per bin, which
     raises ModelError on an empty draw.  With ``photons == 0`` it gives the
     expected weights and the noise-free total 0.
@@ -205,7 +217,7 @@ def _sampler(expected: MeasurementRecord, config: ExperimentConfig):
     p = np.concatenate([expected.port1.weights, expected.port2.weights])
     photons = config.photons
     if photons == 0:
-        return lambda rng: (p, 0)
+        return lambda rng: (p.reshape(2, -1), 0)
     total = p.sum()
     if total <= 0:
         raise ModelError("all-zero event probabilities; nothing to sample")
@@ -213,7 +225,7 @@ def _sampler(expected: MeasurementRecord, config: ExperimentConfig):
         pvals = p / total
 
         def draw(rng):
-            return rng.multinomial(photons, pvals).astype(float), float(photons)
+            return rng.multinomial(photons, pvals).astype(float).reshape(2, -1), float(photons)
     else:
         means = photons * p / total
 
@@ -222,7 +234,7 @@ def _sampler(expected: MeasurementRecord, config: ExperimentConfig):
             total_events = float(counts.sum())
             if total_events == 0:
                 raise ModelError("Poisson draw produced an empty record")
-            return counts, total_events
+            return counts.reshape(2, -1), total_events
     return draw
 
 
@@ -239,11 +251,9 @@ def simulate(config: ExperimentConfig,
         return expected
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    counts, total_events = _sampler(expected, config)(rng)
-    n_bins = expected.omega.size
+    (q1, q2), total_events = _sampler(expected, config)(rng)
     grid = expected.grid_nm
-    return MeasurementRecord(port1=Spectrum(grid, counts[:n_bins]),
-                             port2=Spectrum(grid, counts[n_bins:]),
+    return MeasurementRecord(port1=Spectrum(grid, q1), port2=Spectrum(grid, q2),
                              total_events=total_events, metadata=dict(expected.metadata))
 
 
@@ -315,21 +325,24 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     For each dimensionless delay alpha = w0 tau and each assumed phi, run
     ``trials`` seeded simulations at the actual phi and estimate with the
     assumed one.  Per alpha the expected port distributions and their
-    sampler are built once, and per assumed phi, for the whole sweep, the
-    first-order score table (every alpha shares the source grid).  Trial
-    k of point (ia, ip) is then a draw with the generator
-    ``default_rng((seed, ia, ip, k))``, as ``simulate`` would make it, and
-    the table's step (:meth:`_ScoreSeries.first_order`) on the drawn
-    counts: the same delay as ``first_order(simulate(...), phi)``, with no
-    record built.  A trial checks no record: a multinomial draw holds
-    ``photons`` events and an empty Poisson draw raises ModelError.  A
-    noise-free configuration (``photons`` 0) has one error per point, the
-    first-order bias on the expected record, evaluated once.
+    sampler are built once; for the whole sweep, the [w; w^2] matrix of the
+    source grid, which every alpha shares, and per assumed phi the two
+    ports' first-order series coefficients.  Trial k of point (ia, ip) is
+    then a draw with the generator ``default_rng((seed, ia, ip, k))``, as
+    ``simulate`` would make it, one matrix-vector product per port for its
+    power sums and the first-order step in Python floats
+    (:func:`~weakdelay.estimators._first_order`): the same delay as
+    ``first_order(simulate(...), phi)``, with no record built.  A trial
+    checks no record: a multinomial draw holds ``photons`` events and an
+    empty Poisson draw raises ModelError.  A noise-free configuration
+    (``photons`` 0) has one error per point, the first-order bias on the
+    expected record, evaluated once.
     SNR_dB = 10 log10(tau^2 / MSE); a degenerate zero MSE is reported as
     +inf.  ``trials`` must be an integer in [30, :data:`MAX_TRIALS`] and
     every alpha finite and positive, with a squared delay (alpha / w0)^2
-    that does not underflow (at or above the smallest normal double), else
-    DomainError before any simulation.
+    that does not underflow (at or above the smallest normal double), and
+    every assumed phi finite, else DomainError before any simulation; a
+    scalar alpha or assumed phi is a list of one.
     """
     try:
         trials = operator.index(trials)
@@ -340,36 +353,39 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     if trials > MAX_TRIALS:
         raise DomainError(f"{trials} trials per point exceed the cap of {MAX_TRIALS}")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if alphas.size == 0 or len(phi_assumed_list) == 0:
+    phis = np.atleast_1d(np.asarray(phi_assumed_list, dtype=float))
+    if alphas.size == 0 or phis.size == 0:
         raise DomainError("alpha and phi lists must be nonempty")
     _require_finite(alphas, "alpha")
+    _require_finite(phis, "phi_assumed")
     if np.any(alphas <= 0):
         raise DomainError("alpha values must be positive (alpha = 0 is excluded)")
     omega0 = config.source.omega0
     tiny = alphas[np.square(alphas / omega0) < np.finfo(float).tiny]
     if tiny.size:
         raise DomainError(f"alpha = {float(tiny[0])!r}: its squared delay underflows")
-    points, tables = [], []
+    series = [(_series(wv.aw1, 1), _series(wv.aw2, 1))
+              for wv in map(ideal_weak_values, phis.tolist())]
+    points = []
     for ia, alpha in enumerate(alphas):
         tau = float(alpha) / omega0
         cfg = replace(config, phi_actual=phi_actual, tau_true=tau,
                       theta=None, stack=None)
         expected = expected_record(cfg)
-        n_bins = expected.omega.size
         draw = _sampler(expected, cfg)
-        # every alpha shares the source grid, so one table per assumed phi
-        tables = tables or [_ScoreSeries(expected.omega, ideal_weak_values(phi), 1)
-                            for phi in phi_assumed_list]
-        for ip, (phi_assumed, table) in enumerate(zip(phi_assumed_list, tables)):
+        # every alpha shares the source grid
+        powers = _powers(expected.omega, 1) if ia == 0 else powers
+        for ip, (phi_assumed, (s1, s2)) in enumerate(zip(phis.tolist(), series)):
             # noise-free trials all draw the expected counts: one is enough
             errors = np.empty(1 if config.photons == 0 else trials)
             for k in range(errors.size):
-                counts, _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
-                errors[k] = table.first_order(counts[:n_bins], counts[n_bins:]) - tau
+                (q1, q2), _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
+                errors[k] = _first_order((s1, (powers @ q1).tolist()),
+                                         (s2, (powers @ q2).tolist())) - tau
             mse = float(np.mean(errors ** 2))
             snr = np.inf if mse == 0 else 10.0 * np.log10(tau ** 2 / mse)
             points.append(SnrPoint(alpha=float(alpha), snr_db=float(snr),
-                                   trials=trials, phi_assumed=float(phi_assumed)))
+                                   trials=trials, phi_assumed=phi_assumed))
     return points
 
 

@@ -143,12 +143,14 @@ def pivot_delay(theta: float, stack: PlateStack, lambda_m: float, sign: int = +1
     in the azimuth plane (psi = 0) and sign = -1 to the elevation plane.
     Equals the oblique-incidence retardance excess divided by the optical
     frequency; wavelength enters only through the index dispersion.  The
-    formula only: :func:`pivot_caveats` says where it is not trusted.
+    formula only: :func:`pivot_caveats` says where it is not trusted.  theta
+    is squared by a product, so an angle past the float range reads an
+    infinite delay rather than raising.
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     n_o, n_e, n_avg = quartz_indices(lambda_m)
-    return sign * (n_e - n_o) * (stack.h1 + stack.h2) * theta ** 2 / (
+    return sign * (n_e - n_o) * (stack.h1 + stack.h2) * (theta * theta) / (
         2.0 * C_VACUUM * n_avg ** 2)
 
 

@@ -17,7 +17,7 @@ from weakdelay import (BracketingError, DegenerateRecordError, DomainError,
                        simulate, solve_exact, strubi_reference, wva_first_order,
                        wva_mean_shift)
 import weakdelay.estimators as est
-from weakdelay.estimators import _ScoreSeries
+from weakdelay.estimators import _first_order, _powers, _series, _series_sums
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
 
@@ -315,8 +315,9 @@ class TestCandidateLadder:
 
 class TestRationalResidual:
     """The rationalized series behind the truncated estimators against the
-    exact score: through first order in g it is half the score, so
-    -score(0) / curvature(0), the solver's hint, is general_first_order."""
+    exact score: through first order in g it is half the score, so its
+    -c0/c1 is -score(0) / curvature(0), the solver's hint and
+    general_first_order."""
 
     def test_zero_at_zero_delay_symmetric_record(self, jwm_wv):
         rec = record_at(PHI_JWM, 0.0)
@@ -324,8 +325,8 @@ class TestRationalResidual:
         assert abs(score_residual(0.0, rec, jwm_wv)) < 1e-12 * scale
 
     def test_residual_at_zero_equals_linear_coefficient(self, jwm_record, jwm_wv):
-        (e1,), (e2,) = _ScoreSeries(jwm_record.omega, jwm_wv, 0)(jwm_record.port1.weights,
-                                                                  jwm_record.port2.weights)
+        (s1, p1), (s2, p2) = _series_sums(jwm_record, jwm_wv, 0)
+        e1, e2 = s1[0] * p1[0], s2[0] * p2[0]
         res0 = score_residual(0.0, jwm_record, jwm_wv)
         assert res0 == pytest.approx(2.0 * (e1 + e2), rel=1e-12)
 
@@ -360,9 +361,51 @@ class TestRationalResidual:
                 # takes no hint
                 assert score == 0.0 and est._hint(p) is None
                 continue
-            assert -score / curvature == pytest.approx(general_first_order(rec, wv),
-                                                       rel=1e-12, abs=0)
-            assert est._hint(p) == -score / curvature
+            # the one step of both, bit for bit
+            assert general_first_order(rec, wv) == est._hint(p) == -score / curvature
+
+
+def _window_peak(rec, wv, centre, half):
+    """(delay, log-likelihood) of the largest point of a 20001-point profile
+    on [centre - half, centre + half]; it must lie inside the window."""
+    grid, vals = likelihood_profile(rec, wv, centre - half, centre + half, 20_001)
+    i = int(np.argmax(vals))
+    assert 0 < i < grid.size - 1, (centre, half)
+    return grid[i], vals[i]
+
+
+class TestModeGaps:
+    """The likelihood's secondary maxima on 1e7-photon expected records,
+    in units of (sigma / w_bar)^2, the source's relative spread: L2, the
+    mirror phi / w_bar - g, and L5, the fringe-order aliases g + k pi / w_bar."""
+
+    N = 1e7
+
+    @pytest.fixture(scope="class")
+    def spread(self, source):
+        w_bar = source.weights @ source.omega
+        return w_bar, (source.weights @ (source.omega - w_bar) ** 2) / w_bar ** 2
+
+    @pytest.mark.parametrize("phi, tau", [(0.03, 1e-18), (0.03, 3e-18), (0.05, 5e-18)])
+    def test_mirror_gap(self, phi, tau, spread):
+        w_bar, rel2 = spread
+        rec = record_at(phi, tau)
+        wv = ideal_weak_values(phi)
+        _, top = _window_peak(rec, wv, tau, 0.2 * tau)
+        _, mirror = _window_peak(rec, wv, phi / w_bar - tau, 0.2 * tau)
+        gap = self.N * (top - mirror)
+        assert gap == pytest.approx(2.0 * self.N * phi ** 2 * rel2, rel=1e-2)
+
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_alias_gap_at_balanced_phi(self, k, spread):
+        w_bar, rel2 = spread
+        tau = 1e-17
+        rec = record_at(np.pi / 2, tau)
+        wv = ideal_weak_values(np.pi / 2)
+        _, top = _window_peak(rec, wv, tau, 0.5 * tau)
+        _, alias = _window_peak(rec, wv, tau + k * np.pi / w_bar, 0.02 * np.pi / w_bar)
+        gap = self.N * (top - alias)
+        assert gap == pytest.approx(2.0 * self.N * (k * np.pi) ** 2 * rel2, rel=5e-2)
 
 
 def _descending(vals):
@@ -858,8 +901,8 @@ class TestQuartic:
 
         vals = [rational(h * ti) for ti in t]
         taylor = np.polynomial.polynomial.polyfit(t, vals, 10)[:5] / h ** np.arange(5)
-        p1, p2 = _ScoreSeries(rec.omega, wv, 4)(rec.port1.weights, rec.port2.weights)
-        coeffs = (p1 + p2).tolist()
+        port1, port2 = _series_sums(rec, wv, 4)
+        coeffs = [s1 * p1 + s2 * p2 for s1, p1, s2, p2 in zip(*port1, *port2)]
         assert coeffs == pytest.approx(taylor, rel=1e-6)
 
     def test_rejects_frequency_dependent_weak_values(self, jwm_record):
@@ -930,8 +973,8 @@ class TestFirstOrder:
             first_order(jwm_record, 0.0)
 
     def test_general_form_with_dispersive_weak_values_per_bin(self):
-        # frequency-dependent weak values go through the same table, with
-        # per-bin coefficients: -c0/c1 written out bin by bin
+        # frequency-dependent weak values: the exact score's Newton step
+        # from zero equals -c0/c1 written out bin by bin
         rng = np.random.default_rng(34)
         grid = np.linspace(690.0, 900.0, 421)
         qwp = default_dispersive_qwp()
@@ -950,8 +993,8 @@ class TestFirstOrder:
 
     @pytest.mark.parametrize("phi", [0.7, 1.0, 2.3133, 1.5302, 2.0])
     def test_general_form_degenerate_without_plate_at_zero_delay(self, phi):
-        # real weak values: the two port terms of c1 cancel exactly on a
-        # noise-free zero-delay record, so its rounded remainder is no signal
+        # real weak values: the score at zero is exactly 0, and the two
+        # port terms of c1 cancel on a noise-free zero-delay record
         qwp = QwpModel(variant="absent")
         rec = record_at(phi, 0.0, qwp=qwp)
         wv = port_projections(phi, rec.omega, qwp)[0]
@@ -969,24 +1012,32 @@ class TestFirstOrder:
 
     # one bin at w = 2e15 rad/s per port: the weak values and counts each
     # reach one rejection of the step; "ratio" sets c0 = 1e300, c1 = 1e-300
-    @pytest.mark.parametrize("aw, q, weights, error, message", [
+    # through the coefficients, with unit power sums
+    @pytest.mark.parametrize("aw, q, coefficients, error, message", [
         ((1e150j, -1j), (1.0, 1.0), None, DegenerateRecordError,
          "first-order coefficients are not finite"),
         ((2.0, 0.0), (1.0, 3.0), None, DegenerateRecordError,
          "degenerate record: linear score coefficient vanishes"),
-        ((2.0, 0.0), (1.0, 1.0), None, DegenerateRecordError,
-         "real weak values: the constant score term vanishes"),
-        ((1j, -1j), (1.0, 0.0), ([[1e300], [1e-300]], [[0.0], [0.0]]), SolverError,
+        ((1j, -1j), (1.0, 0.0), ([1e300, 1e-300], [0.0, 0.0]), SolverError,
          "estimator Method.FIRST_ORDER produced non-finite tau"),
-    ], ids=["non_finite_coefficients", "vanishing_linear_coefficient", "real_weak_values",
-            "non_finite_ratio"])
-    def test_step_rejections(self, aw, q, weights, error, message):
-        table = _ScoreSeries(np.array([2e15]), WeakValuePair(*aw), 1)
-        if weights is not None:
-            table.weights = [np.array(w) for w in weights]
+    ], ids=["non_finite_coefficients", "vanishing_linear_coefficient", "non_finite_ratio"])
+    def test_step_rejections(self, aw, q, coefficients, error, message):
+        powers = _powers(np.array([2e15]), 1)
+        ports = [(_series(a, 1), (powers @ [n]).tolist()) for a, n in zip(aw, q)]
+        if coefficients is not None:
+            ports = [(c, [1.0, 1.0]) for c in coefficients]
         with pytest.raises(error) as raised:
-            table.first_order(np.array([q[0]]), np.array([q[1]]))
+            _first_order(*ports)
         assert str(raised.value) == message
+
+    def test_general_form_names_real_weak_values(self):
+        # one counted bin at w = 2e15 rad/s per port, real weak values (2, 0)
+        grid = np.array([2.0 * np.pi * 299792458.0 / 2e15 / 1e-9, 950.0])
+        rec = MeasurementRecord(port1=Spectrum(grid, [1.0, 0.0]),
+                                port2=Spectrum(grid, [1.0, 0.0]), total_events=0)
+        with pytest.raises(DegenerateRecordError) as raised:
+            general_first_order(rec, WeakValuePair(2.0, 0.0))
+        assert str(raised.value) == "real weak values: the constant score term vanishes"
 
     def test_general_form_rejects_an_empty_record(self, jwm_wv):
         grid = np.linspace(700.0, 860.0, 11)

@@ -99,6 +99,22 @@ class TestSimulate:
         with pytest.raises(DomainError):
             ExperimentConfig(phi_actual=1.0, tau_true=0.0, photons=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau_true", np.inf), ("tau_true", np.nan), ("tau_true", 1e300),
+        ("theta", np.inf), ("theta", np.nan), ("theta", 1e200),
+    ], ids=["tau_inf", "tau_nan", "tau_overflow", "theta_inf", "theta_nan", "theta_overflow"])
+    def test_delay_input_must_keep_the_phases_finite(self, field, value, stack):
+        # such a delay reached zeta's tangent as an invalid value and then
+        # a ModelError blaming zeta, or pivot_delay's theta ** 2 as a raw
+        # OverflowError
+        kw = {field: value, "stack": stack if field == "theta" else None}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as raised:
+                simulate(ExperimentConfig(phi_actual=0.3, photons=0, **kw))
+        assert str(raised.value) == (f"{field} = {value!r}: its delay or its largest "
+                                     f"phase is not finite")
+
 
 class TestStatisticalSoundness:
     def test_first_order_mean_converges_to_noise_free(self):
@@ -165,6 +181,12 @@ class TestSweepTheta:
     def test_empty_theta_list_rejected(self, stack):
         with pytest.raises(DomainError):
             sweep_theta([], stack, noise_free_config(PHI_JWM, 0.0))
+
+    def test_angle_whose_delay_overflows_rejected(self, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="theta = 1e"):
+                sweep_theta([1e200], stack, noise_free_config(PHI_JWM, 0.0))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -244,6 +266,17 @@ class TestSnrSweep:
         with pytest.raises(DomainError):
             snr_sweep(alphas, PHI_WVA, phis, 30, cfg)
 
+    def test_scalar_assumed_phi_is_a_list_of_one(self):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000, seed=2)
+        assert (snr_sweep(0.01, PHI_WVA, PHI_WVA, 30, cfg)
+                == snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_assumed_phi_rejected(self, value):
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000)
+        with pytest.raises(DomainError, match=f"phi_assumed = {value!r} is not finite"):
+            snr_sweep([0.01], PHI_WVA, [PHI_WVA, value], 30, cfg)
+
     def test_matched_curve_sanity(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
                                photons=1_000_000, seed=23)
@@ -298,20 +331,20 @@ class TestSnrSweep:
             return counted
 
         monkeypatch.setattr(simulator, "_sampler", counting)
-        # every alpha shares the grid: one score table per assumed phi
-        tables = []
-        table = simulator._ScoreSeries
+        # every alpha shares the grid: one power matrix per sweep
+        matrices = []
+        powers = simulator._powers
 
-        def counting_table(*args):
-            tables.append(args)
-            return table(*args)
+        def counting_powers(*args):
+            matrices.append(args)
+            return powers(*args)
 
-        monkeypatch.setattr(simulator, "_ScoreSeries", counting_table)
+        monkeypatch.setattr(simulator, "_powers", counting_powers)
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=0, seed=3)
         alphas, phis = [0.002, 0.005, 0.01, 0.02], [PHI_WVA, 0.05, 0.08]
         pts = snr_sweep(alphas, PHI_WVA, phis, 100, cfg)
         assert len(draws) == len(pts) == 12
-        assert len(tables) == len(phis)
+        assert len(matrices) == 1
         for p in pts:
             tau = p.alpha / cfg.source.omega0
             bias = first_order(expected_record(replace(cfg, tau_true=tau)),
