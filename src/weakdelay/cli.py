@@ -7,6 +7,8 @@ resolution-limit calculator).  Outputs are CSV or JSON so the results feed
 external plotting directly.
 
 Exit codes: 0 success, 1 model or estimator error, 2 input format error.
+``sweep`` and ``snr`` check that ``--out`` can be written before they run,
+so an unwritable path exits 2 with one IOError JSON line and nothing run.
 ``estimate --method all`` puts a failing method's error in its slot of the
 output and exits 1 only when every method failed.  Caveats are JSON fields,
 never Python warnings: each estimate lists its regime caveats under
@@ -121,6 +123,20 @@ def cmd_estimate(args) -> int:
     return 1 if all("error" in r for r in results) else 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError of writing ``path`` now, not after a long run.
+
+    An existing file is opened for appending and left as it was; a file
+    this check creates is removed again.
+    """
+    out = Path(path)
+    existed = out.exists()
+    with out.open("a"):
+        pass
+    if not existed:
+        out.unlink()
+
+
 def _add_sweep(sub):
     p = sub.add_parser("sweep", help="tilt-angle sweep of estimators vs theory")
     p.add_argument("--config", required=True, help="run-configuration JSON "
@@ -141,6 +157,7 @@ def cmd_sweep(args) -> int:
     with io._format_errors("invalid sweep angles"):
         for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
             io._check_pivot(flag, theta, stack, config.source)
+        _check_writable(args.out)
         rows = simulator.sweep_theta(np.linspace(args.theta_min, args.theta_max, args.steps),
                                      stack, config)
     columns = {"exact": "tau_exact_s", "first_order": "tau_first_order_s",
@@ -219,6 +236,7 @@ def cmd_snr(args) -> int:
         cot_w = config.source.largest_phase(1.0) / math.tan(phi / 2)
         if not math.isfinite(cot_w * cot_w * max(config.photons, 1)):
             raise FormatError(f"--phi-assumed entry {phi!r}: its first-order coefficient overflows")
+        _check_writable(args.out)
         points = simulator.snr_sweep(alphas, args.phi_actual, phis, args.trials, config)
     lines = ["alpha,phi_assumed,snr_db,trials"] + [
         f"{pt.alpha:.17g},{pt.phi_assumed:.17g},{pt.snr_db:.17g},{pt.trials}" for pt in points]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,6 +320,63 @@ class SnrPoint:
     phi_assumed: float
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _deal_trials(trial, n: int) -> None:
+    """Run ``trial(k)`` for k in range(n) in shares, one thread per usable core.
+
+    With m shares (the usable cores, at most n), share j runs trials j,
+    j + m, j + 2m, ... in order; the calling thread runs share 0 and one
+    thread per other share is started and joined here, so none outlives
+    the call.  The exception of the lowest failing trial is raised, as a
+    serial loop would raise it: a share stops at its first trial past the
+    lowest failure seen so far, so every lower trial still runs.  An
+    interrupt of the calling thread stops every share at its next trial and
+    is raised after the join.  ``trial`` must call no public function of
+    the package: the benchmark's tracer is not thread-safe.
+    """
+    m = min(_usable_cores(), n)
+    failed = [n] * m  # each share's failing trial, n while it has none
+    raised: list[Exception | None] = [None] * m
+    interrupt = None  # once set, every share stops at its next trial
+
+    def share(j):
+        for k in range(j, n, m):
+            if interrupt is not None or k > min(failed):
+                return
+            try:
+                trial(k)
+            except Exception as exc:
+                failed[j], raised[j] = k, exc
+                return
+
+    threads = []
+    try:
+        for j in range(1, m):
+            threads.append(threading.Thread(target=share, args=(j,)))
+            threads[-1].start()
+        share(0)
+    except BaseException as exc:  # an interrupt, or a thread that would not start
+        interrupt = exc
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # interrupted while waiting
+                interrupt = interrupt or exc
+    if interrupt is not None:
+        raise interrupt
+    lowest = min(range(m), key=failed.__getitem__)
+    if raised[lowest] is not None:
+        raise raised[lowest]
+
+
 def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
               config: ExperimentConfig) -> list[SnrPoint]:
     """Monte Carlo SNR of the first-order estimator under phi misalignment.
@@ -332,7 +391,12 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
     ``simulate`` would make it, one matrix-vector product per port for its
     power sums and the first-order step in Python floats
     (:func:`~weakdelay.estimators._first_order`): the same delay as
-    ``first_order(simulate(...), phi)``, with no record built.  A trial
+    ``first_order(simulate(...), phi)``, with no record built.  A point's
+    trials are dealt in shares, one per usable core (:func:`_deal_trials`):
+    share j of m runs trials j, j + m, ..., the calling thread share 0.
+    Each trial keeps its generator and writes its own error, so every
+    point is bit-identical to a serial loop's for any core count, and the
+    exception of the lowest failing trial is the one raised.  A trial
     checks no record: a multinomial draw holds ``photons`` events and an
     empty Poisson draw raises ModelError.  A noise-free configuration
     (``photons`` 0) has one error per point, the first-order bias on the
@@ -378,10 +442,12 @@ def snr_sweep(alphas, phi_actual: float, phi_assumed_list, trials: int,
         for ip, (phi_assumed, (s1, s2)) in enumerate(zip(phis.tolist(), series)):
             # noise-free trials all draw the expected counts: one is enough
             errors = np.empty(1 if config.photons == 0 else trials)
-            for k in range(errors.size):
+
+            def trial(k):
                 (q1, q2), _ = draw(np.random.default_rng((config.seed, ia, ip, k)))
                 errors[k] = _first_order((s1, (powers @ q1).tolist()),
                                          (s2, (powers @ q2).tolist())) - tau
+            _deal_trials(trial, errors.size)
             mse = float(np.mean(errors ** 2))
             snr = np.inf if mse == 0 else 10.0 * np.log10(tau ** 2 / mse)
             points.append(SnrPoint(alpha=float(alpha), snr_db=float(snr),

@@ -563,6 +563,28 @@ class TestFlagBoundary:
         report = json.loads(err)
         assert report["error"] == error and words in report["message"]
 
+    @pytest.mark.parametrize("argv, function", [
+        (["sweep", "--config", "{config}", "--theta-min", "0", "--theta-max", "1e-5",
+          "--steps", "2", "--out", "{out}"], "sweep_theta"),
+        (["snr", "--config", "{config}", "--alphas", "0.01", "--phi-actual", "0.03",
+          "--phi-assumed", "0.03", "--trials", "30", "--out", "{out}"], "snr_sweep"),
+    ], ids=["sweep", "snr"])
+    def test_unwritable_out_exits_2_before_the_run(self, argv, function, config_path,
+                                                   tmp_path, capsys, monkeypatch):
+        # the output was written only after the whole run, so a bad --out
+        # cost every trial of it
+        def running(*args, **kwargs):
+            raise AssertionError(f"ran {function} with an unwritable --out")
+
+        monkeypatch.setattr(simulator, function, running)
+        out = tmp_path / "missing" / "out.csv"
+        code, stdout, err = run([a.format(config=config_path, out=out) for a in argv],
+                                capsys)
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "IOError" and str(out) in report["message"]
+
     @pytest.mark.parametrize("phi, failing", [
         ("1e-50", {"quartic": "DegenerateRecordError"}),
         ("1e-150", {method: "SingularWeakValueError"

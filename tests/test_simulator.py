@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -222,6 +225,23 @@ def explicit_loop_snr(cfg, alphas, phis, trials):
     return want
 
 
+#: Share counts for snr_sweep's trials: serial, two, three, and one more
+#: than the 30 trials of a point (capped at 30, a thread per trial).
+SHARES = [1, 2, 3, 31]
+
+
+@pytest.fixture()
+def shares(request, monkeypatch):
+    """Deal each snr_sweep point's trials to ``request.param`` shares."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("one share started a thread")
+
+    monkeypatch.setattr(simulator, "_usable_cores", lambda: request.param)
+    if request.param == 1:
+        monkeypatch.setattr(simulator.threading, "Thread", no_thread)
+    return request.param
+
+
 class TestSnrSweep:
     def test_point_layout_and_determinism(self):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0,
@@ -231,33 +251,108 @@ class TestSnrSweep:
         assert len(pts_a) == 4
         assert [p.snr_db for p in pts_a] == [p.snr_db for p in pts_b]
 
+    @pytest.mark.parametrize("shares", SHARES, indirect=True)
     @pytest.mark.parametrize("qwp", [QwpModel(), default_dispersive_qwp()],
                              ids=["ideal", "dispersive"])
-    def test_equals_explicit_loop_of_simulate(self, qwp):
+    def test_equals_explicit_loop_of_simulate(self, qwp, shares):
         # one forward model per alpha must draw exactly what a fresh
         # simulate per trial draws from the same substream; a dispersive
-        # actual analyzer pins per-bin weak values too
+        # actual analyzer pins per-bin weak values too.  Any share count
+        # gives the serial loop's errors, bit for bit
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, qwp=qwp,
                                photons=100_000, seed=5, noise="poisson")
         alphas, phis, trials = [0.004, 0.012], [PHI_WVA, 0.05], 30
         pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
         assert [p.snr_db for p in pts] == explicit_loop_snr(cfg, alphas, phis, trials)
 
+    @pytest.mark.parametrize("shares", SHARES, indirect=True)
     @pytest.mark.parametrize("qwp", [QwpModel(), default_dispersive_qwp()],
                              ids=["ideal", "dispersive"])
-    def test_multinomial_equals_explicit_loop_of_simulate(self, qwp):
+    def test_multinomial_equals_explicit_loop_of_simulate(self, qwp, shares):
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, qwp=qwp,
                                photons=200_000, seed=11)
         alphas, phis, trials = [0.003, 0.015], [PHI_WVA, 0.06], 30
         pts = snr_sweep(alphas, PHI_WVA, phis, trials, cfg)
         assert [p.snr_db for p in pts] == explicit_loop_snr(cfg, alphas, phis, trials)
 
-    def test_empty_poisson_draw_raises(self):
+    @pytest.mark.parametrize("shares", [1, 3], indirect=True)
+    def test_empty_poisson_draw_raises(self, shares):
         # one expected photon per trial: some trial of the 30 draws none
         cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1,
                                seed=2, noise="poisson")
+        before = threading.active_count()
         with pytest.raises(ModelError, match="Poisson draw produced an empty record"):
             snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("shares", [*SHARES, 5], indirect=True)
+    def test_lowest_failing_trial_raises(self, shares, monkeypatch):
+        # trials 4 and 7 fail with distinct errors.  Where they fall in
+        # different shares, trial 4 waits until trial 7 has failed; the
+        # serial loop's error, trial 4's, must still be the one raised,
+        # after every lower trial has run.  Five shares put trial 7 in a
+        # lower share than trial 4
+        ran, seven_failed = [], threading.Event()
+        sampler = simulator._sampler
+
+        def failing(expected, cfg):
+            draw = sampler(expected, cfg)
+
+            def failing_draw(rng):
+                k = rng.bit_generator.seed_seq.entropy[-1]
+                ran.append(k)
+                if k == 7:
+                    seven_failed.set()
+                    raise ModelError("trial 7 failed")
+                if k == 4:
+                    if 4 % shares != 7 % shares:
+                        assert seven_failed.wait(timeout=10)
+                    raise ModelError("trial 4 failed")
+                return draw(rng)
+            return failing_draw
+
+        monkeypatch.setattr(simulator, "_sampler", failing)
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000, seed=3)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with pytest.raises(ModelError, match="^trial 4 failed$"):
+                snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert set(range(5)) <= set(ran)
+
+    @pytest.mark.parametrize("shares", [1, 3], indirect=True)
+    def test_interrupt_stops_every_share(self, shares, monkeypatch):
+        # an interrupt of the calling thread, in trial 0, is raised after
+        # the join; every other share ends the trial it is in, which lasts
+        # well past the interrupt, and runs no further one
+        ran, interrupted = [], threading.Event()
+        sampler = simulator._sampler
+
+        def interrupting(expected, cfg):
+            draw = sampler(expected, cfg)
+
+            def interrupting_draw(rng):
+                k = rng.bit_generator.seed_seq.entropy[-1]
+                ran.append(k)
+                if k == 0:
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                interrupted.wait(timeout=10)
+                time.sleep(0.05)
+                return draw(rng)
+            return interrupting_draw
+
+        monkeypatch.setattr(simulator, "_sampler", interrupting)
+        cfg = ExperimentConfig(phi_actual=PHI_WVA, tau_true=0.0, photons=1000, seed=3)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg)
+        assert threading.active_count() == before
+        assert 0 in ran and set(ran) <= set(range(shares))
 
     @pytest.mark.parametrize("alphas, phis", [([], [PHI_WVA]), ([0.01], [])],
                              ids=["no_alphas", "no_phis"])
