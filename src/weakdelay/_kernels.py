@@ -150,7 +150,7 @@ max(8, ceil(40 / log10 rho)) makes rho^(-m/2) <= 1e-20, and rho >= 2
 keeps m <= 133.  S is sampled with :func:`zeta` through
 :meth:`Prepared.rows`, and its coefficients are sums against exact
 cosines cos(k theta_i) (a three-term recurrence for T_k loses ~k^2 eps),
-taken from one table of the distinct angles.
+taken from one table of the distinct angles per node count.
 
 The rule for m is an a-priori cap; the coefficients mostly fall to a
 rounding plateau of 1e-16 to 1e-17 sum |c_k| well before it.  So the
@@ -179,12 +179,17 @@ kept coefficient.  On each block p_kept is a polynomial of degree kept - 1
 in the block's own coordinate, so its values at the block's kept
 first-kind Chebyshev points determine it exactly: Clenshaw's recurrence
 evaluates the series at those points only, and one barycentric matrix
-(second form, shared by every block of the range) maps them onto the
-block's grid points in one matrix product.  This re-evaluates p_kept, it
+(second form, shared by every block of every range that keeps as many
+coefficients) maps them onto the block's grid points in one matrix
+product.  This re-evaluates p_kept, it
 does not approximate it further, and the barycentric formula at Chebyshev
 points is forward stable (Higham, IMA J. Numer. Anal. 24, 547 (2004);
 Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  A range of no more grid
-points than nodes is evaluated exactly, which is cheaper.
+points than nodes is evaluated exactly, which is cheaper.  The cosine
+table, the fit matrix and the full-width barycentric matrix depend on the
+node count alone, so each is built once per process and kept read-only in
+a cache of ``_TABLES`` entries; a range of one block narrower than
+``_BLOCK`` x nodes points builds its own matrix.
 
 A column that is not smooth on a range has a zero near it.  When only
 its nearest null x0 = p + k pi is (the zeros pi beyond it give rho >=
@@ -236,6 +241,7 @@ never as -inf or as the largest.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -293,13 +299,26 @@ _CHOP = 32.0
 
 #: Grid points per kept coefficient in a block of an interpolated range.
 #: Wider blocks run the recurrence on fewer points (n / _BLOCK points x
-#: coefficients) but build a larger barycentric matrix (_BLOCK kept^2 / 2
-#: elements).  On the 24 records of the benchmark's `profile` workload at
-#: seeds 1 and 2, 1e5 points each, the 12 balanced took 40.5 / 36.0 / 34.6
-#: ms and the 12 unbalanced 232 / 224 / 225 ms with 4 / 8 / 16 (medians of
-#: 25 interleaved rounds, one thread, 2-core Xeon, NumPy 2.4.6); a second
-#: set read 248 / 260 ms unbalanced with 8 / 16.
+#: coefficients) but keep a larger barycentric matrix per node count
+#: (_BLOCK kept^2 elements).  With one matrix built per range, the 24
+#: records of the benchmark's `profile` workload at seeds 1 and 2, 1e5
+#: points each, took 40.5 / 36.0 / 34.6 ms balanced and 232 / 224 / 225 ms
+#: unbalanced with 4 / 8 / 16 (medians of 25 interleaved rounds, one
+#: thread, 2-core Xeon, NumPy 2.4.6); a second set read 248 / 260 ms
+#: unbalanced with 8 / 16.  With the matrices cached (``_TABLES``), 6
+#: alternating 10 s pairs of that workload at seed 5 read record_ms_p90
+#: 13.54 [13.47, 13.69] ms with 8 and 13.34 [13.32, 13.50] with 16 (16
+#: lower in 4 of 6), 118.2 and 120.9 records/s and a peak RSS of 67.4 and
+#: 68.1 MB: 16 does not win p90 outright, and 8 keeps the profile's values.
 _BLOCK = 8
+
+#: Entries each cache of the profile's fixed tables holds: the cosine
+#: tables, the fit matrices and the full-width barycentric matrices, keyed
+#: by node count (a fit matrix also by its step), never by grid size.  The
+#: 36 profiles of the benchmark's `profile` workload at seeds 1 to 3 use 61,
+#: 45 and 32 keys: 0.1, 0.5 and 2.1 MB.  A barycentric matrix takes 64
+#: nodes^2 bytes (nodes <= 135), so the bound caps that cache at 45.3 MB.
+_TABLES = 64
 
 #: Elements (delays x columns) evaluated together by :meth:`Prepared.rows`,
 #: 256 KiB per workspace array.  The 172-delay ladder of a 4202-column record
@@ -765,20 +784,20 @@ def _interpolate(lo: int, hi: int, p: Columns, nodes: int, g0: float, dg: float,
     """
     centre, half = 0.5 * (lo + hi - 1), 0.5 * (hi - 1 - lo)
     third = -(-nodes // 3)
-    cosines = _cosines(3 * third)
-    g = g0 + (centre + half * cosines[1:6 * third:2]) * dg
+    g = g0 + (centre + half * _cosines(3 * third)[1:6 * third:2]) * dg
     values = np.empty(3 * third)
     values[1::3] = p.rows(g[1::3], row_values)
-    coef = _chop(_fit(values[1::3], cosines, 3))
+    coef = _chop(_fit(values[1::3], 3))
     if coef.size > third - _PLATEAU:
         new = np.arange(3 * third) % 3 != 1
         values[new] = p.rows(g[new], row_values)
-        coef = _chop(_fit(values, cosines, 1))
+        coef = _chop(_fit(values, 1))
     out[lo:hi] += _chebyshev(coef, hi - lo, scratch)
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def _cosines(m: int) -> np.ndarray:
-    """cos(pi a / (2 m)) for a = 0 .. 4 m - 1.
+    """cos(pi a / (2 m)) for a = 0 .. 4 m - 1, read-only.
 
     At the m first-kind Chebyshev points x_i = cos theta_i, theta_i =
     pi (2 i + 1) / (2 m), entry 2 i + 1 is x_i, entry |m - 1 - 2 i|
@@ -787,16 +806,23 @@ def _cosines(m: int) -> np.ndarray:
     the points are exactly odd in i, and the middle one of an odd m is
     exactly 0.
     """
-    return np.sin(np.pi / (2 * m) * (m - np.arange(4 * m)))
+    return _frozen(np.sin(np.pi / (2 * m) * (m - np.arange(4 * m))))
 
 
-def _fit(values: np.ndarray, cosines: np.ndarray, step: int) -> np.ndarray:
+@functools.lru_cache(maxsize=_TABLES)
+def _fit_matrix(m: int, step: int) -> np.ndarray:
+    """cos(k theta_i) at row k, column i, for the m first-kind points, taken
+    from _cosines(step * m) at the angle k (2 i + 1) step; read-only."""
+    cosines = _cosines(step * m)
+    return _frozen(cosines[step * np.outer(np.arange(m), 2 * np.arange(m) + 1) % cosines.size])
+
+
+def _fit(values: np.ndarray, step: int) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through ``values`` at the
-    values.size first-kind points, from ``cosines`` = _cosines(step *
-    values.size)."""
+    values.size first-kind points, from the cosine table of step *
+    values.size points (:func:`_fit_matrix`)."""
     m = values.size
-    angle = step * np.outer(np.arange(m), 2 * np.arange(m) + 1) % cosines.size
-    coef = cosines[angle] @ values * (2.0 / m)
+    coef = _fit_matrix(m, step) @ values * (2.0 / m)
     coef[0] *= 0.5
     return coef
 
@@ -827,20 +853,38 @@ def _chebyshev(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     (j - h) / h, h = (width - 1) / 2, so its values at the first-kind
     Chebyshev points x_i = cos theta_i, theta_i = pi (2 i + 1) / (2 nodes),
     determine it exactly.  :func:`_clenshaw` evaluates the series at each
-    block's x_i, and one barycentric matrix W (width x nodes, second form,
-    weights (-1)^i sin theta_i), shared by every block, maps those values
-    onto the block's points: one matrix product for the whole range.
+    block's x_i, and one barycentric matrix W (:func:`_barycentric`),
+    shared by every block, maps those values onto the block's points: one
+    matrix product for the whole range.  A full-width W depends on nodes
+    alone and is built once per process (:func:`_block_matrix`); a range
+    of one block narrower than that builds its own.
     """
     nodes = coef.size
     width = min(n, _BLOCK * nodes)
     h, c = 0.5 * (width - 1), 0.5 * (n - 1)
-    cosines, odd = _cosines(nodes), 2 * np.arange(nodes) + 1
-    x = cosines[odd]
+    x = _cosines(nodes)[1:2 * nodes:2]
     starts = np.minimum(np.arange(0, n, width), n - width)
     node_values = _clenshaw(coef, ((starts[:, None] + (h - c)) + h * x) / c)
-    # the block's points s_j and the nodes are symmetric about 0 in floating
-    # point too, so row width - 1 - j of W is row j reversed: only the rows
-    # with s_j <= 0 are formed
+    w = _block_matrix(nodes) if width == _BLOCK * nodes else _barycentric(width, nodes)
+    values = out[:n]
+    full = n // width
+    np.dot(node_values[:full], w.T, out=values[:full * width].reshape(full, width))
+    if full < starts.size:
+        np.dot(w, node_values[-1], out=values[n - width:])
+    return values
+
+
+def _barycentric(width: int, nodes: int) -> np.ndarray:
+    """The barycentric matrix W (width x nodes, second form, weights
+    (-1)^i sin theta_i) from the values at the nodes first-kind points x_i
+    to those at the width uniform points s_j = (j - h) / h, h = (width -
+    1) / 2, of [-1, 1]."""
+    cosines, odd = _cosines(nodes), 2 * np.arange(nodes) + 1
+    x = cosines[odd]
+    h = 0.5 * (width - 1)
+    # the points s_j and the nodes are symmetric about 0 in floating point
+    # too, so row width - 1 - j of W is row j reversed: only the rows with
+    # s_j <= 0 are formed
     mid = (width + 1) // 2
     s = (np.arange(mid) - h) / h
     w = np.empty((width, nodes))
@@ -854,12 +898,19 @@ def _chebyshev(coef: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     on_node = np.isinf(total)
     top[on_node] = np.equal.outer(s[on_node], x)
     w[mid:] = top[width - mid - 1::-1, ::-1]
-    values = out[:n]
-    full = n // width
-    np.dot(node_values[:full], w.T, out=values[:full * width].reshape(full, width))
-    if full < starts.size:
-        np.dot(w, node_values[-1], out=values[n - width:])
-    return values
+    return w
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _block_matrix(nodes: int) -> np.ndarray:
+    """:func:`_barycentric` at the full block width ``_BLOCK`` nodes; read-only."""
+    return _frozen(_barycentric(_BLOCK * nodes, nodes))
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table``, made read-only: a cached table is shared by every caller."""
+    table.flags.writeable = False
+    return table
 
 
 def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:

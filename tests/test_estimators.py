@@ -1697,7 +1697,7 @@ class TestProfileSeries:
         # the 24 delays formed as _interpolate forms them
         cosines, half = _kernels._cosines(24), 0.5 * (n - 1)
         g = 0.0 + (half + half * cosines[1:48:2]) * dg
-        fresh = _kernels._fit(p.rows(g, _kernels._log_rows), cosines, 1)
+        fresh = _kernels._fit(p.rows(g, _kernels._log_rows), 1)
         assert call["fitted"].size == 24
         assert np.abs(call["fitted"] - fresh).sum() <= 1e-15 * np.abs(fresh).sum()
 
@@ -1795,3 +1795,87 @@ class TestProfileSeries:
         rec, wv = record_at(PHI_WVA, 1e-17), ideal_weak_values(PHI_WVA)
         first = likelihood_profile(rec, wv, 0.0, 2e-17, 100_000)[1]
         assert np.array_equal(first, likelihood_profile(rec, wv, 0.0, 2e-17, 100_000)[1])
+
+
+class TestProfileTables:
+    """The profile's fixed tables, cached per node count: the cosine tables,
+    the fit matrices and the full-width barycentric matrices."""
+
+    CACHES = ("_cosines", "_fit_matrix", "_block_matrix")
+
+    @classmethod
+    def _clear(cls):
+        for name in cls.CACHES:
+            getattr(_kernels, name).cache_clear()
+
+    @staticmethod
+    def _cases():
+        # unbalanced records whose range holds the dark port's nulls, on
+        # ideal, dispersive and absent plates, noise-free and at 1e5 photons
+        for k, kind in enumerate(("ideal", "dispersive", "absent")):
+            qwp = default_dispersive_qwp() if kind == "dispersive" else QwpModel(variant=kind)
+            for photons in (0, 100_000):
+                rec = simulate(ExperimentConfig(phi_actual=PHI_WVA, tau_true=8e-18,
+                                                photons=photons, seed=k, qwp=qwp))
+                yield rec, port_projections(PHI_WVA, rec.omega, qwp)[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, 24, 45, 67, 133, 135])
+    def test_cached_tables_are_read_only_fresh_builds(self, m):
+        # each table, looked up twice (a miss, then a hit), is the array a
+        # fresh build gives, bit for bit, and refuses writes
+        self._clear()
+        cosines = np.sin(np.pi / (2 * m) * (m - np.arange(4 * m)))
+        tables = [(_kernels._cosines(m), _kernels._cosines(m), cosines),
+                  (_kernels._block_matrix(m), _kernels._block_matrix(m),
+                   _kernels._barycentric(_kernels._BLOCK * m, m))]
+        for step in (1, 3):
+            fresh = np.sin(np.pi / (2 * step * m) * (step * m - np.arange(4 * step * m)))
+            angle = step * np.outer(np.arange(m), 2 * np.arange(m) + 1) % fresh.size
+            tables.append((_kernels._fit_matrix(m, step), _kernels._fit_matrix(m, step),
+                           fresh[angle]))
+        for miss, hit, fresh in tables:
+            assert hit is miss
+            assert miss.shape == fresh.shape
+            assert np.array_equal(miss.view(np.uint64), fresh.view(np.uint64))
+            assert not miss.flags.writeable
+            with pytest.raises(ValueError):
+                miss[0] = 0.0
+
+    @pytest.mark.parametrize("n", [150, 1000, 16 * 67 + 37, 100_000])
+    def test_profile_is_bit_identical_with_cold_and_warm_tables(self, n):
+        # each profile with every cache cleared before it, then again after
+        # all the others have filled the caches with their own tables; at
+        # 150 points most ranges are one block narrower than _BLOCK nodes,
+        # which builds its own matrix, and at 1109 every range ends in a
+        # partial block
+        cases = list(self._cases())
+        cold = []
+        for rec, wv in cases:
+            self._clear()
+            cold.append(likelihood_profile(rec, wv, 0.0, 1.6e-17, n)[1])
+        for (rec, wv), first in zip(cases, cold):
+            warm = likelihood_profile(rec, wv, 0.0, 1.6e-17, n)[1]
+            assert np.array_equal(warm.view(np.uint64), first.view(np.uint64))
+
+    def test_caches_stay_within_their_bound(self, monkeypatch):
+        # profiles at 30 grid sizes from 20 to 1e5 points key the
+        # barycentric cache by node count alone: it holds no more matrices
+        # than there were distinct evaluated lengths, and no cache holds
+        # more than _TABLES entries
+        chebyshev, kept = _kernels._chebyshev, set()
+
+        def counting(coef, n, out):
+            kept.add(coef.size)
+            return chebyshev(coef, n, out)
+
+        monkeypatch.setattr(_kernels, "_chebyshev", counting)
+        self._clear()
+        for n in np.geomspace(20, 100_000, 30).astype(int):
+            for rec, wv in self._cases():
+                likelihood_profile(rec, wv, 0.0, 1.6e-17, int(n))
+        assert kept
+        for name in self.CACHES:
+            info = getattr(_kernels, name).cache_info()
+            assert info.maxsize == _kernels._TABLES
+            assert 0 < info.currsize <= _kernels._TABLES
+        assert _kernels._block_matrix.cache_info().currsize <= len(kept)
