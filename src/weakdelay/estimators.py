@@ -38,6 +38,7 @@ are never absorbed silently (see ``JWM_SIGN``).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -314,18 +315,36 @@ def _newton_from_zero(prepared: _kernels.Prepared) -> float:
 _HINT_WINDOW = np.linspace(0.2, 5.0, 49)
 
 
+@functools.lru_cache(maxsize=4)
+def _fixed_ladder(lo: float, hi: float) -> np.ndarray:
+    """The candidates of :func:`_candidate_ladder` that the hint does not
+    move, read-only: zero, 61-point log ladders of both signs from 1e-21 s
+    to the larger end, and both ends, each inside [lo, hi].  Kept for the
+    four brackets that :func:`solve_exact` searches."""
+    ladder = np.logspace(-21, np.log10(max(abs(lo), abs(hi))), 61)
+    cands = np.concatenate([[0.0, lo, hi], ladder, -ladder])
+    return _kernels._frozen(_unique(cands[(cands >= lo) & (cands <= hi)]))
+
+
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
     """Global localization grid of the bracket [lo, hi], sorted and unique:
-    zero, 61-point log ladders of both signs from 1e-21 s to the larger
-    end, the hint window (the hint, ``None`` or finite as :func:`_hint`
-    returns it, times :data:`_HINT_WINDOW`) and both ends, each candidate
-    inside the bracket."""
-    ladder = np.logspace(-21, np.log10(max(abs(lo), abs(hi))), 61)
-    cands = [[0.0, lo, hi], ladder, -ladder]
-    if hint is not None:
-        cands.append(hint * _HINT_WINDOW)
-    cands = np.concatenate(cands)
-    return np.unique(cands[(cands >= lo) & (cands <= hi)])
+    :func:`_fixed_ladder` and the hint window (the hint, ``None`` or finite
+    as :func:`_hint` returns it, times :data:`_HINT_WINDOW`) inside the
+    bracket."""
+    window = np.empty(0) if hint is None else hint * _HINT_WINDOW
+    return _unique(np.concatenate([_fixed_ladder(lo, hi),
+                                   window[(window >= lo) & (window <= hi)]]))
+
+
+def _unique(cands: np.ndarray) -> np.ndarray:
+    """``cands`` sorted, each value once: ``np.unique``'s result, bit for
+    bit, without its first call's import of ``numpy.ma``.  The sort is
+    stable, so of 0.0 and -0.0 the first given stays."""
+    cands = np.sort(cands, kind="stable")
+    keep = np.empty(cands.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(cands[1:], cands[:-1], out=keep[1:])
+    return cands[keep]
 
 
 def _runs(marked: np.ndarray) -> np.ndarray:
@@ -370,8 +389,8 @@ def _rising(cands: np.ndarray, prepared: _kernels.Prepared) -> np.ndarray:
 
 
 def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared):
-    """The ladder candidates that end a marked interval or a clean run, and
-    their scores, in one call.
+    """The ladder candidates that end a marked interval or a clean run,
+    their scores, in one call, and which neighbouring pairs span a clean run.
 
     Outside every rising band (:func:`_rising`) each counted term of the
     score falls strictly with g, so a run of clean intervals holds at most
@@ -379,11 +398,58 @@ def _ladder_scores(cands: np.ndarray, prepared: _kernels.Prepared):
     zero at an end included.  A candidate inside a run is not scored, so
     neighbouring scored candidates span one marked interval or one whole
     clean run, and each descending pair of them holds a descending pair of
-    the full ladder.  Returns (candidates, scores).
+    the full ladder.  Returns (candidates, scores, clean), clean[i] true
+    where candidates i and i + 1 span a clean run.
     """
-    marked = np.concatenate([[True], _rising(cands, prepared), [True]])
-    points = cands[marked[:-1] | marked[1:]]
-    return points, score_residual(points, prepared)
+    rising = _rising(cands, prepared)
+    marked = np.concatenate([[True], rising, [True]])
+    ends = np.flatnonzero(marked[:-1] | marked[1:])
+    return cands[ends], score_residual(cands[ends], prepared), ~rising[ends[:-1]]
+
+
+def _modes(prepared: _kernels.Prepared, hint: float) -> tuple[np.ndarray, float]:
+    """The likelihood's local maxima that the hint h predicts, as (centres,
+    period): h and its mirror 2 x_c / wbar - h, each repeating every
+    pi / wbar, the fringe-order aliases.
+
+    Each bin's zeta is symmetric about x_c and repeats every pi in x = g w,
+    so a bin alone ranks g, its mirror and their aliases alike; only the
+    spread of w about wbar = sum q w / sum q over the counted columns sets
+    them apart.  x_c = atan2(2 Im A, 1 - |A|^2) / 2, phi/2 for the ideal
+    law and 0 for real weak values, is read from the zeta terms of the
+    column nearest wbar: 2 u v = 2 Im A and u^2 - v^2 = 1 - |A|^2.  The two
+    ports' centres differ by pi/2, which the aliases absorb.
+    """
+    wbar = float((prepared.q / prepared.q.sum()) @ prepared.omega)
+    i = int(np.argmin(np.abs(prepared.omega - wbar)))
+    u, v = float(prepared.terms.u[i]), float(prepared.terms.v[i])
+    centre = 0.5 * math.atan2(2.0 * u * v, u * u - v * v)
+    return np.array([hint, 2.0 * centre / wbar - hint]), math.pi / wbar
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _starts(prepared: _kernels.Prepared, hint: float | None, points: np.ndarray,
+            clean: np.ndarray, down: np.ndarray) -> list:
+    """The start of :func:`_newton` on each bracket (points[i], points[i +
+    1]), i in ``down``, or None for its false-position point.
+
+    A clean run holds one root, so it starts at the predicted mode
+    (:func:`_modes`) inside it, the hint's alias before the mirror's where
+    both are; a marked interval starts at the hint, which :func:`_newton`
+    takes only from inside.  Without a hint, or without a mode inside a
+    clean run, a bracket starts at its false-position point.
+    """
+    if hint is None:
+        return [None] * down.size
+    centres, period = _modes(prepared, hint)
+    starts = []
+    for i in down:
+        a, b = points[i], points[i + 1]
+        # each centre's first alias past a
+        modes = centres + np.ceil((a - centres) / period) * period if clean[i] else [hint]
+        inside = [float(g) for g in modes if a < g < b]
+        starts.append(inside[0] if inside else None)
+    return starts
 
 
 def _hint(prepared: _kernels.Prepared) -> float | None:
@@ -412,9 +478,13 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     every clean run between the bands, where the score falls strictly and
     holds at most one root.  The brackets, marked intervals and whole clean
     runs, are refined together by safeguarded Newton steps on the curvature
-    (:func:`_newton`, :func:`_refine`), the one that holds the first-order
-    hint (:func:`_hint`) starting at the hint, and the root with the
-    highest likelihood wins.  The counted bins are prepared once per solve;
+    (:func:`_newton`, :func:`_refine`), and the root with the highest
+    likelihood wins.  Each bracket has a start of its own
+    (:func:`_starts`): a clean run starts at the mode that the first-order
+    hint h (:func:`_hint`) predicts inside it, h, its mirror 2 x_c / w - h
+    or one of their aliases k pi / w away (:func:`_modes`); a marked
+    interval starts at h.  A bracket without its start inside begins at its
+    false-position point.  The counted bins are prepared once per solve;
     frequency-dependent weak values stay inside the bin sums.  Real weak
     values (an even likelihood) give the nonnegative member of the mirror
     pair, with a caveat.
@@ -434,7 +504,7 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     for expansion in range(4):
         if expansion:
             lo, hi = lo * 10.0, hi * 10.0
-        points, vals = _ladder_scores(_candidate_ladder(lo, hi, hint), prepared)
+        points, vals, clean = _ladder_scores(_candidate_ladder(lo, hi, hint), prepared)
         a, b = vals[:-1], vals[1:]
         down = np.flatnonzero(np.isfinite(a) & np.isfinite(b)
                               & (((a > 0) & (b <= 0)) | ((a >= 0) & (b < 0))))
@@ -444,7 +514,8 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
         raise BracketingError(f"could not bracket a score root inside the searched "
                               f"range [{lo:.3e}, {hi:.3e}] s")
 
-    refined = _refine(prepared, [(points[i], points[i + 1], a[i], b[i]) for i in down], hint)
+    refined = _refine(prepared, [(points[i], points[i + 1], a[i], b[i]) for i in down],
+                      _starts(prepared, hint, points, clean, down))
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
     (root, iters), width = refined[best], points[down[best] + 1] - points[down[best]]
     caveats = ()
@@ -474,15 +545,16 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     )
 
 
-def _refine(prepared: _kernels.Prepared, brackets, start) -> list:
-    """(root, steps) of :func:`_newton` on each bracket (a, b, fa, fb), all
+def _refine(prepared: _kernels.Prepared, brackets, starts) -> list:
+    """(root, steps) of :func:`_newton` on each bracket (a, b, fa, fb) from
+    its own start (:func:`_starts`; None for its false-position point), all
     in lockstep: each round scores the point of every bracket still open in
     one :func:`score_curvature` call.  :meth:`~weakdelay._kernels.Prepared.rows`
     sums each delay's row alike alone or in an array, so every bracket takes
     the steps it takes alone.  A point where the score is singular raises
     ModelError.
     """
-    refiners = [_newton(*bracket, start) for bracket in brackets]
+    refiners = [_newton(*bracket, start) for bracket, start in zip(brackets, starts)]
     results, replies = [None] * len(refiners), [None] * len(refiners)
     while True:
         live, points = [], []
@@ -506,9 +578,10 @@ def _newton(a, b, fa, fb, start):
     A generator: it yields each delay it needs scored and is sent back the
     (score, curvature, scale) of :func:`score_curvature` there, so that
     :func:`_refine` can score many brackets in one call; it returns
-    (root, steps).  It starts at ``start`` when that lies inside (a, b),
-    else at the bracket's false-position point.  Each step reads the score
-    s and curvature c, keeps the bracket end on the side of the sign of s,
+    (root, steps).  It starts at ``start``, the bracket's predicted mode or
+    the hint (:func:`_starts`), when that lies inside (a, b), else at the
+    bracket's false-position point.  Each step reads the score s and
+    curvature c, keeps the bracket end on the side of the sign of s,
     and takes the Newton step d = -s / c.  Where c is not negative, the
     step leaves the bracket or it is longer than half the step before it
     (the first: than half the bracket), as it can be where the counted

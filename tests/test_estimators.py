@@ -1,6 +1,10 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +289,8 @@ class TestPortWeakValues:
 
 class TestCandidateLadder:
     """A bracket's candidate ladder is its formula: zero, both log ladders,
-    the hint window and the ends, inside the bracket, sorted and unique."""
+    the hint window and the ends, inside the bracket, sorted and unique,
+    bit for bit as np.unique gives it."""
 
     @staticmethod
     def _fresh(lo, hi, hint):
@@ -305,12 +310,38 @@ class TestCandidateLadder:
                 # the widenings of solve_exact
                 lo, hi = lo * 10.0, hi * 10.0
             # none, zero, NaN, two inside the bracket, one across its end
-            # and one wholly outside it
-            for hint in (None, 0.0, math.nan, 3.7e-18, -0.31 * hi, 3.0 * hi, -10.0 * hi):
+            # and one wholly outside it, then windows of both signs from
+            # below the ladder's 1e-21 s to across the first bracket's end
+            for hint in (None, 0.0, math.nan, 3.7e-18, -0.31 * hi, 3.0 * hi, -10.0 * hi,
+                         1e-40, -1e-40, 1e-18, -1e-18, 3e-16, -3e-16, 2e-15, -2e-15):
                 for _ in range(2):
                     got = est._candidate_ladder(lo, hi, hint)
                     want = self._fresh(lo, hi, hint)
                     assert got.tobytes() == want.tobytes(), (lo, hint)
+
+    def test_fixed_ladder_is_a_cached_read_only_table(self):
+        lo, hi = est.DEFAULT_BRACKET
+        table = est._fixed_ladder(lo, hi)
+        assert est._fixed_ladder(lo, hi) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        # a ladder without a hint window is the table in a fresh array
+        ladder = est._candidate_ladder(lo, hi, None)
+        assert ladder.tobytes() == table.tobytes() and ladder.flags.writeable
+
+    def test_solve_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 9 ms of
+        # import time that every estimating process would pay
+        code = ("import sys\n"
+                "from weakdelay import ExperimentConfig, ideal_weak_values, simulate, solve_exact\n"
+                "rec = simulate(ExperimentConfig(phi_actual=0.03, tau_true=3e-18,"
+                " photons=10_000_000, seed=1))\n"
+                "solve_exact(rec, ideal_weak_values(0.03))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(est.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False", out.stderr
 
 
 class TestRationalResidual:
@@ -408,6 +439,52 @@ class TestModeGaps:
         assert gap == pytest.approx(2.0 * self.N * (k * np.pi) ** 2 * rel2, rel=5e-2)
 
 
+class TestPredictedModes:
+    """L2 and L5 as the solver uses them: every root it refines other than
+    the winner sits at a mode the winner predicts, its mirror
+    2 x_c / w_bar - tau or an alias of either k pi / w_bar away
+    (estimators._modes), on 1e7-photon expected records (noise-free: the
+    roots do not depend on the scale)."""
+
+    @pytest.mark.parametrize("phi", [PHI_WVA, 0.3, PHI_JWM, 2.5])
+    @pytest.mark.parametrize("variant, centre", [("ideal", 0.5), ("absent", 0.0)])
+    def test_mirror_centre_is_half_phi_for_the_ideal_law_and_zero_without_a_plate(
+            self, phi, variant, centre):
+        # x_c = phi / 2 and 0 (centre x phi), each up to the period pi / w_bar
+        rec = record_at(phi, 3e-18, qwp=QwpModel(variant))
+        p = prepare_likelihood(rec, port_projections(phi, rec.omega, QwpModel(variant))[0])
+        (hint, mirror), period = est._modes(p, 1e-18)
+        w_bar = float(p.q @ p.omega) / float(p.q.sum())
+        assert hint == 1e-18 and period == pytest.approx(np.pi / w_bar, rel=1e-14)
+        want = 2.0 * centre * phi / w_bar - 1e-18
+        k = round((mirror - want) / period)
+        assert mirror - k * period == pytest.approx(want, rel=1e-12, abs=1e-30)
+
+    @pytest.mark.parametrize("dispersive", [False, True])
+    @pytest.mark.parametrize("phi", [PHI_WVA, PHI_JWM])
+    def test_losing_roots_sit_at_the_winners_predicted_modes(self, phi, dispersive):
+        qwp = default_dispersive_qwp() if dispersive else QwpModel()
+        losers = 0
+        for tau in (-1e-17, 0.0, 3e-18, 1e-17, 2e-17):
+            rec = record_at(phi, tau, qwp=qwp)
+            wv = port_projections(phi, rec.omega, qwp)[0]
+            p, hint, _, points, vals, clean = _scan(rec, wv)
+            pairs = _pairs(points, vals)
+            roots = [r for r, _ in est._refine(p, pairs, _starts(p, hint, points, vals, clean))]
+            won = solve_exact(rec, wv).tau_hat
+            centres, period = est._modes(p, won)
+            for root in roots:
+                if root == won:
+                    continue
+                modes = centres + np.round((root - centres) / period) * period
+                # relative to the larger of the mode and the winner: the
+                # mirror of tau = 1e-17 s at phi = 0.03 lies at 2.4e-18 s
+                worst = np.abs(root - modes) / np.maximum(np.abs(modes), abs(won))
+                assert worst.min() <= 1e-3, (tau, root, modes)
+                losers += 1
+        assert losers >= 5
+
+
 def _descending(vals):
     """The descending pairs (i, i + 1) of a ladder scan, as solve_exact takes them."""
     a, b = vals[:-1], vals[1:]
@@ -417,7 +494,7 @@ def _descending(vals):
 
 def _scan(rec, wv):
     """A solve's first ladder scan: (prepared record, first-order hint,
-    ladder, scored candidates, their scores)."""
+    ladder, scored candidates, their scores, which pairs span a clean run)."""
     p = prepare_likelihood(rec, wv)
     hint = est._hint(p)
     cands = est._candidate_ladder(*est.DEFAULT_BRACKET, hint)
@@ -435,6 +512,11 @@ def _score_terms(x, p):
 def _pairs(points, vals):
     """The brackets (a, b, fa, fb) that solve_exact refines: a scan's descending pairs."""
     return [(points[i], points[i + 1], vals[i], vals[i + 1]) for i in _descending(vals)]
+
+
+def _starts(p, hint, points, vals, clean):
+    """The start solve_exact gives each bracket of :func:`_pairs`."""
+    return est._starts(p, hint, points, clean, _descending(vals))
 
 
 class TestRisingBands:
@@ -529,7 +611,7 @@ class TestRisingBands:
         # rounding-level next to a root (none on these 306 records)
         near_root = 0
         for rec, wv in self._records(306):
-            p, _, cands, points, vals = _scan(rec, wv)
+            p, _, cands, points, vals, _ = _scan(rec, wv)
             full = score_residual(cands, p)
             assert np.isin(points, cands).all() and points[[0, -1]].tolist() == \
                 cands[[0, -1]].tolist()
@@ -559,7 +641,7 @@ class TestRisingBands:
         cands = est._candidate_ladder(*est.DEFAULT_BRACKET, est._hint(p))
         for j in range(cands.size):
             monkeypatch.setattr(est, "score_residual", lambda g, _, root=cands[j]: root - g)
-            points, vals = est._ladder_scores(cands, p)
+            points, vals, _ = est._ladder_scores(cands, p)
             full = cands[j] - cands
             brackets = self._brackets(cands, points, vals)
             assert brackets.size
@@ -573,16 +655,34 @@ class TestRisingBands:
 
     def test_lockstep_refinement_matches_each_bracket_alone(self):
         # each bracket's (root, steps) bit for bit, refined with the others
-        # or alone
+        # or alone, from the start the solver gives it
         several = 0
         for rec, wv in self._records(306):
-            p, hint, _, points, vals = _scan(rec, wv)
-            pairs = _pairs(points, vals)
-            together = est._refine(p, pairs, hint)
-            alone = [est._refine(p, [pair], hint)[0] for pair in pairs]
+            p, hint, _, points, vals, clean = _scan(rec, wv)
+            pairs, starts = _pairs(points, vals), _starts(p, hint, points, vals, clean)
+            together = est._refine(p, pairs, starts)
+            alone = [est._refine(p, [pair], [start])[0] for pair, start in zip(pairs, starts)]
             assert [(r.hex(), s) for r, s in together] == [(r.hex(), s) for r, s in alone]
             several += len(pairs) > 1
         assert several > 300
+
+    def test_predicted_starts_cut_the_lockstep_rounds(self, monkeypatch):
+        # score_curvature calls per solve, less the hint's and the one at the
+        # root: 4.05 when only the hint's bracket started at a prediction
+        calls, scored = [], est.score_curvature
+
+        def counting(g, *args):
+            calls.append(g)
+            return scored(g, *args)
+
+        monkeypatch.setattr(est, "score_curvature", counting)
+        rounds = []
+        for rec, wv in self._records(306):
+            calls.clear()
+            solve_exact(rec, wv)
+            rounds.append(len(calls) - 2)
+        print(f"{np.mean(rounds):.3f} lockstep rounds per solve")
+        assert np.mean(rounds) <= 3.3
 
     def test_lockstep_refinement_raises_on_a_singular_score(self):
         # the second bracket starts on a dark-port null
@@ -593,7 +693,7 @@ class TestRisingBands:
         singular = float(g[np.isnan(score_curvature(g, p)[0])][0])
         pairs = [(0.0, 1e-18, 1.0, -1.0), (0.5 * singular, 2.0 * singular, 1.0, -1.0)]
         with pytest.raises(ModelError):
-            est._refine(p, pairs, singular)
+            est._refine(p, pairs, [singular, singular])
 
 
 class TestSolveExact:
@@ -825,11 +925,11 @@ class TestNewtonRefiner:
         # the score wiggle; each method then finds one of them.)
         worst = 0
         for rec, wv in self._records(63):
-            p, hint, _, points, vals = _scan(rec, wv)
-            pairs = _pairs(points, vals)
+            p, hint, _, points, vals, clean = _scan(rec, wv)
+            pairs, starts = _pairs(points, vals), _starts(p, hint, points, vals, clean)
             tau = solve_exact(rec, wv).tau_hat
             found = 0
-            for (a, b, fa, fb), (root, steps) in zip(pairs, est._refine(p, pairs, hint)):
+            for (a, b, fa, fb), (root, steps) in zip(pairs, est._refine(p, pairs, starts)):
                 assert a <= root <= b
                 worst = max(worst, steps)
                 if root == tau or (wv.is_real() and root == -tau):
