@@ -29,7 +29,7 @@ from .simulator import (ExperimentConfig, SnrPoint, SourceConfig, SweepRow,
                         resolution_factor, simulate, snr_sweep, sweep_theta,
                         wva_uncertainty)
 from .spectra import (MeasurementRecord, SpectralMoments, Spectrum,
-                      completeness_defect, moments, pooled_variance,
+                      completeness_defect, pooled_variance,
                       postselected_distribution,
                       postselection_probabilities_exact, record_moments, zeta)
 from .waveplate import (PlateStack, TiltAngles, compound_retardance,

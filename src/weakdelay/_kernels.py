@@ -104,7 +104,7 @@ likelihood functions of :mod:`weakdelay.estimators` hand the row functions
 one workspace that the call allocates once, so a block allocates nothing
 of its size; every row is reduced by the same pairwise sum whether its
 delay came alone or in an array.  The dense profile reads the same
-columns with its own row function, :func:`_log_rows`.
+columns with its own row function, :func:`_split_rows`.
 
 The dense profile evaluates the source-free log-likelihood
 
@@ -228,12 +228,13 @@ columns that are smooth on it (a column's rho only grows on a subrange).
 So exact work stays on the stretch of grid around each column's null:
 none on a balanced record over [0, 2 tau], about 0.1-1% of the grid
 points x columns on an unbalanced one whose range holds the dark port's
-nulls, and all of it on kernels.  A final range evaluates its zeta
-columns (two zeros near, or all of a range of no more points than nodes)
-and its kernels in one :meth:`Prepared.rows` call, through the row
-function :func:`_split_rows` that samples split ranges, with no split
-columns: log zeta by :func:`_log_rows`, the row function that samples the
-smooth ones, and the kernels by their log.  Every zeta is kept
+nulls, and all of it on kernels.  Every range, sampled or final, reads
+its columns through one row function, :func:`_split_rows`: log zeta of
+its zeta columns (:func:`_log_rows`), the regular parts of its split
+ones and the log of its kernels, where a run without columns adds exactly
+0.  A final range evaluates its zeta columns (two zeros near, or all of a
+range of no more points than nodes) and its kernels in one
+:meth:`Prepared.rows` call, with no split columns.  Every zeta is kept
 at or above ``_Z_FLOOR``, and so is each kernel's eta^2, so a grid point
 on a likelihood singularity reads finite and far below its neighbours,
 never as -inf or as the largest.
@@ -258,8 +259,10 @@ _NULL = 2.0 * (32.0 * _EPS) ** 2
 #: Score denominator S^2 + ratio at or below which a block is checked for
 #: model zeros: |S| up to 2^-30 = 4.2e6 eps, which covers the 35 eps of a
 #: zeta at or below null plus the rounding eps |x| / 2 of x - p up to |x| =
-#: 8e6 rad, past the widest bracket of the solver (3e3 rad).  Only a column
-#: whose ratio exceeds it may take its peak phase, whose denominator is >= 1.
+#: 8e6 rad, past the widest bracket of the solver (3e3 rad) and the largest
+#: phase of a simulated delay (2^22 rad, ``simulator.MAX_PHASE``).  Only a
+#: column whose ratio exceeds it may take its peak phase, whose denominator
+#: is >= 1.
 _SCREEN = 2.0 ** -60
 
 #: Bernstein ellipse parameter rho from which a profile column is interpolated.
@@ -701,12 +704,9 @@ def _bisect(lo: int, hi: int, p: Columns, nulls, zetas, kernels, g0: float, dg: 
             # sampled: smooth zeta columns, split ones, smooth kernels
             near = np.concatenate([split, count + np.flatnonzero(smooth[count:])])
             sampled = np.concatenate([np.flatnonzero(smooth[:count]), near])
-            rows = _log_rows
-            if near.size:
-                rows = _split_rows(sampled.size - near.size, split.size, centres[near],
-                                   offset[near])
             _interpolate(lo, hi, _take(p, columns[sampled]), nodes, g0, dg, out, scratch,
-                         rows)
+                         _split_rows(sampled.size - near.size, split.size, centres[near],
+                                     offset[near]))
             keep = np.concatenate([split, count + np.flatnonzero(~smooth[count:])])
             zetas, kernels = columns[rough[~lone]], (columns[keep], centres[keep])
     if not (zetas.size or kernels[0].size):
@@ -764,10 +764,10 @@ def _split_rows(zetas: int, splits: int, centre, offset):
 
 
 def _interpolate(lo: int, hi: int, p: Columns, nodes: int, g0: float, dg: float,
-                 out: np.ndarray, scratch: np.ndarray, row_values=_log_rows) -> None:
-    """Add the columns of ``p``, as ``row_values`` reads them (sum q log
-    zeta with the default :func:`_log_rows`), to out[lo:hi] from their
-    Chebyshev interpolant, sampled only as far as its series converges.
+                 out: np.ndarray, scratch: np.ndarray, row_values) -> None:
+    """Add the columns of ``p``, as ``row_values`` reads them (the row
+    function of :func:`_split_rows`), to out[lo:hi] from their Chebyshev
+    interpolant, sampled only as far as its series converges.
 
     ``nodes`` is the a-priori count m.  With third = ceil(m / 3), the
     columns are sampled at the third first-kind points that are every third

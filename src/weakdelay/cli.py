@@ -28,9 +28,11 @@ library input from a flag, so a library ``DomainError`` there (too few
 or too many trials, a nonpositive alpha or length, a negative epsilon,
 an uncertainty or alpha_min out of the float range) is a format error
 too, and so are ``sweep --steps`` outside [1,
-``simulator.MAX_TRIALS``], a ``sweep`` angle whose delay overflows the
-record's phases, an ``snr --alphas`` entry whose squared delay error
-could overflow the SNR or whose squared delay underflows, and an ``snr
+``simulator.MAX_TRIALS``], a ``sweep`` angle or an ``snr --alphas``
+entry whose delay passes the phase bound of a configuration's delay
+(largest phase on the grid 2^22 rad, ``simulator.MAX_PHASE``), an ``snr
+--alphas`` entry whose squared delay error could overflow the SNR or
+whose squared delay underflows, and an ``snr
 --phi-assumed`` entry whose
 first-order coefficient could overflow (cot^2(phi/2) times the grid's
 largest w^2 times ``max(photons, 1)`` not finite); their messages name
@@ -220,12 +222,15 @@ def cmd_snr(args) -> int:
     phis = _parse_floats(args.phi_assumed, "--phi-assumed", _weak_phi)
     config, _ = io.load_config(args.config)
     with io._format_errors("invalid snr flags"):
-        # the SNR's MSE sums up to MAX_TRIALS squared delay errors of about
-        # alpha / omega0 each; the limit leaves each error a factor of 2.
+        # each delay alpha / omega0 keeps its phases within the bound.  The
+        # SNR's MSE sums up to MAX_TRIALS squared delay errors of about
+        # alpha / omega0 each; the limit leaves each error a factor of 2 (a
+        # grid of wavelengths past 1e171 nm reaches it inside the bound).
         # The squared delay the MSE divides must not underflow either
         omega0 = config.source.omega0
         limit = 0.5 * math.sqrt(sys.float_info.max / simulator.MAX_TRIALS) * omega0
         for alpha in alphas:
+            config.source.check_delay("--alphas entry", alpha, alpha / omega0)
             if alpha > limit:
                 raise FormatError(f"--alphas entry {alpha!r}: its SNR's squared error overflows")
             if 0 < alpha and (alpha / omega0) ** 2 < sys.float_info.min:

@@ -38,7 +38,6 @@ are never absorbed silently (see ``JWM_SIGN``).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -61,8 +60,9 @@ DEFAULT_BRACKET = (-1e-15, 1e-15)
 DEFAULT_TOL = 1e-30
 
 #: The score's rounding band as a share of sum |Q w d log zeta / dx|, the
-#: size of the terms it sums: 4 eps.  A score this small reads rounding noise.
-_BAND = 4.0 * np.finfo(float).eps
+#: size of the terms it sums: 4 eps = 2^-50, a Python float like the
+#: diagnostics it scales.  A score this small reads rounding noise.
+_BAND = 2.0 ** -50
 
 #: Sign constant of the balanced-postselection shortcut estimator.  The raw
 #: moment combination (P_f1 <w>_2 - P_f2 <w>_1)/Var(w) evaluates to -tau on
@@ -315,25 +315,16 @@ def _newton_from_zero(prepared: _kernels.Prepared) -> float:
 _HINT_WINDOW = np.linspace(0.2, 5.0, 49)
 
 
-@functools.lru_cache(maxsize=4)
-def _fixed_ladder(lo: float, hi: float) -> np.ndarray:
-    """The candidates of :func:`_candidate_ladder` that the hint does not
-    move, read-only: zero, 61-point log ladders of both signs from 1e-21 s
-    to the larger end, and both ends, each inside [lo, hi].  Kept for the
-    four brackets that :func:`solve_exact` searches."""
-    ladder = np.logspace(-21, np.log10(max(abs(lo), abs(hi))), 61)
-    cands = np.concatenate([[0.0, lo, hi], ladder, -ladder])
-    return _kernels._frozen(_unique(cands[(cands >= lo) & (cands <= hi)]))
-
-
 def _candidate_ladder(lo: float, hi: float, hint: float | None) -> np.ndarray:
     """Global localization grid of the bracket [lo, hi], sorted and unique:
-    :func:`_fixed_ladder` and the hint window (the hint, ``None`` or finite
-    as :func:`_hint` returns it, times :data:`_HINT_WINDOW`) inside the
+    zero, 61-point log ladders of both signs from 1e-21 s to the larger end,
+    both ends and the hint window (the hint, ``None`` or finite as
+    :func:`_hint` returns it, times :data:`_HINT_WINDOW`), each inside the
     bracket."""
+    ladder = np.logspace(-21, np.log10(max(abs(lo), abs(hi))), 61)
     window = np.empty(0) if hint is None else hint * _HINT_WINDOW
-    return _unique(np.concatenate([_fixed_ladder(lo, hi),
-                                   window[(window >= lo) & (window <= hi)]]))
+    cands = np.concatenate([[0.0, lo, hi], ladder, -ladder, window])
+    return _unique(cands[(cands >= lo) & (cands <= hi)])
 
 
 def _unique(cands: np.ndarray) -> np.ndarray:
@@ -492,7 +483,8 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     The diagnostics read the score, its curvature and its scale at the
     root: ``bracket_width`` is the width of the scored pair it was refined
     in (a marked interval or a whole clean run), ``convergence_s`` the
-    score's rounding band 4 eps scale / |curvature| in seconds, and
+    score's rounding band 4 eps scale / |curvature| in seconds, the
+    convergence measured at the root, and
     ``se_s`` the standard error 1 / sqrt(-curvature) of the observed
     information on a count record (None on a noise-free one, whose weights
     are not counts; inf where the curvature is not negative).
@@ -517,7 +509,8 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
     refined = _refine(prepared, [(points[i], points[i + 1], a[i], b[i]) for i in down],
                       _starts(prepared, hint, points, clean, down))
     best = int(np.argmax(log_likelihood(np.array([r for r, _ in refined]), prepared)))
-    (root, iters), width = refined[best], points[down[best] + 1] - points[down[best]]
+    (root, iters), width = refined[best], float(points[down[best] + 1] - points[down[best]])
+    root = float(root)
     caveats = ()
     if weak_values.is_real():
         root = abs(root)
@@ -535,7 +528,6 @@ def solve_exact(record: MeasurementRecord, weak_values: WeakValuePair) -> Estima
             "likelihood_residual": score,  # NaN if singular
             "iterations": iters,
             "bracket_width": width,
-            "final_width": DEFAULT_TOL,
             "convergence_s": _BAND * scale / abs(curvature) if curvature else math.inf,
             "se_s": se,
             "candidate_roots": len(refined),
@@ -673,7 +665,9 @@ def quartic(record: MeasurementRecord, weak_values: WeakValuePair) -> Estimation
     if not np.all(np.isfinite(arr)):
         raise DegenerateRecordError("quartic coefficients are not finite")
     if np.all(arr == 0.0):
-        raise DegenerateRecordError("all-zero record: quartic is degenerate")
+        raise DegenerateRecordError(
+            f"every series coefficient vanishes at weak values {complex(weak_values.aw1):g} "
+            f"and {complex(weak_values.aw2):g}: quartic is degenerate")
     hint = -e / d if d else 0.0
     scale = abs(hint) if hint and np.isfinite(hint) else 1e-18
     roots = np.roots(arr * scale ** np.array([4.0, 3.0, 2.0, 1.0, 0.0]))
@@ -846,5 +840,5 @@ def estimate(method: Method | str, record: MeasurementRecord, phi: float,
         return wva_first_order(record, phi)
     m1, m2 = _barred_moments(record)
     aw2 = port_projections(phi, m1.m1 + m2.m1, qwp)[0].aw2
-    return wva_mean_shift(delta_omega=m1.m1_bar - m2.m1_bar, im_aw2=abs(np.imag(aw2)),
+    return wva_mean_shift(delta_omega=m1.m1_bar - m2.m1_bar, im_aw2=abs(complex(aw2).imag),
                           variance=pooled_variance(record))

@@ -35,9 +35,10 @@ ideal plate).  Every other number must be finite (not NaN, not infinite,
 not a boolean); ``photons`` and ``seed`` must be whole numbers, ``seed``
 nonnegative, the grid at most :data:`~weakdelay.simulator.MAX_BINS`
 bins and the source line (``fwhm_nm``) no narrower than its step nor, for
-a Lorentzian, so wide that its squared half-width overflows; neither a
-pivot angle (``theta_rad``) nor a direct delay (``tau_true_fs``) may have
-a delay that overflows the phases of the grid, and ``phi_actual_rad`` and
+a Lorentzian, so wide that its squared half-width overflows; the delay of
+a pivot angle (``theta_rad``) or a direct delay (``tau_true_fs``) must
+keep its largest phase on the grid within
+:data:`~weakdelay.simulator.MAX_PHASE` (2^22 rad), and ``phi_actual_rad`` and
 ``phi_assumed_rad`` must give finite weak values (twice cot^2(phi/2)
 times the largest squared tangent of a phase, 2^122, finite, so phi
 above about 4.9e-136 rad).  Every rejected document or
@@ -268,15 +269,17 @@ def _qwp_model(doc: dict, center_nm: float) -> QwpModel:
 
 
 def _check_pivot(name: str, theta: float, stack: PlateStack, source: SourceConfig) -> None:
-    """Reject a pivot angle whose delay overflows the phases of the grid.
+    """Reject a pivot angle whose delay passes the phase bound of the grid
+    (:meth:`~weakdelay.simulator.SourceConfig.check_delay`, a DomainError
+    that its callers report as a FormatError).
 
-    An angle's delay is pivot_delay(1 rad) theta^2, and its largest phase
-    :meth:`~weakdelay.simulator.SourceConfig.largest_phase` of it.  The message names the input, ``name``.
-    Shared by the configuration loader and the ``sweep`` flags.
+    An angle's delay is pivot_delay(1 rad) theta^2, in Python floats, so an
+    angle past the float range reads an infinite delay.  The message names
+    the input, ``name``.  Shared by the configuration loader and the
+    ``sweep`` flags.
     """
-    phase = source.largest_phase(pivot_delay(1.0, stack, source.center_nm * NM))
-    if not math.isfinite(theta * theta * phase):
-        raise FormatError(f"{name} = {theta!r} rad: its pivot delay overflows the phases")
+    delay = theta * theta * float(pivot_delay(1.0, stack, source.center_nm * NM))
+    source.check_delay(name, theta, delay)
 
 
 def _check_phi(name: str, phi: float) -> float:
@@ -336,8 +339,8 @@ def load_config(source) -> tuple[ExperimentConfig, dict]:
             if stack is None:
                 stack = default_quartz_stack(source_cfg.center_nm * 1e-9)
             _check_pivot("theta_rad", theta, stack, source_cfg)
-        elif not math.isfinite(source_cfg.largest_phase(tau_fs * FS)):
-            raise FormatError(f"tau_true_fs = {tau_fs!r}: its delay overflows the phases")
+        else:
+            source_cfg.check_delay("tau_true_fs", tau_fs, tau_fs * FS)
 
         config = ExperimentConfig(
             phi_actual=_finite_number(doc, "phi_actual_rad", np.pi / 2 + 0.071),
@@ -381,14 +384,15 @@ def resolved_config_dict(config: ExperimentConfig) -> dict:
 
 
 def _json_safe(value):
+    """A diagnostics value for JSON: tuples as lists, and a non-finite float
+    as its string, ``"inf"``, ``"-inf"`` or ``"nan"``.  The estimators give
+    Python numbers only."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
     return value
 
 

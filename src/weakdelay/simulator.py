@@ -41,6 +41,12 @@ MAX_BINS = 1_000_000
 #: million keep every per-trial or per-angle array under 8 MB.
 MAX_TRIALS = 1_000_000
 
+#: Largest phase |tau| w a delay may reach on the grid [rad], 2^22: inside
+#: the 8e6 rad up to which the likelihood core's model-zero screen holds
+#: (:data:`weakdelay._kernels._SCREEN`).  On the default grid it is a delay
+#: of 1.54e-9 s, or alpha = w0 tau = 3.7e6.
+MAX_PHASE = 2.0 ** 22
+
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -91,6 +97,14 @@ class SourceConfig:
         its shortest wavelength, in Python floats (inf past the float range)."""
         return float(delay) * wavelength_to_angular_frequency(self.grid_min_nm)
 
+    def check_delay(self, name: str, value, delay: float) -> None:
+        """Raise DomainError naming the input ``name`` = ``value`` when the
+        largest phase of its ``delay`` is not within :data:`MAX_PHASE`."""
+        phase = abs(self.largest_phase(delay))
+        if not phase <= MAX_PHASE:
+            raise DomainError(f"{name} = {value!r}: its delay overflows the phase bound "
+                              f"(largest phase {phase:.3g} rad on the grid, above 2^22 rad)")
+
     def n_bins(self) -> int:
         return int(round((self.grid_max_nm - self.grid_min_nm) / self.grid_step_nm)) + 1
 
@@ -128,9 +142,10 @@ class ExperimentConfig:
     map supplies the ground truth at the source centre wavelength.
     ``photons == 0`` is the noise-free sentinel: the record then holds the
     expected per-bin weights instead of sampled counts.  The delay's
-    largest phase on the grid (:meth:`SourceConfig.largest_phase`) must be
-    finite: a ``tau_true`` or ``theta`` that is not finite, or whose delay
-    overflows the phases, raises DomainError naming the field.
+    largest phase on the grid must lie within :data:`MAX_PHASE`
+    (:meth:`SourceConfig.check_delay`): a ``tau_true`` or ``theta`` that is
+    not finite, or whose delay passes that bound, raises DomainError naming
+    the field.
     """
 
     phi_actual: float
@@ -160,9 +175,7 @@ class ExperimentConfig:
         if self.theta is not None and self.stack is None:
             raise DomainError("theta requires a plate stack")
         name = "tau_true" if self.theta is None else "theta"
-        if not math.isfinite(self.source.largest_phase(self.delay())):
-            raise DomainError(f"{name} = {getattr(self, name)!r}: its delay or its largest "
-                              f"phase is not finite")
+        self.source.check_delay(name, getattr(self, name), self.delay())
 
     @property
     def phi_for_estimation(self) -> float:

@@ -152,11 +152,6 @@ class SpectralMoments:
     m2_bar: float
 
 
-def moments(port: Spectrum, normalize_by_total: float) -> SpectralMoments:
-    """Moments of one port spectrum, sub-normalized by the two-port total."""
-    return _moments(port.weights, port.omega, normalize_by_total)
-
-
 def _moments(weights, omega, normalize_by_total: float) -> SpectralMoments:
     """Moments of one port's weights on the frequencies ``omega``."""
     if not normalize_by_total > 0:

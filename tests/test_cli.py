@@ -623,6 +623,17 @@ class TestFlagBoundary:
          ["center_nm = 1e+300", "no weight on the grid"]),
         (["simulate", "--config", "{far_delay}", "--out", "{out}"],
          ["tau_true_fs = 1e+308", "delay overflows"]),
+        (["simulate", "--config", "{huge_delay}", "--out", "{out}"],
+         ["tau_true_fs = 1e+300", "phase bound"]),
+        (["simulate", "--config", "{long_delay}", "--out", "{out}"],
+         ["tau_true_fs = 10000000000.0", "phase bound"]),
+        (["simulate", "--config", "{steep_pivot}", "--out", "{out}"],
+         ["theta_rad = 10000.0", "phase bound"]),
+        (["snr", "--config", "{config}", "--alphas", "0.01,1e8", "--phi-actual", "0.03",
+          "--phi-assumed", "0.03", "--out", "{out}"], ["--alphas", "100000000.0", "phase bound"]),
+        (["snr", "--config", "{far_grid}", "--alphas", "0.5", "--phi-actual", "0.5",
+          "--phi-assumed", "0.5", "--trials", "30", "--out", "{out}"],
+         ["--alphas", "0.5", "squared error overflows"]),
         (["simulate", "--config", "{tiny_phi}", "--out", "{out}"],
          ["phi_actual_rad", "1e-200", "overflows"]),
         (["sweep", "--config", "{tiny_phi}", "--theta-min", "0", "--theta-max", "0.05",
@@ -656,7 +667,8 @@ class TestFlagBoundary:
          ["tiny.csv", "wavelength too short"]),
     ], ids=["line_narrower_than_grid_step", "overflowing_alpha", "overflowing_theta_max",
             "overflowing_theta_rad", "overflowing_lorentzian", "off_grid_centre",
-            "overflowing_tau_true", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
+            "overflowing_tau_true", "huge_tau_true", "long_tau_true", "steep_theta_rad",
+            "long_alpha", "far_grid_alpha", "tiny_phi_simulate", "tiny_phi_sweep", "tiny_phi_snr",
             "tiny_phi_snr_tangent_band",
             "tiny_phi_snr_bright_record", "underflowing_alpha", "record_past_float_range",
             "underflowing_uncertainty", "overflowing_alpha_min", "underflowing_line_square",
@@ -678,12 +690,24 @@ class TestFlagBoundary:
         # whose square underflows gave a raw ZeroDivisionError, a factor
         # that underflows a RuntimeWarning, one that overflows a ModelError
         # and an exit 1, a beta whose square overflows an errno tuple, and
-        # a record whose frequencies overflow a DomainError and an exit 1
+        # a record whose frequencies overflow a DomainError and an exit 1.
+        # A delay whose phases were finite but past 2^22 rad (a direct delay
+        # of 1e300 or 1e10 fs, a pivot of 1e4 rad, an snr alpha of 1e8)
+        # simulated with exit 0, and its exact estimate was a meaningless alias.
+        # On a grid of wavelengths past 1e171 nm an alpha inside that bound
+        # still has a squared delay error that overflows the SNR's MSE
         configs = {"narrow": {"source": {"fwhm_nm": 1e-300}},
                    "pivot": {"theta_rad": 1e300},
                    "lorentzian": {"source": {"shape": "lorentzian", "fwhm_nm": 1e200}},
                    "far_centre": {"source": {"center_nm": 1e300}},
                    "far_delay": {"tau_true_fs": 1e308, "photons": 0},
+                   "huge_delay": {"tau_true_fs": 1e300},
+                   "long_delay": {"tau_true_fs": 1e10},
+                   "steep_pivot": {"theta_rad": 1e4},
+                   "far_grid": {"source": {"center_nm": 1e172, "fwhm_nm": 1e171,
+                                           "grid_min_nm": 5e171, "grid_max_nm": 2e172,
+                                           "grid_step_nm": 1e169},
+                                "photons": 1000},
                    "tiny_phi": {"phi_actual_rad": 1e-200, "photons": 1000},
                    "bright": {"photons": 10_000_000_000},
                    "dim": {"photons": 1000}}

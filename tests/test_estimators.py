@@ -315,19 +315,11 @@ class TestCandidateLadder:
             for hint in (None, 0.0, math.nan, 3.7e-18, -0.31 * hi, 3.0 * hi, -10.0 * hi,
                          1e-40, -1e-40, 1e-18, -1e-18, 3e-16, -3e-16, 2e-15, -2e-15):
                 for _ in range(2):
+                    # each call builds a fresh, writable ladder
                     got = est._candidate_ladder(lo, hi, hint)
                     want = self._fresh(lo, hi, hint)
                     assert got.tobytes() == want.tobytes(), (lo, hint)
-
-    def test_fixed_ladder_is_a_cached_read_only_table(self):
-        lo, hi = est.DEFAULT_BRACKET
-        table = est._fixed_ladder(lo, hi)
-        assert est._fixed_ladder(lo, hi) is table
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-        # a ladder without a hint window is the table in a fresh array
-        ladder = est._candidate_ladder(lo, hi, None)
-        assert ladder.tobytes() == table.tobytes() and ladder.flags.writeable
+                    assert got.flags.writeable, (lo, hint)
 
     def test_solve_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, about 9 ms of
@@ -952,6 +944,18 @@ class TestNewtonRefiner:
 
 
 class TestQuartic:
+    def test_vanishing_series_is_named(self):
+        # weak values of modulus 1 with no imaginary part make every series
+        # coefficient, and so every quartic coefficient, exactly 0 on a
+        # record that is not empty; the message blamed an all-zero record
+        rec = simulate(ExperimentConfig(phi_actual=1.0, tau_true=1e-17, photons=100_000,
+                                        seed=3))
+        assert rec.total_events == 100_000
+        with pytest.raises(DegenerateRecordError) as raised:
+            quartic(rec, WeakValuePair(1, -1))
+        assert str(raised.value) == ("every series coefficient vanishes at weak values "
+                                     "1+0j and -1+0j: quartic is degenerate")
+
     def test_linear_ratio_matches_first_order(self, jwm_record, jwm_wv):
         # the root-selection hint is -e/d
         assert quartic(jwm_record, jwm_wv).diagnostics["hint"] == pytest.approx(
@@ -1223,6 +1227,10 @@ class TestStrubiReference:
         with pytest.raises(DegenerateRecordError,
                            match="^empty port 2: barred moments undefined$"):
             strubi_reference(rec)
+        rec = MeasurementRecord(port1=rec.port2, port2=rec.port1, total_events=10)
+        with pytest.raises(DegenerateRecordError) as raised:
+            strubi_reference(rec)
+        assert str(raised.value) == "empty port 1: barred moments undefined"
 
 
 class TestWvaEstimators:
@@ -1279,6 +1287,18 @@ class TestWvaEstimators:
             wva_mean_shift(1e10, 0.0, 5e26)
         with pytest.raises(DomainError):
             wva_mean_shift(1e10, 10.0, 0.0)
+
+    def test_mean_shift_rejects_an_infinite_shift(self):
+        with pytest.raises(SolverError) as raised:
+            wva_mean_shift(math.inf, 10.0, 5e26)
+        assert str(raised.value) == "estimator Method.WVA_MEAN_SHIFT produced non-finite tau"
+
+    @pytest.mark.parametrize("phi", [0.0, -0.1, math.pi, 4.0])
+    def test_first_order_rejects_phi_outside_the_open_interval(self, phi):
+        rec = record_at(PHI_WVA, 1e-19)
+        with pytest.raises(DomainError) as raised:
+            wva_first_order(rec, phi)
+        assert str(raised.value) == f"phi = {phi!r} outside (0, pi)"
 
 
 class TestEstimatorFamilyProperties:
@@ -1411,7 +1431,7 @@ class TestDiagnostics:
         assert off_ladder.diagnostics["iterations"] > 0
         for r in (res, off_ladder):
             assert np.isfinite(r.diagnostics["likelihood_residual"])
-            assert r.diagnostics["final_width"] <= 1e-30
+            assert 0 < r.diagnostics["convergence_s"] <= 1e-30
 
     def test_noise_free_record_has_no_standard_error(self, jwm_record, jwm_wv):
         # the weights of a noise-free record are probabilities, not counts
@@ -1644,7 +1664,7 @@ class TestProfileNearField:
         assert (eta == 0) if kind == "ideal" else (4e-4 < eta < 5e-4)
         interpolate, calls = _kernels._interpolate, []
 
-        def capturing(lo, hi, p, nodes, g0, dg, out, scratch, row_values=_kernels._log_rows):
+        def capturing(lo, hi, p, nodes, g0, dg, out, scratch, row_values):
             before = out[lo:hi].copy()
             interpolate(lo, hi, p, nodes, g0, dg, out, scratch, row_values)
             calls.append((lo, hi, row_values, out[lo:hi] - before))
@@ -1790,7 +1810,8 @@ class TestProfileSeries:
         calls = self._spy(monkeypatch)
         n, nodes = 10_000, 24
         p, dg = prepare_likelihood(jwm_record, jwm_wv), 2e-17 / (n - 1)
-        _kernels._interpolate(0, n, p, nodes, 0.0, dg, np.zeros(n), np.empty(n))
+        _kernels._interpolate(0, n, p, nodes, 0.0, dg, np.zeros(n), np.empty(n),
+                              _kernels._log_rows)
         call = calls[0]
         assert [g.size for g in call["samples"]] == [8, 16]
         assert np.unique(np.concatenate(call["samples"])).size == 24
@@ -1807,7 +1828,7 @@ class TestProfileSeries:
         calls = self._spy(monkeypatch)
         n = 10_000
         _kernels._interpolate(0, n, prepare_likelihood(jwm_record, jwm_wv), 133, 0.0,
-                              2e-17 / (n - 1), np.zeros(n), np.empty(n))
+                              2e-17 / (n - 1), np.zeros(n), np.empty(n), _kernels._log_rows)
         call = calls[0]
         assert [g.size for g in call["samples"]] == [45]
         assert call["fitted"].size == 45

@@ -2,13 +2,16 @@
 the record grammar and the bit-lossless record round trip."""
 
 import copy
+import json
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weakdelay import (FormatError, ideal_weak_values, load_config, read_record, simulate,
+from weakdelay import (EstimationResult, FormatError, Method, QwpModel, estimate,
+                       ideal_weak_values, load_config, read_record, result_to_dict, simulate,
                        solve_exact, write_record)
 from weakdelay.io import RECORD_HEADER
 
@@ -423,4 +426,39 @@ class TestReaderPaths:
         m1, m2 = spectra.record_moments(back)
         assert len(calls) == 1
         total = back.total_weight()
-        assert (m1, m2) == (spectra.moments(back.port1, total), spectra.moments(back.port2, total))
+        assert (m1, m2) == (spectra._moments(back.port1.weights, back.omega, total),
+                            spectra._moments(back.port2.weights, back.omega, total))
+
+
+def python_only(value) -> bool:
+    """Whether ``value`` holds Python types only: no NumPy scalar anywhere."""
+    if isinstance(value, dict):
+        return all(type(k) is str and python_only(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(python_only, value))
+    return value is None or type(value) in (bool, int, float, str)
+
+
+class TestResultJson:
+    @pytest.mark.parametrize("photons", [0, 100_000], ids=["noise_free", "counts"])
+    def test_every_method_gives_python_types(self, photons):
+        # solve_exact's delay and bracket width and wva_mean_shift's im_aw2
+        # came back as NumPy scalars, whose non-finite values the encoder
+        # printed as bare Infinity or NaN
+        record = simulate(load_config({"phi_actual_rad": 0.3, "photons": photons,
+                                       "tau_true_fs": 0.005, "seed": 2})[0])
+        for method in Method:
+            result = estimate(method, record, 0.3, QwpModel())
+            assert python_only([result.tau_hat, result.diagnostics]), (method, result)
+            doc = result_to_dict(result)
+            assert python_only(doc), (method, doc)
+            json.dumps(doc, allow_nan=False)
+
+    def test_a_non_finite_diagnostic_prints_as_its_string(self):
+        result = EstimationResult(tau_hat=1e-18, method=Method.EXACT,
+                                  diagnostics={"se_s": math.inf, "likelihood_residual": math.nan,
+                                               "pair": (1.0, -math.inf)})
+        doc = result_to_dict(result)
+        assert doc["diagnostics"] == {"se_s": "inf", "likelihood_residual": "nan",
+                                      "pair": [1.0, "-inf"]}
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc

@@ -15,7 +15,7 @@ from weakdelay import (DegenerateRecordError, DomainError, ExperimentConfig,
                        resolution_factor, simulate, snr_sweep, sweep_theta,
                        wva_uncertainty)
 from weakdelay import simulator
-from weakdelay.simulator import expected_record
+from weakdelay.simulator import MAX_PHASE, expected_record
 
 from conftest import PHI_JWM, PHI_WVA, noise_free_config
 
@@ -102,21 +102,35 @@ class TestSimulate:
         with pytest.raises(DomainError):
             ExperimentConfig(phi_actual=1.0, tau_true=0.0, photons=-1)
 
-    @pytest.mark.parametrize("field, value", [
-        ("tau_true", np.inf), ("tau_true", np.nan), ("tau_true", 1e300),
-        ("theta", np.inf), ("theta", np.nan), ("theta", 1e200),
-    ], ids=["tau_inf", "tau_nan", "tau_overflow", "theta_inf", "theta_nan", "theta_overflow"])
-    def test_delay_input_must_keep_the_phases_finite(self, field, value, stack):
+    @pytest.mark.parametrize("field, value, phase", [
+        ("tau_true", np.inf, "inf"), ("tau_true", np.nan, "nan"), ("tau_true", 1e300, "inf"),
+        ("tau_true", 1e-8, "2.73e+07"), ("tau_true", -1e-8, "2.73e+07"),
+        ("theta", np.inf, "inf"), ("theta", np.nan, "nan"), ("theta", 1e200, "inf"),
+    ], ids=["tau_inf", "tau_nan", "tau_overflow", "tau_past_bound", "tau_negative_past_bound",
+            "theta_inf", "theta_nan", "theta_overflow"])
+    def test_delay_input_must_keep_the_phases_within_the_bound(self, field, value, phase, stack):
         # such a delay reached zeta's tangent as an invalid value and then
         # a ModelError blaming zeta, or pivot_delay's theta ** 2 as a raw
-        # OverflowError
+        # OverflowError; one whose phases were finite but past the range the
+        # likelihood core's model-zero screen covers simulated, and its
+        # exact estimate was a meaningless alias
         kw = {field: value, "stack": stack if field == "theta" else None}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as raised:
                 simulate(ExperimentConfig(phi_actual=0.3, photons=0, **kw))
-        assert str(raised.value) == (f"{field} = {value!r}: its delay or its largest "
-                                     f"phase is not finite")
+        assert str(raised.value) == (f"{field} = {value!r}: its delay overflows the phase "
+                                     f"bound (largest phase {phase} rad on the grid, above "
+                                     f"2^22 rad)")
+
+    def test_delay_at_the_phase_bound_is_accepted(self):
+        # 2^22 rad of phase at the grid's shortest wavelength: 1.54e-9 s
+        source = SourceConfig()
+        tau = MAX_PHASE / source.largest_phase(1.0)
+        assert 1.53e-9 < tau < 1.55e-9
+        ExperimentConfig(phi_actual=0.3, tau_true=tau * (1 - 1e-15), photons=0)
+        with pytest.raises(DomainError, match="phase bound"):
+            ExperimentConfig(phi_actual=0.3, tau_true=tau * (1 + 1e-15), photons=0)
 
 
 class TestStatisticalSoundness:
@@ -353,6 +367,14 @@ class TestSnrSweep:
             snr_sweep([0.01], PHI_WVA, [PHI_WVA], 30, cfg)
         assert threading.active_count() == before
         assert 0 in ran and set(ran) <= set(range(shares))
+
+    @pytest.mark.parametrize("count, cores", [(6, 6), (None, 1)])
+    def test_usable_cores_without_an_affinity_set(self, count, cores, monkeypatch):
+        # where the OS has no affinity call, the cores are its CPU count,
+        # and one core where it cannot tell
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: count)
+        assert simulator._usable_cores() == cores
 
     @pytest.mark.parametrize("alphas, phis", [([], [PHI_WVA]), ([0.01], [])],
                              ids=["no_alphas", "no_phis"])

@@ -3,15 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from weakdelay import _kernels
-from weakdelay import (DegenerateRecordError, DomainError, MeasurementRecord,
+from weakdelay import _kernels, spectra
+from weakdelay import (DegenerateRecordError, DomainError, MeasurementRecord, ModelError,
                        QwpModel, SourceConfig, Spectrum, completeness_defect,
-                       ideal_weak_values, make_source, moments,
+                       ideal_weak_values, make_source,
                        pooled_variance, port_projections,
                        postselected_distribution,
                        postselection_probabilities_exact, record_moments,
                        wavelength_to_angular_frequency, zeta)
 from conftest import PHI_JWM, noise_free_config
+
+
+def moments(port, normalize_by_total):
+    """One port's moments, sub-normalized by ``normalize_by_total``, as a
+    record computes them."""
+    return spectra._moments(port.weights, port.omega, normalize_by_total)
 
 
 def _one_column(x, aw):
@@ -61,6 +67,12 @@ class TestWavelengthConversion:
 
 
 class TestZeta:
+    def test_nan_delay_is_a_model_error(self):
+        with pytest.raises(ModelError) as raised:
+            zeta(np.linspace(2.1e15, 2.7e15, 4), np.nan, 1j)
+        assert str(raised.value) == ("zeta produced non-finite values; "
+                                     "inconsistent (omega, g, aw) inputs")
+
     def test_zero_coupling(self):
         omega = np.linspace(2.1e15, 2.7e15, 64)
         for aw in (0.3 + 0.0j, 1j * 5, -2.0 + 1.5j):
@@ -218,6 +230,12 @@ class TestPostselectedDistribution:
         bumpy = Spectrum(source.grid_nm, source.weights * 3.0)
         with pytest.raises(DomainError):
             postselected_distribution(bumpy, 0.0, 1j, 0.5)
+
+    @pytest.mark.parametrize("overlap_sq", [-0.1, 1.5, np.nan])
+    def test_overlap_outside_the_unit_interval_is_rejected(self, source, overlap_sq):
+        with pytest.raises(DomainError) as raised:
+            postselected_distribution(source, 0.0, 1j, overlap_sq)
+        assert str(raised.value) == "overlap_sq must lie in [0, 1]"
 
 
 class TestPostselectionProbabilities:
@@ -404,6 +422,13 @@ class TestSpectrumValidation:
                 MeasurementRecord(port1=Spectrum(grid, np.array(w1)),
                                   port2=Spectrum(grid, np.array(w2)),
                                   total_events=total_events)
+
+    def test_pooled_variance_of_an_empty_record_is_degenerate(self, source):
+        empty = Spectrum(source.grid_nm, np.zeros_like(source.weights))
+        rec = MeasurementRecord(port1=empty, port2=empty, total_events=0)
+        with pytest.raises(DegenerateRecordError) as raised:
+            pooled_variance(rec)
+        assert str(raised.value) == "empty record"
 
     def test_pooled_variance_matches_direct(self, source):
         rec = MeasurementRecord(
